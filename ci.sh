@@ -73,6 +73,22 @@ set -e
     || { echo "corrupt checkpoint gate: expected exit 4, got $bad_rc"; exit 1; }
 grep -qi 'checksum\|corrupt' target/ci_ckpt_bad.err \
     || { echo "corrupt checkpoint gate: no diagnostic on stderr"; exit 1; }
+# A file of another format version is refused by name, also with exit 4.
+cp "$ck" target/ci_ckpt_old.ckpt
+rm -f target/ci_ckpt_old.ckpt.bak
+printf 'dftmsn-ckpt/1' | dd of=target/ci_ckpt_old.ckpt bs=1 seek=0 conv=notrunc status=none
+set +e
+cargo run --release -q -p dftmsn-cli -- run --resume target/ci_ckpt_old.ckpt \
+    >/dev/null 2>target/ci_ckpt_old.err
+old_rc=$?
+set -e
+[ "$old_rc" -eq 4 ] \
+    || { echo "old-version checkpoint gate: expected exit 4, got $old_rc"; exit 1; }
+grep -q 'unsupported checkpoint version dftmsn-ckpt/1' target/ci_ckpt_old.err \
+    || { echo "old-version checkpoint gate: version not named on stderr"; exit 1; }
+
+echo "==> benchmark package tests (unit + --quick smoke)"
+cargo test --release --manifest-path benchmark/Cargo.toml
 
 echo "==> shard-parity gate (N-shard scale cell must be bit-identical to 1-shard)"
 cargo run --release -q -p dftmsn-bench --bin shard_parity

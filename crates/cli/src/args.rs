@@ -144,7 +144,7 @@ INSPECT:
     --width CHARS      sparkline width                   (60)
 
 CHECKPOINTING (run only):
-    --checkpoint FILE       write dftmsn-ckpt/1 snapshots to FILE (atomic;
+    --checkpoint FILE       write dftmsn-ckpt/2 snapshots to FILE (atomic;
                             the previous snapshot rotates to FILE.bak)
     --checkpoint-every SECS snapshot every SECS simulated seconds
                             (without it, only SIGINT/SIGTERM snapshot)

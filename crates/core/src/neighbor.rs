@@ -112,28 +112,21 @@ impl NeighborTable {
             .retain(|_, e| now.saturating_since(e.last_seen) <= ttl);
     }
 
-    /// Every entry sorted by node id, for deterministic checkpointing.
+    /// An empty table with room for `capacity` entries (checkpoint restore
+    /// sizes it from the snapshot).
     #[must_use]
-    pub fn sorted_entries(&self) -> Vec<(NodeId, NeighborEntry)> {
-        let mut entries: Vec<(NodeId, NeighborEntry)> =
-            self.entries.iter().map(|(&id, &e)| (id, e)).collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        entries
+    pub fn with_capacity(capacity: usize) -> Self {
+        NeighborTable {
+            entries: HashMap::with_capacity(capacity),
+        }
     }
 
-    /// Rebuilds a table from [`sorted_entries`](Self::sorted_entries)
-    /// output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any ξ is outside `[0, 1]` (via [`observe`](Self::observe)).
-    #[must_use]
-    pub fn from_entries(entries: impl IntoIterator<Item = (NodeId, NeighborEntry)>) -> Self {
-        let mut table = Self::new();
-        for (id, e) in entries {
-            table.observe(id, e.xi, e.last_seen);
-        }
-        table
+    /// Writes every entry into `out` (cleared first) sorted by node id, for
+    /// deterministic checkpointing into a reused buffer.
+    pub fn sorted_entries_into(&self, out: &mut Vec<(NodeId, NeighborEntry)>) {
+        out.clear();
+        out.extend(self.entries.iter().map(|(&id, &e)| (id, e)));
+        out.sort_unstable_by_key(|&(id, _)| id);
     }
 }
 

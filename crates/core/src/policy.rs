@@ -23,8 +23,7 @@
 //! Dispatch is static: the sealed [`Policy`] enum-of-impls costs one
 //! predictable branch per decision, which the `scale_check` CI gate
 //! verifies stays inside the ns/event budget. Checkpoints carry the
-//! policy as a trailing frame of `dftmsn-ckpt/1` (see `world_ckpt.rs`);
-//! pre-seam checkpoints decode as [`Policy::builtin`].
+//! policy as a frame of `dftmsn-ckpt/2` (see `world_ckpt.rs`).
 
 use crate::delivery::DeliveryProb;
 use crate::ftd::Ftd;
@@ -425,8 +424,8 @@ impl TwoHopRelay {
 
     /// Internal: the spawn ledger in deterministic order, for the
     /// checkpoint codec.
-    pub(crate) fn copies_entries(&self) -> Vec<(MessageId, u32)> {
-        self.copies.iter().map(|(&m, &c)| (m, c)).collect()
+    pub(crate) fn copies(&self) -> impl ExactSizeIterator<Item = (MessageId, u32)> + '_ {
+        self.copies.iter().map(|(&m, &c)| (m, c))
     }
 }
 

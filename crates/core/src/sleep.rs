@@ -64,24 +64,8 @@ impl SleepController {
     }
 
     /// The recorded cycle outcomes, oldest first, for checkpointing.
-    pub fn history(&self) -> impl Iterator<Item = bool> + '_ {
+    pub fn history(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
         self.history.iter().copied()
-    }
-
-    /// Rebuilds a controller from checkpointed state: the window size and
-    /// the recorded outcomes, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s < 2` or more than `s` outcomes are supplied.
-    #[must_use]
-    pub fn from_history(s: usize, outcomes: impl IntoIterator<Item = bool>) -> Self {
-        let mut ctl = Self::new(s);
-        for outcome in outcomes {
-            assert!(ctl.history.len() < s, "sleep history exceeds window");
-            ctl.history.push_back(outcome);
-        }
-        ctl
     }
 
     /// Records whether the just-finished working cycle transmitted

@@ -498,7 +498,7 @@ fn cell_coast_ticks(margin: f64, disp: Vec2) -> u32 {
 /// Runtime state of the sharded engine (DESIGN.md § 8).
 ///
 /// A pure execution knob: the shard count is never serialized — checkpoints
-/// capture the logical event list and `dftmsn-ckpt/1` stays byte-stable —
+/// capture the logical event list and the checkpoint bytes stay stable —
 /// and per the event queue's lane-placement contract the *results* of a run
 /// are bit-identical for every shard count, so everything here is
 /// locality bookkeeping and telemetry.
@@ -899,6 +899,23 @@ impl Simulation {
         seed: u64,
         mode: MobilityMode,
     ) -> Self {
+        let mut sim = Self::construct_static(scenario, protocol, config, seed, mode);
+        sim.grid.rebuild(&sim.positions);
+        sim.schedule_initial_events();
+        sim
+    }
+
+    /// The world [`construct`](Self::construct) starts from: nodes, models,
+    /// medium and tables, with the spatial grid still empty and no event
+    /// scheduled. Checkpoint restore starts here, since it replaces the
+    /// event set and rebuilds the grid from restored positions.
+    fn construct_static(
+        scenario: ScenarioParams,
+        protocol: ProtocolParams,
+        config: VariantConfig,
+        seed: u64,
+        mode: MobilityMode,
+    ) -> Self {
         scenario
             .validate()
             .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
@@ -1056,8 +1073,7 @@ impl Simulation {
             Some(l) => l.query_radius.max(1.0),
             None => (4.0 * scenario.channel.range_m).max(1.0),
         };
-        let mut grid = SpatialGrid::new(area, cell);
-        grid.rebuild(&positions);
+        let grid = SpatialGrid::new(area, cell);
 
         let mut medium = Medium::new(n);
         for node in &nodes {
@@ -1086,7 +1102,7 @@ impl Simulation {
         let mac = policy.mac();
         let behaviors = BehaviorTable::new(n);
         let lifetime = LifetimeTracker::new(scenario.sensors);
-        let mut sim = Simulation {
+        Simulation {
             scenario,
             protocol,
             config,
@@ -1125,9 +1141,7 @@ impl Simulation {
             profile: None,
             par: exec::ParRuntime::new(n),
             seq_lane: None,
-        };
-        sim.schedule_initial_events();
-        sim
+        }
     }
 
     /// Instantiates and attaches the forwarding policy named by `spec`.

@@ -1,4 +1,4 @@
-//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/1`
+//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/2`
 //! format.
 //!
 //! A checkpoint captures the *complete* live state of a run: every node's
@@ -14,11 +14,25 @@
 //! # File format
 //!
 //! ```text
-//! magic   13 bytes   b"dftmsn-ckpt/1"
+//! magic   13 bytes   b"dftmsn-ckpt/2"
 //! len      8 bytes   payload length, u64 LE
 //! payload  n bytes   SnapWriter-encoded state
-//! checksum 8 bytes   FNV-1a 64 of the payload, u64 LE
+//! checksum 8 bytes   checksum64 of the payload, u64 LE
 //! ```
+//!
+//! The frame is encoded into one buffer presized from the live state, with
+//! the header written in place. The payload opens with the parameters the
+//! static world is rebuilt from, then the clock and the count of message
+//! ids issued, which later sections are checked against. A file of another
+//! `dftmsn-ckpt/` version is rejected as [`CkptError::Corrupt`] naming
+//! that version.
+//!
+//! Decoding trusts nothing the checksum cannot vouch for: node ids must lie
+//! below the node count, ξ/FTD/metric values in `[0, 1]`, recorded instants
+//! at or before the clock and message ids below the count issued, and every
+//! live timer and pending frame end must fit its node's MAC state. A
+//! malformed payload that still carries a valid checksum is therefore
+//! rejected with a typed error instead of panicking later in the run.
 //!
 //! Writes are atomic: the file is written to `<path>.tmp`, the previous
 //! checkpoint (if any) is rotated to `<path>.bak`, and the temp file is
@@ -43,21 +57,31 @@ use crate::neighbor::{NeighborEntry, NeighborTable};
 use crate::observe::{ObserveRow, RecorderState, WindowCounters};
 use crate::queue::FtdQueue;
 use crate::report::FaultCounters;
-use crate::sleep::SleepController;
 use crate::variants::QueueDiscipline;
 use crate::variants::{MetricKind, SelectionKind};
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_metrics::stats::RunningStats;
 use dftmsn_radio::energy::EnergyMeter;
 use dftmsn_radio::medium::{ActiveTxState, MediumState};
-use dftmsn_sim::snap::{fnv1a64, SnapError, SnapReader, SnapWriter};
+use dftmsn_sim::snap::{checksum64, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file; the trailing `/1` is the
+/// Magic bytes opening every checkpoint file; the trailing `/2` is the
 /// format version.
-pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/1";
+pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/2";
+
+/// The magic's version-independent prefix, so a file of another version is
+/// named as such rather than as "not a checkpoint".
+const MAGIC_FAMILY: &[u8] = b"dftmsn-ckpt/";
+
+/// Frame bytes before the payload: the magic and the payload length.
+const HEADER_LEN: usize = CKPT_MAGIC.len() + 8;
+
+/// Widest observer window a checkpoint may carry (s): far beyond any run,
+/// yet small enough that the clock plus one window cannot overflow.
+const MAX_WINDOW_SECS: f64 = 1e12;
 
 /// Why a checkpoint could not be written or resumed.
 #[derive(Debug)]
@@ -71,8 +95,9 @@ pub enum CkptError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The bytes are not a valid `dftmsn-ckpt/1` snapshot: bad magic,
-    /// truncation, checksum mismatch, or malformed payload.
+    /// The bytes are not a valid `dftmsn-ckpt/2` snapshot: bad magic, an
+    /// unsupported version, truncation, checksum mismatch, or a malformed
+    /// payload.
     Corrupt {
         /// The file the bytes came from, when known.
         path: Option<PathBuf>,
@@ -174,9 +199,19 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Leaf codecs (all fallible on read; tags are explicit so a truncated or
-// hand-edited payload yields a diagnostic, not a panic).
+// Leaf codecs (all fallible on read; tags are explicit and values are
+// range-checked, so a truncated or hand-edited payload yields a
+// diagnostic, not a panic).
 // ---------------------------------------------------------------------
+
+/// What decoded ids and instants are checked against: the node count, the
+/// checkpoint clock, and the number of message ids issued.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    n: usize,
+    now: SimTime,
+    issued: u64,
+}
 
 fn w_time(w: &mut SnapWriter, t: SimTime) {
     w.u64(t.ticks());
@@ -186,12 +221,56 @@ fn r_time(r: &mut SnapReader) -> Result<SimTime, SnapError> {
     Ok(SimTime::from_ticks(r.u64()?))
 }
 
+/// Reads an instant the run has already passed (a creation, last-seen or
+/// state-entry time), which cannot lie after the clock.
+fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapError> {
+    let t = r_time(r)?;
+    if t > now {
+        return Err(SnapError::new(format!(
+            "recorded instant {t} lies after the checkpoint clock {now}"
+        )));
+    }
+    Ok(t)
+}
+
 fn w_node_id(w: &mut SnapWriter, id: NodeId) {
     w.usize(id.index());
 }
 
-fn r_node_id(r: &mut SnapReader) -> Result<NodeId, SnapError> {
-    Ok(NodeId(r.usize()?))
+fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
+    let i = r.usize()?;
+    if i >= n {
+        return Err(SnapError::new(format!(
+            "node id {i} out of range for {n} nodes"
+        )));
+    }
+    Ok(NodeId(i))
+}
+
+/// Reads a ξ, FTD, delivery-metric or probability value, which must lie in
+/// `[0, 1]`.
+fn r_unit(r: &mut SnapReader, what: &str) -> Result<f64, SnapError> {
+    let v = r.f64()?;
+    if !(0.0..=1.0).contains(&v) {
+        return Err(SnapError::new(format!("{what} {v} outside [0,1]")));
+    }
+    Ok(v)
+}
+
+/// Reads an RTS `ftd` field or a receiver's copy of it: an FTD in `[0, 1]`,
+/// except under the two-hop policy, where it carries the sender's remaining
+/// copy budget.
+fn r_rts_ftd(r: &mut SnapReader, budget: bool) -> Result<f64, SnapError> {
+    if !budget {
+        return r_unit(r, "RTS FTD");
+    }
+    let v = r.f64()?;
+    if !(v.is_finite() && v >= 0.0) {
+        return Err(SnapError::new(format!(
+            "RTS copy budget {v} is not a count"
+        )));
+    }
+    Ok(v)
 }
 
 fn w_rng(w: &mut SnapWriter, rng: &SimRng) {
@@ -216,12 +295,19 @@ fn w_message(w: &mut SnapWriter, m: &Message) {
     w.u32(m.hops);
 }
 
-fn r_message(r: &mut SnapReader) -> Result<Message, SnapError> {
+fn r_message(r: &mut SnapReader, lim: Limits) -> Result<Message, SnapError> {
+    let id = r.u64()?;
+    if id >= lim.issued {
+        return Err(SnapError::new(format!(
+            "message id {id} was never issued ({} issued)",
+            lim.issued
+        )));
+    }
     Ok(Message {
-        id: MessageId(r.u64()?),
-        origin: r_node_id(r)?,
-        created: r_time(r)?,
-        ftd: Ftd::new(r.f64()?),
+        id: MessageId(id),
+        origin: r_node_id(r, lim.n)?,
+        created: r_past(r, lim.now)?,
+        ftd: Ftd::new(r_unit(r, "FTD")?),
         hops: r.u32()?,
     })
 }
@@ -343,25 +429,27 @@ fn w_payload(w: &mut SnapWriter, p: &MacPayload) {
     }
 }
 
-fn r_payload(r: &mut SnapReader) -> Result<MacPayload, SnapError> {
+fn r_payload(r: &mut SnapReader, lim: Limits, budget: bool) -> Result<MacPayload, SnapError> {
     Ok(match r.u8()? {
         0 => MacPayload::Preamble,
         1 => MacPayload::Rts {
-            xi: r.f64()?,
-            ftd: r.f64()?,
+            xi: r_unit(r, "RTS ξ")?,
+            ftd: r_rts_ftd(r, budget)?,
             window_slots: r.u32()?,
             msg: MessageId(r.u64()?),
         },
         2 => MacPayload::Cts {
-            xi: r.f64()?,
+            xi: r_unit(r, "CTS ξ")?,
             buffer_space: r.u32()?,
             msg: MessageId(r.u64()?),
         },
         3 => MacPayload::Schedule {
-            receivers: r.seq(|r| Ok((r_node_id(r)?, r.f64()?)))?,
+            receivers: r.seq(|r| Ok((r_node_id(r, lim.n)?, r_unit(r, "FTD")?)))?,
             msg: MessageId(r.u64()?),
         },
-        4 => MacPayload::Data { msg: r_message(r)? },
+        4 => MacPayload::Data {
+            msg: r_message(r, lim)?,
+        },
         5 => MacPayload::Ack {
             msg: MessageId(r.u64()?),
         },
@@ -424,14 +512,23 @@ fn w_event(w: &mut SnapWriter, e: &Event) {
     }
 }
 
-fn r_event(r: &mut SnapReader) -> Result<Event, SnapError> {
+/// Reads a pending event; `faults` is the fault plan's length.
+fn r_event(r: &mut SnapReader, n: usize, faults: usize) -> Result<Event, SnapError> {
     Ok(match r.u8()? {
         0 => Event::MobilityTick,
-        1 => Event::DataGen(r_node_id(r)?),
-        2 => Event::MetricTimeout(r_node_id(r)?),
-        3 => Event::TxEnd(r_node_id(r)?, TxHandle::from_raw(r.u64()?)),
-        4 => Event::Timer(r_node_id(r)?, r.u64()?, r_timer(r)?),
-        5 => Event::Fault(r.usize()?),
+        1 => Event::DataGen(r_node_id(r, n)?),
+        2 => Event::MetricTimeout(r_node_id(r, n)?),
+        3 => Event::TxEnd(r_node_id(r, n)?, TxHandle::from_raw(r.u64()?)),
+        4 => Event::Timer(r_node_id(r, n)?, r.u64()?, r_timer(r)?),
+        5 => {
+            let k = r.usize()?;
+            if k >= faults {
+                return Err(SnapError::new(format!(
+                    "fault event {k} of a {faults}-event plan"
+                )));
+            }
+            Event::Fault(k)
+        }
         6 => Event::ObserveTick,
         t => return Err(SnapError::new(format!("bad Event tag {t}"))),
     })
@@ -482,27 +579,27 @@ fn w_fault_kind(w: &mut SnapWriter, k: &FaultKind) {
     }
 }
 
-fn r_fault_kind(r: &mut SnapReader) -> Result<FaultKind, SnapError> {
+fn r_fault_kind(r: &mut SnapReader, n: usize) -> Result<FaultKind, SnapError> {
     Ok(match r.u8()? {
-        0 => FaultKind::NodeCrash(r_node_id(r)?),
-        1 => FaultKind::NodeRecover(r_node_id(r)?),
-        2 => FaultKind::BatteryDeath(r_node_id(r)?),
+        0 => FaultKind::NodeCrash(r_node_id(r, n)?),
+        1 => FaultKind::NodeRecover(r_node_id(r, n)?),
+        2 => FaultKind::BatteryDeath(r_node_id(r, n)?),
         3 => FaultKind::LinkDegrade {
-            a: r_node_id(r)?,
-            b: r_node_id(r)?,
+            a: r_node_id(r, n)?,
+            b: r_node_id(r, n)?,
             drop_prob: r.f64()?,
         },
         4 => FaultKind::GlobalLinkDegrade {
             drop_prob: r.f64()?,
         },
         5 => FaultKind::DataCorruption {
-            node: r_node_id(r)?,
+            node: r_node_id(r, n)?,
             prob: r.f64()?,
         },
-        6 => FaultKind::SinkDown(r_node_id(r)?),
-        7 => FaultKind::SinkUp(r_node_id(r)?),
+        6 => FaultKind::SinkDown(r_node_id(r, n)?),
+        7 => FaultKind::SinkUp(r_node_id(r, n)?),
         8 => FaultKind::BehaviorChange {
-            node: r_node_id(r)?,
+            node: r_node_id(r, n)?,
             behavior: {
                 let t = r.u8()?;
                 NodeBehavior::from_tag(t)
@@ -720,14 +817,20 @@ fn r_config(r: &mut SnapReader) -> Result<VariantConfig, SnapError> {
 // Node state
 // ---------------------------------------------------------------------
 
-fn w_node(w: &mut SnapWriter, node: &Node) {
+/// Encodes one node. `neighbors` is a scratch buffer reused across nodes.
+fn w_node(w: &mut SnapWriter, node: &Node, neighbors: &mut Vec<(NodeId, NeighborEntry)>) {
     w.f64(node.metric.value());
-    let items: Vec<Message> = node.queue.iter().copied().collect();
-    w.seq(&items, w_message);
-    let history: Vec<bool> = node.sleep.history().collect();
-    w.seq(&history, |w, &b| w.bool(b));
-    let entries = node.table.sorted_entries();
-    w.seq(&entries, |w, &(id, e)| {
+    w.usize(node.queue.len());
+    for m in node.queue.iter() {
+        w_message(w, m);
+    }
+    let history = node.sleep.history();
+    w.usize(history.len());
+    for outcome in history {
+        w.bool(outcome);
+    }
+    node.table.sorted_entries_into(neighbors);
+    w.seq(neighbors, |w, &(id, e)| {
         w_node_id(w, id);
         w.f64(e.xi);
         w_time(w, e.last_seen);
@@ -783,50 +886,73 @@ fn w_node(w: &mut SnapWriter, node: &Node) {
     });
 }
 
-fn restore_node(r: &mut SnapReader, node: &mut Node) -> Result<(), SnapError> {
-    node.metric = DeliveryProb::new(r.f64()?);
-    let items = r.seq(r_message)?;
-    if items.len() > node.queue.capacity() {
+/// Decodes one node into `node`, freshly built by `construct_static` (so
+/// its sleep history and neighbor table are empty). `budget` says whether
+/// RTS `ftd` fields carry a two-hop copy budget; `tau_cap` bounds a cached
+/// τ_max.
+fn restore_node(
+    r: &mut SnapReader,
+    node: &mut Node,
+    lim: Limits,
+    budget: bool,
+    tau_cap: u64,
+) -> Result<(), SnapError> {
+    node.metric = DeliveryProb::new(r_unit(r, "delivery metric")?);
+    let capacity = node.queue.capacity();
+    let len = r.seq_len()?;
+    if len > capacity {
         return Err(SnapError::new(format!(
-            "queue of {} items exceeds capacity {}",
-            items.len(),
-            node.queue.capacity()
+            "queue of {len} items exceeds capacity {capacity}"
         )));
     }
-    let sorted = items
-        .windows(2)
-        .all(|w| (w[0].ftd.value(), w[0].id.0) <= (w[1].ftd.value(), w[1].id.0));
-    if !sorted {
-        return Err(SnapError::new("queue items out of FTD order"));
+    let mut items: Vec<Message> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let m = r_message(r, lim)?;
+        if items
+            .last()
+            .is_some_and(|p| (p.ftd.value(), p.id.0) > (m.ftd.value(), m.id.0))
+        {
+            return Err(SnapError::new("queue items out of FTD order"));
+        }
+        items.push(m);
     }
-    node.queue = FtdQueue::from_sorted_items(node.queue.capacity(), items);
-    let history = r.seq(|r| r.bool())?;
-    if history.len() > node.sleep.window() {
+    node.queue = FtdQueue::from_sorted_items(capacity, items);
+    let len = r.seq_len()?;
+    if len > node.sleep.window() {
         return Err(SnapError::new("sleep history exceeds its window"));
     }
-    node.sleep = SleepController::from_history(node.sleep.window(), history);
-    let entries = r.seq(|r| {
-        Ok((
-            r_node_id(r)?,
-            NeighborEntry {
-                xi: r.f64()?,
-                last_seen: r_time(r)?,
-            },
-        ))
-    })?;
-    node.table = NeighborTable::from_entries(entries);
+    for _ in 0..len {
+        node.sleep.record_cycle(r.bool()?);
+    }
+    let len = r.seq_len()?;
+    node.table = NeighborTable::with_capacity(len);
+    for _ in 0..len {
+        let id = r_node_id(r, lim.n)?;
+        let xi = r_unit(r, "neighbor ξ")?;
+        let last_seen = r_past(r, lim.now)?;
+        node.table.observe(id, xi, last_seen);
+    }
     node.state = r_mac_state(r)?;
     node.epoch = r.u64()?;
     node.cycles_inactive = r.usize()?;
     node.listen_retries = r.u32()?;
-    node.last_tx = r_time(r)?;
+    node.last_tx = r_past(r, lim.now)?;
     node.alive = r.bool()?;
     node.battery_dead = r.bool()?;
-    node.corrupt_rx_prob = r.f64()?;
-    node.xi_anchor = r_time(r)?;
-    node.cached_tau = r.option(|r| Ok((r_time(r)?, r.u64()?)))?;
+    node.corrupt_rx_prob = r_unit(r, "corruption probability")?;
+    node.xi_anchor = r_past(r, lim.now)?;
+    node.cached_tau = r.option(|r| {
+        let at = r_past(r, lim.now)?;
+        let tau = r.u64()?;
+        if !(1..=tau_cap).contains(&tau) {
+            return Err(SnapError::new(format!(
+                "cached τ_max {tau} outside [1, {tau_cap}]"
+            )));
+        }
+        Ok((at, tau))
+    })?;
     let state = r_radio_state(r)?;
-    let since = r_time(r)?;
+    let since = r_past(r, lim.now)?;
     let per_state_j = [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
     let switch_j = r.f64()?;
     let switches = r.u64()?;
@@ -834,37 +960,94 @@ fn restore_node(r: &mut SnapReader, node: &mut Node) -> Result<(), SnapError> {
     node.rng = r_rng(r)?;
     node.sender_ctx = r.option(|r| {
         Ok(SenderCtx {
-            msg: r_message(r)?,
+            msg: r_message(r, lim)?,
             window_slots: r.u32()?,
             candidates: r.seq(|r| {
                 Ok(Candidate {
-                    id: r_node_id(r)?,
-                    xi: r.f64()?,
+                    id: r_node_id(r, lim.n)?,
+                    xi: r_unit(r, "candidate ξ")?,
                     buffer_space: r.usize()?,
                 })
             })?,
             selection: r.option(|r| {
+                let receivers =
+                    r.seq(|r| Ok((r_node_id(r, lim.n)?, Ftd::new(r_unit(r, "FTD")?))))?;
+                let receiver_xis = r.seq(|r| r_unit(r, "receiver ξ"))?;
+                if receiver_xis.len() != receivers.len() {
+                    return Err(SnapError::new(format!(
+                        "selection of {} receivers carries {} ξ values",
+                        receivers.len(),
+                        receiver_xis.len()
+                    )));
+                }
                 Ok(Selection {
-                    receivers: r.seq(|r| Ok((r_node_id(r)?, Ftd::new(r.f64()?))))?,
-                    receiver_xis: r.seq(|r| r.f64())?,
+                    receivers,
+                    receiver_xis,
                     combined_delivery: r.f64()?,
                 })
             })?,
-            acked: r.seq(r_node_id)?,
+            acked: r.seq(|r| r_node_id(r, lim.n))?,
         })
     })?;
     node.receiver_ctx = r.option(|r| {
         Ok(ReceiverCtx {
-            sender: r_node_id(r)?,
+            sender: r_node_id(r, lim.n)?,
             msg: MessageId(r.u64()?),
-            rts_ftd: r.f64()?,
+            rts_ftd: r_rts_ftd(r, budget)?,
             window_slots: r.u32()?,
-            rts_end: r_time(r)?,
-            assigned_ftd: r.option(|r| Ok(Ftd::new(r.f64()?)))?,
+            rts_end: r_past(r, lim.now)?,
+            assigned_ftd: r.option(|r| Ok(Ftd::new(r_unit(r, "FTD")?)))?,
             ack_slot: r.u32()?,
         })
     })?;
+    check_mac_context(node)
+}
+
+/// The MAC states whose handlers need an exchange context must carry it.
+fn check_mac_context(node: &Node) -> Result<(), SnapError> {
+    use MacState as S;
+    let sender = matches!(
+        node.state,
+        S::Transmitting(TxPlan::Preamble | TxPlan::Rts | TxPlan::Schedule)
+            | S::CollectCts
+            | S::AwaitAcks
+    );
+    let receiver = matches!(
+        node.state,
+        S::Transmitting(TxPlan::Cts)
+            | S::CtsPending
+            | S::AwaitSchedule
+            | S::AwaitData
+            | S::AckPending
+    );
+    let selected = node
+        .sender_ctx
+        .as_ref()
+        .is_some_and(|c| c.selection.is_some());
+    if (sender && node.sender_ctx.is_none())
+        || (receiver && node.receiver_ctx.is_none())
+        || (node.state == S::AwaitAcks && !selected)
+    {
+        return Err(SnapError::new(format!(
+            "MAC state {:?} without its exchange context",
+            node.state
+        )));
+    }
     Ok(())
+}
+
+/// Whether a live timer of this kind can be pending in `state`: every
+/// handler but `WakeUp` and `Guard` requires one specific state, and a
+/// state change bumps the epoch, staling the timers scheduled before it.
+fn timer_fits(timer: Timer, state: MacState) -> bool {
+    match timer {
+        Timer::WakeUp | Timer::Guard => true,
+        Timer::ListenDone => state == MacState::SenderListen,
+        Timer::CtsSlot => state == MacState::CtsPending,
+        Timer::CtsWindowEnd => state == MacState::CollectCts,
+        Timer::AckSlot => state == MacState::AckPending,
+        Timer::AckWindowEnd => state == MacState::AwaitAcks,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -950,11 +1133,13 @@ fn w_fault_counters(w: &mut SnapWriter, f: &FaultCounters) {
     w.u64(f.data_corrupted);
     w.u64(f.retransmissions_triggered);
     w.u64(f.deliveries_despite_faults);
+    w.u64(f.behavior_changes);
+    w.u64(f.copies_captured);
+    w.u64(f.forged_frames);
+    w.u64(f.forged_detected);
+    w.u64(f.lied_advertisements);
 }
 
-// Frozen nine-counter layout (`dftmsn-ckpt/1` mid-payload; the committed
-// golden fixture pins it). The five behavioral counters ride the appended
-// behavior tail frame instead — see `w_behavior_tail`.
 fn r_fault_counters(r: &mut SnapReader) -> Result<FaultCounters, SnapError> {
     Ok(FaultCounters {
         crashes: r.u64()?,
@@ -966,7 +1151,11 @@ fn r_fault_counters(r: &mut SnapReader) -> Result<FaultCounters, SnapError> {
         data_corrupted: r.u64()?,
         retransmissions_triggered: r.u64()?,
         deliveries_despite_faults: r.u64()?,
-        ..FaultCounters::default()
+        behavior_changes: r.u64()?,
+        copies_captured: r.u64()?,
+        forged_frames: r.u64()?,
+        forged_detected: r.u64()?,
+        lied_advertisements: r.u64()?,
     })
 }
 
@@ -1020,12 +1209,9 @@ fn w_world_snapshot(w: &mut SnapWriter, s: &WorldSnapshot) {
     w.f64(s.xi_max);
     w.f64(s.asleep_fraction);
     w.f64(s.energy_j);
+    w.u64(s.alive_nodes);
 }
 
-// Frozen seven-field layout (`dftmsn-ckpt/1` mid-payload). `alive_nodes`
-// rides the behavior tail frame as a patch for the pending row and is
-// filled with 0 here; legacy checkpoints leave it 0, which `inspect`
-// renders as "unknown" only for the single pending window.
 fn r_world_snapshot(r: &mut SnapReader) -> Result<WorldSnapshot, SnapError> {
     Ok(WorldSnapshot {
         queue_mean: r.f64()?,
@@ -1035,7 +1221,7 @@ fn r_world_snapshot(r: &mut SnapReader) -> Result<WorldSnapshot, SnapError> {
         xi_max: r.f64()?,
         asleep_fraction: r.f64()?,
         energy_j: r.f64()?,
-        alive_nodes: 0,
+        alive_nodes: r.u64()?,
     })
 }
 
@@ -1075,12 +1261,14 @@ fn r_observe_row(r: &mut SnapReader) -> Result<ObserveRow, SnapError> {
     })
 }
 
-fn r_recorder_state(r: &mut SnapReader) -> Result<RecorderState, SnapError> {
+fn r_recorder_state(r: &mut SnapReader, now: SimTime) -> Result<RecorderState, SnapError> {
     let window_secs = r.f64()?;
-    if !window_secs.is_finite() || window_secs < 0.0 {
-        return Err(SnapError::new("bad observer window width"));
+    if !(window_secs > 0.0 && window_secs <= MAX_WINDOW_SECS) {
+        return Err(SnapError::new(format!(
+            "bad observer window width {window_secs}"
+        )));
     }
-    Ok(RecorderState {
+    let state = RecorderState {
         window_secs,
         meta: r.option(|r| {
             Ok(RunMeta {
@@ -1098,7 +1286,97 @@ fn r_recorder_state(r: &mut SnapReader) -> Result<RecorderState, SnapError> {
         totals: r_window_counters(r)?,
         windows_emitted: r.u64()?,
         bytes_written: r.u64()?,
-    })
+    };
+    // A window closes at every boundary tick, so the cursor never trails
+    // the clock by two windows; one that did would make the next event
+    // roll through an unbounded run of empty windows.
+    if now.as_secs_f64() >= (state.cur_index as f64 + 2.0) * window_secs {
+        return Err(SnapError::new(format!(
+            "observer window {} trails the clock {now}",
+            state.cur_index
+        )));
+    }
+    Ok(state)
+}
+
+// ---------------------------------------------------------------------
+// Policy frame: id tag, parameters, then runtime state
+// ---------------------------------------------------------------------
+
+fn w_policy(w: &mut SnapWriter, policy: &Policy) {
+    match policy {
+        Policy::Builtin(_) => w.u8(0),
+        Policy::TwoHop(p) => {
+            w.u8(1);
+            w.u32(p.budget());
+            let copies = p.copies();
+            w.usize(copies.len());
+            for (m, c) in copies {
+                w.u64(m.0);
+                w.u32(c);
+            }
+        }
+        Policy::MeetingRate(p) => {
+            w.u8(2);
+            w.f64(p.horizon_secs());
+            w.f64(p.debounce_secs());
+            w.f64(p.beta());
+            w.seq(p.states(), |w, s| {
+                w.option(s.last_heard.as_ref(), |w, &t| w_time(w, t));
+                w_time(w, s.contact_at);
+                w.f64(s.ewma_gap_secs);
+                w.u64(s.contacts);
+            });
+        }
+    }
+}
+
+/// Decodes the policy frame and installs the policy on `sim`.
+fn r_policy(r: &mut SnapReader, sim: &mut Simulation, now: SimTime) -> Result<(), CkptError> {
+    match r.u8()? {
+        0 => sim.install_policy(PolicySpec::Builtin),
+        1 => {
+            let budget = r.u32()?;
+            let entries = r.seq(|r| Ok((MessageId(r.u64()?), r.u32()?)))?;
+            sim.install_policy(PolicySpec::TwoHop { budget });
+            if let Policy::TwoHop(p) = &mut sim.policy {
+                p.restore_copies(entries);
+            }
+        }
+        2 => {
+            let horizon_secs = r.f64()?;
+            let debounce_secs = r.f64()?;
+            let beta = r.f64()?;
+            let states = r.seq(|r| {
+                let state = crate::policy::MeetState {
+                    last_heard: r.option(|r| r_past(r, now))?,
+                    contact_at: r_past(r, now)?,
+                    ewma_gap_secs: r.f64()?,
+                    contacts: r.u64()?,
+                };
+                if !(state.ewma_gap_secs.is_finite() && state.ewma_gap_secs >= 0.0) {
+                    return Err(SnapError::new(format!(
+                        "contact-gap estimate {} is not a duration",
+                        state.ewma_gap_secs
+                    )));
+                }
+                Ok(state)
+            })?;
+            if states.len() != sim.nodes.len() {
+                return Err(CkptError::corrupt("meetrate state table length mismatch"));
+            }
+            sim.install_policy(PolicySpec::MeetingRate {
+                horizon_secs,
+                debounce_secs,
+                beta,
+            });
+            if let Policy::MeetingRate(p) = &mut sim.policy {
+                p.restore_states(states);
+            }
+        }
+        t => return Err(CkptError::corrupt(format!("bad policy tag {t}"))),
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1107,7 +1385,7 @@ fn r_recorder_state(r: &mut SnapReader) -> Result<RecorderState, SnapError> {
 
 impl Simulation {
     /// Serializes the complete live state into a framed, checksummed
-    /// `dftmsn-ckpt/1` byte buffer. Call between events — e.g. after
+    /// `dftmsn-ckpt/2` byte buffer. Call between events — e.g. after
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///
@@ -1117,37 +1395,99 @@ impl Simulation {
     #[must_use]
     pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
         self.settle_coast();
-        let mut w = SnapWriter::new();
+        // Rounded up to a power of two so that successive checkpoints of
+        // one run ask the allocator for the same block size and reuse the
+        // block the last one freed. The bound itself drifts by a few
+        // bytes from one checkpoint to the next; a request a little larger
+        // than the freed block lands elsewhere in the heap, and the peak
+        // resident set then depends on the run. Pages past the frame are
+        // never written, so the rounding costs address space, not memory.
+        let mut w = SnapWriter::with_capacity(self.ckpt_len_bound().next_power_of_two());
+        w.raw(CKPT_MAGIC);
+        w.u64(0); // payload length, patched below
         self.encode_payload(&mut w);
-        let payload = w.into_bytes();
-        let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
-        out.extend_from_slice(CKPT_MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
+        let mut out = w.into_bytes();
+        let len = (out.len() - HEADER_LEN) as u64;
+        out[CKPT_MAGIC.len()..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let sum = checksum64(&out[HEADER_LEN..]);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
+    /// An upper bound on the length of the frame `checkpoint_bytes`
+    /// writes, so it encodes into one buffer that never grows: each
+    /// variable part is its element count times its largest encoding.
+    fn ckpt_len_bound(&self) -> usize {
+        // Header, checksum, parameters, clock, counters and observer state.
+        const FIXED: usize = 4096;
+        // A node's fixed-size fields and its largest receiver context.
+        const NODE: usize = 256;
+        const MESSAGE: usize = 36;
+        const NEIGHBOR: usize = 24;
+        // Length prefix plus at most eight state values.
+        const MODEL: usize = 72;
+        // Listening flag plus an optional (tx id, corrupted) reception.
+        const MEDIUM_NODE: usize = 11;
+        // A frame in flight, including a long audible list.
+        const AIRBORNE: usize = 1024;
+        const EVENT: usize = 26;
+        const DELIVERY: usize = 44;
+        let n = self.nodes.len();
+        let nodes: usize = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let sender = node.sender_ctx.as_ref().map_or(0, |c| {
+                    let chosen = c.selection.as_ref().map_or(0, |s| s.receivers.len());
+                    128 + 24 * (c.candidates.len() + chosen) + 8 * c.acked.len()
+                });
+                NODE + MESSAGE * node.queue.len()
+                    + node.sleep.window()
+                    + NEIGHBOR * node.table.len()
+                    + sender
+            })
+            .sum();
+        let policy = match &self.policy {
+            Policy::Builtin(_) => 0,
+            Policy::TwoHop(p) => 12 * p.copies().len(),
+            Policy::MeetingRate(_) => 40 * n,
+        };
+        let (_, _, buckets, _, _) = self.metrics.delay_hist.raw_parts();
+        FIXED
+            + 48 * self.fault_plan.events.len()
+            + policy
+            + self.lazy.as_ref().map_or(0, |_| 40 * n)
+            + (MODEL + MEDIUM_NODE) * n
+            + nodes
+            + AIRBORNE * self.medium.airborne()
+            + 8 * (buckets.len() + self.delivered_ids.raw_words().len())
+            + DELIVERY * self.deliveries.len()
+            + EVENT * self.events.len()
+            + 9 * self.behaviors.adversary_count()
+    }
+
     fn encode_payload(&self, w: &mut SnapWriter) {
-        // Parameters — everything construct() needs to rebuild the static
-        // world (zones, timings, grid geometry, model parameters).
+        // Parameters — everything construct_static() needs to rebuild the
+        // static world (zones, timings, grid geometry, model parameters).
         w_scenario(w, &self.scenario);
         w_protocol(w, &self.protocol);
         w_config(w, &self.config);
         w.u64(self.seed);
-        w.u8(match self.lazy {
-            None => 0,
-            Some(_) => 1,
-        });
+        w.bool(self.lazy.is_some());
         w.seq(&self.fault_plan.events, |w, ev| {
             w.f64(ev.at_secs);
             w_fault_kind(w, &ev.kind);
         });
 
-        // Clock and random streams.
+        // The clock and the message-id count: the bounds the rest of the
+        // payload is checked against on decode.
         w_time(w, self.events.now());
         w.u64(self.events.popped());
+        w.u64(self.ids.issued());
+
+        w_policy(w, &self.policy);
+
+        // Random streams.
         w_rng(w, &self.mobility_rng);
         w_rng(w, &self.fault_rng);
         if let Some(lazy) = &self.lazy {
@@ -1156,16 +1496,19 @@ impl Simulation {
         }
 
         // Mobility models (positions are derived from these on restore).
+        let mut state = Vec::with_capacity(8);
         w.usize(self.mobility.len());
         for m in &self.mobility {
-            let state = m.save_state();
+            state.clear();
+            m.save_state(&mut state);
             w.seq(&state, |w, &v| w.f64(v));
         }
 
         // Per-node protocol state.
+        let mut neighbors = Vec::new();
         w.usize(self.nodes.len());
         for node in &self.nodes {
-            w_node(w, node);
+            w_node(w, node, &mut neighbors);
         }
 
         // The radio medium, including frames in flight.
@@ -1192,7 +1535,6 @@ impl Simulation {
         w.u64(medium.counters.bits_sent);
 
         // Bookkeeping and counters.
-        w.u64(self.ids.issued());
         w.seq(self.delivered_ids.raw_words(), |w, &word| w.u64(word));
         w_run_metrics(w, &self.metrics);
         w.seq(&self.deliveries, |w, d| {
@@ -1204,86 +1546,43 @@ impl Simulation {
             w.u32(d.hops);
         });
 
-        // The pending event set (sorted by (time, seq); restore re-issues
-        // seqs in this order, preserving same-instant tie-breaking).
-        let pending = self.events.pending();
-        w.usize(pending.len());
-        for (at, ev) in &pending {
-            w_time(w, *at);
+        // The pending event set in firing order; restore re-issues
+        // sequence numbers in this order, preserving same-instant
+        // tie-breaking.
+        let pending = self.events.len();
+        w.usize(pending);
+        let mut written = 0;
+        self.events.for_each_pending(|at, ev| {
+            w_time(w, at);
             w_event(w, ev);
-        }
+            written += 1;
+        });
+        debug_assert_eq!(written, pending, "live-event count drifted");
 
+        // Fault state.
         w.u64(self.observe_ticks);
         w.f64(self.global_link_drop);
-        let drops = self.link_drop.set_entries();
-        w.seq(&drops, |w, &(a, b, p)| {
+        w.seq(&self.link_drop.set_entries(), |w, &(a, b, p)| {
             w_node_id(w, a);
             w_node_id(w, b);
             w.f64(p);
         });
         w.bool(self.fault_regime);
 
-        // Observer accumulation state (None when no recorder attached).
-        let recorder_state = self.observer.as_ref().map(|r| r.snapshot_state());
-        w.option(recorder_state.as_ref(), w_recorder_state);
-
-        // Policy frame: id tag, parameters, then runtime state. Appended
-        // last so pre-seam checkpoints (which end at the recorder option)
-        // keep decoding — reader exhaustion here means legacy Builtin.
-        match &self.policy {
-            Policy::Builtin(_) => w.u8(0),
-            Policy::TwoHop(p) => {
-                w.u8(1);
-                w.u32(p.budget());
-                let entries = p.copies_entries();
-                w.seq(&entries, |w, &(m, c)| {
-                    w.u64(m.0);
-                    w.u32(c);
-                });
-            }
-            Policy::MeetingRate(p) => {
-                w.u8(2);
-                w.f64(p.horizon_secs());
-                w.f64(p.debounce_secs());
-                w.f64(p.beta());
-                w.seq(p.states(), |w, s| {
-                    w.option(s.last_heard.as_ref(), |w, &t| w_time(w, t));
-                    w_time(w, s.contact_at);
-                    w.f64(s.ewma_gap_secs);
-                    w.u64(s.contacts);
-                });
-            }
-        }
-
-        // Behavior tail frame (appended after the policy frame; reader
-        // exhaustion there means all-honest, zero behavioral counters and
-        // no death anchors — exactly what pre-behavior checkpoints imply).
-        w.u8(1); // tail version
-        let assigned: Vec<(usize, NodeBehavior)> = self.behaviors.entries().collect();
-        w.seq(&assigned, |w, &(i, b)| {
+        // Behavior assignments and the lifetime anchors (the alive census
+        // is derived from node liveness on restore).
+        w.usize(self.behaviors.adversary_count());
+        for (i, b) in self.behaviors.entries() {
             w.usize(i);
             w.u8(b.tag());
-        });
-        for c in [
-            self.metrics.faults.behavior_changes,
-            self.metrics.faults.copies_captured,
-            self.metrics.faults.forged_frames,
-            self.metrics.faults.forged_detected,
-            self.metrics.faults.lied_advertisements,
-        ] {
-            w.u64(c);
         }
         w.option(self.lifetime.first_death_secs().as_ref(), |w, &t| w.f64(t));
         w.option(self.lifetime.half_death_secs().as_ref(), |w, &t| w.f64(t));
         w.option(self.lifetime.last_death_secs().as_ref(), |w, &t| w.f64(t));
-        // The pending observe row embeds a frozen 7-field snapshot layout
-        // mid-payload, so its `alive_nodes` travels here as a patch.
-        let pending_alive = recorder_state
-            .as_ref()
-            .and_then(|s| s.pending.as_ref())
-            .and_then(|row| row.snapshot.as_ref())
-            .map(|s| s.alive_nodes);
-        w.option(pending_alive.as_ref(), |w, &a| w.u64(a));
+
+        // Observer accumulation state (None when no recorder attached).
+        let recorder_state = self.observer.as_ref().map(|r| r.snapshot_state());
+        w.option(recorder_state.as_ref(), w_recorder_state);
     }
 
     /// Reconstructs a simulation from [`checkpoint_bytes`] output.
@@ -1294,40 +1593,46 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// [`CkptError::Corrupt`] on bad magic, truncation, checksum mismatch
-    /// or a malformed payload; [`CkptError::Invalid`] when the decoded
-    /// parameters fail validation.
+    /// [`CkptError::Corrupt`] on bad magic, an unsupported version,
+    /// truncation, checksum mismatch or a malformed payload;
+    /// [`CkptError::Invalid`] when the decoded parameters fail validation.
     ///
     /// [`checkpoint_bytes`]: Self::checkpoint_bytes
     pub fn resume_from_bytes(
         bytes: &[u8],
     ) -> Result<(Simulation, Option<MetricsRecorder>), CkptError> {
-        let header = CKPT_MAGIC.len() + 8;
-        if bytes.len() < header + 8 {
+        if bytes.len() < HEADER_LEN + 8 {
             return Err(CkptError::corrupt(format!(
                 "file too short ({} bytes) to be a checkpoint",
                 bytes.len()
             )));
         }
-        if &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
-            return Err(CkptError::corrupt(
-                "bad magic: not a dftmsn-ckpt/1 file".to_owned(),
-            ));
+        let magic = &bytes[..CKPT_MAGIC.len()];
+        if magic != CKPT_MAGIC {
+            return Err(CkptError::corrupt(if magic.starts_with(MAGIC_FAMILY) {
+                format!(
+                    "unsupported checkpoint version {} (this build reads {})",
+                    String::from_utf8_lossy(magic),
+                    String::from_utf8_lossy(CKPT_MAGIC)
+                )
+            } else {
+                "bad magic: not a dftmsn checkpoint file".to_owned()
+            }));
         }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bytes[CKPT_MAGIC.len()..header]);
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        if bytes.len() != header + len + 8 {
+        let len = u64::from_le_bytes(
+            bytes[CKPT_MAGIC.len()..HEADER_LEN]
+                .try_into()
+                .expect("8-byte length field"),
+        );
+        let body = bytes.len() - HEADER_LEN - 8;
+        if len != body as u64 {
             return Err(CkptError::corrupt(format!(
-                "length mismatch: header says {len} payload bytes, file holds {}",
-                bytes.len().saturating_sub(header + 8)
+                "length mismatch: header says {len} payload bytes, file holds {body}"
             )));
         }
-        let payload = &bytes[header..header + len];
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(&bytes[header + len..]);
-        let stored = u64::from_le_bytes(sum_bytes);
-        let actual = fnv1a64(payload);
+        let (payload, sum) = bytes[HEADER_LEN..].split_at(body);
+        let stored = u64::from_le_bytes(sum.try_into().expect("8-byte checksum"));
+        let actual = checksum64(payload);
         if stored != actual {
             return Err(CkptError::corrupt(format!(
                 "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
@@ -1351,20 +1656,10 @@ impl Simulation {
         let protocol = r_protocol(r)?;
         let config = r_config(r)?;
         let seed = r.u64()?;
-        let mode = match r.u8().map_err(CkptError::from)? {
-            0 => MobilityMode::Ticked,
-            1 => MobilityMode::Lazy,
-            t => {
-                return Err(CkptError::corrupt(format!("bad MobilityMode tag {t}")));
-            }
-        };
-        let plan = FaultPlan {
-            events: r.seq(|r| {
-                Ok(crate::faults::FaultEvent {
-                    at_secs: r.f64()?,
-                    kind: r_fault_kind(r)?,
-                })
-            })?,
+        let mode = if r.bool()? {
+            MobilityMode::Lazy
+        } else {
+            MobilityMode::Ticked
         };
         scenario.validate().map_err(|e| CkptError::Invalid {
             detail: format!("scenario: {e}"),
@@ -1372,28 +1667,46 @@ impl Simulation {
         protocol.validate().map_err(|e| CkptError::Invalid {
             detail: format!("protocol: {e}"),
         })?;
+        let n = scenario.node_count();
+        let plan = FaultPlan {
+            events: r.seq(|r| {
+                Ok(crate::faults::FaultEvent {
+                    at_secs: r.f64()?,
+                    kind: r_fault_kind(r, n)?,
+                })
+            })?,
+        };
         plan.validate(&scenario).map_err(|e| CkptError::Invalid {
             detail: format!("fault plan: {e}"),
         })?;
-        let n = scenario.node_count();
 
         // Rebuild the static world; every random draw construction makes
         // is immaterial because each stream is overwritten below.
-        let mut sim = Simulation::construct(scenario, protocol, config, seed, mode);
+        let mut sim = Simulation::construct_static(scenario, protocol, config, seed, mode);
 
         let now = r_time(r)?;
         let popped = r.u64()?;
+        let issued = r.u64()?;
+        let lim = Limits { n, now, issued };
+
+        r_policy(r, &mut sim, now)?;
+        let budget = matches!(sim.policy, Policy::TwoHop(_));
+
         sim.mobility_rng = r_rng(r)?;
         sim.fault_rng = r_rng(r)?;
-        if mode == MobilityMode::Lazy {
-            let rngs = r.seq(r_rng)?;
-            let synced_at = r.seq(r_time)?;
-            if rngs.len() != n || synced_at.len() != n {
-                return Err(CkptError::corrupt("lazy-mobility table length mismatch"));
+        if let Some(lazy) = sim.lazy.as_mut() {
+            if r.seq_len()? != n {
+                return Err(CkptError::corrupt("lazy-mobility stream count mismatch"));
             }
-            let lazy = sim.lazy.as_mut().expect("lazy mode has lazy state");
-            lazy.rngs = rngs;
-            lazy.synced_at = synced_at;
+            for rng in &mut lazy.rngs {
+                *rng = r_rng(r)?;
+            }
+            if r.seq_len()? != n {
+                return Err(CkptError::corrupt("lazy-mobility sync table mismatch"));
+            }
+            for t in &mut lazy.synced_at {
+                *t = r_past(r, now)?;
+            }
         }
 
         let model_count = r.usize()?;
@@ -1402,14 +1715,16 @@ impl Simulation {
                 "{model_count} mobility models for {n} nodes"
             )));
         }
-        for j in 0..n {
-            let state = r.seq(|r| r.f64())?;
-            if state.len() != sim.mobility[j].save_state().len() {
-                return Err(CkptError::corrupt(format!(
-                    "mobility model {j} state length mismatch"
-                )));
+        let mut state = Vec::with_capacity(8);
+        for (j, model) in sim.mobility.iter_mut().enumerate() {
+            let len = r.seq_len()?;
+            state.clear();
+            for _ in 0..len {
+                state.push(r.f64()?);
             }
-            sim.mobility[j].load_state(&state);
+            model
+                .load_state(&state)
+                .map_err(|e| CkptError::corrupt(format!("mobility model {j}: {e}")))?;
         }
 
         let node_count = r.usize()?;
@@ -1418,8 +1733,15 @@ impl Simulation {
                 "{node_count} node records for {n} nodes"
             )));
         }
+        let tau_cap = sim.protocol.tau_max_cap_slots;
+        for node in &mut sim.nodes {
+            restore_node(r, node, lim, budget, tau_cap)?;
+        }
+        // The hot table mirrors the nodes; the event checks below read it.
         for idx in 0..n {
-            restore_node(r, &mut sim.nodes[idx])?;
+            sim.sync_hot(idx);
+            let alive = sim.nodes[idx].alive;
+            sim.hot.sync_alive(idx, alive);
         }
 
         let listening = r.seq(|r| r.bool())?;
@@ -1428,12 +1750,12 @@ impl Simulation {
             Ok(ActiveTxState {
                 id: r.u64()?,
                 frame: Frame {
-                    src: r_node_id(r)?,
+                    src: r_node_id(r, n)?,
                     bits: r.u64()?,
-                    payload: r_payload(r)?,
+                    payload: r_payload(r, lim, budget)?,
                 },
-                audible: r.seq(r_node_id)?,
-                start: r_time(r)?,
+                audible: r.seq(|r| r_node_id(r, n))?,
+                start: r_past(r, now)?,
             })
         })?;
         let next_id = r.u64()?;
@@ -1446,6 +1768,17 @@ impl Simulation {
         if listening.len() != n || rx.len() != n {
             return Err(CkptError::corrupt("medium table length mismatch"));
         }
+        if active.iter().any(|tx| tx.id >= next_id) {
+            return Err(CkptError::corrupt(
+                "a frame in flight has an id the medium has not issued",
+            ));
+        }
+        // Each frame in flight must be ended by exactly one pending TxEnd
+        // from its source; the flag marks the ones already claimed.
+        let mut airborne: Vec<(u64, NodeId, bool)> = active
+            .iter()
+            .map(|tx| (tx.id, tx.frame.src, false))
+            .collect();
         sim.medium = Medium::restore_state(MediumState {
             listening,
             rx,
@@ -1454,132 +1787,106 @@ impl Simulation {
             counters,
         });
 
-        sim.ids = MessageIdAllocator::from_issued(r.u64()?);
-        sim.delivered_ids = DeliveredSet::from_raw_words(r.seq(|r| r.u64())?);
+        sim.ids = MessageIdAllocator::from_issued(issued);
+        let words = r.seq(|r| r.u64())?;
+        if words.len() as u64 > issued.div_ceil(64) {
+            return Err(CkptError::corrupt(
+                "delivered-message set covers ids never issued",
+            ));
+        }
+        sim.delivered_ids = DeliveredSet::from_raw_words(words);
         sim.metrics = r_run_metrics(r)?;
+        // Every message id is allocated exactly when a message is generated.
+        if sim.metrics.generated != issued {
+            return Err(CkptError::corrupt(format!(
+                "{} messages generated but {issued} ids issued",
+                sim.metrics.generated
+            )));
+        }
         sim.deliveries = r.seq(|r| {
             Ok(DeliveryRecord {
                 msg: MessageId(r.u64()?),
-                origin: r_node_id(r)?,
+                origin: r_node_id(r, n)?,
                 created_secs: r.f64()?,
                 delay_secs: r.f64()?,
-                sink: r_node_id(r)?,
+                sink: r_node_id(r, n)?,
                 hops: r.u32()?,
             })
         })?;
 
-        let pending_count = r.usize()?;
-        let mut pending = Vec::with_capacity(pending_count.min(1 << 20));
+        // Restored runs always come up single-lane: the shard count is an
+        // execution knob, not state, so it is never serialized. Callers
+        // re-shard with `set_shards` after resume if they want parallelism.
+        sim.events = ShardedEventQueue::restore(1, now, popped, Vec::new(), |_| 0);
+        let pending_count = r.seq_len()?;
         for _ in 0..pending_count {
             let at = r_time(r)?;
-            let ev = r_event(r)?;
             if at < now {
                 return Err(CkptError::corrupt(format!(
                     "pending event at {at} precedes the checkpoint clock {now}"
                 )));
             }
-            pending.push((at, ev));
+            let ev = r_event(r, n, plan.events.len())?;
+            match ev {
+                Event::TxEnd(i, handle) => {
+                    let frame = airborne
+                        .iter_mut()
+                        .find(|(id, src, ended)| *id == handle.raw() && *src == i && !*ended);
+                    let Some(frame) = frame else {
+                        return Err(CkptError::corrupt(format!(
+                            "frame end for node {i} names no frame it has in flight"
+                        )));
+                    };
+                    frame.2 = true;
+                    let state = sim.hot.state[i.index()];
+                    if sim.hot.alive[i.index()] && !matches!(state, MacState::Transmitting(_)) {
+                        return Err(CkptError::corrupt(format!(
+                            "frame end for node {i} in MAC state {state:?}"
+                        )));
+                    }
+                }
+                Event::Timer(i, epoch, timer) => {
+                    let state = sim.hot.state[i.index()];
+                    if epoch == sim.hot.epoch[i.index()] && !timer_fits(timer, state) {
+                        return Err(CkptError::corrupt(format!(
+                            "live {timer:?} timer for node {i} in MAC state {state:?}"
+                        )));
+                    }
+                }
+                _ => {}
+            }
+            sim.events.schedule_at(at, ev);
         }
-        // Restored runs always come up single-lane: the shard count is an
-        // execution knob, not state, so it is never serialized. Callers
-        // re-shard with `set_shards` after resume if they want parallelism.
-        sim.events = ShardedEventQueue::restore(1, now, popped, pending, |_| 0);
+        if airborne.iter().any(|&(_, _, ended)| !ended) {
+            return Err(CkptError::corrupt("a frame in flight has no pending end"));
+        }
 
         sim.observe_ticks = r.u64()?;
-        sim.global_link_drop = r.f64()?;
-        let drops = r.seq(|r| Ok((r_node_id(r)?, r_node_id(r)?, r.f64()?)))?;
-        for &(a, b, _) in &drops {
-            if a.index() >= n || b.index() >= n {
-                return Err(CkptError::corrupt("link-drop entry names unknown node"));
-            }
-        }
+        sim.global_link_drop = r_unit(r, "global link drop probability")?;
+        let drops = r.seq(|r| {
+            Ok((
+                r_node_id(r, n)?,
+                r_node_id(r, n)?,
+                r_unit(r, "link drop probability")?,
+            ))
+        })?;
         sim.link_drop = LinkDropTable::from_set_entries(n, &drops);
         sim.fault_regime = r.bool()?;
         sim.fault_plan = plan;
 
-        let mut recorder_state = r.option(r_recorder_state)?;
-
-        // Policy frame. A pre-seam checkpoint ends at the recorder option,
-        // so reader exhaustion selects the legacy Builtin encoding.
-        if r.is_exhausted() {
-            sim.install_policy(PolicySpec::Builtin);
-        } else {
-            match r.u8()? {
-                0 => sim.install_policy(PolicySpec::Builtin),
-                1 => {
-                    let budget = r.u32()?;
-                    let entries = r.seq(|r| Ok((MessageId(r.u64()?), r.u32()?)))?;
-                    sim.install_policy(PolicySpec::TwoHop { budget });
-                    if let Policy::TwoHop(p) = &mut sim.policy {
-                        p.restore_copies(entries);
-                    }
-                }
-                2 => {
-                    let horizon_secs = r.f64()?;
-                    let debounce_secs = r.f64()?;
-                    let beta = r.f64()?;
-                    let states = r.seq(|r| {
-                        Ok(crate::policy::MeetState {
-                            last_heard: r.option(r_time)?,
-                            contact_at: r_time(r)?,
-                            ewma_gap_secs: r.f64()?,
-                            contacts: r.u64()?,
-                        })
-                    })?;
-                    if states.len() != n {
-                        return Err(CkptError::corrupt("meetrate state table length mismatch"));
-                    }
-                    sim.install_policy(PolicySpec::MeetingRate {
-                        horizon_secs,
-                        debounce_secs,
-                        beta,
-                    });
-                    if let Policy::MeetingRate(p) = &mut sim.policy {
-                        p.restore_states(states);
-                    }
-                }
-                t => {
-                    return Err(CkptError::corrupt(format!("bad policy tag {t}")));
-                }
+        for _ in 0..r.seq_len()? {
+            let i = r_node_id(r, n)?.index();
+            let tag = r.u8()?;
+            let b = NodeBehavior::from_tag(tag)
+                .ok_or_else(|| CkptError::corrupt(format!("bad NodeBehavior tag {tag}")))?;
+            sim.behaviors.set(i, b);
+            if b.is_adversarial() {
+                sim.par.occupied[i] = true;
             }
         }
-
-        // Behavior tail frame. Exhaustion means a pre-behavior checkpoint:
-        // all-honest assignments, zero behavioral counters, no recorded
-        // death anchors (the census below is still recomputed exactly).
-        let mut anchors: (Option<f64>, Option<f64>, Option<f64>) = (None, None, None);
-        let mut pending_alive: Option<u64> = None;
-        if !r.is_exhausted() {
-            let tv = r.u8()?;
-            if tv != 1 {
-                return Err(CkptError::corrupt(format!(
-                    "bad behavior tail version {tv}"
-                )));
-            }
-            let assigned = r.seq(|r| Ok((r.usize()?, r.u8()?)))?;
-            for (i, tag) in assigned {
-                if i >= n {
-                    return Err(CkptError::corrupt("behavior entry names unknown node"));
-                }
-                let b = NodeBehavior::from_tag(tag)
-                    .ok_or_else(|| CkptError::corrupt(format!("bad NodeBehavior tag {tag}")))?;
-                sim.behaviors.set(i, b);
-                if b.is_adversarial() {
-                    sim.par.occupied[i] = true;
-                }
-            }
-            sim.metrics.faults.behavior_changes = r.u64()?;
-            sim.metrics.faults.copies_captured = r.u64()?;
-            sim.metrics.faults.forged_frames = r.u64()?;
-            sim.metrics.faults.forged_detected = r.u64()?;
-            sim.metrics.faults.lied_advertisements = r.u64()?;
-            anchors = (
-                r.option(SnapReader::f64)?,
-                r.option(SnapReader::f64)?,
-                r.option(SnapReader::f64)?,
-            );
-            pending_alive = r.option(SnapReader::u64)?;
-        }
+        let first = r.option(SnapReader::f64)?;
+        let half = r.option(SnapReader::f64)?;
+        let last = r.option(SnapReader::f64)?;
         // The alive census is derived state: recompute it from restored
         // node liveness rather than trusting the wire.
         let alive_sensors = sim
@@ -1588,25 +1895,16 @@ impl Simulation {
             .take(sim.scenario.sensors)
             .filter(|node| node.alive)
             .count();
-        sim.lifetime
-            .restore(alive_sensors, anchors.0, anchors.1, anchors.2);
-        if let (Some(state), Some(alive)) = (recorder_state.as_mut(), pending_alive) {
-            if let Some(snap) = state.pending.as_mut().and_then(|row| row.snapshot.as_mut()) {
-                snap.alive_nodes = alive;
-            }
-        }
+        sim.lifetime.restore(alive_sensors, first, half, last);
+
+        let recorder_state = r.option(|r| r_recorder_state(r, now))?;
 
         // Derived state: positions mirror the models, the grid mirrors the
-        // positions, the hot table mirrors the nodes.
-        for j in 0..n {
-            sim.positions[j] = sim.mobility[j].position();
+        // positions.
+        for (p, m) in sim.positions.iter_mut().zip(&sim.mobility) {
+            *p = m.position();
         }
         sim.grid.rebuild(&sim.positions);
-        for idx in 0..n {
-            sim.sync_hot(idx);
-            let alive = sim.nodes[idx].alive;
-            sim.hot.sync_alive(idx, alive);
-        }
 
         let recorder = recorder_state.map(MetricsRecorder::restore_state);
         if let Some(rec) = &recorder {
@@ -1934,6 +2232,44 @@ mod tests {
         assert!(err.is_corrupt(), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_presized_frame_buffer_never_grows() {
+        let plan = FaultPlan::node_failures(&scenario(), 0.3, Some(120.0), 9);
+        let policies = [
+            (ProtocolKind::Opt, PolicySpec::Builtin, MobilityMode::Ticked),
+            (
+                ProtocolKind::Epidemic,
+                PolicySpec::Builtin,
+                MobilityMode::Lazy,
+            ),
+            (
+                ProtocolKind::Opt,
+                PolicySpec::default_two_hop(),
+                MobilityMode::Ticked,
+            ),
+            (
+                ProtocolKind::Opt,
+                PolicySpec::default_meeting_rate(),
+                MobilityMode::Lazy,
+            ),
+        ];
+        for (kind, policy, mode) in policies {
+            let mut sim = Simulation::builder(scenario(), kind)
+                .seed(4)
+                .mobility_mode(mode)
+                .policy(policy)
+                .faults(plan.clone())
+                .observe(MetricsRecorder::new(40.0))
+                .build();
+            for t in [0, 150, 400, 700] {
+                run_until(&mut sim, SimTime::from_secs(t));
+                let bound = sim.ckpt_len_bound();
+                let len = sim.checkpoint_bytes().len();
+                assert!(len <= bound, "{kind} {policy:?} at {t} s: {len} > {bound}");
+            }
+        }
     }
 
     #[test]

@@ -52,29 +52,32 @@ pub trait MobilityModel: std::fmt::Debug + Send {
         self.advance(dt, rng);
     }
 
-    /// The model's mutable state as a flat `f64` vector, for checkpointing.
+    /// Appends the model's mutable state to `out` as flat `f64` values, for
+    /// checkpointing.
     ///
     /// Only trajectory state is captured — construction-time parameters
     /// (area, zone grid, speed bounds) are rebuilt from the scenario.
-    /// Values must round-trip bit-exactly; stateless models return an
-    /// empty vector.
-    fn save_state(&self) -> Vec<f64> {
-        Vec::new()
-    }
+    /// Values must round-trip bit-exactly; stateless models append nothing.
+    fn save_state(&self, _out: &mut Vec<f64>) {}
 
     /// Restores state captured by [`save_state`](Self::save_state) into a
     /// freshly constructed model of the same kind and parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations may panic when `state` does not match their
-    /// [`save_state`](Self::save_state) layout.
-    fn load_state(&mut self, state: &[f64]) {
-        assert!(
-            state.is_empty(),
-            "stateless model handed {} state values",
-            state.len()
-        );
+    /// A description of the problem when `state` does not match the
+    /// [`save_state`](Self::save_state) layout or names a state the model
+    /// cannot be in (a non-finite value, a position outside its area, a
+    /// speed outside its range). The model is left unchanged.
+    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
+        if state.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "stateless model handed {} state values",
+                state.len()
+            ))
+        }
     }
 
     /// Ticked-mode coast lease: `(disp, k)` promises that each of the next
@@ -137,6 +140,40 @@ fn ray_exit(p: f64, v: f64, lo: f64, hi: f64) -> f64 {
     } else {
         f64::INFINITY
     }
+}
+
+/// Checks restored trajectory state: every value finite, the position
+/// inside `area`, the speed within `[v_min, v_max]`.
+fn check_restored(
+    values: &[f64],
+    area: Bounds,
+    pos: Vec2,
+    speed: f64,
+    v_min: f64,
+    v_max: f64,
+) -> Result<(), String> {
+    if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+        return Err(format!("non-finite state value {v}"));
+    }
+    if !area.contains(pos) {
+        return Err(format!("position ({}, {}) outside {area}", pos.x, pos.y));
+    }
+    if !(v_min..=v_max).contains(&speed) {
+        return Err(format!("speed {speed} outside [{v_min}, {v_max}]"));
+    }
+    Ok(())
+}
+
+/// Checks a restored heading is a unit vector (up to rounding).
+fn check_heading(dir: Vec2) -> Result<(), String> {
+    let len2 = dir.x * dir.x + dir.y * dir.y;
+    if (len2 - 1.0).abs() > 1e-9 {
+        return Err(format!(
+            "heading ({}, {}) is not a unit vector",
+            dir.x, dir.y
+        ));
+    }
+    Ok(())
 }
 
 fn assert_dt(dt: f64) {
@@ -391,8 +428,8 @@ impl MobilityModel for ZoneMobility {
         self.pos = p;
     }
 
-    fn save_state(&self) -> Vec<f64> {
-        vec![
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(&[
             self.pos.x,
             self.pos.y,
             self.dir.x,
@@ -400,18 +437,36 @@ impl MobilityModel for ZoneMobility {
             self.speed,
             self.leg_remaining,
             self.span_margin_m,
-        ]
+        ]);
     }
 
-    fn load_state(&mut self, state: &[f64]) {
+    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
         let [px, py, dx, dy, speed, leg, margin] = *state else {
-            panic!("zone mobility expects 7 state values, got {}", state.len());
+            return Err(format!(
+                "zone mobility expects 7 state values, got {}",
+                state.len()
+            ));
         };
-        self.pos = Vec2::new(px, py);
-        self.dir = Vec2::new(dx, dy);
+        let pos = Vec2::new(px, py);
+        let dir = Vec2::new(dx, dy);
+        check_restored(state, self.grid.area(), pos, speed, self.v_min, self.v_max)?;
+        check_heading(dir)?;
+        // The margin lets `advance_span` skip the zone geometry, so it must
+        // stay a lower bound on the distance to the zone's edges (with room
+        // for the rounding of its running decrements).
+        let zb = self.grid.zone_bounds(self.grid.zone_of(pos));
+        let edge = (px - zb.x0).min(zb.x1 - px).min(py - zb.y0).min(zb.y1 - py);
+        if !(0.0..=edge.max(0.0) + 1e-6).contains(&margin) {
+            return Err(format!(
+                "span margin {margin} exceeds the zone-edge distance {edge}"
+            ));
+        }
+        self.pos = pos;
+        self.dir = dir;
         self.speed = speed;
         self.leg_remaining = leg;
         self.span_margin_m = margin;
+        Ok(())
     }
 
     fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
@@ -550,28 +605,38 @@ impl MobilityModel for RandomWaypoint {
         }
     }
 
-    fn save_state(&self) -> Vec<f64> {
-        vec![
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(&[
             self.pos.x,
             self.pos.y,
             self.target.x,
             self.target.y,
             self.speed,
             self.pause_remaining,
-        ]
+        ]);
     }
 
-    fn load_state(&mut self, state: &[f64]) {
+    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
         let [px, py, tx, ty, speed, pause] = *state else {
-            panic!(
+            return Err(format!(
                 "random waypoint expects 6 state values, got {}",
                 state.len()
-            );
+            ));
         };
-        self.pos = Vec2::new(px, py);
-        self.target = Vec2::new(tx, ty);
+        let pos = Vec2::new(px, py);
+        let target = Vec2::new(tx, ty);
+        check_restored(state, self.area, pos, speed, self.v_min, self.v_max)?;
+        if !self.area.contains(target) {
+            return Err(format!("waypoint ({tx}, {ty}) outside {}", self.area));
+        }
+        if !(0.0..=self.max_pause).contains(&pause) {
+            return Err(format!("pause {pause} outside [0, {}]", self.max_pause));
+        }
+        self.pos = pos;
+        self.target = target;
         self.speed = speed;
         self.pause_remaining = pause;
+        Ok(())
     }
 }
 
@@ -664,25 +729,33 @@ impl MobilityModel for RandomWalk {
         }
     }
 
-    fn save_state(&self) -> Vec<f64> {
-        vec![
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(&[
             self.pos.x,
             self.pos.y,
             self.dir.x,
             self.dir.y,
             self.speed,
             self.epoch_remaining,
-        ]
+        ]);
     }
 
-    fn load_state(&mut self, state: &[f64]) {
+    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
         let [px, py, dx, dy, speed, remaining] = *state else {
-            panic!("random walk expects 6 state values, got {}", state.len());
+            return Err(format!(
+                "random walk expects 6 state values, got {}",
+                state.len()
+            ));
         };
-        self.pos = Vec2::new(px, py);
-        self.dir = Vec2::new(dx, dy);
+        let pos = Vec2::new(px, py);
+        let dir = Vec2::new(dx, dy);
+        check_restored(state, self.area, pos, speed, self.v_min, self.v_max)?;
+        check_heading(dir)?;
+        self.pos = pos;
+        self.dir = dir;
         self.speed = speed;
         self.epoch_remaining = remaining;
+        Ok(())
     }
 
     fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
@@ -965,8 +1038,13 @@ mod tests {
         for _ in 0..500 {
             zone.advance(0.5, &mut rng);
         }
+        let saved = |m: &dyn MobilityModel| {
+            let mut out = Vec::new();
+            m.save_state(&mut out);
+            out
+        };
         let mut zone2 = ZoneMobility::new(grid(), ZoneId(6), 0.0, 5.0, 0.2, &mut rng);
-        zone2.load_state(&zone.save_state());
+        zone2.load_state(&saved(&zone)).unwrap();
         let mut ra = SimRng::seed_from(5);
         let mut rb = SimRng::seed_from(5);
         for _ in 0..500 {
@@ -979,7 +1057,7 @@ mod tests {
         let mut wp = RandomWaypoint::new(area, 1.0, 5.0, 2.0, &mut rng);
         wp.advance(33.0, &mut rng);
         let mut wp2 = RandomWaypoint::new(area, 1.0, 5.0, 2.0, &mut rng);
-        wp2.load_state(&wp.save_state());
+        wp2.load_state(&saved(&wp)).unwrap();
         let mut ra = SimRng::seed_from(6);
         let mut rb = SimRng::seed_from(6);
         for _ in 0..200 {
@@ -991,7 +1069,7 @@ mod tests {
         let mut walk = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
         walk.advance_span(91.0, &mut rng);
         let mut walk2 = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
-        walk2.load_state(&walk.save_state());
+        walk2.load_state(&saved(&walk)).unwrap();
         let mut ra = SimRng::seed_from(7);
         let mut rb = SimRng::seed_from(7);
         for _ in 0..200 {
@@ -1001,16 +1079,42 @@ mod tests {
         }
 
         let mut fixed = Stationary::new(Vec2::new(1.0, 2.0));
-        assert!(fixed.save_state().is_empty());
-        fixed.load_state(&[]);
+        assert!(saved(&fixed).is_empty());
+        fixed.load_state(&[]).unwrap();
+        assert!(fixed.load_state(&[1.0]).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "7 state values")]
     fn zone_load_state_rejects_wrong_arity() {
         let mut rng = SimRng::seed_from(1);
         let mut m = ZoneMobility::new(grid(), ZoneId(0), 0.0, 5.0, 0.2, &mut rng);
-        m.load_state(&[1.0, 2.0]);
+        let err = m.load_state(&[1.0, 2.0]).unwrap_err();
+        assert!(err.contains("7 state values"), "{err}");
+    }
+
+    #[test]
+    fn load_state_rejects_states_the_model_cannot_be_in() {
+        let mut rng = SimRng::seed_from(2);
+        let mut zone = ZoneMobility::new(grid(), ZoneId(6), 0.0, 5.0, 0.2, &mut rng);
+        let mut good = Vec::new();
+        zone.save_state(&mut good);
+        let before = zone.position();
+        // Position, NaN, heading, speed, span margin.
+        for (k, v) in [(0, 1e300), (1, f64::NAN), (2, 3.0), (4, 9.0), (6, 1e6)] {
+            let mut bad = good.clone();
+            bad[k] = v;
+            assert!(zone.load_state(&bad).is_err(), "value {k} = {v} accepted");
+            assert_eq!(zone.position(), before, "a rejected state was applied");
+        }
+        zone.load_state(&good).unwrap();
+
+        let area = Bounds::new(100.0, 100.0);
+        let mut wp = RandomWaypoint::new(area, 1.0, 5.0, 2.0, &mut rng);
+        assert!(wp.load_state(&[50.0, 50.0, 500.0, 50.0, 2.0, 0.0]).is_err());
+        assert!(wp.load_state(&[50.0, 50.0, 60.0, 50.0, 2.0, -1.0]).is_err());
+        let mut walk = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
+        assert!(walk.load_state(&[-1.0, 50.0, 1.0, 0.0, 2.0, 5.0]).is_err());
+        assert!(walk.load_state(&[50.0, 50.0, 0.0, 0.0, 2.0, 5.0]).is_err());
     }
 
     /// Drives `leased` through `ticks` ticks of `dt` using the coast-lease

@@ -445,18 +445,41 @@ impl<E> EventQueue<E> {
     }
 
     /// Live entries in firing order, for internal merging/draining.
+    ///
+    /// The wheel already orders its buckets: the unserved tail of `cur` is
+    /// sorted and lies at or before `base`; each level's occupied slots are
+    /// ahead of the cursor, so ascending slots are ascending blocks, all
+    /// later than every block of the level below; the overflow heap lies
+    /// past the wheel span. Only each bucket needs sorting on its own.
     fn live_entries(&self) -> Vec<Entry> {
         let is_live = |e: &&Entry| self.slots[e.slot as usize].gen == e.gen;
+        let key = |e: &Entry| (e.at, e.seq);
         let mut entries: Vec<Entry> = Vec::with_capacity(self.live);
         entries.extend(self.cur[self.cur_idx..].iter().filter(is_live));
         for level in self.levels.iter() {
             for bucket in level.iter() {
+                let start = entries.len();
                 entries.extend(bucket.iter().filter(is_live));
+                entries[start..].sort_unstable_by_key(key);
             }
         }
+        let start = entries.len();
         entries.extend(self.overflow.iter().filter(is_live));
-        entries.sort_unstable_by_key(|e| (e.at, e.seq));
+        entries[start..].sort_unstable_by_key(key);
+        debug_assert!(entries.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         entries
+    }
+
+    /// Calls `f` on every live pending event, with its sequence number, in
+    /// firing order.
+    fn visit_pending<'a>(&'a self, mut f: impl FnMut(SimTime, u64, &'a E)) {
+        for e in self.live_entries() {
+            let payload = self.slots[e.slot as usize]
+                .payload
+                .as_ref()
+                .expect("live slot has a payload");
+            f(e.at, e.seq, payload);
+        }
     }
 
     /// Every live pending event as `(firing time, payload)` references in
@@ -466,30 +489,9 @@ impl<E> EventQueue<E> {
     /// order is exactly the order [`pop`](Self::pop) would serve them.
     #[must_use]
     pub fn pending(&self) -> Vec<(SimTime, &E)> {
-        self.live_entries()
-            .into_iter()
-            .map(|e| {
-                let payload = self.slots[e.slot as usize]
-                    .payload
-                    .as_ref()
-                    .expect("live slot has a payload");
-                (e.at, payload)
-            })
-            .collect()
-    }
-
-    /// Live pending events with their `(time, seq)` keys, in firing order.
-    fn pending_keyed(&self) -> Vec<(SimTime, u64, &E)> {
-        self.live_entries()
-            .into_iter()
-            .map(|e| {
-                let payload = self.slots[e.slot as usize]
-                    .payload
-                    .as_ref()
-                    .expect("live slot has a payload");
-                (e.at, e.seq, payload)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.live);
+        self.visit_pending(|at, _, e| out.push((at, e)));
+        out
     }
 
     /// Removes every live event and returns them with their keys, in
@@ -815,12 +817,28 @@ impl<E> ShardedEventQueue<E> {
     /// any lane layout replays identically.
     #[must_use]
     pub fn pending(&self) -> Vec<(SimTime, &E)> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_pending(|at, e| out.push((at, e)));
+        out
+    }
+
+    /// Calls `f` on every live pending event in global firing order — the
+    /// order of [`pending`](Self::pending) without collecting it. A
+    /// single lane is visited straight off its wheel; several lanes are
+    /// merged by their global `(time, seq)` keys.
+    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(SimTime, &'a E)) {
+        if let [lane] = self.lanes.as_slice() {
+            lane.visit_pending(|at, _, e| f(at, e));
+            return;
+        }
         let mut all: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.len());
         for lane in &self.lanes {
-            all.extend(lane.pending_keyed());
+            lane.visit_pending(|at, seq, e| all.push((at, seq, e)));
         }
         all.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        all.into_iter().map(|(t, _, e)| (t, e)).collect()
+        for (at, _, e) in all {
+            f(at, e);
+        }
     }
 
     /// Rebuilds a queue from checkpointed state: `lanes` lanes, the clock

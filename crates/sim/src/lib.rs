@@ -57,5 +57,5 @@ pub mod time;
 
 pub use event::{EventQueue, EventToken};
 pub use rng::SimRng;
-pub use snap::{fnv1a64, SnapError, SnapReader, SnapWriter};
+pub use snap::{checksum64, fnv1a64, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

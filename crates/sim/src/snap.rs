@@ -4,7 +4,8 @@
 //! simulation into a versioned, checksummed byte stream. The workspace has
 //! no real serialization dependency (the in-tree `serde` is a no-op marker
 //! shim), so this module provides the primitives directly: a little-endian
-//! [`SnapWriter`]/[`SnapReader`] pair plus an FNV-1a checksum.
+//! [`SnapWriter`]/[`SnapReader`] pair, the word-at-a-time [`checksum64`]
+//! that frames checkpoint files, and the FNV-1a [`fnv1a64`] digest.
 //!
 //! Two invariants matter for the resume-determinism contract:
 //!
@@ -45,9 +46,42 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a 64-bit hash of a byte slice, used as the checkpoint body
-/// checksum. Not cryptographic — it detects truncation and bit rot, which
-/// is all a local checkpoint file needs.
+/// Word-at-a-time 64-bit checksum of a byte slice: the checkpoint frame
+/// checksum.
+///
+/// Each little-endian `u64` word is xored into the state, which is then
+/// multiplied by an odd constant and xor-shifted; the zero-padded tail and
+/// the length are folded in the same way. Every step is a bijection of the
+/// state, so a change confined to one word — every single-bit flip
+/// included — always changes the result. The xor-shift keeps top-bit flips
+/// in two adjacent words from cancelling, which a bare xor-multiply chain
+/// allows. Not cryptographic: it detects truncation and bit rot, which is
+/// all a local checkpoint file needs.
+#[must_use]
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn mix(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(K);
+        h ^ (h >> 32)
+    }
+    let mut h: u64 = 0x243F_6A88_85A3_08D3;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = mix(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
+    }
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    h = mix(h, u64::from_le_bytes(tail));
+    mix(h, bytes.len() as u64)
+}
+
+/// FNV-1a 64-bit hash of a byte slice, used for sweep progress files and
+/// report digests. Byte-serial, so several times slower than
+/// [`checksum64`] on large inputs.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -69,6 +103,15 @@ impl SnapWriter {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer whose buffer holds `capacity` bytes before
+    /// it first grows.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        SnapWriter {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -176,16 +219,27 @@ impl<'a> SnapReader<'a> {
         self.pos == self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapError> {
-        if self.remaining() < n {
-            return Err(SnapError::new(format!(
-                "truncated snapshot: need {n} bytes for {what}, {} left",
-                self.remaining()
-            )));
+        let buf = self.buf;
+        match buf.get(self.pos..).and_then(|rest| rest.get(..n)) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(self.truncated(n, what)),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// The error for a read of `n` bytes past the end, kept out of line so
+    /// the read path stays small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize, what: &str) -> SnapError {
+        SnapError::new(format!(
+            "truncated snapshot: need {n} bytes for {what}, {} left",
+            self.remaining()
+        ))
     }
 
     /// Reads one raw byte.
@@ -202,9 +256,7 @@ impl<'a> SnapReader<'a> {
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
     }
 
     /// Reads a `usize` stored as a `u64`, rejecting values that do not fit.
@@ -258,12 +310,11 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads a sequence written by [`SnapWriter::seq`]. The element size
-    /// floor (1 byte) bounds a corrupt length prefix before allocating.
-    pub fn seq<T>(
-        &mut self,
-        mut read: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Vec<T>, SnapError> {
+    /// Reads the length prefix of a sequence written by
+    /// [`SnapWriter::seq`]. Every element takes at least one byte, so a
+    /// prefix longer than the bytes left is rejected before the caller
+    /// allocates for it.
+    pub fn seq_len(&mut self) -> Result<usize, SnapError> {
         let len = self.usize()?;
         if len > self.remaining() {
             return Err(SnapError::new(format!(
@@ -271,6 +322,15 @@ impl<'a> SnapReader<'a> {
                 self.remaining()
             )));
         }
+        Ok(len)
+    }
+
+    /// Reads a sequence written by [`SnapWriter::seq`].
+    pub fn seq<T>(
+        &mut self,
+        mut read: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        let len = self.seq_len()?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(read(self)?);
@@ -399,5 +459,83 @@ mod tests {
             flipped[i] ^= 1;
             assert_ne!(fnv1a64(&flipped), sum, "flip at byte {i} undetected");
         }
+    }
+
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
+            .collect()
+    }
+
+    #[test]
+    fn checksum64_detects_every_single_bit_flip() {
+        // Whole words, a lone tail, and words followed by a tail.
+        for len in [1usize, 7, 8, 9, 64, 67] {
+            let bytes = sample(len);
+            let sum = checksum64(&bytes);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(
+                        checksum64(&flipped),
+                        sum,
+                        "len {len}: flip of bit {bit} in byte {i} undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum64_detects_top_bit_flips_in_adjacent_words() {
+        let bytes = sample(64);
+        let sum = checksum64(&bytes);
+        let flip_pair = |w: usize| {
+            let mut flipped = bytes.clone();
+            flipped[8 * w + 7] ^= 0x80;
+            flipped[8 * w + 15] ^= 0x80;
+            flipped
+        };
+        for w in 0..7 {
+            assert_ne!(
+                checksum64(&flip_pair(w)),
+                sum,
+                "bit 63 of words {w}, {}",
+                w + 1
+            );
+        }
+        // The pair a bare xor-multiply chain cannot see: bit 63 survives
+        // the odd multiply unchanged, so the second flip cancels the first.
+        let bare = |b: &[u8]| {
+            b.chunks_exact(8).fold(0u64, |h, w| {
+                (h ^ u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            })
+        };
+        assert_eq!(bare(&flip_pair(0)), bare(&bytes));
+    }
+
+    #[test]
+    fn checksum64_folds_in_the_length() {
+        // Zero padding makes these tails the same word; only the length
+        // tells them apart.
+        assert_ne!(checksum64(b"abc"), checksum64(b"abc\0"));
+        for len in 0..24 {
+            assert_ne!(
+                checksum64(&vec![0u8; len]),
+                checksum64(&vec![0u8; len + 1]),
+                "{len} vs {} zero bytes",
+                len + 1
+            );
+        }
+    }
+
+    #[test]
+    fn checksum64_of_the_empty_input_is_pinned() {
+        // Checkpoint files depend on this exact function: a change to it
+        // is a format change.
+        assert_eq!(checksum64(&[]), 0xEA4C_DB56_9647_9CDF);
+        assert_ne!(checksum64(&[]), checksum64(&[0]));
     }
 }

@@ -162,15 +162,21 @@ proptest! {
             prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.now(), heap.now());
         }
+        // The checkpoint view lists exactly what a drain pops, in order.
+        let listed: Vec<(SimTime, usize)> =
+            wheel.pending().into_iter().map(|(t, &e)| (t, e)).collect();
+        let mut drained = Vec::new();
         // Drain both to the end.
         loop {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
             let (a, b) = (wheel.pop(), heap.pop());
             prop_assert_eq!(a, b, "drain divergence");
-            if a.is_none() {
-                break;
+            match a {
+                Some(popped) => drained.push(popped),
+                None => break,
             }
         }
+        prop_assert_eq!(listed, drained, "pending() disagrees with the pop order");
         prop_assert_eq!(wheel.popped(), heap.popped());
     }
 

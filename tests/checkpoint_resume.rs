@@ -192,7 +192,7 @@ fn second_seed_resumes_bit_identically_in_both_modes() {
     }
 }
 
-/// Golden `dftmsn-ckpt/1` fixture: a mid-run snapshot (OPT, 16 sensors,
+/// Golden `dftmsn-ckpt/2` fixture: a mid-run snapshot (OPT, 16 sensors,
 /// 2 sinks, 800 s, seed 7, checkpointed at the first event boundary past
 /// 450 s) committed under `tests/fixtures/`. Resuming it must still work
 /// on every future build of this workspace — this is the format-stability
@@ -281,10 +281,10 @@ fn faulted_runs_resume_bit_identically() {
 
 #[test]
 fn adversarial_runs_resume_bit_identically() {
-    // Behavior changes ride the fault plan; the checkpoint's behavior
-    // tail frame must restore the per-node table, the behavioral
-    // counters, and the lifetime anchors so the resumed run is
-    // bit-identical — including a behavior whose onset (selfish@400)
+    // Behavior changes ride the fault plan; the checkpoint must restore
+    // the per-node behavior table, the behavioral counters, and the
+    // lifetime anchors so the resumed run is bit-identical — including a
+    // behavior whose onset (selfish@400)
     // lies *beyond* the checkpoint instant, so it fires post-resume.
     let scenario = scenario();
     let mut plan =
@@ -517,5 +517,109 @@ fn checkpoints_taken_mid_coast_lease_resume_bit_identically() {
     assert_eq!(
         resumed.deliveries, full.deliveries,
         "mid-lease: deliveries diverged"
+    );
+}
+
+/// Frames `payload` the way `checkpoint_bytes` does, with a valid checksum.
+fn frame(magic: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&dftmsn::sim::snap::checksum64(payload).to_le_bytes());
+    out
+}
+
+/// The payload of a framed checkpoint.
+fn payload(bytes: &[u8]) -> &[u8] {
+    &bytes[CKPT_MAGIC.len() + 8..bytes.len() - 8]
+}
+
+#[test]
+fn other_format_versions_are_rejected_by_name() {
+    let (mut sim, _) = build(
+        ProtocolKind::Opt,
+        3,
+        MobilityMode::Ticked,
+        SharedBuf::default(),
+    );
+    while sim.now().as_secs_f64() < 100.0 && sim.step() {}
+    let bytes = sim.checkpoint_bytes();
+    let old = frame(b"dftmsn-ckpt/1", payload(&bytes));
+    let err = Simulation::resume_from_bytes(&old).unwrap_err();
+    assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("unsupported checkpoint version dftmsn-ckpt/1"),
+        "{msg}"
+    );
+}
+
+/// A malformed payload that still carries a valid checksum must end in a
+/// typed error or in a resumed run that keeps stepping — never a panic.
+/// Each case xors one byte past the parameter section of a faulted,
+/// adversarial, observed mid-frame checkpoint with a random nonzero
+/// value, re-frames it, resumes, and steps the result 300 times.
+#[test]
+fn mutated_payloads_with_valid_checksums_never_panic() {
+    const MUTATIONS: usize = 1_200;
+    const STEPS: usize = 300;
+    let scenario = scenario();
+    let mut plan =
+        dftmsn::core::behavior::parse_spec("liar=0.2;forger=0.1@100", &scenario, 5).unwrap();
+    plan.extend(FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9));
+    let recorder = MetricsRecorder::new(OBSERVE_WINDOW_SECS).streaming_only();
+    let mut sim = Simulation::builder(scenario, ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan)
+        .observe(recorder)
+        .build();
+    assert!(
+        step_until(&mut sim, 250.0, |s| s.airborne_frames() > 0),
+        "no frame was mid-air at any boundary past 250 s"
+    );
+    let bytes = sim.checkpoint_bytes();
+    let original = payload(&bytes);
+    // The clock opens the section after the parameters.
+    let clock = sim.now().ticks().to_le_bytes();
+    let start = original
+        .windows(8)
+        .position(|w| w == clock)
+        .expect("the clock is in the payload");
+
+    let mut rng = SimRng::seed_from(0x3D7A_0001);
+    let (mut rejected, mut resumed) = (0, 0);
+    let mut panics = Vec::new();
+    for case in 0..MUTATIONS {
+        let mut mutated = original.to_vec();
+        let at = start + rng.gen_range_u64((mutated.len() - start) as u64) as usize;
+        let flip = 1 + rng.gen_range_u64(255) as u8;
+        mutated[at] ^= flip;
+        let framed = frame(CKPT_MAGIC, &mutated);
+        let outcome = std::panic::catch_unwind(|| match Simulation::resume_from_bytes(&framed) {
+            Err(_) => false,
+            Ok((mut sim, _)) => {
+                for _ in 0..STEPS {
+                    if !sim.step() {
+                        break;
+                    }
+                }
+                true
+            }
+        });
+        match outcome {
+            Ok(true) => resumed += 1,
+            Ok(false) => rejected += 1,
+            Err(_) => panics.push(format!("case {case}: byte {at} ^= {flip:#04x}")),
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {MUTATIONS} mutations panicked:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
+    assert!(
+        rejected > 0 && resumed > 0,
+        "{rejected} rejected, {resumed} resumed"
     );
 }
