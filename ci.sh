@@ -41,6 +41,16 @@ grep -q '"totals":true' "$obs_file" \
 inspect_out=$(cargo run --release -q -p dftmsn-cli -- inspect "$obs_file")
 echo "$inspect_out" | grep -q 'deliveries' \
     || { echo "observe smoke: inspect failed to summarize"; exit 1; }
+# A line nested far past the parser's depth cap is skipped with a warning,
+# never a stack overflow: inspect must still exit 0 and render the windows.
+head -c 200000 /dev/zero | tr '\0' '[' >>"$obs_file"
+echo >>"$obs_file"
+inspect_out=$(cargo run --release -q -p dftmsn-cli -- inspect "$obs_file" 2>target/ci_observe.err) \
+    || { echo "observe smoke: inspect failed on a deeply nested line"; exit 1; }
+grep -q 'skipping unparseable line' target/ci_observe.err \
+    || { echo "observe smoke: deeply nested line not reported as skipped"; exit 1; }
+echo "$inspect_out" | grep -q 'deliveries' \
+    || { echo "observe smoke: inspect lost the intact windows"; exit 1; }
 
 echo "==> checkpoint/resume determinism gate (resumed run must be bit-identical)"
 cargo test --release -q --test checkpoint_resume
@@ -90,12 +100,6 @@ grep -q 'unsupported checkpoint version dftmsn-ckpt/1' target/ci_ckpt_old.err \
 echo "==> benchmark package tests (unit + --quick smoke)"
 cargo test --release --manifest-path benchmark/Cargo.toml
 
-echo "==> shard-parity gate (N-shard scale cell must be bit-identical to 1-shard)"
-cargo run --release -q -p dftmsn-bench --bin shard_parity
-
-echo "==> thread-parity gate (parallel interval executor must be bit-identical to sequential)"
-cargo run --release -q -p dftmsn-bench --bin thread_parity
-
 echo "==> policy-parity gate (builtin variants bit-identical through the trait; policy goldens)"
 cargo test --release -q --test policy_parity
 cargo run --release -q -p dftmsn-cli -- run --policy twohop:budget=3 \
@@ -130,13 +134,8 @@ cargo run --release -q -p dftmsn-bench --bin api_surface -- --check
 echo "==> docs build cleanly (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> perf baseline smoke + executor speedup gate (--quick --scale --speedup-check)"
-# --speedup-check: on a host with enough cores, the best ticked threads>1
-# cell must clear 1.5x sequential throughput; on smaller hosts scaling is
-# unfalsifiable and the gate records lower bounds and passes. Escape
-# hatch for legitimately noisy multicore hosts: SPEEDUP_CHECK_WARN_ONLY=1.
+echo "==> perf baseline smoke (--quick --scale)"
 cargo run --release -p dftmsn-bench --bin perf_baseline -- --quick --scale \
-    --speedup-check ${SPEEDUP_CHECK_WARN_ONLY:+--warn-only} \
     --out target/BENCH_engine.quick.json
 
 echo "==> scale-tier regression gate (failing; >25% ns/event over committed BENCH_engine.json)"

@@ -16,12 +16,9 @@
 //!   tracked large-n figure.
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin perf_baseline
-//! [--quick] [--scale] [--profile-events] [--speedup-check] [--warn-only]
-//! [--pre-ref EV_PER_S] [--out PATH] [--fresh]`.
-//! `--speedup-check` gates the parallel interval executor's payoff after
-//! the measurements land (see [`check_speedup`]; `--warn-only` demotes a
-//! violation to a warning). `--quick` shrinks all workloads to a smoke
-//! size for CI;
+//! [--quick] [--scale] [--profile-events] [--pre-ref EV_PER_S]
+//! [--out PATH] [--fresh]`.
+//! `--quick` shrinks all workloads to a smoke size for CI;
 //! numbers from different machines (or `--quick` and full runs) are not
 //! comparable with each other. `--pre-ref` embeds an externally measured
 //! pre-change reference throughput (OPT, ticked, 1 000 sensors, same
@@ -47,15 +44,12 @@
 //! recorded under a different workload shape (e.g. `--quick` vs. full) is
 //! ignored.
 
-use dftmsn_bench::scale::{
-    measure, measure_parallel, scale_scenario, QUICK_DURATION_SECS, SCALE_DURATION_SECS,
-    SCALE_SENSORS,
-};
+use dftmsn_bench::scale::{measure, QUICK_DURATION_SECS, SCALE_DURATION_SECS, SCALE_SENSORS};
 use dftmsn_bench::sweep::{run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
 use dftmsn_core::policy::PolicySpec;
-use dftmsn_core::profile::{EventProfile, ExecStats};
+use dftmsn_core::profile::EventProfile;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_core::world::{MobilityMode, Simulation};
 use dftmsn_metrics::json::Json;
@@ -89,12 +83,6 @@ impl EngineRow {
 struct ScalePoint {
     sensors: usize,
     mode: &'static str,
-    /// Spatial shard count (1 for the plain tier; >1 only in the
-    /// `scale_threaded` section).
-    shards: usize,
-    /// Worker threads of the parallel interval executor (1 for the plain
-    /// tier; >1 only in the `scale_threaded` section).
-    threads: usize,
     wall_ns: u128,
     events: u64,
     generated: u64,
@@ -135,9 +123,6 @@ struct Progress {
     sweep: Option<(u128, usize)>,
     /// (sensors, mode label) → the measured point.
     scale: HashMap<(usize, String), ScalePoint>,
-    /// (sensors, mode label, shards, threads) → the measured multicore
-    /// point.
-    threaded: HashMap<(usize, String, usize, usize), ScalePoint>,
 }
 
 const PROGRESS_SCHEMA: &str = "dftmsn-perf-progress/2";
@@ -217,43 +202,6 @@ impl Progress {
                 ScalePoint {
                     sensors: sensors as usize,
                     mode: mode_static,
-                    shards: 1,
-                    threads: 1,
-                    wall_ns: wall,
-                    events: num(row, "events").unwrap_or(0.0) as u64,
-                    generated: num(row, "generated").unwrap_or(0.0) as u64,
-                    delivered: num(row, "delivered").unwrap_or(0.0) as u64,
-                    mean_delay_secs: num(row, "mean_delay_secs").unwrap_or(0.0),
-                },
-            );
-        }
-        for row in json
-            .get("scale_threaded")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-        {
-            let (Some(sensors), Some(mode), Some(shards), Some(threads), Some(wall)) = (
-                num(row, "sensors"),
-                row.get("mode").and_then(Json::as_str),
-                num(row, "shards"),
-                num(row, "threads"),
-                ns(row, "wall_ns"),
-            ) else {
-                continue;
-            };
-            let mode_static: &'static str = if mode == "lazy" { "lazy" } else { "ticked" };
-            progress.threaded.insert(
-                (
-                    sensors as usize,
-                    mode.to_string(),
-                    shards as usize,
-                    threads as usize,
-                ),
-                ScalePoint {
-                    sensors: sensors as usize,
-                    mode: mode_static,
-                    shards: shards as usize,
-                    threads: threads as usize,
                     wall_ns: wall,
                     events: num(row, "events").unwrap_or(0.0) as u64,
                     generated: num(row, "generated").unwrap_or(0.0) as u64,
@@ -300,31 +248,11 @@ impl Progress {
                 })
                 .collect()
         };
-        let threaded: Vec<Json> = {
-            let mut keys: Vec<&(usize, String, usize, usize)> = self.threaded.keys().collect();
-            keys.sort();
-            keys.into_iter()
-                .map(|k| {
-                    let p = &self.threaded[k];
-                    Json::object()
-                        .field("sensors", p.sensors)
-                        .field("mode", p.mode)
-                        .field("shards", p.shards)
-                        .field("threads", p.threads)
-                        .field("wall_ns", p.wall_ns.to_string())
-                        .field("events", p.events)
-                        .field("generated", p.generated)
-                        .field("delivered", p.delivered)
-                        .field("mean_delay_secs", p.mean_delay_secs)
-                })
-                .collect()
-        };
         let mut json = Json::object()
             .field("schema", PROGRESS_SCHEMA)
             .field("fingerprint", fingerprint)
             .field("engine", Json::Arr(engine))
-            .field("scale", Json::Arr(scale))
-            .field("scale_threaded", Json::Arr(threaded));
+            .field("scale", Json::Arr(scale));
         if let Some((wall, runs)) = &self.sweep {
             json = json.field(
                 "sweep",
@@ -351,8 +279,6 @@ fn main() {
     let scale = args.iter().any(|a| a == "--scale");
     let fresh = args.iter().any(|a| a == "--fresh");
     let profile_events = args.iter().any(|a| a == "--profile-events");
-    let speedup_check = args.iter().any(|a| a == "--speedup-check");
-    let warn_only = args.iter().any(|a| a == "--warn-only");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -381,31 +307,14 @@ fn main() {
     } else {
         (&SCALE_SENSORS[..], SCALE_DURATION_SECS)
     };
-    // Multicore rows: mid-tier sizes re-run under (shards × threads)
-    // cells — pure sharding, pure threading, and both composed. Results
-    // are bit-identical by the engine's determinism contract; only the
-    // wall time is interesting. The 50k/100k sizes are excluded (7 cells
-    // at those sizes would dominate the whole baseline's runtime without
-    // adding information the 5k/20k cells don't already give).
-    let (threaded_sizes, threaded_cells): (&[usize], &[(usize, usize)]) = if quick {
-        (&SCALE_SENSORS[1..2], &[(4, 1), (1, 2), (4, 4)])
-    } else {
-        (
-            &SCALE_SENSORS[2..4],
-            &[(2, 1), (4, 1), (8, 1), (1, 2), (1, 4), (4, 2), (4, 4)],
-        )
-    };
-    // Threaded wall times only mean what they claim on a host that can
-    // actually run the workers concurrently; record the host's usable
-    // core count next to them so a reader can tell real scaling from a
-    // single-core lower bound.
+    // The sweep section runs on every core `run_all` finds; record how
+    // many that was so its runs/s can be read against the host.
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
     // The progress fingerprint pins every knob that shapes a timed unit;
     // progress from a differently shaped invocation never matches.
     let fingerprint = format!(
         "quick={quick} engine={engine_secs}x{engine_seeds} sweep={sweep_secs}x{sweep_seeds} \
-         scale={scale}:{scale_sizes:?}@{scale_dur} threaded={threaded_sizes:?}x{threaded_cells:?}"
+         scale={scale}:{scale_sizes:?}@{scale_dur}"
     );
     let progress_path = PathBuf::from(format!("{out_path}.progress"));
     if fresh {
@@ -427,13 +336,11 @@ fn main() {
     let mut rows: Vec<EngineRow> = Vec::new();
     let mut sweep_done: Option<(u128, usize)> = None;
     let mut scale_rows: Vec<ScalePoint> = Vec::new();
-    let mut threaded_rows: Vec<ScalePoint> = Vec::new();
-    let mut event_profile: Option<(EventProfile, ExecStats)> = None;
+    let mut event_profile: Option<EventProfile> = None;
     let flush = |rows: &[EngineRow],
                  sweep_done: &Option<(u128, usize)>,
                  scale_rows: &[ScalePoint],
-                 threaded_rows: &[ScalePoint],
-                 event_profile: &Option<(EventProfile, ExecStats)>,
+                 event_profile: &Option<EventProfile>,
                  partial: bool| {
         let json = render_output(
             quick,
@@ -446,7 +353,6 @@ fn main() {
             rows,
             sweep_done,
             (scale, scale_dur, scale_rows),
-            threaded_rows,
             pre_ref,
             event_profile.as_ref(),
         );
@@ -481,14 +387,7 @@ fn main() {
                     );
                     progress.engine.insert(key, unit);
                     progress.save(&progress_path, &fingerprint);
-                    flush(
-                        &rows,
-                        &sweep_done,
-                        &scale_rows,
-                        &threaded_rows,
-                        &event_profile,
-                        true,
-                    );
+                    flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
                     unit
                 }
             };
@@ -512,14 +411,7 @@ fn main() {
             row.ns_per_event()
         );
         rows.push(row);
-        flush(
-            &rows,
-            &sweep_done,
-            &scale_rows,
-            &threaded_rows,
-            &event_profile,
-            true,
-        );
+        flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
     }
 
     // Parallel sweep timing (work-stealing run_all, all cores). One unit:
@@ -561,14 +453,7 @@ fn main() {
         sweep_runs as f64 / (sweep_ms / 1_000.0)
     );
     sweep_done = Some((sweep_ns, sweep_runs));
-    flush(
-        &rows,
-        &sweep_done,
-        &scale_rows,
-        &threaded_rows,
-        &event_profile,
-        true,
-    );
+    flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
 
     if scale {
         for &n in scale_sizes {
@@ -586,8 +471,6 @@ fn main() {
                         ScalePoint {
                             sensors: row.sensors,
                             mode: label,
-                            shards: 1,
-                            threads: 1,
                             wall_ns: row.wall_ns,
                             events: row.events,
                             generated: row.generated,
@@ -610,91 +493,13 @@ fn main() {
                 scale_rows.push(ScalePoint {
                     sensors: p.sensors,
                     mode: p.mode,
-                    shards: 1,
-                    threads: 1,
                     wall_ns: p.wall_ns,
                     events: p.events,
                     generated: p.generated,
                     delivered: p.delivered,
                     mean_delay_secs: p.mean_delay_secs,
                 });
-                flush(
-                    &rows,
-                    &sweep_done,
-                    &scale_rows,
-                    &threaded_rows,
-                    &event_profile,
-                    true,
-                );
-            }
-        }
-
-        // Multicore tier: the same workload re-run under (shards ×
-        // threads) cells. The reports are bit-identical to the
-        // single-shard sequential rows above (the determinism contract,
-        // `thread_parity` in CI), so only the wall time is new data.
-        for &n in threaded_sizes {
-            for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-                let label = if mode == MobilityMode::Lazy {
-                    "lazy"
-                } else {
-                    "ticked"
-                };
-                for &(sh, th) in threaded_cells {
-                    let key = (n, label.to_string(), sh, th);
-                    if !progress.threaded.contains_key(&key) {
-                        let row = measure_parallel(n, scale_dur, mode, sh, th);
-                        progress.threaded.insert(
-                            key.clone(),
-                            ScalePoint {
-                                sensors: row.sensors,
-                                mode: label,
-                                shards: sh,
-                                threads: th,
-                                wall_ns: row.wall_ns,
-                                events: row.events,
-                                generated: row.generated,
-                                delivered: row.delivered,
-                                mean_delay_secs: row.mean_delay_secs,
-                            },
-                        );
-                        progress.save(&progress_path, &fingerprint);
-                    }
-                    let p = &progress.threaded[&key];
-                    let speedup = progress
-                        .scale
-                        .get(&(n, label.to_string()))
-                        .map_or(0.0, |base| p.events_per_sec() / base.events_per_sec());
-                    eprintln!(
-                        "scale {:>5} sensors {:>6} {}sh x {}th: {:>8.1} ms  {:>7.0} kev/s  {:>5.2}x",
-                        p.sensors,
-                        p.mode,
-                        p.shards,
-                        p.threads,
-                        p.wall_ns as f64 / 1e6,
-                        p.events_per_sec() / 1e3,
-                        speedup,
-                    );
-                    threaded_rows.push(ScalePoint {
-                        sensors: p.sensors,
-                        mode: p.mode,
-                        shards: p.shards,
-                        threads: p.threads,
-                        wall_ns: p.wall_ns,
-                        events: p.events,
-                        generated: p.generated,
-                        delivered: p.delivered,
-                        mean_delay_secs: p.mean_delay_secs,
-                    });
-                    flush(
-                        &rows,
-                        &sweep_done,
-                        &scale_rows,
-                        &threaded_rows,
-                        &event_profile,
-                        true,
-                    );
-                }
+                flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
             }
         }
     }
@@ -726,142 +531,14 @@ fn main() {
                 row.p99_ns()
             );
         }
-        // A second lens on the same question for the parallel executor:
-        // one threaded run of the 1 000-sensor scale cell, reporting how
-        // the interval planner divided the event stream (parallel vs.
-        // sequential lanes, fallback/bypass intervals, worker wall time).
-        // Also outside the progress ledger and never a tracked figure.
-        let mut sim = Simulation::builder(
-            scale_scenario(1_000, QUICK_DURATION_SECS),
-            ProtocolKind::Opt,
-        )
-        .seed(1)
-        .threads(4)
-        .build();
-        while sim.advance() {}
-        let stats = sim.exec_stats().clone();
-        let _ = sim.finish_partial();
-        eprintln!(
-            "interval executor (OPT ticked 1000 sensors, {QUICK_DURATION_SECS} s, 1sh x 4th): \
-             {} parallel / {} sequential / {} terminator events; {} intervals \
-             ({} fallback, {} bypass); seq fraction {:.2}; chunk {:.1} ms, stall {:.1} ms",
-            stats.parallel_events,
-            stats.sequential_events,
-            stats.terminator_events,
-            stats.total_intervals(),
-            stats.fallback_intervals,
-            stats.bypass_intervals,
-            stats.sequential_fraction(),
-            stats.chunk_ns as f64 / 1e6,
-            stats.stall_ns as f64 / 1e6,
-        );
-        event_profile = Some((prof, stats));
+        event_profile = Some(prof);
     }
 
-    flush(
-        &rows,
-        &sweep_done,
-        &scale_rows,
-        &threaded_rows,
-        &event_profile,
-        false,
-    );
+    flush(&rows, &sweep_done, &scale_rows, &event_profile, false);
     // A finished baseline starts over next time: the progress file only
     // bridges interruptions, it must not freeze old measurements forever.
     let _ = std::fs::remove_file(&progress_path);
     eprintln!("wrote {out_path}");
-
-    if speedup_check {
-        let violation = check_speedup(&scale_rows, &threaded_rows, host_cores);
-        if let Some(msg) = violation {
-            if warn_only {
-                eprintln!("warning (speedup check demoted by --warn-only): {msg}");
-            } else {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// The `--speedup-check` gate: on a host that can actually run the
-/// workers concurrently, the parallel interval executor must pay for
-/// itself.
-///
-/// The gated figure is the best ticked `threads > 1` cell at the largest
-/// measured threaded size **among cells with `threads ≤ host_cores`**
-/// (ticked is the mode the executor was built for; the largest size is
-/// where parallelism matters). That cell must clear **1.5×** the
-/// sequential single-shard throughput.
-///
-/// When no measured cell fits the host (e.g. a 1-core CI box), scaling
-/// is *unfalsifiable*: the workers timeshare the cores and the measured
-/// ratio is the cost of per-interval thread spawns plus context-switch
-/// churn, not a property of the executor (measured ≈0.3× on one core —
-/// which is exactly why `threads > 1` is an opt-in knob). The gate then
-/// reports the rows as lower bounds and passes, leaving enforcement to
-/// the first multicore host that runs it. Returns the violation message,
-/// or `None` when the gate passes.
-fn check_speedup(
-    scale_rows: &[ScalePoint],
-    threaded_rows: &[ScalePoint],
-    host_cores: usize,
-) -> Option<String> {
-    let candidates: Vec<(&ScalePoint, f64)> = threaded_rows
-        .iter()
-        .filter(|r| r.mode == "ticked" && r.threads > 1)
-        .filter_map(|r| {
-            scale_rows
-                .iter()
-                .find(|b| b.sensors == r.sensors && b.mode == r.mode)
-                .map(ScalePoint::events_per_sec)
-                .filter(|&base| base > 0.0)
-                .map(|base| (r, r.events_per_sec() / base))
-        })
-        .collect();
-    if candidates.is_empty() {
-        return Some(
-            "--speedup-check needs at least one ticked threads>1 scale cell \
-             (run with --scale); the gate would be vacuous"
-                .to_string(),
-        );
-    }
-    let eligible: Vec<&(&ScalePoint, f64)> = candidates
-        .iter()
-        .filter(|(r, _)| r.threads <= host_cores)
-        .collect();
-    let Some(largest) = eligible.iter().map(|(r, _)| r.sensors).max() else {
-        let (r, s) = candidates
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("speedup is finite"))
-            .expect("candidates is non-empty");
-        eprintln!(
-            "speedup check: host has {host_cores} core(s), fewer than any measured \
-             threads>1 cell — scaling is unfalsifiable here, rows recorded as \
-             lower bounds (best: ticked {} sensors {}sh x {}th at {:.2}x); \
-             the 1.5x floor arms on the first multicore host",
-            r.sensors, r.shards, r.threads, s,
-        );
-        return None;
-    };
-    let (row, speedup) = eligible
-        .iter()
-        .filter(|(r, _)| r.sensors == largest)
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("speedup is finite"))
-        .expect("largest came from eligible");
-    eprintln!(
-        "speedup check: ticked {} sensors {}sh x {}th at {:.2}x vs sequential \
-         (floor 1.5x, host_cores={host_cores})",
-        row.sensors, row.shards, row.threads, speedup,
-    );
-    (*speedup < 1.5).then(|| {
-        format!(
-            "parallel executor speedup regressed: ticked {} sensors {}sh x {}th \
-             reached {:.2}x vs sequential, below the 1.5x floor on a \
-             {host_cores}-core host",
-            row.sensors, row.shards, row.threads, speedup,
-        )
-    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -876,9 +553,8 @@ fn render_output(
     rows: &[EngineRow],
     sweep_done: &Option<(u128, usize)>,
     scale: (bool, u64, &[ScalePoint]),
-    threaded_rows: &[ScalePoint],
     pre_ref: Option<f64>,
-    event_profile: Option<&(EventProfile, ExecStats)>,
+    event_profile: Option<&EventProfile>,
 ) -> Json {
     let engine_rows: Vec<Json> = rows
         .iter()
@@ -975,58 +651,7 @@ fn render_output(
         }
         json = json.field("scale", section);
     }
-    if scale_enabled && !threaded_rows.is_empty() {
-        let tier_rows: Vec<Json> = threaded_rows
-            .iter()
-            .map(|r| {
-                // Speedup is against the single-shard row of the same
-                // (sensors, mode) workload, when that row is present.
-                let base = scale_rows
-                    .iter()
-                    .find(|b| b.sensors == r.sensors && b.mode == r.mode);
-                let mut row = Json::object()
-                    .field("sensors", r.sensors)
-                    .field("mode", r.mode)
-                    .field("shards", r.shards)
-                    .field("threads", r.threads)
-                    .field("wall_ms", r.wall_ns as f64 / 1e6)
-                    .field("events", r.events)
-                    .field("events_per_sec", r.events_per_sec())
-                    .field("ns_per_event", r.ns_per_event())
-                    .field("generated", r.generated)
-                    .field("delivered", r.delivered)
-                    .field("delivery_ratio", r.delivery_ratio())
-                    .field("mean_delay_secs", r.mean_delay_secs);
-                if let Some(base) = base {
-                    if base.events_per_sec() > 0.0 {
-                        row = row.field(
-                            "speedup_vs_sequential",
-                            r.events_per_sec() / base.events_per_sec(),
-                        );
-                    }
-                }
-                row
-            })
-            .collect();
-        json = json.field(
-            "scale_threaded",
-            Json::object()
-                .field("protocol", "OPT")
-                .field("duration_secs", scale_dur)
-                .field("seed", 1u64)
-                .field(
-                    "note",
-                    "spatial shards x executor threads; results bit-identical \
-                     to the sequential single-shard run by the determinism \
-                     contract (tests/sharded_engine.rs, thread_parity). \
-                     Speedups are wall-clock honest for host_cores; on a \
-                     host with fewer cores than threads they are lower \
-                     bounds, not scaling measurements.",
-                )
-                .field("rows", Json::Arr(tier_rows)),
-        );
-    }
-    if let Some((prof, exec)) = event_profile {
+    if let Some(prof) = event_profile {
         let kind_rows: Vec<Json> = prof
             .by_cost()
             .into_iter()
@@ -1042,7 +667,6 @@ fn render_output(
                     .field("hist_pow2_ns", Json::Arr(hist))
             })
             .collect();
-        let drained_hist: Vec<Json> = exec.drained_hist.iter().map(|&c| Json::from(c)).collect();
         json = json.field(
             "event_profile",
             Json::object()
@@ -1052,27 +676,7 @@ fn render_output(
                     "note",
                     "profiled run; aggregate wall time not comparable with engine rows",
                 )
-                .field("kinds", Json::Arr(kind_rows))
-                .field(
-                    "epochs",
-                    Json::object()
-                        .field(
-                            "workload",
-                            "OPT ticked 1000-sensor scale cell, 60 s, 1 shard x 4 threads",
-                        )
-                        .field("intervals", exec.total_intervals())
-                        .field("fallback_intervals", exec.fallback_intervals)
-                        .field("bypass_intervals", exec.bypass_intervals)
-                        .field("parallel_events", exec.parallel_events)
-                        .field("sequential_events", exec.sequential_events)
-                        .field("terminator_events", exec.terminator_events)
-                        .field("spawns_consumed", exec.spawns_consumed)
-                        .field("spawns_parked", exec.spawns_parked)
-                        .field("chunk_ms", exec.chunk_ns as f64 / 1e6)
-                        .field("stall_ms", exec.stall_ns as f64 / 1e6)
-                        .field("sequential_fraction", exec.sequential_fraction())
-                        .field("drained_hist_pow2", Json::Arr(drained_hist)),
-                ),
+                .field("kinds", Json::Arr(kind_rows)),
         );
     }
     json

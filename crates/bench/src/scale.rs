@@ -36,8 +36,7 @@ use std::time::Instant;
 
 /// Sensor counts of the tracked scale tier. The 50 000- and 100 000-
 /// sensor sizes exist to keep the flat per-event cost honest two further
-/// doublings out (and to give the parallel interval executor headroom on
-/// hosts that have the cores for it).
+/// doublings out.
 pub const SCALE_SENSORS: [usize; 6] = [200, 1_000, 5_000, 20_000, 50_000, 100_000];
 
 /// Simulated seconds per scale run in the full tier.
@@ -71,21 +70,13 @@ pub fn scale_scenario(sensors: usize, duration_secs: u64) -> ScenarioParams {
     p
 }
 
-/// One measured (size, mobility-mode, shard-count) point of the scale
-/// tier.
+/// One measured (size, mobility-mode) point of the scale tier.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Sensor count of the run.
     pub sensors: usize,
     /// Mobility mode the engine ran under.
     pub mode: MobilityMode,
-    /// Spatial shard count the engine ran with (1 = the single-shard
-    /// engine; results are bit-identical for every value by contract,
-    /// only the wall time moves).
-    pub shards: usize,
-    /// Worker threads of the parallel interval executor (1 = sequential;
-    /// bit-identical results for every value, same contract as shards).
-    pub threads: usize,
     /// Wall time of `Simulation::run`, accumulated in integer ns.
     pub wall_ns: u128,
     /// Events popped from the queue (`SimReport::events_processed`).
@@ -139,40 +130,9 @@ impl ScaleRow {
 /// Times one OPT run of the scale scenario (build excluded, `run` only).
 #[must_use]
 pub fn measure(sensors: usize, duration_secs: u64, mode: MobilityMode) -> ScaleRow {
-    measure_sharded(sensors, duration_secs, mode, 1)
-}
-
-/// [`measure`] with the engine partitioned onto `shards` spatial shards.
-/// The report is bit-identical to the single-shard run (the engine's
-/// determinism contract, enforced by `tests/sharded_engine.rs`), so the
-/// only quantity this adds over `measure` is the wall time.
-#[must_use]
-pub fn measure_sharded(
-    sensors: usize,
-    duration_secs: u64,
-    mode: MobilityMode,
-    shards: usize,
-) -> ScaleRow {
-    measure_parallel(sensors, duration_secs, mode, shards, 1)
-}
-
-/// [`measure_sharded`] with `threads` workers driving the parallel
-/// interval executor on top of the shard topology. Still bit-identical
-/// to the sequential single-shard run (`thread_parity` enforces it); the
-/// wall time is the only new quantity.
-#[must_use]
-pub fn measure_parallel(
-    sensors: usize,
-    duration_secs: u64,
-    mode: MobilityMode,
-    shards: usize,
-    threads: usize,
-) -> ScaleRow {
     let sim = Simulation::builder(scale_scenario(sensors, duration_secs), ProtocolKind::Opt)
         .seed(1)
         .mobility_mode(mode)
-        .shards(shards)
-        .threads(threads)
         .build();
     let t0 = Instant::now();
     let report = sim.run();
@@ -180,8 +140,6 @@ pub fn measure_parallel(
     ScaleRow {
         sensors,
         mode,
-        shards,
-        threads,
         wall_ns,
         events: report.events_processed,
         generated: report.generated,
@@ -260,8 +218,6 @@ mod tests {
         let row = ScaleRow {
             sensors: 0,
             mode: MobilityMode::Ticked,
-            shards: 1,
-            threads: 1,
             wall_ns: 0,
             events: 0,
             generated: 0,

@@ -54,10 +54,6 @@ pub struct RunConfig {
     /// Resume a previous run from this checkpoint file instead of
     /// starting fresh (scenario/protocol/seed come from the snapshot).
     pub resume: Option<String>,
-    /// Worker threads for within-epoch parallel event execution (1 =
-    /// sequential). Bit-identical results for every value; valid with
-    /// `--resume` because, like the shard count, it is never serialized.
-    pub threads: usize,
     /// Emit the delivery log as CSV on stdout instead of the summary.
     pub csv: bool,
     /// Emit the full report as JSON on stdout instead of the summary.
@@ -112,7 +108,7 @@ USAGE:
                     [--behaviors SPEC]
                     [--observe FILE [--window SECS]] [--csv | --json]
                     [--checkpoint FILE [--checkpoint-every SECS]]
-                    [--resume FILE] [--threads N]
+                    [--resume FILE]
     dftmsn compare  [--policy NAME[:k=v,...]]
                     [scenario flags] [--seed N] [--fault-plan SPEC]
                     [--behaviors SPEC]
@@ -131,13 +127,6 @@ SCENARIO FLAGS (defaults = the paper's Sec. 5 setup):
 OBSERVATION (run only):
     --observe FILE     stream windowed metrics as JSONL to FILE
     --window SECS      aggregation window in sim seconds (100)
-
-EXECUTION (run only):
-    --threads N        worker threads for within-epoch parallel event
-                       execution (1). A pure execution knob: results are
-                       bit-identical for every value. Ignored while an
-                       observer is attached (it watches individual
-                       events). Valid with --resume.
 
 INSPECT:
     --series NAME      show one series (e.g. deliveries, xi_mean) in detail
@@ -277,7 +266,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     let mut checkpoint_path: Option<String> = None;
     let mut checkpoint_every: Option<f64> = None;
     let mut resume: Option<String> = None;
-    let mut threads = 1usize;
     let mut csv = false;
     let mut json = false;
     // Flags that define a *fresh* run; they conflict with --resume, whose
@@ -387,15 +375,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                 run_only(flag)?;
                 resume = Some(take_value(flag, &mut it)?.to_owned());
             }
-            // Not a fresh-run flag: the thread count is a pure execution
-            // knob (never serialized), so it composes with --resume.
-            "--threads" => {
-                run_only(flag)?;
-                threads = parse_num(flag, take_value(flag, &mut it)?)?;
-                if threads == 0 {
-                    return Err(ParseError("--threads must be at least 1".to_owned()));
-                }
-            }
             "--csv" => {
                 run_only(flag)?;
                 csv = true;
@@ -470,7 +449,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
         observe,
         checkpoint,
         resume,
-        threads,
         csv,
         json,
     };
@@ -804,21 +782,14 @@ mod tests {
     }
 
     #[test]
-    fn threads_parse_and_compose_with_resume() {
-        let Command::Run(cfg) = parse(&["run", "--threads", "8"]).unwrap() else {
-            panic!("expected a run command");
-        };
-        assert_eq!(cfg.threads, 8);
-        // A pure execution knob: unlike scenario flags, it must not
-        // conflict with --resume.
-        let Command::Run(cfg) = parse(&["run", "--resume", "c.ckpt", "--threads", "4"]).unwrap()
-        else {
-            panic!("expected a run command");
-        };
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.resume.as_deref(), Some("c.ckpt"));
-        let err = parse(&["run", "--threads", "0"]).unwrap_err();
-        assert!(err.0.contains("--threads"), "{err}");
+    fn threads_flag_is_rejected_by_name() {
+        for argv in [
+            &["run", "--threads", "2"][..],
+            &["run", "--resume", "c.ckpt", "--threads", "2"],
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.0.contains("unknown flag '--threads'"), "{err}");
+        }
     }
 
     #[test]

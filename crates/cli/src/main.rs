@@ -205,7 +205,6 @@ fn build_fresh(cfg: &RunConfig) -> Result<(Simulation, Option<Observing>), CliEr
     let mut builder = Simulation::builder(cfg.scenario.clone(), cfg.protocol)
         .seed(cfg.seed)
         .policy(cfg.policy)
-        .threads(cfg.threads)
         .faults(cfg.faults.clone());
     let mut observing = None;
     if let Some(obs) = &cfg.observe {
@@ -244,9 +243,7 @@ fn build_resumed(
     if resumed.from_backup {
         eprintln!("warning: '{ckpt_path}' was corrupt; resumed from its .bak rotation instead");
     }
-    let mut sim = resumed.sim;
-    // The thread count is never serialized; re-apply the flag on resume.
-    sim.set_threads(cfg.threads);
+    let sim = resumed.sim;
     eprintln!(
         "resumed from '{ckpt_path}' at t = {:.0} s",
         sim.now().as_secs_f64()
@@ -338,10 +335,8 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
         if let Some(sig) = signals::pending() {
             break Some(sig);
         }
-        // `advance` is the parallel-aware unit of work (one event
-        // sequentially, one interval with threads > 1); every boundary
-        // remains a valid checkpoint/signal instant.
-        if !sim.advance() {
+        // Every event boundary is a valid checkpoint/signal instant.
+        if !sim.step() {
             break None;
         }
         if let (Some(at), Some(ckpt)) = (next_ckpt, &cfg.checkpoint) {

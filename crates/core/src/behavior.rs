@@ -3,7 +3,7 @@
 //! The fault subsystem ([`crate::faults`]) models *benign* failures —
 //! crashes, dead batteries, lossy links. This module models nodes that are
 //! alive and well but *misbehave*: the Byzantine/selfish node classes the
-//! fault-tolerant-routing literature evaluates against (DESIGN.md § 10).
+//! fault-tolerant-routing literature evaluates against (DESIGN.md § 9).
 //! A [`NodeBehavior`] is assigned per node through the ordinary
 //! [`FaultPlan`] seam as a scheduled [`FaultKind::BehaviorChange`] event,
 //! so behaviors compose with every other fault, ride the same event queue,

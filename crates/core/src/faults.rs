@@ -66,7 +66,7 @@ pub enum FaultKind {
     /// The sink comes back online.
     SinkUp(NodeId),
     /// The sensor switches to playing the protocol as `behavior` (see
-    /// [`NodeBehavior`] and DESIGN.md § 10). Orthogonal to liveness: a
+    /// [`NodeBehavior`] and DESIGN.md § 9). Orthogonal to liveness: a
     /// behavior assigned to a dead node takes effect if it later recovers.
     BehaviorChange {
         /// The turning node.

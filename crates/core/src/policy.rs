@@ -1,5 +1,5 @@
 //! The forwarding-policy seam: every protocol decision point behind one
-//! trait (DESIGN.md § 9).
+//! trait (DESIGN.md § 8).
 //!
 //! The paper's OPT/NOOPT/NOSLEEP/ZBR comparison is really a comparison of
 //! *policies* — who qualifies as a receiver, which CTS repliers get a
@@ -147,7 +147,7 @@ pub enum CopyFate {
 ///
 /// Sealed — the engine dispatches statically over [`Policy`], and the
 /// checkpoint codec must know every implementation. To add a policy, add
-/// a variant to [`Policy`] (see DESIGN.md § 9 for the checklist).
+/// a variant to [`Policy`] (see DESIGN.md § 8 for the checklist).
 pub trait ForwardingPolicy: sealed::Sealed {
     /// The run label reported by [`crate::report::SimReport::protocol`].
     fn label(&self) -> &'static str;

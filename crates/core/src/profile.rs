@@ -136,100 +136,9 @@ impl EventProfile {
     }
 }
 
-/// Power-of-two histogram buckets for events-per-interval (1 .. ~32k).
-pub const INTERVAL_HIST_BUCKETS: usize = 16;
-
-/// Telemetry of the within-epoch parallel executor
-/// ([`crate::world::Simulation::advance`] with `threads > 1`).
-///
-/// Every interval the executor either splits its drained events into
-/// parallel chunks plus a sequential commit lane, falls back to a fully
-/// sequential interval (the interaction quarantine flooded or an event
-/// shape the chunk path cannot take appeared on a clean node), or bypasses
-/// classification entirely while a flood streak persists. These counters
-/// make Amdahl losses attributable: the sequential-commit fraction bounds
-/// the achievable speedup, and `stall_ns` measures worker idleness at the
-/// interval join barrier.
-///
-/// Pure telemetry: never serialized, never consulted by the engine, and
-/// bit-identical results are guaranteed regardless of which path ran.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    /// Parallel intervals executed (excluding fallbacks and bypasses).
-    pub intervals: u64,
-    /// Intervals classified but executed sequentially: the marked set
-    /// exceeded the cap (quarantine flood) or a clean node held an event
-    /// kind outside the chunk-executable set.
-    pub fallback_intervals: u64,
-    /// Intervals run as plain sequential steps without attempting
-    /// classification (flood-streak backoff).
-    pub bypass_intervals: u64,
-    /// Events executed inside parallel chunks.
-    pub parallel_events: u64,
-    /// Events executed on the sequential commit lane (including all events
-    /// of fallback intervals, but not bypass intervals).
-    pub sequential_events: u64,
-    /// Interval terminators (faults, observer ticks, lazy sweeps) executed
-    /// at interval boundaries.
-    pub terminator_events: u64,
-    /// Events spawned and consumed entirely within an interval.
-    pub spawns_consumed: u64,
-    /// Events spawned within an interval and re-filed past its bound.
-    pub spawns_parked: u64,
-    /// Wall nanoseconds of the parallel chunk phase (spawn through join).
-    pub chunk_ns: u64,
-    /// Estimated worker idle nanoseconds at interval join barriers:
-    /// `chunk wall × workers − Σ worker busy time`.
-    pub stall_ns: u64,
-    /// `hist[b]` counts intervals that drained `[2^b, 2^(b+1))` events
-    /// (top bucket open-ended); fallback and bypass intervals included.
-    pub drained_hist: [u64; INTERVAL_HIST_BUCKETS],
-}
-
-impl ExecStats {
-    /// Records the drained-event count of one interval into the histogram.
-    pub fn record_drained(&mut self, n: usize) {
-        let bucket =
-            (64 - u64::leading_zeros((n as u64) | 1) - 1).min(INTERVAL_HIST_BUCKETS as u32 - 1);
-        self.drained_hist[bucket as usize] += 1;
-    }
-
-    /// Fraction of interval-executed events that ran on the sequential
-    /// commit lane (1.0 when nothing ran in parallel) — the Amdahl bound's
-    /// serial share, directly.
-    #[must_use]
-    pub fn sequential_fraction(&self) -> f64 {
-        let total = self.parallel_events + self.sequential_events;
-        if total == 0 {
-            return 1.0;
-        }
-        self.sequential_events as f64 / total as f64
-    }
-
-    /// Total intervals of any flavor.
-    #[must_use]
-    pub fn total_intervals(&self) -> u64 {
-        self.intervals + self.fallback_intervals + self.bypass_intervals
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_stats_histogram_and_fractions() {
-        let mut s = ExecStats::default();
-        s.record_drained(0); // bucket 0
-        s.record_drained(1); // bucket 0
-        s.record_drained(1000); // bucket 9
-        assert_eq!(s.drained_hist[0], 2);
-        assert_eq!(s.drained_hist[9], 1);
-        assert!((s.sequential_fraction() - 1.0).abs() < 1e-12);
-        s.parallel_events = 3;
-        s.sequential_events = 1;
-        assert!((s.sequential_fraction() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn records_into_log2_buckets() {

@@ -42,14 +42,14 @@ use crate::policy::{
     Confirmed, CopyFate, ForwardingPolicy, MacControls, Policy, PolicySpec, RtsInfo, RxView,
     SelectCtx,
 };
-use crate::profile::{EventProfile, ExecStats};
+use crate::profile::EventProfile;
 use crate::queue::InsertOutcome;
 use crate::report::{DeliveryRecord, Lifetime, NodeSummary, RunMetrics, SimReport};
 use crate::trace::{DropReason, TeeSink, TraceEvent, TraceSink};
 use crate::variants::{ProtocolKind, VariantConfig};
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_mobility::geom::{Bounds, Vec2};
-use dftmsn_mobility::grid_index::{ShardMap, SpatialGrid};
+use dftmsn_mobility::grid_index::SpatialGrid;
 use dftmsn_mobility::models::{
     MobilityModel, RandomWalk, RandomWaypoint, Stationary, ZoneMobility,
 };
@@ -57,16 +57,13 @@ use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 use dftmsn_radio::energy::RadioState;
 use dftmsn_radio::ids::NodeId;
 use dftmsn_radio::medium::{Frame, Medium, TxHandle};
-use dftmsn_sim::event::ShardedEventQueue;
+use dftmsn_sim::event::EventQueue;
 use dftmsn_sim::rng::SimRng;
-use dftmsn_sim::time::{EpochClock, SimDuration, SimTime};
+use dftmsn_sim::time::{SimDuration, SimTime};
 
 #[path = "world_ckpt.rs"]
 mod ckpt;
 pub use ckpt::{CkptError, Resumed, CKPT_MAGIC};
-
-#[path = "world_exec.rs"]
-mod exec;
 
 /// Node-local timer kinds; all are epoch-guarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -495,79 +492,6 @@ fn cell_coast_ticks(margin: f64, disp: Vec2) -> u32 {
     }
 }
 
-/// Runtime state of the sharded engine (DESIGN.md § 8).
-///
-/// A pure execution knob: the shard count is never serialized — checkpoints
-/// capture the logical event list and the checkpoint bytes stay stable —
-/// and per the event queue's lane-placement contract the *results* of a run
-/// are bit-identical for every shard count, so everything here is
-/// locality bookkeeping and telemetry.
-#[derive(Debug)]
-struct ShardRuntime {
-    /// Lane/worker count; 1 = the classic single-shard engine.
-    count: usize,
-    /// Column-band partition of the spatial grid (`None` when `count` is 1).
-    map: Option<ShardMap>,
-    /// Node → owning shard, refreshed at every epoch barrier. Empty when
-    /// unsharded; events for unknown nodes route to lane 0.
-    node_shard: Vec<u8>,
-    /// Boundary-band half-width in metres: radio range plus the worst-case
-    /// approach (`2 · v_max · lookahead`) two nodes can close within one
-    /// epoch.
-    band_m: f64,
-    /// Conservative-lookahead barrier cadence, derived from `v_max`.
-    epoch: EpochClock,
-    /// The next barrier instant.
-    next_barrier: SimTime,
-    /// Barriers taken so far (telemetry).
-    barriers: u64,
-    /// Nodes inside a boundary band at the last barrier (telemetry).
-    boundary_nodes: usize,
-}
-
-impl ShardRuntime {
-    fn single() -> Self {
-        ShardRuntime {
-            count: 1,
-            map: None,
-            node_shard: Vec::new(),
-            band_m: 0.0,
-            epoch: EpochClock::derive(0.0, 0.0),
-            next_barrier: SimTime::MAX,
-            barriers: 0,
-            boundary_nodes: 0,
-        }
-    }
-}
-
-/// Telemetry snapshot of the sharded engine, from
-/// [`Simulation::shard_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Active shard count (1 = unsharded).
-    pub shards: usize,
-    /// Epoch barriers taken so far.
-    pub barriers: u64,
-    /// Frames whose audible set spanned more than one shard (mirror
-    /// insertions in the medium's per-shard active lists).
-    pub cross_shard_frames: u64,
-    /// Nodes inside a boundary band at the most recent barrier.
-    pub boundary_nodes: usize,
-}
-
-/// Lane an event is filed into: node-addressed events follow their node's
-/// shard, global events (mobility, faults, observation) live on lane 0.
-/// Pure locality — the queue's pop order is lane-independent.
-fn event_lane(node_shard: &[u8], ev: &Event) -> usize {
-    match *ev {
-        Event::DataGen(i) | Event::MetricTimeout(i) | Event::TxEnd(i, _) => {
-            node_shard.get(i.index()).map_or(0, |&s| s as usize)
-        }
-        Event::Timer(i, _, _) => node_shard.get(i.index()).map_or(0, |&s| s as usize),
-        Event::MobilityTick | Event::Fault(_) | Event::ObserveTick => 0,
-    }
-}
-
 /// A configured, runnable simulation.
 ///
 /// Construct one through [`Simulation::builder`]; the builder is the
@@ -594,7 +518,7 @@ pub struct Simulation {
     protocol: ProtocolParams,
     config: VariantConfig,
     /// The forwarding policy: every protocol decision point dispatches
-    /// through this sealed enum (DESIGN.md § 9).
+    /// through this sealed enum (DESIGN.md § 8).
     policy: Policy,
     /// The policy's MAC-adaptation knobs, cached so the per-event hot
     /// paths read plain bools instead of dispatching.
@@ -603,9 +527,7 @@ pub struct Simulation {
     timing: Timing,
     end: SimTime,
 
-    events: ShardedEventQueue<Event>,
-    /// Spatial sharding runtime; see [`ShardStats`] and DESIGN.md § 8.
-    shards: ShardRuntime,
+    events: EventQueue<Event>,
     nodes: Vec<Node>,
     /// Struct-of-arrays mirror of the hottest per-node fields (epoch, MAC
     /// state tag, ξ); refreshed via [`Self::sync_hot`] after every
@@ -653,7 +575,7 @@ pub struct Simulation {
     /// True once any fault event has fired (gates the
     /// `deliveries_despite_faults` counter).
     fault_regime: bool,
-    /// Per-node behavior assignments (DESIGN.md § 10). All-honest unless a
+    /// Per-node behavior assignments (DESIGN.md § 9). All-honest unless a
     /// [`FaultKind::BehaviorChange`] fires; every adversarial check is
     /// gated on [`BehaviorTable::any`] so quiet runs pay one integer
     /// compare per site and stay bit-identical to the goldens.
@@ -667,18 +589,6 @@ pub struct Simulation {
     /// [`run_profiled`](Self::run_profiled). `None` costs one predictable
     /// branch per event; never serialized (telemetry, not state).
     profile: Option<Box<EventProfile>>,
-
-    /// Within-epoch parallel executor runtime (worker count, interaction-
-    /// quarantine scratch, interval telemetry). Like the shard count, an
-    /// execution knob: never serialized, and results are bit-identical
-    /// for every thread count (DESIGN.md § 8).
-    par: exec::ParRuntime,
-    /// Installed only while the parallel executor's sequential commit
-    /// lane is running an interval: diverts [`sched_at`](Self::sched_at)
-    /// and [`sched_after`](Self::sched_after) into the interval's spawn
-    /// log instead of the global queue. Always `None` between
-    /// [`advance`](Self::advance) calls.
-    seq_lane: Option<Box<exec::SeqLane>>,
 }
 
 /// Configures and constructs a [`Simulation`].
@@ -714,8 +624,6 @@ pub struct SimulationBuilder {
     policy: PolicySpec,
     seed: u64,
     mobility_mode: MobilityMode,
-    shards: usize,
-    threads: usize,
     contact_cache: bool,
     faults: Option<FaultPlan>,
     trace: Option<Box<dyn TraceSink>>,
@@ -752,26 +660,6 @@ impl SimulationBuilder {
     /// randomness order, so lazy runs carry their own baselines.
     pub fn mobility_mode(mut self, mode: MobilityMode) -> Self {
         self.mobility_mode = mode;
-        self
-    }
-
-    /// Sets the spatial shard count (default: 1, clamped to 1..=64 and to
-    /// the grid's column count). Sharding is a pure execution knob: for
-    /// any shard count the run's results are bit-identical to the
-    /// single-shard engine's — the determinism contract DESIGN.md § 8
-    /// documents and `tests/sharded_engine.rs` enforces.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the within-epoch parallel executor's worker count (default:
-    /// 1, fully sequential; clamped to 1..=64). Another pure execution
-    /// knob: results are bit-identical for every thread count. Ignored —
-    /// the run stays sequential — while a trace sink, an observer, or
-    /// the profiler is attached, since those watch individual events.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -857,12 +745,6 @@ impl SimulationBuilder {
         } else {
             sim.trace = self.trace;
         }
-        if self.shards > 1 {
-            sim.set_shards(self.shards);
-        }
-        if self.threads > 1 {
-            sim.set_threads(self.threads);
-        }
         sim
     }
 }
@@ -882,8 +764,6 @@ impl Simulation {
             policy: PolicySpec::Builtin,
             seed: 1,
             mobility_mode: MobilityMode::default(),
-            shards: 1,
-            threads: 1,
             contact_cache: true,
             faults: None,
             trace: None,
@@ -1111,8 +991,7 @@ impl Simulation {
             seed,
             timing,
             end,
-            events: ShardedEventQueue::new(1),
-            shards: ShardRuntime::single(),
+            events: EventQueue::new(),
             nodes,
             hot,
             mobility,
@@ -1139,8 +1018,6 @@ impl Simulation {
             behaviors,
             lifetime,
             profile: None,
-            par: exec::ParRuntime::new(n),
-            seq_lane: None,
         }
     }
 
@@ -1198,9 +1075,9 @@ impl Simulation {
                 let node = &mut self.nodes[i];
                 SimDuration::from_secs_f64(node.rng.gen_exp(self.scenario.data_interval_secs))
             };
-            self.sched_after(first_gen, Event::DataGen(id));
+            self.events.schedule_after(first_gen, Event::DataGen(id));
             let delta = SimDuration::from_secs_f64(self.protocol.xi_timeout_secs);
-            self.sched_after(delta, Event::MetricTimeout(id));
+            self.events.schedule_after(delta, Event::MetricTimeout(id));
         }
     }
 
@@ -1220,50 +1097,8 @@ impl Simulation {
     /// Runs the simulation to its configured end and produces the report.
     #[must_use]
     pub fn run(mut self) -> SimReport {
-        while self.advance() {}
+        while self.step() {}
         self.finish_report()
-    }
-
-    /// Processes the next unit of work — one event on the sequential
-    /// path, one *interval* of events on the parallel path — returning
-    /// `false` when the run is complete. The parallel path engages only
-    /// when [`set_threads`](Self::set_threads) requested more than one
-    /// worker and no trace sink or profiler is attached (both observe
-    /// individual events mid-interval). External drivers that used to
-    /// loop on [`step`](Self::step) should loop on `advance` instead;
-    /// every `advance` boundary is a valid checkpoint instant.
-    pub fn advance(&mut self) -> bool {
-        if self.par.threads > 1 && self.trace.is_none() && self.profile.is_none() {
-            self.step_interval()
-        } else {
-            self.step()
-        }
-    }
-
-    /// Sets the worker count for within-epoch parallel event execution
-    /// (clamped to 1..=64; default 1 = fully sequential). Like the shard
-    /// count, a pure execution knob: results are bit-identical for every
-    /// thread count — the determinism contract DESIGN.md § 8 documents
-    /// and `tests/sharded_engine.rs` plus the `thread_parity` gate
-    /// enforce. Never serialized; resumed checkpoints come up
-    /// single-threaded.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.par.threads = threads.clamp(1, 64);
-    }
-
-    /// The configured parallel-executor worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.par.threads
-    }
-
-    /// Telemetry of the parallel interval executor: interval counts by
-    /// flavor (parallel / fallback / bypass), the parallel-vs-sequential
-    /// event split, spawn accounting, chunk-phase wall time and join-
-    /// barrier stall. Zeroed until the parallel path first engages.
-    #[must_use]
-    pub fn exec_stats(&self) -> &ExecStats {
-        &self.par.stats
     }
 
     /// Runs to completion with per-event-kind wall-time profiling enabled,
@@ -1289,67 +1124,6 @@ impl Simulation {
         self.contacts.as_ref().map(|c| (c.hits, c.misses))
     }
 
-    /// Re-partitions a live simulation onto `shards` spatial shards
-    /// (clamped to 1..=64 and to the grid's column count). Safe at any
-    /// event boundary — including right after resuming a checkpoint, which
-    /// always comes up single-shard because the shard count is an
-    /// execution knob, never serialized state. Pending events are re-filed
-    /// onto their owning lanes with their global order preserved, so the
-    /// run's results do not depend on when (or whether) this is called.
-    ///
-    /// Telemetry across a mid-run flip: `barriers` and
-    /// `cross_shard_frames` are run-lifetime counters and *carry* through
-    /// any re-shard (including a collapse to one shard), so rates stay
-    /// meaningful over the whole run. `boundary_nodes` is a gauge of the
-    /// last barrier's band population and is recomputed immediately for
-    /// the new topology. A checkpoint *resume* is the one boundary that
-    /// zeroes all three — the counters describe this process's execution,
-    /// not simulated history. `tests/sharded_engine.rs` pins this.
-    pub fn set_shards(&mut self, shards: usize) {
-        let carried_barriers = self.shards.barriers;
-        let requested = shards.clamp(1, 64);
-        let map = self.grid.shard_map(requested);
-        if map.shards() <= 1 {
-            self.shards = ShardRuntime::single();
-            self.shards.barriers = carried_barriers;
-            self.events.reshard(1, |_| 0);
-            self.medium.set_sharding(Vec::new(), 1);
-            return;
-        }
-        let count = map.shards();
-        let vmax = self.scenario.speed_max_mps.max(0.2);
-        let range = self.scenario.channel.range_m;
-        let epoch = EpochClock::derive(range, vmax);
-        let band = range + 2.0 * vmax * epoch.lookahead().as_secs_f64();
-        self.shards = ShardRuntime {
-            count,
-            map: Some(map),
-            node_shard: vec![0; self.positions.len()],
-            band_m: band,
-            epoch,
-            next_barrier: epoch.next_barrier(self.now()),
-            barriers: carried_barriers,
-            boundary_nodes: 0,
-        };
-        self.refresh_shard_assignment();
-        let node_shard = self.shards.node_shard.clone();
-        self.events
-            .reshard(count, move |ev| event_lane(&node_shard, ev));
-    }
-
-    /// Telemetry of the sharded engine: shard count, barriers taken,
-    /// cross-shard frame mirrors and the boundary-band population at the
-    /// last barrier. Reads state only.
-    #[must_use]
-    pub fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            shards: self.shards.count,
-            barriers: self.shards.barriers,
-            cross_shard_frames: self.medium.cross_shard_frames(),
-            boundary_nodes: self.shards.boundary_nodes,
-        }
-    }
-
     /// Frames currently on the air: transmissions whose `TxEnd` has not
     /// fired yet. A checkpoint taken while this is nonzero exercises the
     /// mid-frame seam — the snapshot must carry the in-flight state.
@@ -1369,81 +1143,6 @@ impl Simulation {
                 .filter(|&j| c.model_left[j] > 0 || c.applied[j] > 0)
                 .count()
         })
-    }
-
-    /// Recomputes every node's owning shard from its current stored
-    /// position, counts the boundary-band population, and re-installs the
-    /// assignment in the medium (rebuilding its per-shard active lists).
-    /// Stored positions may lag truth by the mode's drift bound; the
-    /// boundary band is sized to absorb exactly that drift, so affinity
-    /// staleness never affects results — only mirror counts.
-    fn refresh_shard_assignment(&mut self) {
-        let ShardRuntime {
-            map,
-            node_shard,
-            band_m,
-            boundary_nodes,
-            ..
-        } = &mut self.shards;
-        let Some(map) = map.as_ref() else {
-            return;
-        };
-        let mut boundary = 0usize;
-        for (j, p) in self.positions.iter().enumerate() {
-            node_shard[j] = map.shard_of(*p) as u8;
-            if map.in_boundary_band(*p, *band_m) {
-                boundary += 1;
-            }
-        }
-        *boundary_nodes = boundary;
-        self.medium.set_sharding(node_shard.clone(), map.shards());
-    }
-
-    /// Takes an epoch barrier if one is due: refreshes shard affinity and
-    /// the medium's boundary mirrors. Events already filed keep their
-    /// lanes — placement is locality, not semantics — so a barrier never
-    /// touches the queue.
-    fn maybe_epoch_barrier(&mut self, now: SimTime) {
-        if self.shards.count <= 1 || now < self.shards.next_barrier {
-            return;
-        }
-        self.refresh_shard_assignment();
-        self.shards.barriers += 1;
-        self.shards.next_barrier = self.shards.epoch.next_barrier(now);
-    }
-
-    /// Files `ev` on its owning shard's lane at `at`. Routing consults the
-    /// affinity table from the last barrier; a stale entry mis-places the
-    /// event on a neighbouring lane, which costs locality and nothing
-    /// else.
-    #[inline]
-    fn sched_at(&mut self, at: SimTime, ev: Event) {
-        if let Some(lane) = self.seq_lane.as_deref_mut() {
-            // Mid-interval on the parallel executor's commit lane: the
-            // spawn goes to the interval log, which either consumes it
-            // within the interval or re-files it at the commit walk with
-            // the exact sequence number the sequential run would have
-            // drawn (world_exec.rs).
-            lane.spawn(at, ev);
-            return;
-        }
-        let lane = event_lane(&self.shards.node_shard, &ev);
-        self.events.schedule_at_on(lane, at, ev);
-    }
-
-    /// [`sched_at`](Self::sched_at) with a relative delay.
-    #[inline]
-    fn sched_after(&mut self, after: SimDuration, ev: Event) {
-        if let Some(lane) = self.seq_lane.as_deref_mut() {
-            // The queue clock sits at the drain horizon during an
-            // interval; "after" is relative to the event being handled,
-            // which the commit lane tracks itself.
-            let at = lane.current_t + after;
-            lane.spawn(at, ev);
-            return;
-        }
-        let lane = event_lane(&self.shards.node_shard, &ev);
-        self.events.schedule_after_on(lane, after, ev);
     }
 
     /// The simulation clock: the time of the most recently processed
@@ -1682,11 +1381,6 @@ impl Simulation {
                 );
                 self.behaviors.set(idx, behavior);
                 self.metrics.faults.behavior_changes += 1;
-                if behavior.is_adversarial() {
-                    // Conservative: an adversary's cycles are never eligible
-                    // for the clean (behavior-blind) parallel partition.
-                    self.par.occupied[idx] = true;
-                }
             }
         }
     }
@@ -1795,24 +1489,20 @@ impl Simulation {
     fn schedule_timer(&mut self, i: NodeId, delay: SimDuration, timer: Timer) {
         debug_assert_eq!(self.hot.epoch[i.index()], self.nodes[i.index()].epoch);
         let epoch = self.hot.epoch[i.index()];
-        self.sched_after(delay, Event::Timer(i, epoch, timer));
+        self.events
+            .schedule_after(delay, Event::Timer(i, epoch, timer));
     }
 
     fn on_mobility_tick(&mut self, now: SimTime) {
-        self.maybe_epoch_barrier(now);
         if let Some(every) = self.lazy.as_ref().map(|l| l.sync_every) {
             // Lazy mode: this tick is a low-rate staleness sweep. Catching
             // every node up to `now` re-establishes the invariant the
             // expanded-radius queries rely on — no stored position lags
             // truth by more than `sync_every · v_max` metres.
-            if self.shards.count > 1 {
-                self.catch_up_all_parallel(now);
-            } else {
-                for j in 0..self.mobility.len() {
-                    self.catch_up_node(j, now);
-                }
+            for j in 0..self.mobility.len() {
+                self.catch_up_node(j, now);
             }
-            self.sched_after(every, Event::MobilityTick);
+            self.events.schedule_after(every, Event::MobilityTick);
             return;
         }
         let dt = self.scenario.mobility_tick_secs;
@@ -1880,10 +1570,7 @@ impl Simulation {
         due.clear();
         coast.wheel[(t % COAST_WHEEL as u64) as usize] = due;
         let tick = SimDuration::from_secs_f64(dt);
-        // Routed through sched_after (not the queue directly) so a tick
-        // handled on the parallel executor's commit lane re-arms itself
-        // relative to the tick instant, not the interval's drain horizon.
-        self.sched_after(tick, Event::MobilityTick);
+        self.events.schedule_after(tick, Event::MobilityTick);
     }
 
     /// Settles every outstanding coast lease so the mobility models' own
@@ -1918,65 +1605,6 @@ impl Simulation {
     /// Advances node `j`'s mobility from its last synced instant to `now`
     /// in one closed-form span, updating its stored position and grid
     /// cell. No-op in Ticked mode and for already-current nodes.
-    /// The staleness sweep fanned out over the shard workers: every lane
-    /// of per-node state (model, RNG, sync stamp, position) is split into
-    /// disjoint contiguous chunks, one scoped thread per shard. Each
-    /// node's advance reads and writes only its own lanes — per-node RNG
-    /// streams are exactly why lazy mode carries `lazy.rngs` — so the
-    /// result is bit-identical to the sequential sweep regardless of
-    /// scheduling. The spatial grid is shared structure, so its bucket
-    /// moves replay sequentially afterwards; `move_node` keeps buckets
-    /// sorted and ignores same-cell moves, making the final grid a pure
-    /// function of the final positions.
-    fn catch_up_all_parallel(&mut self, now: SimTime) {
-        let Simulation {
-            mobility,
-            lazy,
-            positions,
-            grid,
-            shards,
-            ..
-        } = self;
-        let lazy = lazy.as_mut().expect("lazy branch");
-        let n = mobility.len();
-        if n == 0 {
-            return;
-        }
-        let workers = shards.count.min(n);
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut m = mobility.as_mut_slice();
-            let mut r = lazy.rngs.as_mut_slice();
-            let mut s = lazy.synced_at.as_mut_slice();
-            let mut p = positions.as_mut_slice();
-            while !m.is_empty() {
-                let take = chunk.min(m.len());
-                let (m0, m_rest) = m.split_at_mut(take);
-                let (r0, r_rest) = r.split_at_mut(take);
-                let (s0, s_rest) = s.split_at_mut(take);
-                let (p0, p_rest) = p.split_at_mut(take);
-                scope.spawn(move || {
-                    for j in 0..m0.len() {
-                        let dt = now.saturating_since(s0[j]);
-                        if dt.is_zero() {
-                            continue;
-                        }
-                        s0[j] = now;
-                        m0[j].advance_span(dt.as_secs_f64(), &mut r0[j]);
-                        p0[j] = m0[j].position();
-                    }
-                });
-                m = m_rest;
-                r = r_rest;
-                s = s_rest;
-                p = p_rest;
-            }
-        });
-        for (j, p) in positions.iter().enumerate() {
-            grid.move_node(j, *p);
-        }
-    }
-
     fn catch_up_node(&mut self, j: usize, now: SimTime) {
         let Some(lazy) = self.lazy.as_mut() else {
             return;
@@ -2005,7 +1633,7 @@ impl Simulation {
             let node = &mut self.nodes[i.index()];
             SimDuration::from_secs_f64(node.rng.gen_exp(self.scenario.data_interval_secs))
         };
-        self.sched_after(next, Event::DataGen(i));
+        self.events.schedule_after(next, Event::DataGen(i));
     }
 
     fn on_metric_timeout(&mut self, now: SimTime, i: NodeId) {
@@ -2014,7 +1642,7 @@ impl Simulation {
         if !node.alive {
             // ξ is frozen while the node is down; the anchor stays put, so
             // the first timeout after recovery applies every missed window.
-            self.sched_after(delta, Event::MetricTimeout(i));
+            self.events.schedule_after(delta, Event::MetricTimeout(i));
             return;
         }
         // Eq. 1 decays ξ once per *elapsed* Δ window since the last
@@ -2030,9 +1658,9 @@ impl Simulation {
             node.metric.decay_windows(self.protocol.alpha, windows);
             node.xi_anchor = anchor + delta * windows;
             self.sync_hot(i.index());
-            self.sched_after(delta, Event::MetricTimeout(i));
+            self.events.schedule_after(delta, Event::MetricTimeout(i));
         } else {
-            self.sched_at(due, Event::MetricTimeout(i));
+            self.events.schedule_at(due, Event::MetricTimeout(i));
         }
     }
 
@@ -2639,7 +2267,7 @@ impl Simulation {
             &self.scratch.ids,
         );
         let airtime = self.scenario.channel.airtime(bits);
-        self.sched_after(airtime, Event::TxEnd(i, handle));
+        self.events.schedule_after(airtime, Event::TxEnd(i, handle));
     }
 
     fn on_tx_end(&mut self, now: SimTime, i: NodeId, handle: TxHandle) {
@@ -3104,11 +2732,6 @@ impl Simulation {
         // first eviction victim, but it still delivers if its carrier
         // reaches a sink. Purging such copies at insert would let a single
         // multicast annihilate every copy of a message.
-        // Overapproximate queue occupancy for the parallel executor's
-        // interaction quarantine: set on every insert attempt, cleared
-        // lazily at classification when the queue is seen empty. A stale
-        // `true` only costs parallelism, never correctness.
-        self.par.occupied[i.index()] = true;
         let outcome = self.nodes[i.index()].queue.insert(msg);
         match outcome {
             InsertOutcome::Inserted
@@ -3886,35 +3509,5 @@ mod tests {
                 "trial {trial}: battery death must pin the node down"
             );
         }
-    }
-
-    #[test]
-    fn sharded_runs_report_their_topology() {
-        let scenario = ScenarioParams {
-            sensors: 24,
-            sinks: 2,
-            duration_secs: 300,
-            ..ScenarioParams::paper_default()
-        };
-        let sim = Simulation::builder(scenario, ProtocolKind::Opt)
-            .seed(3)
-            .shards(4)
-            .build();
-        let stats = sim.shard_stats();
-        assert!(stats.shards >= 2, "grid too narrow to shard");
-        let report = sim.run();
-        assert!(report.generated > 0);
-    }
-
-    #[test]
-    fn set_shards_back_to_one_restores_the_single_lane_engine() {
-        let mut sim = Simulation::builder(tiny(), ProtocolKind::Opt)
-            .seed(4)
-            .shards(8)
-            .build();
-        sim.set_shards(1);
-        assert_eq!(sim.shard_stats().shards, 1);
-        let report = sim.run();
-        assert!(report.generated > 0);
     }
 }

@@ -1814,10 +1814,7 @@ impl Simulation {
             })
         })?;
 
-        // Restored runs always come up single-lane: the shard count is an
-        // execution knob, not state, so it is never serialized. Callers
-        // re-shard with `set_shards` after resume if they want parallelism.
-        sim.events = ShardedEventQueue::restore(1, now, popped, Vec::new(), |_| 0);
+        sim.events = EventQueue::restore(now, popped, Vec::new());
         let pending_count = r.seq_len()?;
         for _ in 0..pending_count {
             let at = r_time(r)?;
@@ -1880,9 +1877,6 @@ impl Simulation {
             let b = NodeBehavior::from_tag(tag)
                 .ok_or_else(|| CkptError::corrupt(format!("bad NodeBehavior tag {tag}")))?;
             sim.behaviors.set(i, b);
-            if b.is_adversarial() {
-                sim.par.occupied[i] = true;
-            }
         }
         let first = r.option(SnapReader::f64)?;
         let half = r.option(SnapReader::f64)?;

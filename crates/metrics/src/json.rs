@@ -9,6 +9,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so deeper input is rejected with an error
+/// instead of overflowing the stack. Every file the workspace writes
+/// nests at most a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -119,10 +125,16 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonParseError`] locating the first offending byte.
+    /// Returns a [`JsonParseError`] locating the first offending byte,
+    /// including the bracket that nests arrays and objects more than 128
+    /// levels deep.
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -210,6 +222,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -254,12 +268,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -589,6 +617,24 @@ mod tests {
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "no message for {bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        // The error points at the opener one level past the cap.
+        for (deep, at) in [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+            (arrays(200_000), MAX_DEPTH),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+            assert_eq!(err.at, at);
         }
     }
 

@@ -308,155 +308,6 @@ impl SpatialGrid {
         let my = (fy - cy).min(cy + 1.0 - fy) * self.cell;
         mx.min(my).max(0.0)
     }
-
-    /// Builds a [`ShardMap`] partitioning this grid's columns into
-    /// `shards` contiguous vertical bands.
-    #[must_use]
-    pub fn shard_map(&self, shards: usize) -> ShardMap {
-        ShardMap::new(self.area, self.cell, self.cols, shards)
-    }
-}
-
-/// Spatial shard ownership: the grid's columns split into contiguous
-/// vertical bands, one per shard.
-///
-/// Shards are aligned to [`SpatialGrid`] cell columns so a shard owns whole
-/// buckets, never a fraction of one. A shard's *boundary band* is the strip
-/// within `band_m` metres of a band edge; nodes there are visible to (and
-/// mirrored into) the adjacent shard, which is what lets shard-local
-/// structures run an epoch without consulting the rest of the world — a
-/// node deeper than the band cannot interact across the edge within one
-/// conservative-lookahead epoch (see `dftmsn_sim::time::EpochClock`).
-///
-/// The shard of a node is pure *placement*: the engine's determinism
-/// contract guarantees that which shard owns a node never changes simulated
-/// outcomes, so the map may be refreshed lazily (at epoch barriers) from
-/// positions that themselves lag by a bounded drift.
-///
-/// # Examples
-///
-/// ```
-/// use dftmsn_mobility::geom::{Bounds, Vec2};
-/// use dftmsn_mobility::grid_index::ShardMap;
-///
-/// let map = ShardMap::new(Bounds::new(100.0, 100.0), 10.0, 10, 4);
-/// assert_eq!(map.shards(), 4);
-/// assert_eq!(map.shard_of(Vec2::new(5.0, 50.0)), 0);
-/// assert_eq!(map.shard_of(Vec2::new(95.0, 50.0)), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    area: Bounds,
-    cell: f64,
-    cols: usize,
-    shards: usize,
-    /// `col_shard[c]` is the shard owning grid column `c`.
-    col_shard: Vec<u8>,
-    /// Per-shard `[first_col, last_col]` (inclusive) of the owned band.
-    spans: Vec<(usize, usize)>,
-}
-
-impl ShardMap {
-    /// Partitions `cols` grid columns of side `cell` over `area` into
-    /// `shards` near-equal contiguous bands. The shard count is clamped to
-    /// the column count (a band must own at least one column) and to 256
-    /// (`u8` shard ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or `cell` is not positive and finite.
-    #[must_use]
-    pub fn new(area: Bounds, cell: f64, cols: usize, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard");
-        assert!(cell.is_finite() && cell > 0.0, "invalid cell size {cell}");
-        let cols = cols.max(1);
-        let shards = shards.min(cols).min(256);
-        let mut col_shard = vec![0u8; cols];
-        let mut spans = Vec::with_capacity(shards);
-        // Balanced split: the first `cols % shards` bands get one extra
-        // column. Deterministic in (cols, shards) alone.
-        let base = cols / shards;
-        let extra = cols % shards;
-        let mut col = 0usize;
-        for s in 0..shards {
-            let width = base + usize::from(s < extra);
-            let first = col;
-            let last = col + width - 1;
-            for owner in &mut col_shard[first..=last] {
-                *owner = s as u8;
-            }
-            spans.push((first, last));
-            col = last + 1;
-        }
-        ShardMap {
-            area,
-            cell,
-            cols,
-            shards,
-            col_shard,
-            spans,
-        }
-    }
-
-    /// Number of shards (after clamping to the column count).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning position `p` (positions outside the area clamp to
-    /// the nearest column, like the grid itself).
-    #[must_use]
-    pub fn shard_of(&self, p: Vec2) -> usize {
-        usize::from(self.col_shard[self.col_of(p)])
-    }
-
-    /// The shard owning grid column `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    #[must_use]
-    pub fn shard_of_col(&self, col: usize) -> usize {
-        usize::from(self.col_shard[col])
-    }
-
-    /// True when `p` lies within `band_m` metres of an edge shared with an
-    /// adjacent shard — the boundary band whose contents must be mirrored
-    /// across that edge for one lookahead epoch.
-    #[must_use]
-    pub fn in_boundary_band(&self, p: Vec2, band_m: f64) -> bool {
-        let s = self.shard_of(p);
-        let (first, last) = self.spans[s];
-        let x = p.x - self.area.x0;
-        if s > 0 {
-            let left_edge = first as f64 * self.cell;
-            if x - left_edge < band_m {
-                return true;
-            }
-        }
-        if s + 1 < self.shards {
-            let right_edge = (last + 1) as f64 * self.cell;
-            if right_edge - x < band_m {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The `[first_col, last_col]` column span owned by shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn span(&self, s: usize) -> (usize, usize) {
-        self.spans[s]
-    }
-
-    fn col_of(&self, p: Vec2) -> usize {
-        (((p.x - self.area.x0) / self.cell) as isize).clamp(0, self.cols as isize - 1) as usize
-    }
 }
 
 #[cfg(test)]
@@ -710,77 +561,5 @@ mod tests {
         grid.rebuild(&positions[..1]);
         let mut out = Vec::new();
         grid.query_within(&positions, 0, 5.0, &mut out);
-    }
-
-    #[test]
-    fn shard_map_covers_all_columns_contiguously() {
-        for cols in [1usize, 3, 7, 10, 64] {
-            for shards in [1usize, 2, 3, 8, 100] {
-                let map = ShardMap::new(Bounds::new(cols as f64 * 5.0, 50.0), 5.0, cols, shards);
-                assert!(map.shards() >= 1 && map.shards() <= shards.min(cols));
-                // Every column owned, shard ids non-decreasing left→right,
-                // every shard owns at least one column.
-                let mut last = 0usize;
-                let mut seen = vec![false; map.shards()];
-                for c in 0..cols {
-                    let s = map.shard_of_col(c);
-                    assert!(s >= last, "shard ids must be monotone");
-                    assert!(s < map.shards());
-                    seen[s] = true;
-                    last = s;
-                }
-                assert!(seen.iter().all(|&b| b), "empty shard band");
-                // Spans agree with the per-column table.
-                for s in 0..map.shards() {
-                    let (first, last_col) = map.span(s);
-                    assert_eq!(map.shard_of_col(first), s);
-                    assert_eq!(map.shard_of_col(last_col), s);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_matches_grid_bucketing() {
-        let area = Bounds::new(100.0, 80.0);
-        let grid = SpatialGrid::new(area, 10.0);
-        let map = grid.shard_map(4);
-        // A position's shard is the shard of its grid column, including
-        // out-of-area clamping.
-        for &(x, y) in &[
-            (0.0, 0.0),
-            (49.9, 70.0),
-            (50.1, 3.0),
-            (99.9, 79.9),
-            (-5.0, 5.0),
-        ] {
-            let p = Vec2::new(x, y);
-            let col = (((x) / 10.0) as isize).clamp(0, 9) as usize;
-            assert_eq!(map.shard_of(p), map.shard_of_col(col));
-        }
-    }
-
-    #[test]
-    fn boundary_band_flags_only_near_shared_edges() {
-        // 10 columns of 10 m, 2 shards: the shared edge is at x = 50.
-        let map = ShardMap::new(Bounds::new(100.0, 100.0), 10.0, 10, 2);
-        let band = 4.0;
-        assert!(map.in_boundary_band(Vec2::new(47.0, 10.0), band));
-        assert!(map.in_boundary_band(Vec2::new(53.0, 10.0), band));
-        assert!(!map.in_boundary_band(Vec2::new(40.0, 10.0), band));
-        assert!(!map.in_boundary_band(Vec2::new(60.0, 10.0), band));
-        // The outer walls are not shard edges: nothing to mirror there.
-        assert!(!map.in_boundary_band(Vec2::new(1.0, 10.0), band));
-        assert!(!map.in_boundary_band(Vec2::new(99.0, 10.0), band));
-    }
-
-    #[test]
-    fn single_shard_has_no_boundary() {
-        let map = ShardMap::new(Bounds::new(100.0, 100.0), 10.0, 10, 1);
-        for x in 0..10 {
-            let p = Vec2::new(x as f64 * 10.0 + 5.0, 50.0);
-            assert_eq!(map.shard_of(p), 0);
-            assert!(!map.in_boundary_band(p, 1000.0));
-        }
     }
 }

@@ -155,20 +155,6 @@ pub struct Medium<P> {
     spare_audible: Vec<Vec<NodeId>>,
     next_id: u64,
     counters: MediumCounters,
-    /// Shard refinement of the active set: node→shard assignment (empty
-    /// when the medium is unsharded) as maintained by the world engine at
-    /// epoch barriers. Purely an index refinement — audibility semantics
-    /// never consult it — so assignments may lag true positions by the
-    /// boundary-band drift bound.
-    shard_assign: Vec<u8>,
-    /// Per-shard lists of active transmission ids audible somewhere in the
-    /// shard (the source's shard included). A frame spanning `k` shards
-    /// appears in all `k` lists; the `k − 1` mirrors are the cross-shard
-    /// frames the epoch barrier exchanges.
-    shard_active: Vec<Vec<u64>>,
-    /// Lifetime count of boundary mirrors: one per extra shard an active
-    /// transmission had to be announced into.
-    cross_shard_frames: u64,
 }
 
 impl<P: Clone> Medium<P> {
@@ -183,112 +169,7 @@ impl<P: Clone> Medium<P> {
             spare_audible: Vec::new(),
             next_id: 0,
             counters: MediumCounters::default(),
-            shard_assign: Vec::new(),
-            shard_active: Vec::new(),
-            cross_shard_frames: 0,
         }
-    }
-
-    /// Installs (or refreshes) the node→shard assignment and rebuilds the
-    /// per-shard active lists from the transmissions currently in flight.
-    /// Passing an empty assignment disables sharding. Called by the world
-    /// engine at epoch barriers; between barriers the assignment may go
-    /// stale by at most the boundary-band drift bound, which the band
-    /// width absorbs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length is neither zero nor the node count,
-    /// or any shard id is `≥ shards` or `≥ 64` (the mirror bitmap width).
-    pub fn set_sharding(&mut self, assign: Vec<u8>, shards: usize) {
-        assert!(
-            assign.is_empty() || assign.len() == self.listening.len(),
-            "shard assignment length mismatch"
-        );
-        assert!(shards <= 64, "medium sharding supports at most 64 shards");
-        assert!(
-            assign.iter().all(|&s| usize::from(s) < shards.max(1)),
-            "shard id out of range"
-        );
-        self.shard_assign = assign;
-        self.shard_active = vec![
-            Vec::new();
-            if self.shard_assign.is_empty() {
-                0
-            } else {
-                shards
-            }
-        ];
-        if self.shard_assign.is_empty() {
-            return;
-        }
-        // Rebuild in id order so the derived lists are deterministic.
-        let mut ids: Vec<u64> = self.active.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let tx = &self.active[&id];
-            let mask = self.shard_mask(tx.frame.src, &tx.audible);
-            self.file_shard_mask(id, mask, false);
-        }
-    }
-
-    /// Bitmap of the shards an active transmission touches. Empty when
-    /// unsharded.
-    fn shard_mask(&self, src: NodeId, audible: &[NodeId]) -> u64 {
-        if self.shard_assign.is_empty() {
-            return 0;
-        }
-        let mut mask = 1u64 << self.shard_assign[src.index()];
-        for r in audible {
-            mask |= 1u64 << self.shard_assign[r.index()];
-        }
-        mask
-    }
-
-    /// Files `id` into every shard list in `mask`; when `count_mirrors` is
-    /// set, mirrors beyond the first shard bump the cross-shard counter.
-    fn file_shard_mask(&mut self, id: u64, mask: u64, count_mirrors: bool) {
-        if mask == 0 {
-            return;
-        }
-        let mut m = mask;
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            self.shard_active[s].push(id);
-            m &= m - 1;
-        }
-        if count_mirrors {
-            self.cross_shard_frames += u64::from(mask.count_ones().saturating_sub(1));
-        }
-    }
-
-    /// Unfiles `id` from every shard list in `mask`.
-    fn unfile_shard_mask(&mut self, id: u64, mask: u64) {
-        let mut m = mask;
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            let list = &mut self.shard_active[s];
-            let slot = list
-                .iter()
-                .position(|&x| x == id)
-                .expect("active transmission filed in its shard list");
-            list.swap_remove(slot);
-            m &= m - 1;
-        }
-    }
-
-    /// Active transmissions currently audible somewhere in shard `s`
-    /// (boundary mirrors included). Zero for every shard when unsharded.
-    #[must_use]
-    pub fn shard_active_len(&self, s: usize) -> usize {
-        self.shard_active.get(s).map_or(0, Vec::len)
-    }
-
-    /// Lifetime count of boundary mirrors — the cross-shard frame
-    /// announcements an epoch-barrier exchange would have carried.
-    #[must_use]
-    pub fn cross_shard_frames(&self) -> u64 {
-        self.cross_shard_frames
     }
 
     /// Transmissions currently in flight (begun but not yet ended).
@@ -324,28 +205,6 @@ impl<P: Clone> Medium<P> {
     #[must_use]
     pub fn is_listening(&self, node: NodeId) -> bool {
         self.listening[node.index()]
-    }
-
-    /// The listening flags as one mutable lane, for partitioning into
-    /// disjoint per-worker chunks (`split_at_mut`) by the parallel epoch
-    /// executor. This is the only medium state a *radio-quiet* node's
-    /// wake/sleep cycle touches: such a node has no reception in progress
-    /// and nothing audible, so flipping its flag here is exactly
-    /// [`set_listening`](Self::set_listening) (whose rx-abort is a no-op).
-    /// Callers must uphold that contract — flip only nodes for which
-    /// [`is_radio_quiet`](Self::is_radio_quiet) holds.
-    pub fn listening_mut(&mut self) -> &mut [bool] {
-        &mut self.listening
-    }
-
-    /// True when the medium holds no per-node state for `i` beyond the
-    /// listening flag: nothing audible at the node and no reception in
-    /// progress. The parallel epoch executor only takes nodes that are
-    /// radio-quiet (and provably stay so for the interval) onto worker
-    /// threads.
-    #[must_use]
-    pub fn is_radio_quiet(&self, i: usize) -> bool {
-        self.audible_at[i].is_empty() && self.rx[i].is_none()
     }
 
     /// Carrier sense: is any transmission audible at `node` right now?
@@ -413,8 +272,6 @@ impl<P: Clone> Medium<P> {
                 }
             }
         }
-        let shard_mask = self.shard_mask(frame.src, audible);
-        self.file_shard_mask(id, shard_mask, true);
         let mut audible_list = self.spare_audible.pop().unwrap_or_default();
         audible_list.extend_from_slice(audible);
         self.active.insert(
@@ -439,8 +296,6 @@ impl<P: Clone> Medium<P> {
             .remove(&handle.0)
             .expect("end_tx on unknown or already-ended transmission");
         debug_assert!(now >= tx.start, "transmission ends before it starts");
-        let shard_mask = self.shard_mask(tx.frame.src, &tx.audible);
-        self.unfile_shard_mask(handle.0, shard_mask);
         let mut delivered_to = Vec::new();
         let mut collided_at = Vec::new();
         for &r in &tx.audible {
@@ -544,12 +399,6 @@ impl<P: Clone> Medium<P> {
             spare_audible: Vec::new(),
             next_id: state.next_id,
             counters: state.counters,
-            // Restored media come up unsharded; the engine re-installs the
-            // assignment (and rebuilds the per-shard lists) on its first
-            // epoch barrier. Mirror counters are telemetry, not state.
-            shard_assign: Vec::new(),
-            shard_active: Vec::new(),
-            cross_shard_frames: 0,
         }
     }
 }
@@ -713,57 +562,6 @@ mod tests {
         assert_eq!(m.end_tx(t(9), b), restored.end_tx(t(9), b2));
         assert_eq!(restored.counters(), m.counters());
         assert!(!restored.carrier_sensed(NodeId(2)));
-    }
-
-    #[test]
-    fn shard_lists_track_active_transmissions_with_mirrors() {
-        let mut m: Medium<u32> = Medium::new(4);
-        // Nodes 0,1 in shard 0; nodes 2,3 in shard 1.
-        m.set_sharding(vec![0, 0, 1, 1], 2);
-        m.set_listening(NodeId(1), true);
-        m.set_listening(NodeId(2), true);
-        // Local frame: 0 → 1, shard 0 only.
-        let a = m.begin_tx(t(0), frame(0, 1), &[NodeId(1)]);
-        assert_eq!(m.shard_active_len(0), 1);
-        assert_eq!(m.shard_active_len(1), 0);
-        assert_eq!(m.cross_shard_frames(), 0);
-        // Boundary frame: 1 → 2 spans both shards, one mirror.
-        let b = m.begin_tx(t(1), frame(1, 2), &[NodeId(2)]);
-        assert_eq!(m.shard_active_len(0), 2);
-        assert_eq!(m.shard_active_len(1), 1);
-        assert_eq!(m.cross_shard_frames(), 1);
-        m.end_tx(t(5), a);
-        assert_eq!(m.shard_active_len(0), 1);
-        m.end_tx(t(6), b);
-        assert_eq!(m.shard_active_len(0), 0);
-        assert_eq!(m.shard_active_len(1), 0);
-        // Unsharded media report empty shard lists.
-        let plain: Medium<u32> = Medium::new(2);
-        assert_eq!(plain.shard_active_len(0), 0);
-    }
-
-    #[test]
-    fn resharding_mid_flight_rebuilds_the_lists() {
-        let mut m: Medium<u32> = Medium::new(4);
-        m.set_sharding(vec![0, 0, 1, 1], 2);
-        m.set_listening(NodeId(3), true);
-        let tx = m.begin_tx(t(0), frame(2, 9), &[NodeId(3)]);
-        assert_eq!(m.shard_active_len(1), 1);
-        // Nodes drift: 2 and 3 now belong to shard 0. The refreshed lists
-        // must agree with the new assignment, and end_tx must unfile
-        // cleanly under it.
-        m.set_sharding(vec![0, 0, 0, 0], 2);
-        assert_eq!(m.shard_active_len(0), 1);
-        assert_eq!(m.shard_active_len(1), 0);
-        let out = m.end_tx(t(5), tx);
-        assert_eq!(out.delivered_to, vec![NodeId(3)]);
-        assert_eq!(m.shard_active_len(0), 0);
-        // Disabling sharding clears the refinement entirely.
-        m.set_sharding(Vec::new(), 1);
-        let tx2 = m.begin_tx(t(6), frame(0, 1), &[NodeId(3)]);
-        assert_eq!(m.shard_active_len(0), 0);
-        assert_eq!(m.cross_shard_frames(), 0); // 2 → 3 never crossed shards
-        m.end_tx(t(7), tx2);
     }
 
     #[test]

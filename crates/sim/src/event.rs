@@ -218,23 +218,13 @@ impl<E> EventQueue<E> {
     /// exactly at `now` is allowed and fires after already-queued events at
     /// the same instant.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventToken {
-        let seq = self.next_seq;
-        self.schedule_at_seq(at, payload, seq)
-    }
-
-    /// Schedules `payload` at `at` under an externally supplied sequence
-    /// number. [`ShardedEventQueue`] issues sequence numbers from one
-    /// global counter so same-instant events keep scheduling order across
-    /// lanes; within one queue the number must never move backwards (the
-    /// queue's own counter is advanced past it).
-    fn schedule_at_seq(&mut self, at: SimTime, payload: E, seq: u64) -> EventToken {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        debug_assert!(seq >= self.next_seq, "sequence number regression");
-        self.next_seq = seq + 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize].payload = Some(payload);
@@ -424,27 +414,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Like [`peek_time`](Self::peek_time), but also exposes the sequence
-    /// number of the next live event — the full `(time, seq)` ordering key
-    /// the lane-merge in [`ShardedEventQueue`] selects on.
-    #[must_use]
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            while self.cur_idx < self.cur.len() {
-                let entry = self.cur[self.cur_idx];
-                if self.slots[entry.slot as usize].gen != entry.gen {
-                    self.cur_idx += 1;
-                    continue;
-                }
-                return Some((entry.at, entry.seq));
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
-    }
-
-    /// Live entries in firing order, for internal merging/draining.
+    /// Live entries in firing order.
     ///
     /// The wheel already orders its buckets: the unserved tail of `cur` is
     /// sorted and lies at or before `base`; each level's occupied slots are
@@ -470,15 +440,15 @@ impl<E> EventQueue<E> {
         entries
     }
 
-    /// Calls `f` on every live pending event, with its sequence number, in
-    /// firing order.
-    fn visit_pending<'a>(&'a self, mut f: impl FnMut(SimTime, u64, &'a E)) {
+    /// Calls `f` on every live pending event in firing order — the order
+    /// of [`pending`](Self::pending) without collecting it.
+    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(SimTime, &'a E)) {
         for e in self.live_entries() {
             let payload = self.slots[e.slot as usize]
                 .payload
                 .as_ref()
                 .expect("live slot has a payload");
-            f(e.at, e.seq, payload);
+            f(e.at, payload);
         }
     }
 
@@ -490,29 +460,8 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn pending(&self) -> Vec<(SimTime, &E)> {
         let mut out = Vec::with_capacity(self.live);
-        self.visit_pending(|at, _, e| out.push((at, e)));
+        self.for_each_pending(|at, e| out.push((at, e)));
         out
-    }
-
-    /// Removes every live event and returns them with their keys, in
-    /// firing order. Used by [`ShardedEventQueue::reshard`] to re-file a
-    /// lane's contents under a new lane layout without disturbing the
-    /// global `(time, seq)` order.
-    fn drain_pending(&mut self) -> Vec<(SimTime, u64, E)> {
-        let entries = self.live_entries();
-        let drained = entries
-            .into_iter()
-            .map(|e| {
-                let slot = &mut self.slots[e.slot as usize];
-                let payload = slot.payload.take().expect("live slot has a payload");
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(e.slot);
-                (e.at, e.seq, payload)
-            })
-            .collect();
-        self.live = 0;
-        self.clear();
-        drained
     }
 
     /// Rebuilds a queue from checkpointed state: the clock at `now`, the
@@ -564,345 +513,6 @@ impl<E> EventQueue<E> {
             }
         }
         self.live = 0;
-    }
-}
-
-/// A deterministic future-event list split across per-shard timing-wheel
-/// lanes.
-///
-/// Each lane is a full [`EventQueue`] (its own hierarchical wheel, slab and
-/// overflow heap); sequence numbers come from **one global counter** shared
-/// by every lane. [`pop`](Self::pop) serves the minimum `(time, seq)` over
-/// the lane heads, and since each lane pops its own contents in `(time,
-/// seq)` order, the global pop order is the order of a single queue holding
-/// every event — *for any assignment of events to lanes*. That is the
-/// determinism contract of the sharded world engine: the lane an event is
-/// filed into is pure placement (cache locality, per-shard telemetry), never
-/// semantics, so `shards = N` replays bit-identically to `shards = 1`.
-///
-/// Cancellation is not exposed: the simulator's timers are epoch-guarded
-/// (implicitly cancelled by a staleness check at fire time), so the sharded
-/// queue does not need to route tokens back to their lane.
-///
-/// # Examples
-///
-/// ```
-/// use dftmsn_sim::event::ShardedEventQueue;
-/// use dftmsn_sim::time::SimTime;
-///
-/// let mut q = ShardedEventQueue::new(4);
-/// q.schedule_at_on(3, SimTime::from_secs(2), "second");
-/// q.schedule_at_on(0, SimTime::from_secs(1), "first");
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "second")));
-/// ```
-#[derive(Debug)]
-pub struct ShardedEventQueue<E> {
-    lanes: Vec<EventQueue<E>>,
-    /// The global sequence counter all lanes share.
-    next_seq: u64,
-    now: SimTime,
-    popped: u64,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Creates an empty queue with `lanes` lanes (at least one) and the
-    /// clock at [`SimTime::ZERO`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes >= 1, "a sharded queue needs at least one lane");
-        ShardedEventQueue {
-            lanes: (0..lanes).map(|_| EventQueue::new()).collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-        }
-    }
-
-    /// Number of lanes.
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Live events currently filed in `lane` (telemetry).
-    #[must_use]
-    pub fn lane_len(&self, lane: usize) -> usize {
-        self.lanes[lane].len()
-    }
-
-    /// The current simulation instant (the firing time of the most
-    /// recently popped event, across all lanes).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of live scheduled events across all lanes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(EventQueue::len).sum()
-    }
-
-    /// True when no live events remain in any lane.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(EventQueue::is_empty)
-    }
-
-    /// Total events popped over the queue's lifetime.
-    #[must_use]
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Schedules `payload` at the absolute instant `at` in `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before [`now`](Self::now) or `lane` is out of
-    /// range.
-    pub fn schedule_at_on(&mut self, lane: usize, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // The lane's own clock lags the global clock (it only advances when
-        // the lane is popped from), so its past-scheduling assert is
-        // subsumed by the one above.
-        let _ = self.lanes[lane].schedule_at_seq(at, payload, seq);
-    }
-
-    /// Schedules `payload` after the relative delay `after` in `lane`.
-    pub fn schedule_after_on(&mut self, lane: usize, after: SimDuration, payload: E) {
-        let at = self.now + after;
-        self.schedule_at_on(lane, at, payload);
-    }
-
-    /// Schedules at an absolute instant in lane 0 (convenience for events
-    /// with no owning shard).
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
-        self.schedule_at_on(0, at, payload);
-    }
-
-    /// Schedules after a relative delay in lane 0.
-    pub fn schedule_after(&mut self, after: SimDuration, payload: E) {
-        self.schedule_after_on(0, after, payload);
-    }
-
-    /// Pops the earliest live event across all lanes, advancing the clock
-    /// to its instant. Ties are impossible: sequence numbers are globally
-    /// unique.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some((t, s)) = lane.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, k));
-                }
-            }
-        }
-        let (_, _, k) = best?;
-        let (t, payload) = self.lanes[k].pop().expect("peeked lane has an event");
-        self.now = t;
-        self.popped += 1;
-        Some((t, payload))
-    }
-
-    /// Pops the earliest live event like [`pop`](Self::pop), also returning
-    /// its global sequence number. The parallel epoch executor drains with
-    /// this so it can (a) merge drained events against interval-local
-    /// spawns by the exact `(time, seq)` key the sequential engine uses,
-    /// and (b) prove its commit-time renumbering reproduced the sequential
-    /// counter stream.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some((t, s)) = lane.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, k));
-                }
-            }
-        }
-        let (_, s, k) = best?;
-        let (t, payload) = self.lanes[k].pop().expect("peeked lane has an event");
-        self.now = t;
-        self.popped += 1;
-        Some((t, s, payload))
-    }
-
-    /// The `(time, seq)` key of the next live event without popping it.
-    #[must_use]
-    pub fn peek_next_key(&mut self) -> Option<(SimTime, u64)> {
-        self.lanes.iter_mut().filter_map(EventQueue::peek_key).min()
-    }
-
-    /// Draws the next global sequence number without filing an event.
-    ///
-    /// This is the commit half of the parallel epoch executor's
-    /// provisional-sequence scheme: workers record spawns against
-    /// provisional ids, and the commit walk replays them in the exact
-    /// order a sequential run would have reached each scheduling call,
-    /// drawing the real sequence numbers here. After the walk the counter
-    /// is bit-identical to the sequential run's.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Files `payload` at `at` in `lane` under an externally drawn `seq`
-    /// (from [`alloc_seq`](Self::alloc_seq)). Pairs with the commit walk:
-    /// events spawned during a parallel interval but due after it are
-    /// parked, renumbered in sequential order, and re-filed through here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before [`now`](Self::now), `lane` is out of
-    /// range, or `seq` was not previously drawn from the global counter.
-    pub fn schedule_preassigned(&mut self, lane: usize, at: SimTime, payload: E, seq: u64) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        assert!(seq < self.next_seq, "preassigned seq {seq} was never drawn");
-        let _ = self.lanes[lane].schedule_at_seq(at, payload, seq);
-    }
-
-    /// Accounts for `n` events consumed outside the queue (spawned and
-    /// executed entirely within a parallel interval, so never filed). Keeps
-    /// the lifetime [`popped`](Self::popped) counter — and everything
-    /// derived from it, down to checkpoint bytes — identical to a
-    /// sequential run that filed and popped them.
-    pub fn note_external_pops(&mut self, n: u64) {
-        self.popped += n;
-    }
-
-    /// Advances the queue clock to `t` without popping anything. The
-    /// parallel interval executor calls this after its commit walk when
-    /// the latest event it consumed out-of-queue (a spawned event executed
-    /// inside the interval) lies past the last *drained* event, so the
-    /// clock matches the sequential run's "time of the most recently
-    /// processed event" exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` would move the clock backwards.
-    pub fn advance_now(&mut self, t: SimTime) {
-        assert!(t >= self.now, "advance_now cannot rewind the clock");
-        self.now = t;
-    }
-
-    /// The instant of the next live event without popping it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.lanes
-            .iter_mut()
-            .filter_map(EventQueue::peek_key)
-            .min()
-            .map(|(t, _)| t)
-    }
-
-    /// Every live pending event as `(firing time, payload)` references in
-    /// global firing order, for checkpointing. The lane split is *not*
-    /// part of the queue's logical contents — restoring the same list into
-    /// any lane layout replays identically.
-    #[must_use]
-    pub fn pending(&self) -> Vec<(SimTime, &E)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_pending(|at, e| out.push((at, e)));
-        out
-    }
-
-    /// Calls `f` on every live pending event in global firing order — the
-    /// order of [`pending`](Self::pending) without collecting it. A
-    /// single lane is visited straight off its wheel; several lanes are
-    /// merged by their global `(time, seq)` keys.
-    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(SimTime, &'a E)) {
-        if let [lane] = self.lanes.as_slice() {
-            lane.visit_pending(|at, _, e| f(at, e));
-            return;
-        }
-        let mut all: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.len());
-        for lane in &self.lanes {
-            lane.visit_pending(|at, seq, e| all.push((at, seq, e)));
-        }
-        all.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        for (at, _, e) in all {
-            f(at, e);
-        }
-    }
-
-    /// Rebuilds a queue from checkpointed state: `lanes` lanes, the clock
-    /// at `now`, the lifetime pop counter at `popped`, and `events` pending
-    /// in firing order (as produced by [`pending`](Self::pending)).
-    /// `route` picks the lane each restored event is filed into; per the
-    /// lane-placement contract it affects locality only, never replay
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, any event fires before `now`, or `route`
-    /// returns an out-of-range lane.
-    #[must_use]
-    pub fn restore(
-        lanes: usize,
-        now: SimTime,
-        popped: u64,
-        events: Vec<(SimTime, E)>,
-        mut route: impl FnMut(&E) -> usize,
-    ) -> Self {
-        let mut q = Self::new(lanes);
-        q.now = now;
-        q.popped = popped;
-        for lane in &mut q.lanes {
-            lane.now = now;
-            lane.base = now.ticks() >> GRAN_BITS;
-        }
-        for (at, payload) in events {
-            let lane = route(&payload);
-            q.schedule_at_on(lane, at, payload);
-        }
-        q
-    }
-
-    /// Re-files every pending event into a fresh `lanes`-lane layout,
-    /// preserving each event's global sequence number — and therefore the
-    /// exact replay order. Used when the shard count of a live simulation
-    /// changes (e.g. after resuming a checkpoint onto a different core
-    /// count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or `route` returns an out-of-range lane.
-    pub fn reshard(&mut self, lanes: usize, mut route: impl FnMut(&E) -> usize) {
-        assert!(lanes >= 1, "a sharded queue needs at least one lane");
-        let mut all: Vec<(SimTime, u64, E)> = Vec::with_capacity(self.len());
-        for lane in &mut self.lanes {
-            all.append(&mut lane.drain_pending());
-        }
-        // File in ascending sequence order: each lane's internal counter
-        // only moves forward, and the firing order is carried entirely by
-        // the preserved `(time, seq)` keys.
-        all.sort_unstable_by_key(|&(_, s, _)| s);
-        let mut fresh: Vec<EventQueue<E>> = (0..lanes).map(|_| EventQueue::new()).collect();
-        for lane in &mut fresh {
-            lane.now = self.now;
-            lane.base = self.now.ticks() >> GRAN_BITS;
-        }
-        self.lanes = fresh;
-        for (at, seq, payload) in all {
-            let lane = route(&payload);
-            let _ = self.lanes[lane].schedule_at_seq(at, payload, seq);
-        }
     }
 }
 
@@ -1416,127 +1026,6 @@ mod tests {
             let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// A tiny deterministic LCG for driving the sharded differential tests
-    /// without pulling in the rng module.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    #[test]
-    fn sharded_matches_single_queue_for_any_lane_assignment() {
-        // The same schedule/pop interleaving driven through a plain queue
-        // and through sharded queues with 1..=5 lanes under a pseudo-random
-        // lane assignment: pop order must be bit-identical throughout.
-        for lanes in 1..=5usize {
-            let mut single = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(lanes);
-            let mut state = 0x5eed_0000 + lanes as u64;
-            let mut popped_single = Vec::new();
-            let mut popped_sharded = Vec::new();
-            for round in 0..200u64 {
-                // A burst of schedules, many sharing the same instant so the
-                // global FIFO tiebreak is exercised across lanes.
-                for k in 0..4u64 {
-                    let t = single.now().ticks() + lcg(&mut state) % 5_000;
-                    let at = SimTime::from_ticks(t);
-                    let lane = (lcg(&mut state) as usize) % lanes;
-                    let id = round * 10 + k;
-                    single.schedule_at(at, id);
-                    sharded.schedule_at_on(lane, at, id);
-                }
-                assert_eq!(single.peek_time(), sharded.peek_time());
-                for _ in 0..3 {
-                    popped_single.push(single.pop());
-                    popped_sharded.push(sharded.pop());
-                }
-                assert_eq!(popped_single, popped_sharded);
-                assert_eq!(single.now(), sharded.now());
-                assert_eq!(single.len(), sharded.len());
-            }
-            // Drain: the tails must agree too.
-            loop {
-                let (a, b) = (single.pop(), sharded.pop());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(single.popped(), sharded.popped());
-        }
-    }
-
-    #[test]
-    fn sharded_same_instant_events_fire_in_scheduling_order_across_lanes() {
-        let mut q = ShardedEventQueue::new(3);
-        let at = SimTime::from_secs(1);
-        q.schedule_at_on(2, at, "a");
-        q.schedule_at_on(0, at, "b");
-        q.schedule_at_on(1, at, "c");
-        assert_eq!(q.pop(), Some((at, "a")));
-        assert_eq!(q.pop(), Some((at, "b")));
-        assert_eq!(q.pop(), Some((at, "c")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_pending_is_globally_ordered_and_restore_replays() {
-        let mut q = ShardedEventQueue::new(4);
-        let mut state = 77u64;
-        for i in 0..50u32 {
-            let at = SimTime::from_ticks(lcg(&mut state) % 10_000);
-            q.schedule_at_on((i as usize) % 4, at, i);
-        }
-        // Consume a prefix, snapshot the rest.
-        for _ in 0..20 {
-            q.pop();
-        }
-        let pending: Vec<(SimTime, u32)> = q.pending().iter().map(|&(t, e)| (t, *e)).collect();
-        let mut restored =
-            ShardedEventQueue::restore(2, q.now(), q.popped(), pending, |e| (*e as usize) % 2);
-        assert_eq!(restored.popped(), q.popped());
-        loop {
-            let (a, b) = (q.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_reshard_preserves_replay_order() {
-        let mut a = ShardedEventQueue::new(1);
-        let mut b = ShardedEventQueue::new(1);
-        let mut state = 99u64;
-        for i in 0..80u32 {
-            let at = SimTime::from_ticks(lcg(&mut state) % 20_000);
-            a.schedule_at_on(0, at, i);
-            b.schedule_at_on(0, at, i);
-        }
-        for _ in 0..10 {
-            assert_eq!(a.pop(), b.pop());
-        }
-        // Live reshard of `b` onto 6 lanes mid-run must not perturb replay.
-        b.reshard(6, |e| (*e as usize) % 6);
-        assert_eq!(b.lane_count(), 6);
-        let mut state2 = 123u64;
-        for i in 100..140u32 {
-            let at_a = a.now().ticks() + lcg(&mut state2) % 9_000;
-            a.schedule_at(SimTime::from_ticks(at_a), i);
-            b.schedule_at_on((i as usize) % 6, SimTime::from_ticks(at_a), i);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
                 break;
             }
         }

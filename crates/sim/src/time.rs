@@ -247,83 +247,6 @@ impl Div<u64> for SimDuration {
     }
 }
 
-/// The conservative-lookahead epoch clock of the sharded world engine.
-///
-/// Spatial shards can run decoupled for as long as no node can move far
-/// enough to change which shard's slice of the world it interacts with.
-/// With every speed bounded by `v_max`, two nodes separated by more than
-/// `band_m` metres need at least `band_m / (2 · v_max)` seconds to close
-/// that gap — the classic PDES lookahead bound, derived from the same
-/// worst-case-drift argument lazy mobility and the contact cache already
-/// use. The epoch clock quantizes a run into barriers that many seconds
-/// apart: shard-affinity structures (node→shard assignment, the medium's
-/// per-shard mirrors) are refreshed only at barriers, and the boundary
-/// band is sized so any staleness in between is absorbed.
-///
-/// # Examples
-///
-/// ```
-/// use dftmsn_sim::time::{EpochClock, SimTime};
-///
-/// // A 10 m boundary band at v_max = 5 m/s buys a 1 s epoch.
-/// let clock = EpochClock::derive(10.0, 5.0);
-/// assert!((clock.lookahead().as_secs_f64() - 1.0).abs() < 1e-9);
-/// let t = SimTime::from_ticks(2_500_000); // 2.5 s
-/// assert_eq!(clock.next_barrier(t), SimTime::from_secs(3));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochClock {
-    lookahead: SimDuration,
-}
-
-impl EpochClock {
-    /// Shortest epoch worth the barrier overhead. A barrier costs an O(n)
-    /// affinity sweep plus a medium mirror rebuild; at the old 1 ms floor a
-    /// degenerate band (zero width, or a pathological `v_max`) pinned the
-    /// clock there and a run took a thousand barriers per simulated second
-    /// — pure thrash, since a band too narrow to buy lookahead gains
-    /// nothing from refreshing faster. 25 ms is one paper-default mobility
-    /// tick: affinity can never go staler than a tick's worth of motion
-    /// between barriers, and the O(n) sweep amortizes over at least a
-    /// tick's worth of events.
-    pub const MIN_LOOKAHEAD: SimDuration = SimDuration::from_millis(25);
-    /// Longest epoch: refresh at least every 30 s so load tracking and
-    /// telemetry stay current even in near-static worlds.
-    pub const MAX_LOOKAHEAD: SimDuration = SimDuration::from_secs(30);
-
-    /// Derives the epoch from a boundary-band width (metres) and a speed
-    /// bound (m/s): `lookahead = band_m / (2 · v_max)`, clamped to
-    /// `[1 ms, 30 s]`. A non-positive speed bound means nobody moves, so
-    /// the epoch pins to the maximum.
-    #[must_use]
-    pub fn derive(band_m: f64, v_max: f64) -> Self {
-        let lookahead = if v_max <= 0.0 {
-            Self::MAX_LOOKAHEAD
-        } else {
-            let secs = (band_m / (2.0 * v_max)).max(0.0);
-            SimDuration::from_secs_f64(secs)
-                .max(Self::MIN_LOOKAHEAD)
-                .min(Self::MAX_LOOKAHEAD)
-        };
-        EpochClock { lookahead }
-    }
-
-    /// The epoch length: how long shard-local state stays provably fresh.
-    #[must_use]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// The first barrier instant strictly after `now`, on the epoch grid
-    /// anchored at time zero.
-    #[must_use]
-    pub fn next_barrier(&self, now: SimTime) -> SimTime {
-        let step = self.lookahead.ticks().max(1);
-        let k = now.ticks() / step + 1;
-        SimTime::from_ticks(k * step)
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
@@ -339,79 +262,6 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoch_clock_derives_the_lookahead_bound() {
-        // band / (2 v_max): 20 m at 5 m/s → 2 s.
-        let c = EpochClock::derive(20.0, 5.0);
-        assert_eq!(c.lookahead(), SimDuration::from_secs(2));
-        // Degenerate inputs clamp instead of exploding.
-        assert_eq!(
-            EpochClock::derive(0.0, 5.0).lookahead(),
-            EpochClock::MIN_LOOKAHEAD
-        );
-        assert_eq!(
-            EpochClock::derive(10.0, 0.0).lookahead(),
-            EpochClock::MAX_LOOKAHEAD
-        );
-        assert_eq!(
-            EpochClock::derive(1e12, 0.001).lookahead(),
-            EpochClock::MAX_LOOKAHEAD
-        );
-    }
-
-    #[test]
-    fn epoch_clock_paper_default_is_one_second() {
-        // The paper's parameter set: 10 m radio range, 5 m/s speed bound.
-        // The engine derives the band from the range, so the band IS the
-        // range here and the epoch lands on 1 s — pinned so a parameter
-        // or formula drift shows up as a failed constant, not a silent
-        // barrier-cadence change.
-        let c = EpochClock::derive(10.0, 5.0);
-        assert_eq!(c.lookahead(), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn epoch_clock_static_fleet_pins_to_the_maximum() {
-        // A static fleet (v_max = 0, and the negative-guard path) cannot
-        // invalidate shard affinity at all; the clock must sit at the max
-        // rather than divide by zero or thrash.
-        for v in [0.0, -1.0] {
-            assert_eq!(
-                EpochClock::derive(10.0, v).lookahead(),
-                EpochClock::MAX_LOOKAHEAD
-            );
-        }
-    }
-
-    #[test]
-    fn epoch_clock_floor_blocks_barrier_thrash() {
-        // Tiny bands clamp to the floor, and the floor is wide enough
-        // that a worst-case run takes at most 40 barriers per simulated
-        // second — not a thousand, as the old 1 ms floor allowed.
-        let c = EpochClock::derive(1e-9, 100.0);
-        assert_eq!(c.lookahead(), EpochClock::MIN_LOOKAHEAD);
-        assert!(c.lookahead() >= SimDuration::from_millis(25));
-        // The barrier grid at the floor still advances strictly.
-        let mut t = SimTime::ZERO;
-        for _ in 0..3 {
-            let next = c.next_barrier(t);
-            assert!(next > t);
-            t = next;
-        }
-        assert_eq!(t, SimTime::from_ticks(75_000)); // 75 ms at µs ticks
-    }
-
-    #[test]
-    fn epoch_barriers_land_on_the_grid_strictly_ahead() {
-        let c = EpochClock::derive(10.0, 5.0); // 1 s epochs
-        assert_eq!(c.next_barrier(SimTime::ZERO), SimTime::from_secs(1));
-        assert_eq!(c.next_barrier(SimTime::from_secs(1)), SimTime::from_secs(2));
-        assert_eq!(
-            c.next_barrier(SimTime::from_ticks(1_999_999)),
-            SimTime::from_secs(2)
-        );
-    }
 
     #[test]
     fn time_arithmetic_round_trips() {

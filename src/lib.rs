@@ -34,7 +34,7 @@ pub mod prelude {
     pub use dftmsn_core::trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
     pub use dftmsn_core::variants::{ProtocolKind, VariantConfig};
     pub use dftmsn_core::world::{
-        CkptError, MobilityMode, Resumed, ShardStats, Simulation, SimulationBuilder, CKPT_MAGIC,
+        CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC,
     };
     pub use dftmsn_sim::rng::SimRng;
     pub use dftmsn_sim::time::{SimDuration, SimTime};

@@ -341,48 +341,67 @@ fn adversarial_runs_resume_bit_identically() {
 
 #[test]
 fn parallel_faulted_runs_checkpoint_and_resume_bit_identically() {
-    // A checkpoint taken at an interval boundary of the parallel executor
-    // (threads > 1 drives `advance` through whole event intervals) must
-    // resume into the exact bit-stream of an uninterrupted sequential
-    // run, faults included. The thread count — like the shard count — is
-    // never serialized; restored sims come up single-threaded and opt
-    // back in.
+    // The uninterrupted twin and the resumed run step side by side from
+    // the checkpoint instant: their clocks must agree at every event
+    // boundary, not only in the final report, so a divergence that later
+    // washes out of the totals still fails here. The source sim is
+    // dropped before resuming so nothing but the bytes carries over.
     let scenario = scenario();
     let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("parallel faulted OPT {mode:?}");
-
-        let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+    let build = |mode| {
+        Simulation::builder(scenario.clone(), ProtocolKind::Opt)
             .seed(5)
             .mobility_mode(mode)
             .faults(plan.clone())
             .build()
-            .run();
-        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
-
-        let mut part = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .threads(8)
-            .build();
-        while part.now().as_secs_f64() < 300.0 {
-            if !part.advance() {
+    };
+    let step_to = |sim: &mut Simulation, t: f64| {
+        while sim.now().as_secs_f64() < t {
+            if !sim.step() {
                 break;
             }
         }
+    };
+    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
+        let label = format!("parallel faulted OPT {mode:?}");
+
+        let mut part = build(mode);
+        step_to(&mut part, 300.0);
         let bytes = part.checkpoint_bytes();
         drop(part);
 
         let (mut resumed_sim, _) =
             Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let mut twin = build(mode);
+        step_to(&mut twin, 300.0);
         assert_eq!(
-            resumed_sim.threads(),
-            1,
-            "{label}: thread count leaked into the checkpoint"
+            twin.now(),
+            resumed_sim.now(),
+            "{label}: resumed off the checkpoint instant"
         );
-        resumed_sim.set_threads(8);
+        let mut events = 0u64;
+        loop {
+            let more = twin.step();
+            assert_eq!(
+                resumed_sim.step(),
+                more,
+                "{label}: runs ended apart after {events} events"
+            );
+            assert_eq!(
+                resumed_sim.now(),
+                twin.now(),
+                "{label}: clocks diverged after {events} events"
+            );
+            if !more {
+                break;
+            }
+            events += 1;
+        }
+        assert!(events > 0, "{label}: nothing ran past the checkpoint");
+
+        let full = twin.run();
         let resumed = resumed_sim.run();
+        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
         assert_eq!(
             golden(&resumed),
             golden(&full),

@@ -150,12 +150,10 @@ fn zero_min_speed_and_equal_speed_bounds_work() {
 }
 
 #[test]
-fn faults_under_parallel_execution_degrade_gracefully_and_match() {
-    // Crash a third of a sparse fleet while the parallel interval
-    // executor is engaged: faults terminate intervals, crash/recovery
-    // state machines run on merged state, and the result must still be
-    // bit-identical to the sequential engine's — graceful degradation,
-    // not just absence of panics.
+fn crash_heavy_sparse_fleet_degrades_gracefully() {
+    // Crash a third of a sparse fleet: crash/recovery state machines must
+    // leave the run's accounting sane — graceful degradation, not just
+    // absence of panics.
     let mut p = base(600).with_sensors(200).with_sinks(2);
     p.area_width_m = 300.0;
     p.area_height_m = 300.0;
@@ -163,38 +161,16 @@ fn faults_under_parallel_execution_degrade_gracefully_and_match() {
     p.zone_rows = 10;
     p.data_interval_secs = 240.0;
     let plan = FaultPlan::node_failures(&p, 0.33, Some(120.0), 11);
-    let seq = Simulation::builder(p.clone(), ProtocolKind::Opt)
-        .seed(10)
-        .faults(plan.clone())
-        .build()
-        .run();
-    assert!(seq.faults.crashes > 0, "plan injected nothing");
-    assert!(
-        seq.generated > 0 && seq.delivered <= seq.generated,
-        "faulted run lost accounting sanity: {}",
-        seq.summary()
-    );
-    let par = Simulation::builder(p, ProtocolKind::Opt)
+    let r = Simulation::builder(p, ProtocolKind::Opt)
         .seed(10)
         .faults(plan)
-        .threads(4)
         .build()
         .run();
-    assert_eq!(par.faults, seq.faults, "fault counters diverged");
-    assert_eq!(
-        (
-            par.generated,
-            par.delivered,
-            par.frames_sent,
-            par.events_processed
-        ),
-        (
-            seq.generated,
-            seq.delivered,
-            seq.frames_sent,
-            seq.events_processed
-        ),
-        "parallel faulted run diverged from sequential"
+    assert!(r.faults.crashes > 0, "plan injected nothing");
+    assert!(
+        r.generated > 0 && r.delivered <= r.generated,
+        "faulted run lost accounting sanity: {}",
+        r.summary()
     );
 }
 
