@@ -4,7 +4,10 @@
 //! both mobility modes, at the *full* tier duration so the figures are
 //! directly comparable with the committed rows) and compares each
 //! re-measured row against the `scale` section of the committed
-//! `BENCH_engine.json`:
+//! `BENCH_engine.json`. Each row is timed as the fastest of [`REPS`]
+//! runs, interleaved across the rows ([`run_tier`]), the statistic
+//! `perf_baseline` records these rows with: on a shared host one cold run
+//! per row tripped the budget on noise alone.
 //!
 //! * **ns/event per row** — the gate. A row more than 25 % slower than
 //!   its committed figure fails the check (exit 1); anything slower at
@@ -30,7 +33,7 @@
 //! Usage: `cargo run --release -p dftmsn-bench --bin scale_check
 //! [--warn-only] [BASELINE_JSON]` (default `BENCH_engine.json`).
 
-use dftmsn_bench::scale::{run_tier, SCALE_DURATION_SECS, SCALE_SENSORS};
+use dftmsn_bench::scale::{run_tier, REPS, SCALE_DURATION_SECS, SCALE_SENSORS};
 use dftmsn_metrics::json::Json;
 
 /// Relative ns/event regression beyond which the gate fails.
@@ -97,7 +100,7 @@ fn main() {
         let now_ns = row.ns_per_event();
         let rel = now_ns / ref_ns - 1.0;
         println!(
-            "scale_check {:>5} {:>6}: {:>7.1} ns/event (committed {:>7.1}, {:+.1}%)",
+            "scale_check {:>5} {:>6}: {:>7.1} ns/event, fastest of {REPS} (committed {:>7.1}, {:+.1}%)",
             row.sensors,
             row.mode_label(),
             now_ns,

@@ -148,24 +148,30 @@ pub fn measure(sensors: usize, duration_secs: u64, mode: MobilityMode) -> ScaleR
     }
 }
 
+/// Timed runs behind each [`run_tier`] row; the row keeps the fastest.
+/// `scale_check` gates its re-measured rows against committed rows that
+/// `perf_baseline` records with this same statistic.
+pub const REPS: usize = 5;
+
 /// Runs the tier: every size in `sizes` under both mobility modes,
-/// Ticked first (rows come back grouped by size).
+/// Ticked first (rows come back grouped by size), each row the fastest of
+/// [`REPS`] runs. Every run does the same deterministic work, so the
+/// spread between runs is the host's; the repetitions go round-robin over
+/// the rows, so a slow stretch of the host costs one run of several rows,
+/// not every run of one.
 #[must_use]
 pub fn run_tier(sizes: &[usize], duration_secs: u64) -> Vec<ScaleRow> {
-    let mut rows = Vec::with_capacity(sizes.len() * 2);
-    for &n in sizes {
-        for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-            let row = measure(n, duration_secs, mode);
-            eprintln!(
-                "scale {:>5} sensors {:>6}: {:>8.1} ms  {:>9} events  {:>7.0} kev/s  ratio {:.2}",
-                row.sensors,
-                row.mode_label(),
-                row.wall_ns as f64 / 1e6,
-                row.events,
-                row.events_per_sec() / 1e3,
-                row.delivery_ratio(),
-            );
-            rows.push(row);
+    let mut rows: Vec<ScaleRow> = Vec::with_capacity(sizes.len() * 2);
+    for _ in 0..REPS {
+        for &n in sizes {
+            for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
+                let run = measure(n, duration_secs, mode);
+                match rows.iter_mut().find(|r| r.sensors == n && r.mode == mode) {
+                    Some(best) if run.wall_ns < best.wall_ns => *best = run,
+                    Some(_) => {}
+                    None => rows.push(run),
+                }
+            }
         }
     }
     rows

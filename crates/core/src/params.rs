@@ -5,6 +5,7 @@
 //! reproduce the paper's Sec. 5 setup; see `DESIGN.md` for the handful of
 //! constants the OCR of the paper dropped and how they were chosen.
 
+use crate::sleep::SleepController;
 use dftmsn_radio::channel::ChannelParams;
 use dftmsn_radio::energy::EnergyModel;
 use dftmsn_sim::time::SimDuration;
@@ -35,6 +36,34 @@ impl std::fmt::Display for InvalidParams {
 }
 
 impl std::error::Error for InvalidParams {}
+
+/// Longest time a scenario or protocol parameter may span (s): 2³² s, over
+/// a century, keeps every instant a run can schedule far inside the range
+/// of the simulator's microsecond clock.
+const MAX_SECS: f64 = 4_294_967_296.0;
+
+/// Most cells the spatial grid and the zone grid may each span. Both
+/// allocate per cell up front; 2²² range-sized cells is a 20 km square at
+/// the paper's 10 m range, far beyond any scenario here (the 100 000-sensor
+/// scale row spans 225 625).
+const MAX_GRID_CELLS: usize = 1 << 22;
+
+/// Most slots a listening period or contention window may be searched
+/// over or fixed at.
+const MAX_SLOTS: u64 = 1 << 16;
+
+/// Checks that `secs` is at most [`MAX_SECS`] and at least one tick of the
+/// simulator's clock (1 µs) — or, when `zero_ok`, non-negative. NaN fails.
+fn check_secs(name: &str, secs: f64, zero_ok: bool) -> Result<(), InvalidParams> {
+    let floor = if zero_ok { 0.0 } else { 1e-6 };
+    if (floor..=MAX_SECS).contains(&secs) {
+        Ok(())
+    } else {
+        Err(InvalidParams::new(format!(
+            "{name} must be within [{floor}, 2^32] s, got {secs}"
+        )))
+    }
+}
 
 /// Which mobility model drives the sensors.
 ///
@@ -188,13 +217,45 @@ impl ScenarioParams {
         if self.sinks == 0 {
             return Err(InvalidParams::new("need at least one sink"));
         }
+        if self.sensors.checked_add(self.sinks).is_none() {
+            return Err(InvalidParams::new("node count overflows"));
+        }
         if self.zone_cols == 0 || self.zone_rows == 0 {
             return Err(InvalidParams::new("zone grid must be non-empty"));
         }
-        if !(self.area_width_m > 0.0 && self.area_height_m > 0.0) {
-            return Err(InvalidParams::new("area must be positive"));
+        if self
+            .zone_cols
+            .checked_mul(self.zone_rows)
+            .is_none_or(|zones| zones > MAX_GRID_CELLS)
+        {
+            return Err(InvalidParams::new(format!(
+                "zone grid must have at most {MAX_GRID_CELLS} zones"
+            )));
         }
-        if !(self.speed_min_mps >= 0.0 && self.speed_max_mps >= self.speed_min_mps) {
+        let (w, h) = (self.area_width_m, self.area_height_m);
+        if !(w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite()) {
+            return Err(InvalidParams::new("area must be positive and finite"));
+        }
+        let range = self.channel.range_m;
+        if !(range > 0.0 && range.is_finite()) {
+            return Err(InvalidParams::new(
+                "transmission range must be positive and finite",
+            ));
+        }
+        // Every spatial-grid cell is at least one range wide (ticked runs
+        // use 4·range, lazy ones the inflated query radius), so this
+        // bounds the grid's up-front bucket allocation in either mode.
+        let cells = (w / range).ceil() * (h / range).ceil();
+        if cells > MAX_GRID_CELLS as f64 {
+            return Err(InvalidParams::new(format!(
+                "a {w}×{h} m area spans more than {MAX_GRID_CELLS} grid cells of the \
+                 {range} m range"
+            )));
+        }
+        if !(self.speed_min_mps >= 0.0
+            && self.speed_max_mps >= self.speed_min_mps
+            && self.speed_max_mps.is_finite())
+        {
             return Err(InvalidParams::new("invalid speed range"));
         }
         if !(0.0..=1.0).contains(&self.zone_exit_prob) {
@@ -203,21 +264,28 @@ impl ScenarioParams {
         if self.queue_capacity == 0 {
             return Err(InvalidParams::new("queue capacity must be positive"));
         }
-        if self.data_interval_secs <= 0.0 {
-            return Err(InvalidParams::new("data interval must be positive"));
-        }
+        check_secs("data interval", self.data_interval_secs, false)?;
         if self.channel.bandwidth_bps == 0 {
             return Err(InvalidParams::new("channel bandwidth must be positive"));
         }
-        if self.channel.range_m <= 0.0 {
-            return Err(InvalidParams::new("transmission range must be positive"));
+        let airtime =
+            self.data_bits.max(self.control_bits) as f64 / self.channel.bandwidth_bps as f64;
+        if airtime > MAX_SECS {
+            return Err(InvalidParams::new(
+                "a frame's airtime must be at most 2^32 s",
+            ));
         }
-        if self.mobility_tick_secs <= 0.0 {
-            return Err(InvalidParams::new("mobility tick must be positive"));
+        let e = &self.energy;
+        if ![e.p_tx_w, e.p_rx_w, e.p_idle_w, e.p_sleep_w, e.e_switch_j]
+            .iter()
+            .all(|v| (0.0..f64::INFINITY).contains(v))
+        {
+            return Err(InvalidParams::new(
+                "energy figures must be finite and non-negative",
+            ));
         }
-        if self.duration_secs == 0 {
-            return Err(InvalidParams::new("duration must be positive"));
-        }
+        check_secs("mobility tick", self.mobility_tick_secs, false)?;
+        check_secs("duration", self.duration_secs as f64, false)?;
         if self.mobile_sinks > self.sinks {
             return Err(InvalidParams::new("mobile_sinks cannot exceed sinks"));
         }
@@ -253,7 +321,9 @@ pub struct ProtocolParams {
     /// L: a node sleeps after this many consecutive cycles without acting
     /// as sender or receiver (Sec. 3.2).
     pub inactivity_cycles_l: usize,
-    /// S: length of the transmission-success history window (Eq. 4).
+    /// S: length of the transmission-success history window (Eq. 4),
+    /// `2 ≤ S ≤ 64` (the paper uses 10). Each node keeps its history as
+    /// one bit per cycle in a `u64`.
     pub history_window_s: usize,
     /// H: buffer-urgency threshold of Eq. 6 (also bounds T_max via Eq. 8).
     pub sleep_h: f64,
@@ -384,25 +454,39 @@ impl ProtocolParams {
         if self.history_window_s < 2 {
             return Err(InvalidParams::new("history window S must be at least 2"));
         }
+        if self.history_window_s > SleepController::MAX_WINDOW {
+            return Err(InvalidParams::new(format!(
+                "history window S must be at most {}, got {}",
+                SleepController::MAX_WINDOW,
+                self.history_window_s
+            )));
+        }
         if self.inactivity_cycles_l == 0 {
             return Err(InvalidParams::new("L must be positive"));
         }
-        if self.t_min_secs <= 0.0 || self.fixed_sleep_secs <= 0.0 {
-            return Err(InvalidParams::new("sleep periods must be positive"));
+        check_secs("T_min", self.t_min_secs, false)?;
+        check_secs("the fixed sleeping period", self.fixed_sleep_secs, false)?;
+        for slots in [
+            self.tau_max_cap_slots,
+            self.tau_max_fixed_slots,
+            self.cts_window_cap,
+            self.cts_window_fixed,
+        ] {
+            if !(1..=MAX_SLOTS).contains(&slots) {
+                return Err(InvalidParams::new(format!(
+                    "slot counts must be in 1..={MAX_SLOTS}, got {slots}"
+                )));
+            }
         }
-        if self.tau_max_cap_slots == 0
-            || self.tau_max_fixed_slots == 0
-            || self.cts_window_cap == 0
-            || self.cts_window_fixed == 0
-        {
-            return Err(InvalidParams::new("slot counts must be positive"));
-        }
-        if self.backoff_min_secs < 0.0 || self.backoff_max_secs < self.backoff_min_secs {
+        check_secs("backoff minimum", self.backoff_min_secs, true)?;
+        check_secs("backoff maximum", self.backoff_max_secs, true)?;
+        if self.backoff_max_secs < self.backoff_min_secs {
             return Err(InvalidParams::new("invalid backoff range"));
         }
-        if self.xi_timeout_secs <= 0.0 {
-            return Err(InvalidParams::new("xi timeout must be positive"));
-        }
+        check_secs("xi timeout", self.xi_timeout_secs, false)?;
+        check_secs("processing gap", self.proc_gap_secs, true)?;
+        check_secs("receiver window", self.receiver_window_secs, true)?;
+        check_secs("neighbor TTL", self.neighbor_ttl_secs, true)?;
         Ok(())
     }
 
@@ -495,11 +579,55 @@ mod tests {
         let mut p = ProtocolParams::paper_default();
         p.history_window_s = 1;
         assert!(p.validate().is_err());
+        p.history_window_s = 64;
+        assert!(p.validate().is_ok());
+        p.history_window_s = 65;
+        assert!(p.validate().is_err());
 
         let mut p = ProtocolParams::paper_default();
         p.backoff_max_secs = 0.0;
         p.backoff_min_secs = 1.0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_what_a_run_allocates_and_schedules() {
+        type Tweak = fn(&mut ScenarioParams, &mut ProtocolParams);
+        let rejected: [(&str, Tweak); 14] = [
+            ("zones", |s, _| s.zone_cols = usize::MAX),
+            ("node count", |s, _| s.sensors = usize::MAX),
+            ("area", |s, _| s.area_width_m = f64::INFINITY),
+            ("grid cells", |s, _| s.area_width_m = 1e12),
+            ("range", |s, _| s.channel.range_m = f64::NAN),
+            ("speed", |s, _| s.speed_max_mps = f64::INFINITY),
+            ("airtime", |s, _| s.data_bits = u64::MAX),
+            ("energy", |s, _| s.energy.p_idle_w = f64::NAN),
+            ("tick", |s, _| s.mobility_tick_secs = 1e-300),
+            ("duration", |s, _| s.duration_secs = 1 << 40),
+            ("S", |_, p| p.history_window_s = 1 << 40),
+            ("slots", |_, p| p.tau_max_cap_slots = 1 << 20),
+            ("xi timeout", |_, p| p.xi_timeout_secs = f64::NAN),
+            ("neighbor TTL", |_, p| p.neighbor_ttl_secs = -1.0),
+        ];
+        for (what, tweak) in rejected {
+            let (mut s, mut p) = (
+                ScenarioParams::paper_default(),
+                ProtocolParams::paper_default(),
+            );
+            tweak(&mut s, &mut p);
+            assert!(
+                s.validate().is_err() || p.validate().is_err(),
+                "{what} accepted"
+            );
+        }
+        // The widest scenario in the repository, the 100 000-sensor scale
+        // row, stays valid.
+        let mut s = ScenarioParams::paper_default();
+        s.sensors = 100_000;
+        s.area_width_m = 150.0 * 1000f64.sqrt();
+        s.area_height_m = s.area_width_m;
+        s.mobility_tick_secs = 0.025;
+        s.validate().unwrap();
     }
 
     #[test]

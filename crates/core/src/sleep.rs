@@ -14,7 +14,6 @@
 use crate::params::ProtocolParams;
 use dftmsn_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Per-node sleep controller implementing Eqs. 4–8.
 ///
@@ -38,49 +37,66 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SleepController {
-    window: usize,
-    history: VecDeque<bool>,
+    /// The last `len` cycle outcomes as a bit ring, newest in bit 0; bits
+    /// at and above `len` are zero. Kept inline so the per-cycle update
+    /// touches no heap memory.
+    bits: u64,
+    /// Recorded outcomes, up to `window`.
+    len: u8,
+    /// The history window S, at most `MAX_WINDOW`.
+    window: u8,
 }
 
 impl SleepController {
+    /// The largest supported history window S: one bit per cycle in a
+    /// `u64`.
+    pub(crate) const MAX_WINDOW: usize = 64;
+
     /// Creates a controller with a success-history window of `s` cycles.
     ///
     /// # Panics
     ///
-    /// Panics if `s < 2` (Eq. 8 needs `S − 1 ≥ 1`).
+    /// Panics if `s < 2` (Eq. 8 needs `S − 1 ≥ 1`) or `s > 64` (one bit
+    /// per cycle in a `u64`).
     #[must_use]
     pub fn new(s: usize) -> Self {
         assert!(s >= 2, "history window S must be at least 2");
+        assert!(
+            s <= Self::MAX_WINDOW,
+            "history window S must be at most {}",
+            Self::MAX_WINDOW
+        );
         SleepController {
-            window: s,
-            history: VecDeque::with_capacity(s),
+            bits: 0,
+            len: 0,
+            window: s as u8,
         }
     }
 
     /// The history window size S.
     #[must_use]
     pub fn window(&self) -> usize {
-        self.window
+        usize::from(self.window)
     }
 
     /// The recorded cycle outcomes, oldest first, for checkpointing.
     pub fn history(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
-        self.history.iter().copied()
+        (0..self.len).rev().map(|age| (self.bits >> age) & 1 == 1)
     }
 
     /// Records whether the just-finished working cycle transmitted
     /// successfully.
     pub fn record_cycle(&mut self, success: bool) {
-        if self.history.len() == self.window {
-            self.history.pop_front();
-        }
-        self.history.push_back(success);
+        // The outcome that ages past S shifts out of the top.
+        let mask = u64::MAX >> (64 - u32::from(self.window));
+        self.bits = ((self.bits << 1) | u64::from(success)) & mask;
+        self.len = (self.len + 1).min(self.window);
     }
 
     /// Number of successes in the recorded window.
     #[must_use]
     pub fn successes(&self) -> usize {
-        self.history.iter().filter(|&&s| s).count()
+        self.bits.count_ones() as usize
     }
 
     /// ρᵢ of Eq. 4: the success fraction over the last S cycles, floored
@@ -93,7 +109,7 @@ impl SleepController {
     /// case never reaches the 0/0-adjacent `successes/S` division below.
     #[must_use]
     pub fn rho(&self) -> f64 {
-        if self.history.is_empty() {
+        if self.len == 0 {
             return 1.0;
         }
         let s = self.window as f64;
@@ -273,5 +289,11 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn tiny_window_panics() {
         let _ = SleepController::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn oversized_window_panics() {
+        let _ = SleepController::new(65);
     }
 }

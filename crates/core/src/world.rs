@@ -312,6 +312,11 @@ struct LazyMobility {
     vmax: f64,
 }
 
+/// Slots in the coast due-wheel; windows are clipped to `COAST_WHEEL − 2`
+/// ticks so a rescheduled node can never land back in the slot being
+/// drained.
+const COAST_WHEEL: usize = 256;
+
 /// SoA coast ledger for [`MobilityMode::Ticked`].
 ///
 /// Each node holds a *coast lease* from its model
@@ -320,17 +325,14 @@ struct LazyMobility {
 /// boundary interaction, so the per-tick sweep applies the displacement to
 /// the dense `positions` array and skips the model entirely — three
 /// contiguous array lanes instead of a virtual call into a heap-scattered
-/// model per node per tick. Leases are additionally clipped to the
-/// spatial-grid cell margin so a coasting node can never invalidate its
-/// grid bucket. `pending` counts coasted ticks not yet reported back; a
-/// settle ([`MobilityModel::tick_settle`]) replays them bit-identically
-/// before the model is advanced, saved, or re-granted, which is what keeps
-/// ticked goldens and checkpoints byte-exact.
-/// Slots in the coast due-wheel; windows are clipped to `COAST_WHEEL − 2`
-/// ticks so a rescheduled node can never land back in the slot being
-/// drained.
-const COAST_WHEEL: usize = 256;
-
+/// model per node per tick. Leases are additionally split into cell
+/// windows ([`SpatialGrid::move_node_window`]: the whole steps to the
+/// grid-cell edge ahead along the node's displacement) so a coasting node
+/// can never invalidate its grid bucket. `pending` counts coasted ticks
+/// not yet reported back; a settle ([`MobilityModel::tick_settle`])
+/// replays them bit-identically before the model is advanced, saved, or
+/// re-granted, which is what keeps ticked goldens and checkpoints
+/// byte-exact.
 #[derive(Debug)]
 struct TickedCoast {
     /// Per-tick displacement while the lease is live.
@@ -469,26 +471,6 @@ impl ContactCache {
             hits: 0,
             misses: 0,
         }
-    }
-}
-
-/// Whole ticks of `disp` a node can take before its accumulated movement
-/// could reach `margin` metres along either axis (the spatial-grid cell
-/// clip for a coast lease). The guard band absorbs accumulated f64
-/// addition error, mirroring the models' own lease maths.
-fn cell_coast_ticks(margin: f64, disp: Vec2) -> u32 {
-    const GUARD_M: f64 = 1e-6;
-    let step = disp.x.abs().max(disp.y.abs());
-    if step <= 0.0 {
-        return u32::MAX;
-    }
-    let k = ((margin - GUARD_M) / step).floor();
-    if k < 1.0 {
-        0
-    } else if k >= u32::MAX as f64 {
-        u32::MAX
-    } else {
-        k as u32
     }
 }
 
@@ -1536,14 +1518,14 @@ impl Simulation {
                 // tick is one of its promised straight-line steps — but
                 // the node may now cross a grid-cell edge, so apply the
                 // step with the bucket update and re-clip the window to
-                // the new cell margin.
-                let p = positions[j] + coast.disp[j];
+                // the edge ahead in its (possibly new) cell.
+                let d = coast.disp[j];
+                let p = positions[j] + d;
                 positions[j] = p;
                 coast.anchor[j] = t;
                 coast.applied[j] += 1;
                 coast.model_left[j] -= 1;
-                let margin = grid.move_node_margin(j, p);
-                let window = coast.model_left[j].min(cell_coast_ticks(margin, coast.disp[j]));
+                let window = coast.model_left[j].min(grid.move_node_window(j, p, d));
                 let booked = coast.book(j, window);
                 coast.model_left[j] -= booked;
                 continue;
@@ -1560,10 +1542,9 @@ impl Simulation {
             let p = m.position();
             positions[j] = p;
             coast.anchor[j] = t;
-            let margin = grid.move_node_margin(j, p);
             let (disp, granted) = m.tick_grant(dt);
             coast.disp[j] = disp;
-            let window = granted.min(cell_coast_ticks(margin, disp));
+            let window = granted.min(grid.move_node_window(j, p, disp));
             let booked = coast.book(j, window);
             coast.model_left[j] = granted - booked;
         }

@@ -886,6 +886,16 @@ fn w_node(w: &mut SnapWriter, node: &Node, neighbors: &mut Vec<(NodeId, Neighbor
     });
 }
 
+/// The fewest payload bytes one node's records can take: its mobility
+/// model's length prefix, the record of a fresh node (empty queue, history
+/// and table, no exchange context) and its two medium entries.
+fn min_node_bytes() -> usize {
+    let fresh = Node::new(NodeId(0), NodeRole::Sensor, 1, 2, SimRng::seed_from(0));
+    let mut w = SnapWriter::with_capacity(256);
+    w_node(&mut w, &fresh, &mut Vec::new());
+    8 + w.into_bytes().len() + 2
+}
+
 /// Decodes one node into `node`, freshly built by `construct_static` (so
 /// its sleep history and neighbor table are empty). `budget` says whether
 /// RTS `ftd` fields carry a two-hop copy budget; `tau_cap` bounds a cached
@@ -1679,6 +1689,15 @@ impl Simulation {
         plan.validate(&scenario).map_err(|e| CkptError::Invalid {
             detail: format!("fault plan: {e}"),
         })?;
+        // construct_static allocates per node, so a node count the rest
+        // of the payload cannot hold is rejected before it does.
+        let need = n.saturating_mul(min_node_bytes());
+        if need > r.remaining() {
+            return Err(CkptError::corrupt(format!(
+                "{n} nodes need at least {need} payload bytes, {} left",
+                r.remaining()
+            )));
+        }
 
         // Rebuild the static world; every random draw construction makes
         // is immaterial because each stream is overwritten below.

@@ -17,6 +17,8 @@
 //!   [`rebuild`](SpatialGrid::rebuild) used to reclear every bucket.
 
 use crate::geom::{Bounds, Vec2};
+use crate::models::coast_ticks;
+use std::ops::Range;
 
 /// A rebuildable uniform grid over node positions.
 ///
@@ -74,10 +76,17 @@ impl SpatialGrid {
         }
     }
 
-    fn cell_of(&self, p: Vec2) -> usize {
+    /// The (column, row) of the cell `p` maps to; points outside the area
+    /// clamp to the border cells.
+    fn cell_xy(&self, p: Vec2) -> (usize, usize) {
         let cx = (((p.x - self.area.x0) / self.cell) as isize).clamp(0, self.cols as isize - 1);
         let cy = (((p.y - self.area.y0) / self.cell) as isize).clamp(0, self.rows as isize - 1);
-        cy as usize * self.cols + cx as usize
+        (cx as usize, cy as usize)
+    }
+
+    fn cell_of(&self, p: Vec2) -> usize {
+        let (cx, cy) = self.cell_xy(p);
+        cy * self.cols + cx
     }
 
     /// Rebuilds the index from scratch for the given positions.
@@ -132,25 +141,34 @@ impl SpatialGrid {
         self.node_cell[i] = new_cell;
     }
 
-    /// [`move_node`](Self::move_node) fused with
-    /// [`cell_margin`](Self::cell_margin): moves node `i` to `p` and
-    /// returns the margin at `p`, sharing the coordinate normalization
-    /// both need. This is the ticked coast engine's cell-recheck
-    /// primitive, called every time a lease's cell window expires, so the
-    /// duplicate divisions of the unfused pair matter.
+    /// [`move_node`](Self::move_node) that also returns node `i`'s coast
+    /// window: the whole steps of `step` it can take from `p` while every
+    /// position of the exact `p += step` chain stays in the cell `p` maps
+    /// to, so its bucket cannot go stale. Each axis is clipped by the cell
+    /// edge *ahead* of the node along its displacement, with the same 1e-6
+    /// m guard band a model's lease keeps from zone edges; an axis the node
+    /// does not move along never clips, and a zero `step` gets `u32::MAX`.
+    /// This is the ticked coast engine's re-bucketing primitive, called
+    /// every time a lease's cell window expires.
     ///
     /// # Panics
     ///
     /// Panics if `i` was not part of the last `rebuild`.
-    pub fn move_node_margin(&mut self, i: usize, p: Vec2) -> f64 {
-        let fx = (p.x - self.area.x0) / self.cell;
-        let fy = (p.y - self.area.y0) / self.cell;
-        let cx = (fx as isize).clamp(0, self.cols as isize - 1);
-        let cy = (fy as isize).clamp(0, self.rows as isize - 1);
-        self.relocate(i, (cy as usize * self.cols + cx as usize) as u32);
-        let mx = (fx - cx as f64).min(cx as f64 + 1.0 - fx) * self.cell;
-        let my = (fy - cy as f64).min(cy as f64 + 1.0 - fy) * self.cell;
-        mx.min(my).max(0.0)
+    pub fn move_node_window(&mut self, i: usize, p: Vec2, step: Vec2) -> u32 {
+        let (cx, cy) = self.cell_xy(p);
+        self.relocate(i, (cy * self.cols + cx) as u32);
+        let x0 = self.area.x0 + cx as f64 * self.cell;
+        let y0 = self.area.y0 + cy as f64 * self.cell;
+        let kx = coast_ticks(p.x, step.x, x0, x0 + self.cell);
+        let ky = coast_ticks(p.y, step.y, y0, y0 + self.cell);
+        let k = kx.min(ky);
+        if k < 1.0 {
+            0
+        } else if k >= f64::from(u32::MAX) {
+            u32::MAX
+        } else {
+            k as u32
+        }
     }
 
     /// Incrementally refreshes the index: only nodes whose cell changed
@@ -179,13 +197,13 @@ impl SpatialGrid {
     /// Collects into `out` the indices of all nodes within distance `r` of
     /// node `center` (excluding `center` itself), in ascending index order.
     ///
-    /// The `(2k+1)²` cell neighbourhood with `k = ⌈r/cell⌉` is scanned;
-    /// for `k > 1` cells whose rectangle lies entirely outside the query
-    /// disc are skipped before their bucket is touched. Survivors of the
-    /// distance filter are collected and the (typically tiny) result
-    /// sorted — cheaper than a multi-lane merge because each bucket is
-    /// walked linearly exactly once and the per-element work is one
-    /// distance check.
+    /// The `(2k+1)²` cell neighbourhood with `k = ⌈r/cell⌉`, clipped to
+    /// the grid, is scanned; for `k > 1` cells whose rectangle lies
+    /// entirely outside the query disc are skipped before their bucket is
+    /// touched. Survivors of the distance filter are collected and the
+    /// (typically tiny) result sorted — cheaper than a multi-lane merge
+    /// because each bucket is walked linearly exactly once and the
+    /// per-element work is one distance check.
     ///
     /// # Panics
     ///
@@ -202,30 +220,19 @@ impl SpatialGrid {
         );
         out.clear();
         let p = positions[center];
-        let c = self.node_cell[center] as usize;
-        let cx = (c % self.cols) as isize;
-        let cy = (c / self.cols) as isize;
         let r2 = r * r;
         // How many rings of cells the disc can reach. The centre node sits
         // anywhere inside its cell, so a disc of radius r protrudes at most
         // r past either cell edge: ⌈r/cell⌉ rings always cover it.
         let reach = ((r / self.cell).ceil() as isize).max(1);
         let prune = reach > 1;
-
-        for dy in -reach..=reach {
-            let ny = cy + dy;
-            if ny < 0 || ny >= self.rows as isize {
-                continue;
-            }
-            for dx in -reach..=reach {
-                let nx = cx + dx;
-                if nx < 0 || nx >= self.cols as isize {
-                    continue;
-                }
+        let (cols, rows) = self.rings(self.node_cell[center] as usize, reach);
+        for ny in rows {
+            for nx in cols.clone() {
                 if prune && !self.cell_intersects_disc(nx, ny, p, r) {
                     continue;
                 }
-                for &j in &self.buckets[ny as usize * self.cols + nx as usize] {
+                for &j in &self.buckets[ny * self.cols + nx] {
                     let j = j as usize;
                     if j != center && positions[j].distance_sq(p) <= r2 {
                         out.push(j);
@@ -254,22 +261,12 @@ impl SpatialGrid {
     pub fn collect_neighborhood(&self, center: usize, r: f64, out: &mut Vec<usize>) {
         assert!(r.is_finite() && r >= 0.0, "invalid query radius {r}");
         out.clear();
-        let c = self.node_cell[center] as usize;
-        let cx = (c % self.cols) as isize;
-        let cy = (c / self.cols) as isize;
         let reach = ((r / self.cell).ceil() as isize).max(1);
-        for dy in -reach..=reach {
-            let ny = cy + dy;
-            if ny < 0 || ny >= self.rows as isize {
-                continue;
-            }
-            for dx in -reach..=reach {
-                let nx = cx + dx;
-                if nx < 0 || nx >= self.cols as isize {
-                    continue;
-                }
+        let (cols, rows) = self.rings(self.node_cell[center] as usize, reach);
+        for ny in rows {
+            for nx in cols.clone() {
                 out.extend(
-                    self.buckets[ny as usize * self.cols + nx as usize]
+                    self.buckets[ny * self.cols + nx]
                         .iter()
                         .map(|&j| j as usize),
                 );
@@ -277,10 +274,26 @@ impl SpatialGrid {
         }
     }
 
+    /// The column and row ranges of the `reach`-ring neighbourhood of cell
+    /// `c`, clipped to the grid, so a query's cost is bounded by the grid
+    /// however large its radius.
+    fn rings(&self, c: usize, reach: isize) -> (Range<usize>, Range<usize>) {
+        let clip = |at: usize, len: usize| {
+            let at = at as isize;
+            let lo = at.saturating_sub(reach).max(0) as usize;
+            let hi = at.saturating_add(reach).min(len as isize - 1) as usize;
+            lo..hi + 1
+        };
+        (
+            clip(c % self.cols, self.cols),
+            clip(c / self.cols, self.rows),
+        )
+    }
+
     /// True when the rectangle of cell `(nx, ny)` can contain a point
     /// within distance `r` of `p`. Conservative (widened by a ulp-scale
     /// epsilon) so pruning never drops a true neighbour.
-    fn cell_intersects_disc(&self, nx: isize, ny: isize, p: Vec2, r: f64) -> bool {
+    fn cell_intersects_disc(&self, nx: usize, ny: usize, p: Vec2, r: f64) -> bool {
         let x0 = self.area.x0 + nx as f64 * self.cell;
         let y0 = self.area.y0 + ny as f64 * self.cell;
         let dx = (x0 - p.x).max(p.x - (x0 + self.cell)).max(0.0);
@@ -292,21 +305,6 @@ impl SpatialGrid {
     #[must_use]
     pub fn cell_size(&self) -> f64 {
         self.cell
-    }
-
-    /// Distance from `p` to the nearest boundary of the grid cell it maps
-    /// to: a node that moves strictly less than this stays in its cell, so
-    /// its index entry cannot go stale. Returns 0 for points outside the
-    /// area (their clamped cell offers no such guarantee).
-    #[must_use]
-    pub fn cell_margin(&self, p: Vec2) -> f64 {
-        let fx = (p.x - self.area.x0) / self.cell;
-        let fy = (p.y - self.area.y0) / self.cell;
-        let cx = (fx as isize).clamp(0, self.cols as isize - 1) as f64;
-        let cy = (fy as isize).clamp(0, self.rows as isize - 1) as f64;
-        let mx = (fx - cx).min(cx + 1.0 - fx) * self.cell;
-        let my = (fy - cy).min(cy + 1.0 - fy) * self.cell;
-        mx.min(my).max(0.0)
     }
 }
 
@@ -479,51 +477,86 @@ mod tests {
     }
 
     #[test]
-    fn cell_margin_bounds_cell_changes() {
-        // A node moved by strictly less than its cell margin must keep the
-        // same cell index; margin is 0 only on cell boundaries.
-        let mut rng = SimRng::seed_from(91);
-        let grid = SpatialGrid::new(Bounds::new(100.0, 100.0), 7.0);
-        for _ in 0..500 {
-            let p = Vec2::new(rng.gen_range_f64(0.0, 100.0), rng.gen_range_f64(0.0, 100.0));
-            let m = grid.cell_margin(p);
-            assert!((0.0..=3.5 + 1e-9).contains(&m), "margin {m} out of range");
-            if m > 1e-9 {
-                let step = m * 0.999;
-                for &(dx, dy) in &[(step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)] {
-                    let q = Vec2::new(p.x + dx, p.y + dy);
-                    assert_eq!(
-                        grid.cell_of(p),
-                        grid.cell_of(q),
-                        "p {p:?} moved ({dx},{dy})"
-                    );
-                }
-            }
-        }
+    fn coast_window_follows_the_displacement() {
+        let area = Bounds::new(200.0, 200.0);
+        let positions = vec![Vec2::new(40.5, 79.9)];
+        let mut grid = SpatialGrid::new(area, 40.0);
+        grid.rebuild(&positions);
+        let p = positions[0];
+        // 0.1 m from the cell's top edge, but heading along +x: only the
+        // right edge, 39.5 m ahead, limits the window.
+        let step = Vec2::new(0.125, 0.0);
+        assert_eq!(grid.move_node_window(0, p, step), 315);
+        // Heading up, the top edge is ahead: 0.1 m is 0 whole steps.
+        assert_eq!(grid.move_node_window(0, p, Vec2::new(0.0, 0.125)), 0);
+        // Inside the guard band of the edge ahead: no step is safe.
+        let banded = Vec2::new(80.0 - 5e-7, 60.0);
+        assert_eq!(grid.move_node_window(0, banded, step), 0);
+        assert_eq!(grid.move_node_window(0, banded, -step), 319);
+        assert_eq!(grid.move_node_window(0, p, Vec2::ZERO), u32::MAX);
     }
 
     #[test]
-    fn move_node_margin_matches_unfused_pair() {
-        let mut rng = SimRng::seed_from(133);
-        let area = Bounds::new(100.0, 100.0);
-        let n = 40;
-        let mut positions: Vec<Vec2> = (0..n)
-            .map(|_| Vec2::new(rng.gen_range_f64(0.0, 100.0), rng.gen_range_f64(0.0, 100.0)))
-            .collect();
-        let mut fused = SpatialGrid::new(area, 8.0);
-        let mut plain = SpatialGrid::new(area, 8.0);
-        fused.rebuild(&positions);
-        plain.rebuild(&positions);
-        for _step in 0..30 {
-            for (i, p) in positions.iter_mut().enumerate() {
-                p.x = (p.x + rng.gen_range_f64(-6.0, 6.0)).clamp(0.0, 100.0);
-                p.y = (p.y + rng.gen_range_f64(-6.0, 6.0)).clamp(0.0, 100.0);
-                let m = fused.move_node_margin(i, *p);
-                plain.move_node(i, *p);
-                assert_eq!(m.to_bits(), plain.cell_margin(*p).to_bits());
+    fn coast_window_keeps_the_step_chain_in_its_cell() {
+        // Random grids (offset origins, partial border cells), positions
+        // (border, outside and guard-band ones included) and non-zero
+        // steps (single-axis ones included). A node coasts through several
+        // windows the way the ticked engine drives it: at each window end
+        // it takes one step and is re-bucketed. Every position the exact
+        // `+=` chain reaches inside a window must map to the window's
+        // starting cell, and the buckets must equal a plain `move_node`'s.
+        let mut rng = SimRng::seed_from(0xC0A5_7001);
+        for case in 0..1_500 {
+            let cell = rng.gen_range_f64(0.5, 60.0);
+            let (x0, y0) = (
+                rng.gen_range_f64(-500.0, 500.0),
+                rng.gen_range_f64(-500.0, 500.0),
+            );
+            let w = rng.gen_range_f64(0.5 * cell, 12.0 * cell);
+            let h = rng.gen_range_f64(0.5 * cell, 12.0 * cell);
+            let area = Bounds::from_corners(x0, y0, x0 + w, y0 + h);
+            let n = 1 + rng.gen_range_u64(12) as usize;
+            let positions: Vec<Vec2> = (0..n)
+                .map(|_| {
+                    Vec2::new(
+                        rng.gen_range_f64(x0 - cell, x0 + w + cell),
+                        rng.gen_range_f64(y0 - cell, y0 + h + cell),
+                    )
+                })
+                .collect();
+            let mut windowed = SpatialGrid::new(area, cell);
+            windowed.rebuild(&positions);
+            let mut plain = windowed.clone();
+            let i = rng.gen_range_u64(n as u64) as usize;
+            let mut p = positions[i];
+            if rng.gen_bool(0.25) {
+                // Park the node inside the guard band of a cell edge.
+                let k = rng.gen_range_u64(12) as f64;
+                p.x = x0 + k * cell + rng.gen_range_f64(-2e-6, 2e-6);
             }
-            assert_eq!(fused.buckets, plain.buckets);
-            assert_eq!(fused.node_cell, plain.node_cell);
+            let len = cell * 10f64.powf(rng.gen_range_f64(-3.0, 0.0));
+            let step = match rng.gen_range_u64(4) {
+                0 => Vec2::new(len, 0.0),
+                1 => Vec2::new(0.0, -len),
+                _ => Vec2::from_angle(rng.gen_range_f64(0.0, std::f64::consts::TAU)) * len,
+            };
+            for _ in 0..6 {
+                let window = windowed.move_node_window(i, p, step);
+                plain.move_node(i, p);
+                assert_eq!(windowed.buckets, plain.buckets, "case {case}");
+                assert_eq!(windowed.node_cell, plain.node_cell, "case {case}");
+                assert!(window < u32::MAX, "case {case}: unbounded window");
+                let start = windowed.cell_of(p);
+                for k in 1..=window {
+                    p += step;
+                    assert_eq!(
+                        windowed.cell_of(p),
+                        start,
+                        "case {case}: step {k} of a {window}-step window left the cell"
+                    );
+                }
+                p += step;
+            }
         }
     }
 

@@ -113,13 +113,16 @@ pub trait MobilityModel: std::fmt::Debug + Send {
     }
 }
 
+/// Guard band (metres) every coast window keeps from the edge ahead: it
+/// absorbs the accumulated f64 addition error of a lease — microscopic
+/// against metre-scale margins — so every intermediate position stays
+/// strictly interior.
+const COAST_GUARD_M: f64 = 1e-6;
+
 /// Whole steps of `d` a point at `p` can take while staying at least
-/// `guard` metres inside `[lo, hi]` along this axis (infinite when `d` is
-/// zero: the coordinate never changes). The guard band absorbs the
-/// accumulated f64 addition error of a lease — microscopic against
-/// metre-scale margins — so every intermediate position stays strictly
-/// interior.
-fn coast_ticks(p: f64, d: f64, lo: f64, hi: f64, guard: f64) -> f64 {
+/// [`COAST_GUARD_M`] inside `[lo, hi]` along this axis (infinite when `d`
+/// is zero: the coordinate never changes).
+pub(crate) fn coast_ticks(p: f64, d: f64, lo: f64, hi: f64) -> f64 {
     let dist = if d > 0.0 {
         hi - p
     } else if d < 0.0 {
@@ -127,7 +130,7 @@ fn coast_ticks(p: f64, d: f64, lo: f64, hi: f64, guard: f64) -> f64 {
     } else {
         return f64::INFINITY;
     };
-    ((dist - guard) / d.abs()).floor()
+    ((dist - COAST_GUARD_M) / d.abs()).floor()
 }
 
 /// Time until a point at `p` moving with velocity `v` leaves `[lo, hi]`
@@ -470,7 +473,6 @@ impl MobilityModel for ZoneMobility {
     }
 
     fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
-        const GUARD_M: f64 = 1e-6;
         // One fewer than the whole ticks left on the leg: the countdown in
         // `advance` must stay strictly positive on every granted tick so
         // the redraw fires exactly where a pure per-tick run fires it.
@@ -480,8 +482,8 @@ impl MobilityModel for ZoneMobility {
         }
         let disp = self.dir * (self.speed * dt);
         let zb = self.grid.zone_bounds(self.grid.zone_of(self.pos));
-        let kx = coast_ticks(self.pos.x, disp.x, zb.x0, zb.x1, GUARD_M);
-        let ky = coast_ticks(self.pos.y, disp.y, zb.y0, zb.y1, GUARD_M);
+        let kx = coast_ticks(self.pos.x, disp.x, zb.x0, zb.x1);
+        let ky = coast_ticks(self.pos.y, disp.y, zb.y0, zb.y1);
         // Strictly interior to the zone also means interior to the area
         // (zones tile it), so the wall reflection is the identity too.
         let k = k_leg.min(kx).min(ky).min(1e6);
@@ -759,14 +761,13 @@ impl MobilityModel for RandomWalk {
     }
 
     fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
-        const GUARD_M: f64 = 1e-6;
         let k_epoch = (self.epoch_remaining / dt).floor() - 1.0;
         if k_epoch < 1.0 {
             return (Vec2::ZERO, 0);
         }
         let disp = self.dir * (self.speed * dt);
-        let kx = coast_ticks(self.pos.x, disp.x, self.area.x0, self.area.x1, GUARD_M);
-        let ky = coast_ticks(self.pos.y, disp.y, self.area.y0, self.area.y1, GUARD_M);
+        let kx = coast_ticks(self.pos.x, disp.x, self.area.x0, self.area.x1);
+        let ky = coast_ticks(self.pos.y, disp.y, self.area.y0, self.area.y1);
         let k = k_epoch.min(kx).min(ky).min(1e6);
         if k < 1.0 {
             (Vec2::ZERO, 0)

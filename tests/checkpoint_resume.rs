@@ -573,11 +573,55 @@ fn other_format_versions_are_rejected_by_name() {
     );
 }
 
+/// Checkpoints crafted to name sizes the resume would allocate for — 2^40
+/// sensors, a 2^40-cycle sleep history, a 10^12 m wide area — end in a
+/// typed error before anything is built, not in an allocation abort. Each
+/// sets one field of a paper-default checkpoint and re-frames it with a
+/// valid checksum.
+#[test]
+fn crafted_sizes_are_rejected_before_allocation() {
+    // Payload offsets: the parameters open the payload with the scenario
+    // (area width and height, zone columns and rows, then sensors; 185
+    // bytes in all), followed by the protocol (α, Δ, R, the FTD drop
+    // threshold and L, then S).
+    const AREA_WIDTH: usize = 0;
+    const SENSORS: usize = 32;
+    const HISTORY_WINDOW: usize = 185 + 5 * 8;
+    let mut sim = Simulation::builder(ScenarioParams::paper_default(), ProtocolKind::Opt)
+        .seed(1)
+        .build();
+    step_until(&mut sim, 10.0, |_| true);
+    let bytes = sim.checkpoint_bytes();
+    let original = payload(&bytes);
+    let field = |at: usize| u64::from_le_bytes(original[at..at + 8].try_into().unwrap());
+    assert_eq!(field(AREA_WIDTH), 150f64.to_bits(), "layout moved");
+    assert_eq!(field(SENSORS), 100, "layout moved");
+    assert_eq!(field(HISTORY_WINDOW), 10, "layout moved");
+    for (at, value, expected) in [
+        (SENSORS, 1u64 << 40, "nodes need at least"),
+        (
+            HISTORY_WINDOW,
+            1 << 40,
+            "history window S must be at most 64",
+        ),
+        (AREA_WIDTH, 1e12f64.to_bits(), "grid cells"),
+    ] {
+        let mut crafted = original.to_vec();
+        crafted[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        match Simulation::resume_from_bytes(&frame(CKPT_MAGIC, &crafted)) {
+            Err(e) => assert!(e.to_string().contains(expected), "byte {at}: {e}"),
+            Ok(_) => panic!("byte {at} = {value:#x} resumed"),
+        }
+    }
+}
+
 /// A malformed payload that still carries a valid checksum must end in a
 /// typed error or in a resumed run that keeps stepping — never a panic.
-/// Each case xors one byte past the parameter section of a faulted,
-/// adversarial, observed mid-frame checkpoint with a random nonzero
-/// value, re-frames it, resumes, and steps the result 300 times.
+/// Each case xors one byte of a faulted, adversarial, observed mid-frame
+/// checkpoint with a random nonzero value, re-frames it, resumes, and
+/// steps the result 300 times. Every fourth case aims at the parameter
+/// section, which sizes everything the resume allocates; the rest aim at
+/// the sections after it.
 #[test]
 fn mutated_payloads_with_valid_checksums_never_panic() {
     const MUTATIONS: usize = 1_200;
@@ -600,7 +644,7 @@ fn mutated_payloads_with_valid_checksums_never_panic() {
     let original = payload(&bytes);
     // The clock opens the section after the parameters.
     let clock = sim.now().ticks().to_le_bytes();
-    let start = original
+    let params_len = original
         .windows(8)
         .position(|w| w == clock)
         .expect("the clock is in the payload");
@@ -610,7 +654,11 @@ fn mutated_payloads_with_valid_checksums_never_panic() {
     let mut panics = Vec::new();
     for case in 0..MUTATIONS {
         let mut mutated = original.to_vec();
-        let at = start + rng.gen_range_u64((mutated.len() - start) as u64) as usize;
+        let at = if case % 4 == 0 {
+            rng.gen_range_u64(params_len as u64) as usize
+        } else {
+            params_len + rng.gen_range_u64((mutated.len() - params_len) as u64) as usize
+        };
         let flip = 1 + rng.gen_range_u64(255) as u8;
         mutated[at] ^= flip;
         let framed = frame(CKPT_MAGIC, &mutated);

@@ -13,8 +13,9 @@ use dftmsn::core::params::ProtocolParams;
 use dftmsn::core::queue::FtdQueue;
 use dftmsn::core::sleep::SleepController;
 use dftmsn::radio::ids::NodeId;
-use dftmsn::sim::time::SimTime;
+use dftmsn::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn prob() -> impl Strategy<Value = f64> {
     (0u32..=1000).prop_map(|x| x as f64 / 1000.0)
@@ -210,6 +211,48 @@ proptest! {
         prop_assert!(t <= p.t_max());
     }
 
+    /// The inline bit-ring history matches a reference `VecDeque<bool>`
+    /// window at every S in 2..=64: after each recorded cycle the success
+    /// count, ρ (Eq. 4), Eq. 6's sleeping period and the oldest-first
+    /// order `history()` yields (the checkpoint layout) all agree.
+    #[test]
+    fn sleep_controller_matches_a_deque_reference(
+        outcomes in proptest::collection::vec(any::<bool>(), 0..160),
+        urgency in prob(),
+    ) {
+        for s in 2..=64usize {
+            let mut p = ProtocolParams::paper_default();
+            p.history_window_s = s;
+            let mut ctl = SleepController::new(s);
+            let mut reference: VecDeque<bool> = VecDeque::new();
+            for &outcome in &outcomes {
+                ctl.record_cycle(outcome);
+                if reference.len() == s {
+                    reference.pop_front();
+                }
+                reference.push_back(outcome);
+                let successes = reference.iter().filter(|&&b| b).count();
+                let rho = if reference.is_empty() {
+                    1.0
+                } else {
+                    successes.max(1) as f64 / s as f64
+                };
+                let raw = p.t_min_secs * (1.0 / rho - 1.0) / (1.0 - p.sleep_h + urgency);
+                let period = SimDuration::from_secs_f64(raw.max(p.t_min_secs))
+                    .clamp(SimDuration::from_secs_f64(p.t_min_secs), p.t_max())
+                    .max(SimDuration::from_ticks(1));
+                prop_assert_eq!(ctl.successes(), successes, "S = {}", s);
+                prop_assert_eq!(ctl.rho().to_bits(), rho.to_bits(), "S = {}", s);
+                prop_assert_eq!(ctl.sleep_duration(urgency, &p), period, "S = {}", s);
+                prop_assert!(
+                    ctl.history().eq(reference.iter().copied()),
+                    "S = {}: history order differs", s
+                );
+                prop_assert_eq!(ctl.history().len(), reference.len());
+            }
+        }
+    }
+
     /// Receiver selection only picks qualified candidates and orders them
     /// by descending ξ.
     #[test]
@@ -331,7 +374,7 @@ proptest! {
             ctl.record_cycle(h);
         }
         let t = ctl.sleep_duration(urgency, &p);
-        prop_assert!(t >= dftmsn::sim::time::SimDuration::from_ticks(1));
-        prop_assert!(t <= p.t_max().max(dftmsn::sim::time::SimDuration::from_ticks(1)));
+        prop_assert!(t >= SimDuration::from_ticks(1));
+        prop_assert!(t <= p.t_max().max(SimDuration::from_ticks(1)));
     }
 }
