@@ -17,6 +17,9 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace --release -q
 
+echo "==> event-queue oracle at depth (timing wheel vs. binary heap, 16384 cases)"
+PROPTEST_CASES=16384 cargo test --release -q -p dftmsn-sim --test properties
+
 echo "==> golden determinism baseline (empty fault plan must change nothing)"
 cargo test --release -q --test determinism_baseline
 

@@ -28,25 +28,6 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         });
     });
-    // The protocol's epoch-guard pattern cancels most timers it schedules;
-    // this exercises the slab queue's O(1) cancellation path.
-    c.bench_function("event_queue_schedule_cancel_10k", |b| {
-        let mut rng = SimRng::seed_from(6);
-        b.iter(|| {
-            let mut q: EventQueue<u32> = EventQueue::new();
-            let tokens: Vec<_> = (0..10_000u32)
-                .map(|i| q.schedule_at(SimTime::from_ticks(rng.gen_range_u64(1_000_000)), i))
-                .collect();
-            for t in tokens {
-                q.cancel(t);
-            }
-            let mut fired = 0u64;
-            while q.pop().is_some() {
-                fired += 1;
-            }
-            black_box(fired)
-        });
-    });
 }
 
 fn bench_rng(c: &mut Criterion) {

@@ -341,7 +341,7 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
         }
         if let (Some(at), Some(ckpt)) = (next_ckpt, &cfg.checkpoint) {
             if sim.now() >= at {
-                write_checkpoint(&mut sim, ckpt)?;
+                write_checkpoint(&mut sim, ckpt, observing.as_ref())?;
                 // Schedule from the checkpoint instant, not `at`: a burst
                 // of simulated time must not trigger a burst of writes.
                 next_ckpt = every.map(|d| sim.now() + d);
@@ -356,7 +356,7 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
             now.as_secs_f64()
         );
         if let Some(ckpt) = &cfg.checkpoint {
-            write_checkpoint(&mut sim, ckpt)?;
+            write_checkpoint(&mut sim, ckpt, observing.as_ref())?;
             eprintln!(
                 "final checkpoint written; resume with: dftmsn run --resume {}",
                 ckpt.path
@@ -365,6 +365,7 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
         // Flush what the run produced so far: the partial report plus the
         // observer's pending window and totals line.
         let report = sim.finish_partial();
+        observe_written(observing.as_ref())?;
         report_observing(observing.as_ref());
         eprintln!(
             "partial report (run covered {:.0} s):",
@@ -375,12 +376,35 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
     }
 
     let report = sim.run();
+    observe_written(observing.as_ref())?;
     report_observing(observing.as_ref());
     print_report(&cfg, &report);
     Ok(0)
 }
 
-fn write_checkpoint(sim: &mut Simulation, ckpt: &CheckpointArgs) -> Result<(), CliError> {
+/// Fails with the observe file's first write error, if one occurred. A
+/// checkpoint must not be taken after such an error: its byte cursor would
+/// not match what reached the file.
+fn observe_written(observing: Option<&Observing>) -> Result<(), CliError> {
+    let Some(obs) = observing else {
+        return Ok(());
+    };
+    match obs.recorder.take_write_error() {
+        Some(source) => Err(CliError::Io {
+            op: "cannot write observe file",
+            path: obs.path.clone(),
+            source,
+        }),
+        None => Ok(()),
+    }
+}
+
+fn write_checkpoint(
+    sim: &mut Simulation,
+    ckpt: &CheckpointArgs,
+    observing: Option<&Observing>,
+) -> Result<(), CliError> {
+    observe_written(observing)?;
     sim.checkpoint(Path::new(&ckpt.path))?;
     eprintln!(
         "checkpoint written to '{}' at t = {:.0} s",

@@ -246,6 +246,10 @@ struct RecorderInner {
     retain: bool,
     rows: Vec<ObserveRow>,
     out: Option<Box<dyn Write + Send>>,
+    /// The first write or flush error on `out`, which is then detached:
+    /// nothing more is written, so `bytes_written` stays at what reached
+    /// the output.
+    write_error: Option<std::io::Error>,
     finished: bool,
     /// Bytes emitted to `out` so far, so a checkpoint records exactly how
     /// much of the observe file is accounted for.
@@ -273,9 +277,16 @@ impl RecorderInner {
     fn write_line(&mut self, line: &Json) {
         if let Some(out) = self.out.as_mut() {
             let rendered = line.render();
-            writeln!(out, "{rendered}").expect("observe output write failed");
-            self.bytes_written += rendered.len() as u64 + 1;
+            match writeln!(out, "{rendered}") {
+                Ok(()) => self.bytes_written += rendered.len() as u64 + 1,
+                Err(e) => self.fail(e),
+            }
         }
+    }
+
+    fn fail(&mut self, e: std::io::Error) {
+        self.write_error = Some(e);
+        self.out = None;
     }
 
     fn write_header(&mut self) {
@@ -421,8 +432,8 @@ impl RecorderInner {
             .field("sleeps", t.sleeps)
             .field("faults", t.faults);
         self.write_line(&totals);
-        if let Some(out) = self.out.as_mut() {
-            out.flush().expect("observe output flush failed");
+        if let Some(Err(e)) = self.out.as_mut().map(Write::flush) {
+            self.fail(e);
         }
     }
 }
@@ -519,6 +530,7 @@ impl MetricsRecorder {
                 retain: true,
                 rows: Vec::new(),
                 out: None,
+                write_error: None,
                 finished: false,
                 bytes_written: 0,
             })),
@@ -580,6 +592,19 @@ impl MetricsRecorder {
     #[must_use]
     pub fn bytes_written(&self) -> u64 {
         self.lock().bytes_written
+    }
+
+    /// Takes the first error writing or flushing the attached output, if
+    /// one occurred. Such an error detaches the output: the recorder
+    /// writes nothing more, so [`bytes_written`](Self::bytes_written)
+    /// stays at the bytes that reached it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a previous holder of the lock panicked.
+    #[must_use]
+    pub fn take_write_error(&self) -> Option<std::io::Error> {
+        self.lock().write_error.take()
     }
 
     /// Streams every closed window (and the header/totals lines) to
@@ -866,6 +891,58 @@ mod tests {
         assert!(lines[1].contains("\"window\":0"));
         assert!(lines[3].contains("\"totals\":true"));
         assert!(lines[3].contains("\"deliveries\":1"));
+    }
+
+    #[test]
+    fn a_failed_write_or_flush_is_kept_and_stops_the_stream() {
+        /// Accepts `room` bytes, then fails every write; flushing fails
+        /// when `flush_fails`.
+        struct Tight {
+            room: usize,
+            flush_fails: bool,
+        }
+        impl Write for Tight {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                if self.room == 0 {
+                    return Err(std::io::Error::other("no space left"));
+                }
+                let n = b.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                if self.flush_fails {
+                    return Err(std::io::Error::other("flush refused"));
+                }
+                Ok(())
+            }
+        }
+        let run = |room, flush_fails| {
+            let mut rec =
+                MetricsRecorder::new(10.0).with_output(Box::new(Tight { room, flush_fails }));
+            rec.record(delivered(1.0));
+            rec.finish(SimTime::from_secs(20), None);
+            rec
+        };
+        let full = run(0, false);
+        assert_eq!(full.bytes_written(), 0);
+        let err = full.take_write_error().expect("the write error is kept");
+        assert_eq!(err.to_string(), "no space left");
+        assert!(full.take_write_error().is_none(), "taken once");
+        assert_eq!(full.totals().0, 2, "windows still close");
+
+        // Room for the header only: the first window's line fails part
+        // way, and nothing after it is written or counted.
+        let partial = run(60, false);
+        assert!(partial.bytes_written() > 0 && partial.bytes_written() <= 60);
+        assert!(partial.take_write_error().is_some());
+
+        let unflushable = run(usize::MAX, true);
+        assert!(unflushable.bytes_written() > 0);
+        let err = unflushable
+            .take_write_error()
+            .expect("the flush error is kept");
+        assert_eq!(err.to_string(), "flush refused");
     }
 
     #[test]

@@ -1833,7 +1833,7 @@ impl Simulation {
             })
         })?;
 
-        sim.events = EventQueue::restore(now, popped, Vec::new());
+        sim.events = EventQueue::restore(now, popped);
         let pending_count = r.seq_len()?;
         for _ in 0..pending_count {
             let at = r_time(r)?;

@@ -8,96 +8,68 @@
 //!
 //! # Implementation
 //!
-//! Payloads live in a generation-tagged slab; the scheduling structure holds
-//! only compact `(time, seq, slot, gen)` entries. Since PR 4 that structure
-//! is a **hierarchical timing wheel** rather than a binary heap: six levels
-//! of 64 slots at a ~1 ms base granularity (each level 64× coarser than the
-//! one below), with a small overflow heap for the rare event further out
-//! than the wheel's ~800-day span. The simulator's event mix is dominated by
-//! short-horizon MAC timers, which land in the bottom two levels and cost
-//! O(1) to file and O(1) amortized to pop; a binary heap paid O(log n) with
-//! a cache miss per comparison on the same workload.
+//! A **hierarchical timing wheel** holds `(time, seq, payload)` entries
+//! inline: six levels of 64 slots at a ~1 ms base granularity (each level
+//! 64× coarser than the one below), with a small overflow heap for the rare
+//! event further out than the wheel's ~800-day span. The simulator's event
+//! mix is dominated by short-horizon MAC timers, which land in the bottom
+//! two levels and cost O(1) to file and O(1) amortized to pop; a binary heap
+//! pays O(log n) with a cache miss per comparison on the same workload.
 //!
 //! Timestamps sharing a granule are ordered by an explicit sort on
 //! `(time, seq)` when their bucket is opened, so the pop order — and
-//! therefore every simulation outcome — is bit-for-bit identical to the
-//! heap implementation, which is preserved as [`ReferenceEventQueue`] and
-//! checked against the wheel by a differential property test.
+//! therefore every simulation outcome — is bit-for-bit that of a binary
+//! heap keyed on `(time, seq)`. A differential property test in
+//! `tests/properties.rs` checks the wheel against such a heap.
 //!
-//! Cancellation ([`EventQueue::cancel`]) is an O(1) slot invalidation —
-//! the wheel entry stays behind and is skipped when reached (lazy
-//! deletion). A slot's generation is bumped every time the slot dies
-//! (fires, is cancelled, or is cleared), so a stale [`EventToken`] can
-//! never touch a recycled slot: tokens embed the generation they were
-//! issued under.
+//! Nothing is ever cancelled: the engine retires a superseded timer by
+//! bumping its node's epoch and skips the stale event when it fires.
+//!
+//! Two layout rules keep memory and resume cost flat:
+//!
+//! * a level ≥ 1 bucket's buffer is released when its cascade empties it,
+//!   since each one fills at most once per pass of the level above;
+//! * the open granule is kept ascending and served from the front, so an
+//!   arrival that sorts last in it — thousands of same-instant timeouts,
+//!   or a restore replaying the pending events in firing order — is
+//!   appended in O(1).
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Identifies a scheduled event so it can be cancelled later.
-///
-/// Encodes the slab slot and the slot generation the event was issued
-/// under; a token outlives its event harmlessly (cancel just returns
-/// `false`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventToken(u64);
-
-impl EventToken {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventToken(u64::from(slot) << 32 | u64::from(gen))
-    }
-
-    fn slot(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    fn generation(self) -> u32 {
-        self.0 as u32
-    }
-}
-
-/// One slab slot: the payload of a live event, tagged with a reuse
-/// generation.
+/// One scheduled event.
 #[derive(Debug)]
-struct Slot<E> {
-    /// Bumped whenever the slot dies; tokens and wheel entries carrying an
-    /// older generation are stale.
-    gen: u32,
-    /// `Some` while the event is live.
-    payload: Option<E>,
-}
-
-/// Compact scheduling entry; the payload stays in the slab.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
+    payload: E,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
-impl Eq for Entry {}
 
-impl PartialOrd for Entry {
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Entry {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap but we want the earliest event;
-        // equal instants fire in scheduling (seq) order.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reverse: BinaryHeap is a max-heap but the overflow must yield the
+        // earliest event; equal instants fire in scheduling (seq) order.
+        other.key().cmp(&self.key())
     }
 }
 
@@ -131,11 +103,8 @@ const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    /// Slots whose payload has died and may be reused.
-    free: Vec<u32>,
-    /// Number of live (schedulable, not cancelled) events.
-    live: usize,
+    /// Number of pending events.
+    len: usize,
     /// Total events popped over the queue's lifetime (for throughput
     /// reporting).
     popped: u64,
@@ -143,18 +112,16 @@ pub struct EventQueue<E> {
     now: SimTime,
     /// The wheel: per-level slot buckets, in firing order only per granule
     /// (each bucket is sorted when it reaches the current granule).
-    levels: Box<[[Vec<Entry>; SLOTS]; LEVELS]>,
+    levels: Box<[[Vec<Entry<E>>; SLOTS]; LEVELS]>,
     /// Per-level occupancy bitmap: bit `s` set iff `levels[l][s]` is
     /// non-empty. Slots in use are always strictly ahead of the wheel
     /// cursor at their level, so "next slot" is a plain `trailing_zeros`.
     occ: [u64; LEVELS],
     /// Events beyond the wheel span, ordered by `(at, seq)`.
-    overflow: BinaryHeap<Entry>,
-    /// The opened current granule, sorted by `(at, seq)`, served from
-    /// `cur_idx`. Late arrivals for an already-opened granule are
-    /// insertion-sorted into the unserved tail.
-    cur: Vec<Entry>,
-    cur_idx: usize,
+    overflow: BinaryHeap<Entry<E>>,
+    /// The opened current granule in `(at, seq)` order, served from the
+    /// front. Late arrivals for it are inserted in order.
+    cur: VecDeque<Entry<E>>,
     /// Wheel position in granules (`ticks >> GRAN_BITS`).
     base: u64,
 }
@@ -170,17 +137,14 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
+            len: 0,
             popped: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             levels: Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()))),
             occ: [0; LEVELS],
             overflow: BinaryHeap::new(),
-            cur: Vec::new(),
-            cur_idx: 0,
+            cur: VecDeque::new(),
             base: 0,
         }
     }
@@ -192,16 +156,16 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (not cancelled) scheduled events.
+    /// Number of scheduled events not yet popped.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// Total events popped (fired) over the queue's lifetime.
@@ -217,7 +181,7 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the past (before [`now`](Self::now)); scheduling
     /// exactly at `now` is allowed and fires after already-queued events at
     /// the same instant.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < now {}",
@@ -225,43 +189,25 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].payload = Some(payload);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("slab overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    payload: Some(payload),
-                });
-                s
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.file(Entry { at, seq, slot, gen });
-        self.live += 1;
-        EventToken::new(slot, gen)
+        self.file(Entry { at, seq, payload });
+        self.len += 1;
     }
 
     /// Schedules `payload` after the relative delay `after`.
-    pub fn schedule_after(&mut self, after: SimDuration, payload: E) -> EventToken {
+    pub fn schedule_after(&mut self, after: SimDuration, payload: E) {
         let at = self.now + after;
-        self.schedule_at(at, payload)
+        self.schedule_at(at, payload);
     }
 
     /// Files an entry into the wheel structure: the open granule, a wheel
     /// level, or the overflow heap.
-    fn file(&mut self, e: Entry) {
+    fn file(&mut self, e: Entry<E>) {
         let tg = e.at.ticks() >> GRAN_BITS;
         if tg <= self.base {
             // The entry's granule is already open (or the wheel has been
-            // positioned past it by a peek): insertion-sort it into the
-            // unserved tail of `cur`. Everything already served is in the
-            // past, so the tail is the right region.
-            let pos = self.cur_idx
-                + self.cur[self.cur_idx..].partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
+            // positioned past it by a peek): insert it in order. An entry
+            // that sorts last — the usual case — moves no other entry.
+            let pos = self.cur.partition_point(|x| x.key() < e.key());
             self.cur.insert(pos, e);
             return;
         }
@@ -291,23 +237,19 @@ impl<E> EventQueue<E> {
 
     /// Repositions the wheel on the next occupied granule and opens it into
     /// `cur`. Returns `false` when no entries remain anywhere (`cur`,
-    /// wheel, overflow). Stale (cancelled) entries count as present here;
-    /// the serve loops skip them.
+    /// wheel, overflow).
     fn advance(&mut self) -> bool {
-        debug_assert!(self.cur_idx >= self.cur.len(), "advance with unserved cur");
-        self.cur.clear();
-        self.cur_idx = 0;
+        debug_assert!(self.cur.is_empty(), "advance with unserved cur");
         loop {
-            if self.cur_idx < self.cur.len() {
+            if !self.cur.is_empty() {
                 return true;
             }
             let Some(level) = (0..LEVELS).find(|&l| self.occ[l] != 0) else {
-                if self.overflow.is_empty() {
+                let Some(head) = self.overflow.peek() else {
                     return false;
-                }
+                };
                 // The wheel drained: jump straight to the overflow head's
                 // block and pull in everything that now fits.
-                let head = self.overflow.peek().expect("overflow non-empty");
                 self.base = head.at.ticks() >> GRAN_BITS;
                 self.migrate_overflow();
                 continue;
@@ -315,373 +257,96 @@ impl<E> EventQueue<E> {
             // Occupied slots are strictly ahead of the cursor at their
             // level, so the lowest set bit is the next one to fire.
             let slot = u64::from(self.occ[level].trailing_zeros());
+            self.occ[level] &= !(1 << slot);
             if level == 0 {
-                // Open the granule: advance the cursor onto it and sort its
-                // bucket into firing order.
+                // Open the granule: advance the cursor onto it and serve its
+                // bucket in firing order. The bucket keeps its buffer, since
+                // level-0 slots refill every 64 granules.
                 self.base = (self.base & !(SLOTS as u64 - 1)) | slot;
-                self.occ[0] &= !(1 << slot);
-                let mut bucket = std::mem::take(&mut self.levels[0][slot as usize]);
-                self.cur.append(&mut bucket);
-                self.levels[0][slot as usize] = bucket;
-                self.cur.sort_unstable_by_key(|e| (e.at, e.seq));
+                let bucket = &mut self.levels[0][slot as usize];
+                bucket.sort_unstable_by_key(Entry::key);
+                self.cur.extend(bucket.drain(..));
                 return true;
             }
             // Cascade: advance the cursor to the slot's span start and
             // redistribute its bucket into the levels below (entries whose
-            // lower digits are all zero land directly in `cur`).
+            // lower digits are all zero land directly in `cur`). The
+            // emptied buffer is dropped, not kept for the slot's next pass.
             let shift = SLOT_BITS * level as u32;
             let upper = (self.base >> (shift + SLOT_BITS)) << (shift + SLOT_BITS);
             self.base = upper | slot << shift;
-            self.occ[level] &= !(1 << slot);
-            let mut bucket = std::mem::take(&mut self.levels[level][slot as usize]);
-            for e in bucket.drain(..) {
+            for e in std::mem::take(&mut self.levels[level][slot as usize]) {
                 self.file(e);
             }
-            self.levels[level][slot as usize] = bucket;
         }
     }
 
-    /// Cancels a previously scheduled event in O(1).
-    ///
-    /// Returns `true` if the event was still pending. The payload is
-    /// dropped immediately; the wheel entry stays behind (lazy deletion)
-    /// and is skipped when reached. Tokens for events that already fired,
-    /// were already cancelled, or whose slot has since been reused by a
-    /// newer generation all return `false`.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(slot) = self.slots.get_mut(token.slot() as usize) else {
-            return false;
-        };
-        if slot.gen != token.generation() || slot.payload.is_none() {
-            // Already fired / cancelled / recycled, or never ours.
-            return false;
-        }
-        slot.payload = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(token.slot());
-        self.live -= 1;
-        true
-    }
-
-    /// Frees the slot behind an entry and returns its payload (the entry
-    /// must be live: generations matched).
-    fn retire(&mut self, entry: Entry) -> E {
-        let slot = &mut self.slots[entry.slot as usize];
-        let payload = slot.payload.take().expect("live slot has a payload");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        payload
-    }
-
-    /// Pops the earliest live event, advancing the clock to its instant.
+    /// Pops the earliest event, advancing the clock to its instant.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            while self.cur_idx < self.cur.len() {
-                let entry = self.cur[self.cur_idx];
-                self.cur_idx += 1;
-                if self.slots[entry.slot as usize].gen != entry.gen {
-                    // Cancelled (slot died) or recycled under a newer token.
-                    continue;
-                }
-                let payload = self.retire(entry);
-                debug_assert!(entry.at >= self.now, "event time regression");
-                self.now = entry.at;
-                self.popped += 1;
-                return Some((entry.at, payload));
-            }
-            if !self.advance() {
-                return None;
-            }
+        if self.cur.is_empty() && !self.advance() {
+            return None;
         }
+        let e = self
+            .cur
+            .pop_front()
+            .expect("an opened granule is non-empty");
+        debug_assert!(e.at >= self.now, "event time regression");
+        self.now = e.at;
+        self.popped += 1;
+        self.len -= 1;
+        Some((e.at, e.payload))
     }
 
-    /// The instant of the next live event without popping it.
+    /// The instant of the next event without popping it.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            while self.cur_idx < self.cur.len() {
-                let entry = self.cur[self.cur_idx];
-                if self.slots[entry.slot as usize].gen != entry.gen {
-                    self.cur_idx += 1;
-                    continue;
-                }
-                return Some(entry.at);
-            }
-            if !self.advance() {
-                return None;
-            }
+        if self.cur.is_empty() && !self.advance() {
+            return None;
         }
+        self.cur.front().map(|e| e.at)
     }
 
-    /// Live entries in firing order.
+    /// Calls `f` on every pending event in firing order — exactly the
+    /// order [`pop`](Self::pop) would serve them — for checkpointing.
     ///
-    /// The wheel already orders its buckets: the unserved tail of `cur` is
-    /// sorted and lies at or before `base`; each level's occupied slots are
-    /// ahead of the cursor, so ascending slots are ascending blocks, all
-    /// later than every block of the level below; the overflow heap lies
-    /// past the wheel span. Only each bucket needs sorting on its own.
-    fn live_entries(&self) -> Vec<Entry> {
-        let is_live = |e: &&Entry| self.slots[e.slot as usize].gen == e.gen;
-        let key = |e: &Entry| (e.at, e.seq);
-        let mut entries: Vec<Entry> = Vec::with_capacity(self.live);
-        entries.extend(self.cur[self.cur_idx..].iter().filter(is_live));
-        for level in self.levels.iter() {
-            for bucket in level.iter() {
-                let start = entries.len();
-                entries.extend(bucket.iter().filter(is_live));
-                entries[start..].sort_unstable_by_key(key);
-            }
+    /// The wheel already orders its buckets: `cur` is sorted and lies at
+    /// or before `base`; each level's occupied slots are ahead of the
+    /// cursor, so ascending slots are ascending blocks, all later than
+    /// every block of the level below; the overflow heap lies past the
+    /// wheel span. Only each bucket needs sorting on its own.
+    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(SimTime, &'a E)) {
+        let mut entries: Vec<&Entry<E>> = Vec::with_capacity(self.len);
+        entries.extend(&self.cur);
+        for bucket in self.levels.iter().flatten() {
+            let start = entries.len();
+            entries.extend(bucket);
+            entries[start..].sort_unstable_by_key(|e| e.key());
         }
         let start = entries.len();
-        entries.extend(self.overflow.iter().filter(is_live));
-        entries[start..].sort_unstable_by_key(key);
-        debug_assert!(entries.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        entries
-    }
-
-    /// Calls `f` on every live pending event in firing order — the order
-    /// of [`pending`](Self::pending) without collecting it.
-    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(SimTime, &'a E)) {
-        for e in self.live_entries() {
-            let payload = self.slots[e.slot as usize]
-                .payload
-                .as_ref()
-                .expect("live slot has a payload");
-            f(e.at, payload);
+        entries.extend(self.overflow.iter());
+        entries[start..].sort_unstable_by_key(|e| e.key());
+        debug_assert!(entries.windows(2).all(|w| w[0].key() < w[1].key()));
+        for e in entries {
+            f(e.at, &e.payload);
         }
     }
 
-    /// Every live pending event as `(firing time, payload)` references in
-    /// firing order — the queue's logical contents, for checkpointing.
+    /// An empty queue resuming checkpointed state: the clock at `now` and
+    /// the lifetime pop counter at `popped`.
     ///
-    /// Cancelled entries (lazy-deleted wheel residue) are excluded. The
-    /// order is exactly the order [`pop`](Self::pop) would serve them.
+    /// The caller then schedules the checkpointed events in firing order
+    /// (as [`for_each_pending`](Self::for_each_pending) lists them). Fresh
+    /// sequence numbers in list order keep same-instant events in their
+    /// relative order, and events scheduled afterwards sort behind every
+    /// restored one at the same instant — exactly the order the
+    /// uninterrupted run would have used.
     #[must_use]
-    pub fn pending(&self) -> Vec<(SimTime, &E)> {
-        let mut out = Vec::with_capacity(self.live);
-        self.for_each_pending(|at, e| out.push((at, e)));
-        out
-    }
-
-    /// Rebuilds a queue from checkpointed state: the clock at `now`, the
-    /// lifetime pop counter at `popped`, and `events` pending in firing
-    /// order (as produced by [`pending`](Self::pending)).
-    ///
-    /// Fresh sequence numbers are assigned in list order, so same-instant
-    /// events keep their relative order, and events scheduled after the
-    /// restore sort behind every restored one at the same instant — exactly
-    /// the order the uninterrupted run would have used. Tokens issued
-    /// before the checkpoint are not revived.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event fires before `now`.
-    #[must_use]
-    pub fn restore(now: SimTime, popped: u64, events: Vec<(SimTime, E)>) -> Self {
+    pub fn restore(now: SimTime, popped: u64) -> Self {
         let mut q = Self::new();
         q.now = now;
         q.base = now.ticks() >> GRAN_BITS;
         q.popped = popped;
-        for (at, payload) in events {
-            q.schedule_at(at, payload);
-        }
         q
-    }
-
-    /// Removes every pending event.
-    ///
-    /// Slots are invalidated, not deallocated, so tokens issued before the
-    /// clear can never cancel events scheduled after it.
-    pub fn clear(&mut self) {
-        for level in self.levels.iter_mut() {
-            for bucket in level.iter_mut() {
-                bucket.clear();
-            }
-        }
-        self.occ = [0; LEVELS];
-        self.overflow.clear();
-        self.cur.clear();
-        self.cur_idx = 0;
-        // Re-anchor the wheel at the clock so future schedules spread over
-        // the levels instead of piling into the open granule.
-        self.base = self.now.ticks() >> GRAN_BITS;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.payload.take().is_some() {
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(i as u32);
-            }
-        }
-        self.live = 0;
-    }
-}
-
-/// The pre-wheel event queue: a binary heap over the same generation-tagged
-/// slab, kept as the ordering oracle for the timing wheel.
-///
-/// Semantics are identical to [`EventQueue`] — same token scheme, same
-/// `(time, seq)` pop order, same lazy-deletion cancel — and a differential
-/// property test in `tests/properties.rs` drives both through randomized
-/// schedule/cancel/pop workloads asserting they never diverge. Scheduling
-/// and popping cost O(log n) here versus the wheel's O(1); use this only
-/// as a reference.
-#[derive(Debug)]
-pub struct ReferenceEventQueue<E> {
-    heap: BinaryHeap<Entry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    live: usize,
-    popped: u64,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    #[must_use]
-    pub fn new() -> Self {
-        ReferenceEventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            popped: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulation instant.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of live (not cancelled) scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no live events remain.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total events popped (fired) over the queue's lifetime.
-    #[must_use]
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Schedules `payload` at the absolute instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past (before [`now`](Self::now)).
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventToken {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].payload = Some(payload);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("slab overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    payload: Some(payload),
-                });
-                s
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(Entry { at, seq, slot, gen });
-        self.live += 1;
-        EventToken::new(slot, gen)
-    }
-
-    /// Schedules `payload` after the relative delay `after`.
-    pub fn schedule_after(&mut self, after: SimDuration, payload: E) -> EventToken {
-        let at = self.now + after;
-        self.schedule_at(at, payload)
-    }
-
-    /// Cancels a previously scheduled event in O(1) (lazy deletion).
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(slot) = self.slots.get_mut(token.slot() as usize) else {
-            return false;
-        };
-        if slot.gen != token.generation() || slot.payload.is_none() {
-            return false;
-        }
-        slot.payload = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(token.slot());
-        self.live -= 1;
-        true
-    }
-
-    fn retire(&mut self, entry: Entry) -> E {
-        let slot = &mut self.slots[entry.slot as usize];
-        let payload = slot.payload.take().expect("live slot has a payload");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        payload
-    }
-
-    /// Pops the earliest live event, advancing the clock to its instant.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.slots[entry.slot as usize].gen != entry.gen {
-                continue;
-            }
-            let payload = self.retire(entry);
-            debug_assert!(entry.at >= self.now, "event time regression");
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, payload));
-        }
-        None
-    }
-
-    /// The instant of the next live event without popping it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].gen != entry.gen {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
-    /// Removes every pending event (slots invalidated, not deallocated).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.payload.take().is_some() {
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(i as u32);
-            }
-        }
-        self.live = 0;
     }
 }
 
@@ -689,14 +354,23 @@ impl<E> ReferenceEventQueue<E> {
 mod tests {
     use super::*;
 
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+    }
+
+    fn listed<E: Copy>(q: &EventQueue<E>) -> Vec<(SimTime, E)> {
+        let mut out = Vec::new();
+        q.for_each_pending(|at, &e| out.push((at, e)));
+        out
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(3), 3u32);
         q.schedule_at(SimTime::from_secs(1), 1u32);
         q.schedule_at(SimTime::from_secs(2), 2u32);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
@@ -706,26 +380,7 @@ mod tests {
         for i in 0..10u32 {
             q.schedule_at(t, i);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ties_fire_in_scheduling_order_across_slot_reuse() {
-        // Interleave cancellations so later events land in recycled slots
-        // with *lower* slot indices; the tie order must still follow the
-        // scheduling sequence, not slab layout.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        let a = q.schedule_at(t, 100u32); // slot 0
-        let b = q.schedule_at(t, 101u32); // slot 1
-        assert!(q.cancel(a));
-        assert!(q.cancel(b));
-        for i in 0..6u32 {
-            q.schedule_at(t, i); // first two reuse slots 1, 0
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..6).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -748,125 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_are_skipped() {
-        let mut q = EventQueue::new();
-        let keep = q.schedule_at(SimTime::from_secs(1), "keep");
-        let drop = q.schedule_at(SimTime::from_secs(2), "drop");
-        let _ = keep;
-        assert!(q.cancel(drop));
-        assert!(!q.cancel(drop), "double-cancel reports false");
-        let all: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(all, vec!["keep"]);
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
-        q.schedule_at(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
-        q.schedule_at(SimTime::from_secs(2), ());
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-    }
-
-    #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(2), ());
         q.pop();
         q.schedule_at(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn cancelling_a_fired_event_is_a_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
-        q.schedule_at(SimTime::from_secs(2), ());
-        q.pop();
-        assert!(!q.cancel(a), "token for fired event");
-        assert_eq!(q.len(), 1, "len unaffected by stale cancel");
-    }
-
-    #[test]
-    fn stale_token_cannot_cancel_a_recycled_slot() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), "a");
-        assert!(q.cancel(a));
-        // "b" reuses a's slot under a newer generation.
-        let b = q.schedule_at(SimTime::from_secs(2), "b");
-        assert!(!q.cancel(a), "stale token must be rejected across reuse");
-        assert_eq!(q.len(), 1);
-        let (t, e) = q.pop().unwrap();
-        assert_eq!((t, e), (SimTime::from_secs(2), "b"));
-        assert!(!q.cancel(b), "token for fired event after reuse");
-    }
-
-    #[test]
-    fn token_from_before_clear_cannot_touch_later_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), "old");
-        q.clear();
-        assert!(q.is_empty());
-        let b = q.schedule_at(SimTime::from_secs(2), "new");
-        assert!(!q.cancel(a), "pre-clear token must be dead");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(b));
-    }
-
-    #[test]
-    fn cancelled_payloads_are_dropped_eagerly() {
-        use std::rc::Rc;
-        let marker = Rc::new(());
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), Rc::clone(&marker));
-        assert_eq!(Rc::strong_count(&marker), 2);
-        q.cancel(a);
-        // O(1) cancel still frees the payload immediately, not at pop time.
-        assert_eq!(Rc::strong_count(&marker), 1);
-    }
-
-    #[test]
-    fn slots_are_reused_instead_of_growing() {
-        let mut q = EventQueue::new();
-        for round in 0..100u64 {
-            let t = SimTime::from_secs(round + 1);
-            let a = q.schedule_at(t, 0u8);
-            let b = q.schedule_at(t, 1u8);
-            q.cancel(a);
-            q.pop();
-            let _ = b;
-        }
-        assert!(q.slots.len() <= 4, "slab grew to {} slots", q.slots.len());
-    }
-
-    #[test]
-    fn popped_counts_fired_events_only() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
-        q.schedule_at(SimTime::from_secs(2), ());
-        q.cancel(a);
-        while q.pop().is_some() {}
-        assert_eq!(q.popped(), 1);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     // ---------------- timing-wheel specific coverage ----------------
@@ -896,19 +438,7 @@ mod tests {
         for i in 0..8u32 {
             q.schedule_at(far, i);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancel_reaches_into_overflow() {
-        let mut q = EventQueue::new();
-        let far = far_future();
-        let a = q.schedule_at(far, "drop");
-        q.schedule_at(far, "keep");
-        assert!(q.cancel(a));
-        let all: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(all, vec!["keep"]);
+        assert_eq!(drain(&mut q), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -951,29 +481,38 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_overflow_too() {
+    fn cascaded_buckets_release_their_buffers() {
+        // One event per level-1 slot: every cascade empties its bucket, and
+        // the emptied buffer must not stay behind in the wheel.
         let mut q = EventQueue::new();
-        q.schedule_at(far_future(), ());
-        q.schedule_at(SimTime::from_secs(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        let level1_span = 1u64 << (GRAN_BITS + SLOT_BITS);
+        for k in 1..SLOTS as u64 {
+            for i in 0..16 {
+                q.schedule_at(SimTime::from_ticks(k * level1_span + (i << GRAN_BITS)), k);
+            }
+        }
+        while q.pop().is_some() {}
+        let retained: usize = q.levels[1..].iter().flatten().map(Vec::capacity).sum();
+        assert_eq!(retained, 0, "cascaded buffers kept {retained} entries");
     }
 
     #[test]
-    fn pending_lists_live_events_in_pop_order() {
+    fn pending_lists_events_in_pop_order() {
         let mut q = EventQueue::new();
         let t1 = SimTime::from_secs(1);
         let t2 = SimTime::from_secs(2);
         q.schedule_at(t2, "late");
-        let cancelled = q.schedule_at(t1, "gone");
         q.schedule_at(t1, "early");
         q.schedule_at(far_future(), "overflow");
-        assert!(q.cancel(cancelled));
-        let pending: Vec<(SimTime, &str)> = q.pending().into_iter().map(|(t, e)| (t, *e)).collect();
+        q.schedule_at(t1, "tied");
         assert_eq!(
-            pending,
-            vec![(t1, "early"), (t2, "late"), (far_future(), "overflow")]
+            listed(&q),
+            vec![
+                (t1, "early"),
+                (t1, "tied"),
+                (t2, "late"),
+                (far_future(), "overflow")
+            ]
         );
     }
 
@@ -990,12 +529,10 @@ mod tests {
         for _ in 0..3 {
             original.pop();
         }
-        let snapshot: Vec<(SimTime, usize)> = original
-            .pending()
-            .into_iter()
-            .map(|(t, e)| (t, *e))
-            .collect();
-        let mut restored = EventQueue::restore(original.now(), original.popped(), snapshot);
+        let mut restored = EventQueue::restore(original.now(), original.popped());
+        for (at, e) in listed(&original) {
+            restored.schedule_at(at, e);
+        }
         assert_eq!(restored.now(), original.now());
         assert_eq!(restored.popped(), original.popped());
         assert_eq!(restored.len(), original.len());
@@ -1005,25 +542,6 @@ mod tests {
         restored.schedule_at(at, 99);
         loop {
             let (a, b) = (original.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn reference_queue_matches_on_a_smoke_sequence() {
-        let mut wheel = EventQueue::new();
-        let mut heap = ReferenceEventQueue::new();
-        let times = [7u64, 3, 3, 900_000, 64_000_000, 3, 12];
-        for (i, &t) in times.iter().enumerate() {
-            let at = SimTime::from_ticks(t);
-            assert_eq!(wheel.schedule_at(at, i), heap.schedule_at(at, i));
-        }
-        loop {
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;

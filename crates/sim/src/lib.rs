@@ -6,7 +6,7 @@
 //! * [`time`] — integer-microsecond simulation clock types
 //!   ([`SimTime`], [`SimDuration`]);
 //! * [`event`] — a deterministic future-event list
-//!   ([`EventQueue`]) with O(1) cancellation;
+//!   ([`EventQueue`]) on a hierarchical timing wheel;
 //! * [`rng`] — a seedable, forkable xoshiro256++ generator
 //!   ([`SimRng`]) so runs are bit-reproducible;
 //! * [`snap`] — the little-endian snapshot codec
@@ -55,7 +55,7 @@ pub mod rng;
 pub mod snap;
 pub mod time;
 
-pub use event::{EventQueue, EventToken};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use snap::{checksum64, fnv1a64, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -1,11 +1,52 @@
 //! Property-based tests of the DES kernel: the event queue behaves like a
-//! stable priority queue, cancellation is exact, and the RNG's
+//! stable priority queue and matches a binary-heap oracle, and the RNG's
 //! distributions honour their contracts.
 
-use dftmsn_sim::event::{EventQueue, ReferenceEventQueue};
+use dftmsn_sim::event::EventQueue;
 use dftmsn_sim::rng::SimRng;
 use dftmsn_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The ordering oracle for the timing wheel: a binary heap on
+/// `(time, seq)`, the queue the wheel replaced.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    next_seq: u64,
+    now: SimTime,
+    popped: u64,
+}
+
+impl HeapQueue {
+    fn schedule_at(&mut self, at: SimTime, payload: usize) {
+        self.heap.push(Reverse((at, self.next_seq, payload)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let Reverse((at, _, payload)) = self.heap.pop()?;
+        self.now = at;
+        self.popped += 1;
+        Some((at, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// The wheel's pending events as `for_each_pending` lists them.
+fn listed(q: &EventQueue<usize>) -> Vec<(SimTime, usize)> {
+    let mut out = Vec::new();
+    q.for_each_pending(|at, &e| out.push((at, e)));
+    out
+}
 
 proptest! {
     /// Popping replays events in (time, insertion) order — exactly a
@@ -22,34 +63,6 @@ proptest! {
         let popped: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop().map(|(t, i)| (t.ticks(), i))).collect();
         prop_assert_eq!(popped, expected);
-    }
-
-    /// Cancelled events never fire; everything else does, and `len`
-    /// agrees at every step.
-    #[test]
-    fn cancellation_is_exact(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let tokens: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule_at(SimTime::from_ticks(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, token) in tokens.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*token));
-                prop_assert!(!q.cancel(*token), "double cancel must fail");
-                cancelled.insert(i);
-            }
-        }
-        prop_assert_eq!(q.len(), times.len() - cancelled.len());
-        let fired: std::collections::HashSet<usize> =
-            std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
-        prop_assert_eq!(fired.len(), times.len() - cancelled.len());
-        prop_assert!(fired.is_disjoint(&cancelled));
     }
 
     /// `schedule_after` always lands relative to the current clock.
@@ -117,56 +130,58 @@ proptest! {
         );
     }
 
-    /// Differential check of the timing wheel against the reference heap
-    /// queue: under randomized schedule/cancel/pop/peek workloads — with
-    /// delays spanning everything from sub-granule to beyond the wheel
-    /// span (overflow heap) — both queues must issue identical tokens,
-    /// report identical cancel outcomes, and pop identical
-    /// `(time, payload)` sequences.
+    /// Differential check of the timing wheel against the binary-heap
+    /// oracle: under randomized schedule/pop/peek workloads — with delays
+    /// spanning everything from sub-granule to beyond the wheel span
+    /// (overflow heap), same-instant ties, and checkpoint round trips that
+    /// swap the wheel for its restored twin mid-run — both queues must pop
+    /// identical `(time, payload)` sequences.
     #[test]
     fn wheel_matches_reference_heap(
-        ops in proptest::collection::vec(
-            (0u8..100, any::<u64>(), 0usize..1024),
-            0..400,
-        ),
+        ops in proptest::collection::vec((0u8..100, any::<u64>()), 0..400),
     ) {
         let mut wheel: EventQueue<usize> = EventQueue::new();
-        let mut heap: ReferenceEventQueue<usize> = ReferenceEventQueue::new();
-        let mut tokens = Vec::new();
-        for (i, &(kind, raw, pick)) in ops.iter().enumerate() {
-            if kind < 45 {
-                // Schedule with a horizon drawn from one of four decades:
-                // same granule, low wheel levels, high wheel levels, and
-                // past the wheel span (forces the overflow heap).
-                let delay = match raw % 4 {
-                    0 => raw % 1_000,
-                    1 => raw % 10_000_000,
-                    2 => raw % 500_000_000_000,
-                    _ => raw % 200_000_000_000_000,
+        let mut heap = HeapQueue::default();
+        let mut last_at = SimTime::ZERO;
+        for (i, &(kind, raw)) in ops.iter().enumerate() {
+            if kind < 60 {
+                let at = if kind < 48 {
+                    // A horizon drawn from one of four decades: same
+                    // granule, low wheel levels, high wheel levels, and
+                    // past the wheel span (forces the overflow heap).
+                    let delay = match raw % 4 {
+                        0 => raw % 1_000,
+                        1 => raw % 10_000_000,
+                        2 => raw % 500_000_000_000,
+                        _ => raw % 200_000_000_000_000,
+                    };
+                    wheel.now() + SimDuration::from_ticks(delay)
+                } else {
+                    // A tie with the latest instant scheduled so far.
+                    last_at.max(wheel.now())
                 };
-                let d = SimDuration::from_ticks(delay);
-                let (a, b) = (wheel.schedule_after(d, i), heap.schedule_after(d, i));
-                prop_assert_eq!(a, b, "token divergence at op {}", i);
-                tokens.push(a);
-            } else if kind < 65 {
-                if tokens.is_empty() {
-                    continue;
-                }
-                let t = tokens[pick % tokens.len()];
-                prop_assert_eq!(wheel.cancel(t), heap.cancel(t), "cancel divergence at op {}", i);
-            } else if kind < 90 {
+                wheel.schedule_at(at, i);
+                heap.schedule_at(at, i);
+                last_at = at;
+            } else if kind < 85 {
                 prop_assert_eq!(wheel.pop(), heap.pop(), "pop divergence at op {}", i);
-            } else {
+            } else if kind < 95 {
                 prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek divergence at op {}", i);
+            } else {
+                // Checkpoint round trip: from here on the restored twin
+                // must serve exactly what the original would have.
+                let mut twin = EventQueue::restore(wheel.now(), wheel.popped());
+                for (at, e) in listed(&wheel) {
+                    twin.schedule_at(at, e);
+                }
+                wheel = twin;
             }
             prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.now(), heap.now());
+            prop_assert_eq!(wheel.now(), heap.now);
         }
         // The checkpoint view lists exactly what a drain pops, in order.
-        let listed: Vec<(SimTime, usize)> =
-            wheel.pending().into_iter().map(|(t, &e)| (t, e)).collect();
+        let pending = listed(&wheel);
         let mut drained = Vec::new();
-        // Drain both to the end.
         loop {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
             let (a, b) = (wheel.pop(), heap.pop());
@@ -176,8 +191,8 @@ proptest! {
                 None => break,
             }
         }
-        prop_assert_eq!(listed, drained, "pending() disagrees with the pop order");
-        prop_assert_eq!(wheel.popped(), heap.popped());
+        prop_assert_eq!(pending, drained, "for_each_pending disagrees with the pop order");
+        prop_assert_eq!(wheel.popped(), heap.popped);
     }
 
     /// Time arithmetic round-trips.

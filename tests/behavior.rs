@@ -12,20 +12,6 @@ fn scenario() -> ScenarioParams {
         .with_duration_secs(800)
 }
 
-/// The eight-counter fingerprint the golden determinism suite also uses.
-fn fingerprint(r: &SimReport) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
-    (
-        r.generated,
-        r.delivered,
-        r.sink_receptions,
-        r.frames_sent,
-        r.collisions,
-        r.attempts,
-        r.multicasts,
-        r.copies_sent,
-    )
-}
-
 fn run_with(plan: FaultPlan, seed: u64) -> SimReport {
     Simulation::builder(scenario(), ProtocolKind::Opt)
         .seed(seed)
@@ -43,9 +29,10 @@ fn explicit_all_honest_spec_is_bit_identical_to_a_plain_run() {
     let spec = behavior::parse_spec("none", &scenario(), 7).unwrap();
     assert!(spec.is_empty());
     let quiet = run_with(spec, 7);
-    assert_eq!(fingerprint(&plain), fingerprint(&quiet));
-    assert_eq!(plain.faults, quiet.faults);
-    assert_eq!(plain.lifetime, quiet.lifetime);
+    assert!(
+        plain.snap_bytes() == quiet.snap_bytes(),
+        "an all-honest spec changed the run"
+    );
 }
 
 #[test]
@@ -53,13 +40,9 @@ fn adversarial_runs_are_seed_deterministic() {
     let plan = behavior::parse_spec("selfish=0.25", &scenario(), 7).unwrap();
     let a = run_with(plan.clone(), 7);
     let b = run_with(plan, 7);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.lifetime, b.lifetime);
-    assert_eq!(
-        a.mean_delay_secs.to_bits(),
-        b.mean_delay_secs.to_bits(),
-        "float paths must match bit-for-bit, not just approximately"
+    assert!(
+        a.snap_bytes() == b.snap_bytes(),
+        "the same seed and spec must reproduce the whole report"
     );
     assert_eq!(a.faults.behavior_changes, 4, "25% of 16 sensors");
 }
@@ -141,7 +124,10 @@ fn selfish_then_crash_stacks_cleanly() {
     plan.validate(&scenario()).unwrap();
     let a = run_with(plan.clone(), 7);
     let b = run_with(plan, 7);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert!(
+        a.snap_bytes() == b.snap_bytes(),
+        "selfish-then-crash diverged"
+    );
     assert_eq!(a.faults.crashes, 1);
     assert_eq!(a.faults.recoveries, 1);
     assert_eq!(a.faults.behavior_changes, 4);
@@ -156,8 +142,10 @@ fn liar_under_link_drop_stays_deterministic() {
     plan.validate(&scenario()).unwrap();
     let a = run_with(plan.clone(), 7);
     let b = run_with(plan, 7);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_eq!(a.faults, b.faults);
+    assert!(
+        a.snap_bytes() == b.snap_bytes(),
+        "liar under link drop diverged"
+    );
     assert!(a.faults.frames_dropped > 0);
 }
 
@@ -180,7 +168,10 @@ fn behavior_change_lands_on_a_dead_node_without_desync() {
     plan.validate(&s).unwrap();
     let a = run_with(plan.clone(), 7);
     let b = run_with(plan, 7);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert!(
+        a.snap_bytes() == b.snap_bytes(),
+        "dead-node behavior change diverged"
+    );
     assert_eq!(a.faults.behavior_changes, 1);
     assert_eq!(a.faults.recoveries, 1);
 }
@@ -203,8 +194,10 @@ fn every_policy_faces_the_same_adversaries() {
         };
         let a = run(());
         let b = run(());
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{label}");
-        assert_eq!(a.faults, b.faults, "{label}");
+        assert!(
+            a.snap_bytes() == b.snap_bytes(),
+            "{label}: not seed-deterministic"
+        );
         assert_eq!(a.faults.behavior_changes, 4, "{label}");
     }
 }

@@ -158,9 +158,8 @@ fn observer_leaves_every_variant_bit_identical() {
             .observe(recorder.clone())
             .build()
             .run();
-        assert_eq!(
-            plain.to_json().render(),
-            observed.to_json().render(),
+        assert!(
+            plain.snap_bytes() == observed.snap_bytes(),
             "{kind}: attaching the observer changed the run"
         );
         let (windows, totals) = recorder.totals();

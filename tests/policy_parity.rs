@@ -66,9 +66,8 @@ fn builtin_variants_are_bit_identical_through_the_trait() {
                 .policy(PolicySpec::Builtin)
                 .build()
                 .run();
-            assert_eq!(
-                implicit.to_json().render(),
-                via_trait.to_json().render(),
+            assert!(
+                implicit.snap_bytes() == via_trait.snap_bytes(),
                 "{kind} {mode:?}: trait dispatch changed the outcome"
             );
         }
@@ -95,9 +94,8 @@ fn builtin_parity_holds_under_fault_injection() {
             .policy(PolicySpec::Builtin)
             .build()
             .run();
-        assert_eq!(
-            implicit.to_json().render(),
-            via_trait.to_json().render(),
+        assert!(
+            implicit.snap_bytes() == via_trait.snap_bytes(),
             "{kind} faulted: trait dispatch changed the outcome"
         );
     }
@@ -154,9 +152,8 @@ fn competitor_policies_are_deterministic_per_seed() {
     for label in ["TWOHOP", "MEETRATE"] {
         let a = observed_policy(label, 5);
         let b = observed_policy(label, 5);
-        assert_eq!(
-            a.to_json().render(),
-            b.to_json().render(),
+        assert!(
+            a.snap_bytes() == b.snap_bytes(),
             "{label}: same seed must reproduce bit-identically"
         );
     }
