@@ -20,6 +20,10 @@ cargo test --workspace --release -q
 echo "==> event-queue oracle at depth (timing wheel vs. binary heap, 16384 cases)"
 PROPTEST_CASES=16384 cargo test --release -q -p dftmsn-sim --test properties
 
+echo "==> Eq. 12/13 kernel vs reference at depth (bit-exact γ and τ_max, 16384 cases)"
+PROPTEST_CASES=16384 cargo test --release -q --test protocol_invariants -- \
+    rts_collision_is_probability tau_optimizer_minimal_and_feasible
+
 echo "==> golden determinism baseline (empty fault plan must change nothing)"
 cargo test --release -q --test determinism_baseline
 

@@ -59,6 +59,13 @@ fn bench_optimizers(c: &mut Criterion) {
     c.bench_function("eq13_optimize_tau_max", |b| {
         b.iter(|| optimize_tau_max(black_box(&xis), 0.1, 32));
     });
+    // NOSLEEP-shaped: seven contenders near ξ = 0.9 never meet H = 0.1
+    // (γ = 0.117 at the cap of 32), so the scan evaluates every τ_max.
+    let nosleep = [0.86, 0.88, 0.9, 0.9, 0.91, 0.92, 0.94];
+    assert_eq!(optimize_tau_max(&nosleep, 0.1, 32), 32);
+    c.bench_function("eq13_optimize_tau_max_nosleep_7_contenders", |b| {
+        b.iter(|| optimize_tau_max(black_box(&nosleep), 0.1, 32));
+    });
     c.bench_function("eq14_cts_collision_probability", |b| {
         b.iter(|| cts_collision_probability(black_box(5), black_box(24)));
     });

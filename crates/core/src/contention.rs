@@ -66,14 +66,90 @@ pub fn grab_probability(sigmas: &[u64], i: usize) -> f64 {
 /// γ of Eq. 12: the probability that *no* contender cleanly grabs the
 /// channel (a preamble collision), `γ = 1 − Σᵢ Pᵢ`.
 ///
-/// With a single contender this is 0.
+/// With a single contender this is 0. The value is bit-for-bit
+/// `1 − Σᵢ` [`grab_probability`]`(sigmas, i)` with the sum taken in index
+/// order, computed by a kernel that does a fraction of that work: each
+/// factor divided once, shared product prefixes and no exact-zero terms.
+///
+/// # Panics
+///
+/// Panics if there are two or more contenders and any σ is zero.
 #[must_use]
 pub fn rts_collision_probability(sigmas: &[u64]) -> f64 {
-    if sigmas.len() <= 1 {
+    collision_probability(sigmas, &mut Vec::new())
+}
+
+/// The Eq. 10–12 kernel behind [`rts_collision_probability`]; `scratch`
+/// is reused across calls.
+///
+/// It evaluates exactly the floating-point operations of the per-contender
+/// reference [`grab_probability`] that can change a bit, in the same
+/// order, and skips the rest:
+///
+/// - Each factor `fⱼ(τ) = (σⱼ − τ)/σⱼ` is divided once per τ and shared
+///   by every contender; the reference divides it again for each *i*.
+/// - Contender *i*'s product is the reference's
+///   `(((1·f₀)·f₁)…·fᵢ₋₁)·fᵢ₊₁…·fₙ₋₁`, left to right. The left prefix is
+///   carried from one contender to the next and only the right part is
+///   multiplied out per contender. Floating-point multiplication is not
+///   associative, so nothing may be regrouped: the j order is what keeps
+///   every bit.
+/// - The τ sum ends where the reference's terms turn into exact zeros.
+///   Once τ ≥ σⱼ for some j ≠ i the reference's product is `0.0`, and
+///   `p + 0.0/σᵢ` is `p`. Contender *i*'s last term is therefore
+///   `τ = min(σᵢ, min_{j≠i} σⱼ − 1)`. With m₁ ≤ m₂ the two smallest σ
+///   and k the first index of m₁, that is m₁ − 1 for every contender,
+///   except that k alone keeps the term `τ = m₁` when m₁ < m₂.
+///
+/// Each contender's terms are still summed in τ order, and the Σᵢ is the
+/// same `.sum()` fold in index order.
+fn collision_probability(sigmas: &[u64], scratch: &mut Vec<f64>) -> f64 {
+    let n = sigmas.len();
+    if n <= 1 {
         // A lone contender (or an empty cell) cannot collide.
         return 0.0;
     }
-    let total: f64 = (0..sigmas.len()).map(|i| grab_probability(sigmas, i)).sum();
+    assert!(sigmas.iter().all(|&s| s > 0), "σ must be positive");
+    let (k, &m1) = sigmas
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &s)| s)
+        .expect("two or more contenders");
+    let m2 = sigmas
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != k)
+        .map(|(_, &s)| s)
+        .min()
+        .expect("two or more contenders");
+    scratch.clear();
+    scratch.resize(2 * n, 0.0);
+    let (f, p) = scratch.split_at_mut(n);
+    for tau in 1..m1 {
+        for (fj, &s) in f.iter_mut().zip(sigmas) {
+            *fj = (s - tau) as f64 / s as f64;
+        }
+        let mut prefix = 1.0;
+        for i in 0..n {
+            let mut others = prefix;
+            for &fj in &f[i + 1..] {
+                others *= fj;
+            }
+            p[i] += others / sigmas[i] as f64;
+            prefix *= f[i];
+        }
+    }
+    if m1 < m2 {
+        // τ = m₁: only k still has every rival above τ.
+        let mut others = 1.0;
+        for (j, &s) in sigmas.iter().enumerate() {
+            if j != k {
+                others *= (s - m1) as f64 / s as f64;
+            }
+        }
+        p[k] += others / m1 as f64;
+    }
+    let total: f64 = p.iter().sum();
     (1.0 - total).clamp(0.0, 1.0)
 }
 
@@ -91,9 +167,12 @@ pub fn optimize_tau_max(xis: &[f64], target: f64, cap: u64) -> u64 {
         (0.0..=1.0).contains(&target),
         "target {target} outside [0,1]"
     );
+    let mut sigmas = Vec::with_capacity(xis.len());
+    let mut scratch = Vec::new();
     for tau_max in 1..=cap {
-        let sigmas: Vec<u64> = xis.iter().map(|&xi| sigma(xi, tau_max)).collect();
-        if rts_collision_probability(&sigmas) <= target {
+        sigmas.clear();
+        sigmas.extend(xis.iter().map(|&xi| sigma(xi, tau_max)));
+        if collision_probability(&sigmas, &mut scratch) <= target {
             return tau_max;
         }
     }

@@ -285,6 +285,23 @@ impl ScenarioParams {
             ));
         }
         check_secs("mobility tick", self.mobility_tick_secs, false)?;
+        // Neighbour queries are widened by how far a node can drift: the
+        // ticked contact cache by 2·v·(0.25 s + tick), lazy mobility by
+        // v·sync_every (both derived in world.rs, with v floored at
+        // 0.2 m/s). A finite speed can still overflow either radius, and
+        // the spatial grid refuses a non-finite one.
+        let v = self.speed_max_mps.max(0.2);
+        let sync_every = (range / v).clamp(self.mobility_tick_secs.min(30.0), 30.0);
+        let radii = [
+            range + 2.0 * v * (0.25 + self.mobility_tick_secs),
+            range + v * sync_every,
+        ];
+        if !radii.iter().all(|r| r.is_finite()) {
+            return Err(InvalidParams::new(format!(
+                "maximum speed {:?} m/s makes the neighbour query radius infinite",
+                self.speed_max_mps
+            )));
+        }
         check_secs("duration", self.duration_secs as f64, false)?;
         if self.mobile_sinks > self.sinks {
             return Err(InvalidParams::new("mobile_sinks cannot exceed sinks"));
@@ -593,13 +610,14 @@ mod tests {
     #[test]
     fn validation_bounds_what_a_run_allocates_and_schedules() {
         type Tweak = fn(&mut ScenarioParams, &mut ProtocolParams);
-        let rejected: [(&str, Tweak); 14] = [
+        let rejected: [(&str, Tweak); 15] = [
             ("zones", |s, _| s.zone_cols = usize::MAX),
             ("node count", |s, _| s.sensors = usize::MAX),
             ("area", |s, _| s.area_width_m = f64::INFINITY),
             ("grid cells", |s, _| s.area_width_m = 1e12),
             ("range", |s, _| s.channel.range_m = f64::NAN),
             ("speed", |s, _| s.speed_max_mps = f64::INFINITY),
+            ("query radius", |s, _| s.speed_max_mps = 1e308),
             ("airtime", |s, _| s.data_bits = u64::MAX),
             ("energy", |s, _| s.energy.p_idle_w = f64::NAN),
             ("tick", |s, _| s.mobility_tick_secs = 1e-300),

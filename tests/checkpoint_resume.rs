@@ -1,9 +1,10 @@
 //! Checkpoint/resume determinism sweep: snapshotting a run at a random
 //! event boundary and resuming from the bytes must reproduce the
-//! uninterrupted run *exactly* — every golden counter, every f64 bit of
-//! delay and energy accounting, every delivery record, and every byte of
-//! the windowed observe JSONL stream — for every protocol variant, across
-//! seeds, under both the ticked and lazy mobility engines.
+//! uninterrupted run *exactly* — the whole report as `SimReport::snap_bytes`
+//! encodes it (every counter, every f64 bit, every per-node summary and
+//! delivery record) and every byte of the windowed observe JSONL stream —
+//! for every protocol variant, across seeds, under both the ticked and
+//! lazy mobility engines.
 //!
 //! The checkpoint instant is drawn from a seeded [`SimRng`] per
 //! combination, so the suite probes a spread of boundaries (early,
@@ -52,8 +53,7 @@ fn scenario() -> ScenarioParams {
 
 const OBSERVE_WINDOW_SECS: f64 = 50.0;
 
-/// The counters every variant must reproduce bit-for-bit across a
-/// checkpoint/resume cycle.
+/// The counters the committed fixture's continuation is pinned to.
 fn golden(r: &SimReport) -> [u64; 8] {
     [
         r.generated,
@@ -65,6 +65,15 @@ fn golden(r: &SimReport) -> [u64; 8] {
         r.multicasts,
         r.copies_sent,
     ]
+}
+
+/// Asserts that a resumed run reports exactly what its uninterrupted twin
+/// does: the whole report, byte for byte.
+fn assert_same_report(resumed: &SimReport, full: &SimReport, label: &str) {
+    assert!(
+        resumed.snap_bytes() == full.snap_bytes(),
+        "{label}: the resumed report differs from the uninterrupted run's"
+    );
 }
 
 fn build(
@@ -120,30 +129,7 @@ fn check_combo(kind: ProtocolKind, seed: u64, mode: MobilityMode, fraction: f64)
     let _ = &resumed_rec;
     let resumed = resumed_sim.run();
 
-    // Golden counters and exact accounting.
-    assert_eq!(
-        golden(&resumed),
-        golden(&full),
-        "{label}: counters diverged"
-    );
-    assert_eq!(
-        resumed.events_processed, full.events_processed,
-        "{label}: event count diverged"
-    );
-    assert_eq!(
-        resumed.mean_delay_secs.to_bits(),
-        full.mean_delay_secs.to_bits(),
-        "{label}: mean delay diverged"
-    );
-    assert_eq!(
-        resumed.total_sensor_energy_j.to_bits(),
-        full.total_sensor_energy_j.to_bits(),
-        "{label}: energy accounting diverged"
-    );
-    assert_eq!(
-        resumed.deliveries, full.deliveries,
-        "{label}: deliveries diverged"
-    );
+    assert_same_report(&resumed, &full, &label);
 
     // The observe stream: checkpointed prefix + resumed suffix must be
     // byte-identical to the uninterrupted stream.
@@ -267,15 +253,7 @@ fn faulted_runs_resume_bit_identically() {
         let (resumed_sim, _) =
             Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
         let resumed = resumed_sim.run();
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault counters diverged"
-        );
+        assert_same_report(&resumed, &full, &label);
     }
 }
 
@@ -318,24 +296,7 @@ fn adversarial_runs_resume_bit_identically() {
         let (resumed_sim, _) =
             Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
         let resumed = resumed_sim.run();
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault/behavior counters diverged"
-        );
-        assert_eq!(
-            resumed.lifetime, full.lifetime,
-            "{label}: lifetime block diverged"
-        );
-        assert_eq!(
-            resumed.mean_delay_secs.to_bits(),
-            full.mean_delay_secs.to_bits(),
-            "{label}: delay bits diverged"
-        );
+        assert_same_report(&resumed, &full, &label);
     }
 }
 
@@ -402,25 +363,7 @@ fn parallel_faulted_runs_checkpoint_and_resume_bit_identically() {
         let full = twin.run();
         let resumed = resumed_sim.run();
         assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault counters diverged"
-        );
-        assert_eq!(
-            resumed.mean_delay_secs.to_bits(),
-            full.mean_delay_secs.to_bits(),
-            "{label}: delay accounting diverged"
-        );
-        assert_eq!(
-            resumed.total_sensor_energy_j.to_bits(),
-            full.total_sensor_energy_j.to_bits(),
-            "{label}: energy accounting diverged"
-        );
+        assert_same_report(&resumed, &full, &label);
     }
 }
 
@@ -472,20 +415,7 @@ fn checkpoints_taken_mid_frame_resume_bit_identically() {
         "the in-flight frame was lost across the checkpoint"
     );
     let resumed = resumed_sim.run();
-    assert_eq!(
-        golden(&resumed),
-        golden(&full),
-        "mid-frame: counters diverged"
-    );
-    assert_eq!(
-        resumed.mean_delay_secs.to_bits(),
-        full.mean_delay_secs.to_bits(),
-        "mid-frame: delay accounting diverged"
-    );
-    assert_eq!(
-        resumed.faults, full.faults,
-        "mid-frame: fault counters diverged"
-    );
+    assert_same_report(&resumed, &full, "mid-frame");
 }
 
 #[test]
@@ -523,20 +453,7 @@ fn checkpoints_taken_mid_coast_lease_resume_bit_identically() {
 
     let (resumed_sim, _) = Simulation::resume_from_bytes(&bytes).expect("mid-lease resume");
     let resumed = resumed_sim.run();
-    assert_eq!(
-        golden(&resumed),
-        golden(&full),
-        "mid-lease: counters diverged"
-    );
-    assert_eq!(
-        resumed.total_sensor_energy_j.to_bits(),
-        full.total_sensor_energy_j.to_bits(),
-        "mid-lease: energy accounting diverged"
-    );
-    assert_eq!(
-        resumed.deliveries, full.deliveries,
-        "mid-lease: deliveries diverged"
-    );
+    assert_same_report(&resumed, &full, "mid-lease");
 }
 
 /// Frames `payload` the way `checkpoint_bytes` does, with a valid checksum.

@@ -2,8 +2,8 @@
 //! the queue discipline), run on arbitrary inputs via proptest.
 
 use dftmsn::core::contention::{
-    cts_collision_probability, optimize_cts_window, optimize_tau_max, rts_collision_probability,
-    sigma,
+    cts_collision_probability, grab_probability, optimize_cts_window, optimize_tau_max,
+    rts_collision_probability, sigma,
 };
 use dftmsn::core::delivery::DeliveryProb;
 use dftmsn::core::ftd::Ftd;
@@ -32,6 +32,70 @@ fn prob_extreme() -> impl Strategy<Value = f64> {
         1031..=1040 => 1.0 - f64::EPSILON,
         x => x as f64 / 1000.0,
     })
+}
+
+/// Contender σ vectors for Eq. 12: up to 16 contenders with σ in 1..=64,
+/// and in three of four cases a forced tie: one σ copied onto another, a
+/// pair pinned to σ = 1, or a second copy of the minimum. Ties decide
+/// where the kernel's exact-zero tail starts.
+fn contender_sigmas() -> impl Strategy<Value = Vec<u64>> {
+    (
+        proptest::collection::vec(1u64..=64, 1..=16),
+        any::<usize>(),
+        any::<usize>(),
+        0u8..4,
+    )
+        .prop_map(|(mut sigmas, a, b, tie)| {
+            let n = sigmas.len();
+            let (a, b) = (a % n, b % n);
+            match tie {
+                0 => {}
+                1 => sigmas[b] = sigmas[a],
+                2 => {
+                    sigmas[a] = 1;
+                    sigmas[b] = 1;
+                }
+                _ => sigmas[b] = *sigmas.iter().min().expect("non-empty"),
+            }
+            sigmas
+        })
+}
+
+/// Delivery probabilities of an Eq. 13 neighbourhood: up to 16
+/// contenders, ξ = 0 and ξ = 1 over-sampled, and one value always copied
+/// onto another so exact repeats are common.
+fn contender_xis() -> impl Strategy<Value = Vec<f64>> {
+    (
+        proptest::collection::vec(prob_extreme(), 1..=16),
+        any::<usize>(),
+        any::<usize>(),
+    )
+        .prop_map(|(mut xis, a, b)| {
+            let n = xis.len();
+            xis[b % n] = xis[a % n];
+            xis
+        })
+}
+
+/// The per-contender reference for Eq. 12: `1 − Σᵢ grab_probability`,
+/// summed in index order.
+fn reference_gamma(sigmas: &[u64]) -> f64 {
+    if sigmas.len() <= 1 {
+        return 0.0;
+    }
+    let total: f64 = (0..sigmas.len()).map(|i| grab_probability(sigmas, i)).sum();
+    (1.0 - total).clamp(0.0, 1.0)
+}
+
+/// The reference for Eq. 13: a plain scan of `1..=cap` over
+/// [`reference_gamma`].
+fn reference_tau_max(xis: &[f64], target: f64, cap: u64) -> u64 {
+    (1..=cap)
+        .find(|&tau_max| {
+            let sigmas: Vec<u64> = xis.iter().map(|&x| sigma(x, tau_max)).collect();
+            reference_gamma(&sigmas) <= target
+        })
+        .unwrap_or(cap)
 }
 
 proptest! {
@@ -142,28 +206,39 @@ proptest! {
         }
     }
 
-    /// Eq. 12 is a probability and single contenders never collide.
+    /// Eq. 12 is a probability, single contenders never collide, and the
+    /// production kernel returns the per-contender reference's value bit
+    /// for bit.
     #[test]
-    fn rts_collision_is_probability(
-        sigmas in proptest::collection::vec(1u64..40, 1..6),
-    ) {
+    fn rts_collision_is_probability(sigmas in contender_sigmas()) {
         let gamma = rts_collision_probability(&sigmas);
         prop_assert!((0.0..=1.0).contains(&gamma));
         if sigmas.len() == 1 {
             prop_assert_eq!(gamma, 0.0);
         }
+        let reference = reference_gamma(&sigmas);
+        prop_assert_eq!(
+            gamma.to_bits(),
+            reference.to_bits(),
+            "σ = {:?}: kernel {} vs reference {}",
+            sigmas,
+            gamma,
+            reference
+        );
     }
 
-    /// Eq. 13's result is feasible (or the cap) and minimal.
+    /// Eq. 13's result is feasible (or the cap), minimal, and exactly
+    /// what a plain scan over the reference Eq. 12 returns.
     #[test]
     fn tau_optimizer_minimal_and_feasible(
-        xis in proptest::collection::vec(prob(), 1..5),
-        target in 1u32..50,
+        xis in contender_xis(),
+        // 0 and 1 are the extremes; the paper's H = 0.1 gets extra weight.
+        target in (0u32..=120).prop_map(|t| if t > 100 { 0.1 } else { f64::from(t) / 100.0 }),
+        cap in 1u64..=64,
     ) {
-        let target = target as f64 / 100.0;
-        let cap = 64;
         let best = optimize_tau_max(&xis, target, cap);
         prop_assert!((1..=cap).contains(&best));
+        prop_assert_eq!(best, reference_tau_max(&xis, target, cap), "ξ = {:?}", xis);
         let gamma_at = |t: u64| {
             let s: Vec<u64> = xis.iter().map(|&x| sigma(x, t)).collect();
             rts_collision_probability(&s)
