@@ -138,6 +138,27 @@ cargo run --release -q -p dftmsn-cli -- run --behaviors "liar=0.1;blackhole=0.1@
 echo "==> public-API surface gate (drift must be declared in API_SURFACE.txt)"
 cargo run --release -q -p dftmsn-bench --bin api_surface -- --check
 
+echo "==> unsafe stays confined (the CLI's signal install and the core prefetch helper)"
+# Count the `unsafe` keyword per file outside char/string literals and
+# line comments; only the two known sites may carry one.
+unsafe_sites=$(find crates src shims benchmark -name target -prune -o -name '*.rs' -print \
+    | LC_ALL=C sort | while read -r f; do
+        n=$(sed -E -e "s/'(\\\\.|[^\\\\'])'//g" -e 's/"([^"\\]|\\.)*"//g' -e 's://.*$::' "$f" \
+            | grep -cw unsafe || true)
+        [ "$n" -eq 0 ] || echo "$f:$n"
+    done)
+unsafe_allowed="crates/cli/src/main.rs:1
+crates/core/src/prefetch.rs:1"
+[ "$unsafe_sites" = "$unsafe_allowed" ] \
+    || { printf 'unsafe gate: expected only\n%s\nfound\n%s\n' "$unsafe_allowed" "$unsafe_sites"; exit 1; }
+# Every other crate root forbids unsafe code outright.
+for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs crates/*/src/bin/*.rs \
+    shims/*/src/lib.rs benchmark/src/main.rs; do
+    case "$root" in crates/core/* | crates/cli/*) continue ;; esac
+    grep -q '^#!\[forbid(unsafe_code)\]' "$root" \
+        || { echo "unsafe gate: $root lacks #![forbid(unsafe_code)]"; exit 1; }
+done
+
 echo "==> docs build cleanly (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

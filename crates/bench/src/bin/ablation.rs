@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin ablation [--quick] ...`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{ablation, write_table, ExperimentOpts};
 
 fn main() {

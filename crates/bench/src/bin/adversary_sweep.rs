@@ -24,6 +24,8 @@
 //! `results/adversary_sweep_lifetime.*`) are rewritten after every
 //! completed run, so an interrupted sweep still leaves readable output.
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::behavior::{self, NodeBehavior};

@@ -18,6 +18,8 @@
 //!   drift (the ci.sh gate);
 //! * `api_surface --write` — regenerate `API_SURFACE.txt`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

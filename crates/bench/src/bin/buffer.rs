@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin buffer [--quick] ...`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin density [--quick] ...`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{density, write_table, ExperimentOpts};
 
 fn main() {

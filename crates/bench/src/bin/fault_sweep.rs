@@ -20,6 +20,8 @@
 //! (`results/fault_sweep_timeline.*`) showing how each variant degrades
 //! and recovers around fault onset.
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;

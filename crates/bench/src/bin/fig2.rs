@@ -5,6 +5,8 @@
 //! Usage: `cargo run --release -p dftmsn-bench --bin fig2 [--quick]
 //! [--seeds N] [--duration SECS] [--threads N]`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{fig2, write_table, ExperimentOpts};
 
 fn main() {

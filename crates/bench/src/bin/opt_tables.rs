@@ -3,6 +3,8 @@
 //! probabilities, and the Eq. 6 sleeping-period surface. Pure math — no
 //! simulation.
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{optimization_tables, write_table};
 
 fn main() {

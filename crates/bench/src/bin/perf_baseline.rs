@@ -11,7 +11,7 @@
 //!   `SimReport::events_processed`);
 //! * **sweep** — a batch of runs through [`dftmsn_bench::run_all`]'s
 //!   work-stealing scheduler; reports runs/second (harness throughput);
-//! * **scale** (`--scale`) — the 200/1 000/5 000/20 000-sensor tier of
+//! * **scale** (`--scale`) — the 200 to 100 000-sensor tier of
 //!   [`dftmsn_bench::scale`], OPT under both mobility modes, which is the
 //!   tracked large-n figure.
 //!
@@ -49,6 +49,8 @@
 //! scratch; `--fresh` discards a leftover progress file up front. Progress
 //! recorded under a different workload shape (e.g. `--quick` vs. full) is
 //! ignored.
+
+#![forbid(unsafe_code)]
 
 use dftmsn_bench::scale::{
     measure, run_tier, ScaleRow, QUICK_DURATION_SECS, REPS, SCALE_DURATION_SECS, SCALE_SENSORS,

@@ -13,6 +13,8 @@
 //! Usage: `cargo run --release -p dftmsn-bench --bin policy_search
 //! [--quick] [--seeds N] [--duration SECS] [--threads N]`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;

@@ -33,6 +33,8 @@
 //! Usage: `cargo run --release -p dftmsn-bench --bin scale_check
 //! [--warn-only] [BASELINE_JSON]` (default `BENCH_engine.json`).
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::scale::{run_tier, REPS, SCALE_DURATION_SECS, SCALE_SENSORS};
 use dftmsn_metrics::json::Json;
 

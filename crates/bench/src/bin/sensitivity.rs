@@ -6,6 +6,8 @@
 //! Usage: `cargo run --release -p dftmsn-bench --bin sensitivity
 //! [--quick] [--seeds N] [--duration SECS]`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;

@@ -3,6 +3,8 @@
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin speed [--quick] ...`
 
+#![forbid(unsafe_code)]
+
 use dftmsn_bench::experiments::{speed, write_table, ExperimentOpts};
 
 fn main() {

@@ -1,5 +1,5 @@
 //! The scale-benchmark tier: engine throughput at 200 / 1 000 / 5 000 /
-//! 20 000 sensors.
+//! 20 000 / 50 000 / 100 000 sensors ([`SCALE_SENSORS`]).
 //!
 //! The paper evaluates at 100 sensors; this tier asks how the engine
 //! behaves one to two orders of magnitude beyond that. The workload is

@@ -10,6 +10,7 @@ use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::ScenarioParams;
 use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::variants::ProtocolKind;
+use dftmsn_sim::time::TICKS_PER_SEC;
 
 /// Where to stream windowed observation rows, and how wide each window is.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,6 +205,24 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError>
         .map_err(|_| ParseError(format!("invalid value '{v}' for {flag}")))
 }
 
+/// Shortest `--window` or `--checkpoint-every` (s): one tick of the
+/// simulator's clock, the floor every scenario duration has. A shorter
+/// period rounds to zero ticks, so the run would write an observe row or
+/// a checkpoint for every window it crosses, many per event.
+const MIN_PERIOD_SECS: f64 = 1.0 / TICKS_PER_SEC as f64;
+
+/// Parses a period in simulated seconds: finite and at least one tick.
+fn parse_period(flag: &str, v: &str) -> Result<f64, ParseError> {
+    let secs: f64 = parse_num(flag, v)?;
+    if secs.is_finite() && secs >= MIN_PERIOD_SECS {
+        Ok(secs)
+    } else {
+        Err(ParseError(format!(
+            "{flag} must be at least one clock tick ({MIN_PERIOD_SECS:e} s), got '{v}'"
+        )))
+    }
+}
+
 fn parse_inspect(rest: &[&str]) -> Result<Command, ParseError> {
     let mut path: Option<String> = None;
     let mut series: Option<String> = None;
@@ -349,13 +368,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             }
             "--window" => {
                 run_only(flag)?;
-                let w: f64 = parse_num(flag, take_value(flag, &mut it)?)?;
-                if !w.is_finite() || w <= 0.0 {
-                    return Err(ParseError(format!(
-                        "--window must be a positive number of seconds, got '{w}'"
-                    )));
-                }
-                window_secs = Some(w);
+                window_secs = Some(parse_period(flag, take_value(flag, &mut it)?)?);
             }
             "--checkpoint" => {
                 run_only(flag)?;
@@ -363,13 +376,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             }
             "--checkpoint-every" => {
                 run_only(flag)?;
-                let s: f64 = parse_num(flag, take_value(flag, &mut it)?)?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(ParseError(format!(
-                        "--checkpoint-every must be a positive number of seconds, got '{s}'"
-                    )));
-                }
-                checkpoint_every = Some(s);
+                checkpoint_every = Some(parse_period(flag, take_value(flag, &mut it)?)?);
             }
             "--resume" => {
                 run_only(flag)?;
@@ -531,7 +538,7 @@ mod tests {
 
     #[test]
     fn non_positive_windows_are_rejected() {
-        for w in ["0", "-5", "nan", "inf"] {
+        for w in ["0", "-5", "nan", "inf", "1e-7"] {
             let err = parse(&["run", "--observe", "o.jsonl", "--window", w]).unwrap_err();
             assert!(
                 err.0.contains("--window") || err.0.contains("invalid value"),
@@ -800,7 +807,7 @@ mod tests {
 
     #[test]
     fn non_positive_checkpoint_intervals_are_rejected() {
-        for s in ["0", "-1", "nan", "inf"] {
+        for s in ["0", "-1", "nan", "inf", "1e-7", "1e-300"] {
             let err = parse(&["run", "--checkpoint", "c", "--checkpoint-every", s]).unwrap_err();
             assert!(
                 err.0.contains("--checkpoint-every") || err.0.contains("invalid value"),

@@ -40,7 +40,9 @@
 //! assert!(report.delivery_ratio() <= 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the private `prefetch` helper allows one block
+// around a cache-prefetch hint (DESIGN.md § 6, "Lookahead prefetch").
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -57,6 +59,7 @@ pub mod node;
 pub mod observe;
 pub mod params;
 pub mod policy;
+mod prefetch;
 pub mod profile;
 pub mod queue;
 pub mod report;

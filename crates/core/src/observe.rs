@@ -40,7 +40,7 @@
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use dftmsn_metrics::json::Json;
 use dftmsn_metrics::timeseries::TimeSeries;
-use dftmsn_sim::time::SimTime;
+use dftmsn_sim::time::{SimTime, TICKS_PER_SEC};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -50,6 +50,12 @@ pub const SCHEMA: &str = "dftmsn-observe/1";
 /// A rejected observation window (non-finite, zero or negative).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidWindow(String);
+
+/// Narrowest observation window (s): one tick of the simulator's clock,
+/// the floor every scenario duration already has. A narrower window
+/// would make one event close many empty windows, each written as a
+/// row, and its boundary ticks would round to zero.
+pub(crate) const MIN_WINDOW_SECS: f64 = 1.0 / TICKS_PER_SEC as f64;
 
 impl std::fmt::Display for InvalidWindow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -499,8 +505,8 @@ impl MetricsRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if the window is non-finite, zero or negative; use
-    /// [`MetricsRecorder::try_new`] for a fallible form.
+    /// Panics if the window is non-finite or shorter than one clock tick
+    /// (1 µs); use [`MetricsRecorder::try_new`] for a fallible form.
     #[must_use]
     pub fn new(window_secs: f64) -> Self {
         Self::try_new(window_secs).unwrap_or_else(|e| panic!("{e}"))
@@ -510,11 +516,13 @@ impl MetricsRecorder {
     ///
     /// # Errors
     ///
-    /// Rejects non-finite, zero and negative windows.
+    /// Rejects non-finite windows and windows shorter than one clock
+    /// tick (1 µs), zero and negative ones included.
     pub fn try_new(window_secs: f64) -> Result<Self, InvalidWindow> {
-        if !window_secs.is_finite() || window_secs <= 0.0 {
+        if !window_secs.is_finite() || window_secs < MIN_WINDOW_SECS {
             return Err(InvalidWindow(format!(
-                "observation window must be positive and finite, got {window_secs}"
+                "observation window must be positive, finite and at least one \
+                 clock tick ({MIN_WINDOW_SECS:e} s), got {window_secs:e}"
             )));
         }
         Ok(MetricsRecorder {
@@ -788,6 +796,13 @@ mod tests {
         assert!(MetricsRecorder::try_new(f64::NAN).is_err());
         assert!(MetricsRecorder::try_new(f64::INFINITY).is_err());
         assert!(MetricsRecorder::try_new(0.5).is_ok());
+    }
+
+    #[test]
+    fn windows_below_one_clock_tick_are_rejected() {
+        assert!(MetricsRecorder::try_new(1e-7).is_err());
+        assert!(MetricsRecorder::try_new(1e-300).is_err());
+        assert!(MetricsRecorder::try_new(1e-6).is_ok());
     }
 
     #[test]

@@ -42,6 +42,7 @@ use crate::policy::{
     Confirmed, CopyFate, ForwardingPolicy, MacControls, Policy, PolicySpec, RtsInfo, RxView,
     SelectCtx,
 };
+use crate::prefetch::prefetch;
 use crate::profile::EventProfile;
 use crate::queue::InsertOutcome;
 use crate::report::{DeliveryRecord, Lifetime, NodeSummary, RunMetrics, SimReport};
@@ -158,8 +159,9 @@ impl CycleScratch {
     /// then falls back to a fresh allocation that is recycled like the
     /// seeded ones — but in the steady state every cycle runs entirely
     /// on buffers allocated here, so the hot path never touches the
-    /// allocator (`#![forbid(unsafe_code)]` rules out a true bump arena;
-    /// grouping all allocations at construction is the safe equivalent).
+    /// allocator (the crate denies `unsafe_code`, which rules out a true
+    /// bump arena; grouping all allocations at construction is the safe
+    /// equivalent).
     fn seeded(k: usize) -> Self {
         const POOL: usize = 8;
         let mut s = CycleScratch::default();
@@ -317,6 +319,12 @@ struct LazyMobility {
 /// drained.
 const COAST_WHEEL: usize = 256;
 
+/// How far down the sorted due list a mobility tick prefetches: while it
+/// visits node `due[k]` it requests the lines of `due[k + 6]`. The
+/// distance is not critical; 1 and 12 timed within noise of 6
+/// (EXPERIMENTS.md § Scale tier).
+const DUE_PREFETCH_AHEAD: usize = 6;
+
 /// SoA coast ledger for [`MobilityMode::Ticked`].
 ///
 /// Each node holds a *coast lease* from its model
@@ -391,6 +399,16 @@ impl TickedCoast {
         positions[j] = p;
         self.anchor[j] = to_tick;
         self.applied[j] += k;
+    }
+
+    /// Requests node `j`'s lines of the four coast lanes ahead of its
+    /// visit.
+    #[inline]
+    fn prefetch(&self, j: usize) {
+        prefetch(&self.disp[j]);
+        prefetch(&self.model_left[j]);
+        prefetch(&self.applied[j]);
+        prefetch(&self.anchor[j]);
     }
 
     /// Schedules node `j`'s next due visit `window + 1` ticks from now and
@@ -1146,6 +1164,7 @@ impl Simulation {
         match self.events.peek_time() {
             Some(t) if t <= self.end => {
                 let (now, ev) = self.events.pop().expect("peeked event exists");
+                self.prefetch_next_event();
                 if self.profile.is_some() {
                     let kind = self.event_kind_index(&ev);
                     let t0 = std::time::Instant::now();
@@ -1162,6 +1181,30 @@ impl Simulation {
             }
             _ => false,
         }
+    }
+
+    /// Requests the lines the next ready event's handler loads first — its
+    /// node's `Node` and hot-table rows — so those misses overlap the
+    /// current event's handler (DESIGN.md § 6, "Lookahead prefetch").
+    /// Cache state only: no simulation state is read or written.
+    #[inline]
+    fn prefetch_next_event(&self) {
+        let j = match self.events.lookahead() {
+            Some((
+                _,
+                Event::Timer(i, ..)
+                | Event::DataGen(i)
+                | Event::MetricTimeout(i)
+                | Event::TxEnd(i, _),
+            )) => i.index(),
+            _ => return,
+        };
+        prefetch(&self.nodes[j]);
+        prefetch(&self.hot.epoch[j]);
+        prefetch(&self.hot.state[j]);
+        prefetch(&self.hot.xi[j]);
+        prefetch(&self.hot.sink[j]);
+        prefetch(&self.hot.alive[j]);
     }
 
     /// Row index into [`EVENT_KIND_LABELS`] for a pending event. Timers
@@ -1508,7 +1551,15 @@ impl Simulation {
         // RNG draws below must happen in the exact shared-stream (node-
         // ascending) order a lease-free per-node loop would make them.
         due.sort_unstable();
-        for &j in &due {
+        for (k, &j) in due.iter().enumerate() {
+            // Request a later due node's lines now, so they arrive while
+            // the nodes before it are visited.
+            if let Some(&ahead) = due.get(k + DUE_PREFETCH_AHEAD) {
+                let ahead = ahead as usize;
+                coast.prefetch(ahead);
+                prefetch(&positions[ahead]);
+                prefetch(&*mobility[ahead]);
+            }
             let j = j as usize;
             // Catch the dense position up to the previous tick; this
             // tick's step is taken below on whichever path applies.

@@ -54,7 +54,7 @@
 use super::*;
 use crate::behavior::NodeBehavior;
 use crate::neighbor::{NeighborEntry, NeighborTable};
-use crate::observe::{ObserveRow, RecorderState, WindowCounters};
+use crate::observe::{ObserveRow, RecorderState, WindowCounters, MIN_WINDOW_SECS};
 use crate::queue::FtdQueue;
 use crate::report::FaultCounters;
 use crate::variants::QueueDiscipline;
@@ -1273,7 +1273,7 @@ fn r_observe_row(r: &mut SnapReader) -> Result<ObserveRow, SnapError> {
 
 fn r_recorder_state(r: &mut SnapReader, now: SimTime) -> Result<RecorderState, SnapError> {
     let window_secs = r.f64()?;
-    if !(window_secs > 0.0 && window_secs <= MAX_WINDOW_SECS) {
+    if !(MIN_WINDOW_SECS..=MAX_WINDOW_SECS).contains(&window_secs) {
         return Err(SnapError::new(format!(
             "bad observer window width {window_secs}"
         )));

@@ -306,6 +306,20 @@ impl<E> EventQueue<E> {
         self.cur.front().map(|e| e.at)
     }
 
+    /// The next event, if its granule is already open, without popping it
+    /// or moving the wheel.
+    ///
+    /// `Some` is exactly what the next [`pop`](Self::pop) returns unless
+    /// an earlier event is scheduled first. `None` only means the next
+    /// event, if any, still sits in a wheel slot or the overflow heap:
+    /// finding it would advance the wheel, which needs `&mut self`. A
+    /// caller can use this to start work for the next event — such as
+    /// prefetching its data — while the current one is handled.
+    #[must_use]
+    pub fn lookahead(&self) -> Option<(SimTime, &E)> {
+        self.cur.front().map(|e| (e.at, &e.payload))
+    }
+
     /// Calls `f` on every pending event in firing order — exactly the
     /// order [`pop`](Self::pop) would serve them — for checkpointing.
     ///
@@ -494,6 +508,32 @@ mod tests {
         while q.pop().is_some() {}
         let retained: usize = q.levels[1..].iter().flatten().map(Vec::capacity).sum();
         assert_eq!(retained, 0, "cascaded buffers kept {retained} entries");
+    }
+
+    #[test]
+    fn lookahead_serves_only_the_open_granule() {
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_ticks(5_000);
+        let t2 = SimTime::from_ticks(5_100); // same ~1 ms granule as t1
+        q.schedule_at(t2, "second");
+        q.schedule_at(t1, "first");
+        q.schedule_at(SimTime::from_secs(1), "later");
+        // Nothing is open yet: finding the head would move the wheel.
+        assert_eq!(q.lookahead(), None);
+        assert_eq!(q.peek_time(), Some(t1));
+        assert_eq!(q.lookahead(), Some((t1, &"first")));
+        assert_eq!(q.pop(), Some((t1, "first")));
+        assert_eq!(q.lookahead(), Some((t2, &"second")));
+        // An earlier arrival in the open granule takes the lead at once.
+        let t = SimTime::from_ticks(5_050);
+        q.schedule_at(t, "cut in");
+        assert_eq!(q.lookahead(), Some((t, &"cut in")));
+        assert_eq!(q.pop(), Some((t, "cut in")));
+        assert_eq!(q.pop(), Some((t2, "second")));
+        // The next event sits in a later granule, which only a pop or a
+        // peek opens.
+        assert_eq!(q.lookahead(), None);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "later")));
     }
 
     #[test]

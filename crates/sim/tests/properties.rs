@@ -36,6 +36,12 @@ impl HeapQueue {
         self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
+    fn peek(&self) -> Option<(SimTime, usize)> {
+        self.heap
+            .peek()
+            .map(|&Reverse((at, _, payload))| (at, payload))
+    }
+
     fn len(&self) -> usize {
         self.heap.len()
     }
@@ -135,7 +141,8 @@ proptest! {
     /// spanning everything from sub-granule to beyond the wheel span
     /// (overflow heap), same-instant ties, and checkpoint round trips that
     /// swap the wheel for its restored twin mid-run — both queues must pop
-    /// identical `(time, payload)` sequences.
+    /// identical `(time, payload)` sequences, and after every operation the
+    /// wheel's lookahead is either `None` or the heap's next pop.
     #[test]
     fn wheel_matches_reference_heap(
         ops in proptest::collection::vec((0u8..100, any::<u64>()), 0..400),
@@ -178,6 +185,9 @@ proptest! {
             }
             prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.now(), heap.now);
+            if let Some((at, &e)) = wheel.lookahead() {
+                prop_assert_eq!(Some((at, e)), heap.peek(), "lookahead divergence at op {}", i);
+            }
         }
         // The checkpoint view lists exactly what a drain pops, in order.
         let pending = listed(&wheel);
@@ -186,6 +196,9 @@ proptest! {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
             let (a, b) = (wheel.pop(), heap.pop());
             prop_assert_eq!(a, b, "drain divergence");
+            if let Some((at, &e)) = wheel.lookahead() {
+                prop_assert_eq!(Some((at, e)), heap.peek(), "lookahead divergence in the drain");
+            }
             match a {
                 Some(popped) => drained.push(popped),
                 None => break,

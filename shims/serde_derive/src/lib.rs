@@ -7,6 +7,8 @@
 //! (including `#[serde(...)]` helper attributes) and expand to nothing,
 //! which keeps the annotations compiling in a network-less container.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// Accepts `#[derive(Serialize)]` and expands to nothing.
