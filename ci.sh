@@ -17,6 +17,12 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace --release -q
 
+echo "==> examples (each must run to completion)"
+for ex in quickstart protocol_trace optimizer_explorer xi_landscape flu_tracking; do
+    cargo run --release -q --example "$ex" >/dev/null \
+        || { echo "example $ex failed"; exit 1; }
+done
+
 echo "==> event-queue oracle at depth (timing wheel vs. binary heap, 16384 cases)"
 PROPTEST_CASES=16384 cargo test --release -q -p dftmsn-sim --test properties
 

@@ -16,20 +16,11 @@
 //!   tracked large-n figure.
 //!
 //! Usage: `cargo run --release -p dftmsn-bench --bin perf_baseline
-//! [--quick] [--scale] [--profile-events] [--pre-ref EV_PER_S]
-//! [--out PATH] [--fresh]`.
+//! [--quick] [--scale] [--out PATH] [--fresh]`.
 //! `--quick` shrinks all workloads to a smoke size for CI;
 //! numbers from different machines (or `--quick` and full runs) are not
-//! comparable with each other. `--pre-ref` embeds an externally measured
-//! pre-change reference throughput (OPT, ticked, 1 000 sensors, same
-//! workload and machine) into the scale section so the speedup it anchors
-//! is recorded next to the numbers (EXPERIMENTS.md § Scale tier documents
-//! the methodology). `--profile-events` adds one extra *profiled* OPT run
-//! of the engine scenario and reports where its wall time went, per event
-//! kind (count, mean, p50/p99 from a power-of-two histogram), as a printed
-//! table and an `event_profile` JSON block; the timestamp overhead makes
-//! that run's aggregate wall time incomparable with the unprofiled rows,
-//! so it is never used for the tracked figures.
+//! comparable with each other. Per-event-kind costs come from the repo
+//! benchmark's traced pass (`benchmark/src/layers.rs`), not from here.
 //!
 //! The scale rows `scale_check` gates (the two smallest sizes) are each
 //! the fastest of [`REPS`] runs, interleaved across the four rows,
@@ -59,7 +50,6 @@ use dftmsn_bench::sweep::{run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
 use dftmsn_core::policy::PolicySpec;
-use dftmsn_core::profile::EventProfile;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_core::world::{MobilityMode, Simulation};
 use dftmsn_metrics::json::Json;
@@ -302,17 +292,11 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let scale = args.iter().any(|a| a == "--scale");
     let fresh = args.iter().any(|a| a == "--fresh");
-    let profile_events = args.iter().any(|a| a == "--profile-events");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or("BENCH_engine.json", String::as_str);
-    let pre_ref: Option<f64> = args
-        .iter()
-        .position(|a| a == "--pre-ref")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--pre-ref takes events/sec"));
 
     // Pinned workloads: big enough that per-event costs dominate startup,
     // small enough to finish in seconds. Changing them invalidates
@@ -360,11 +344,9 @@ fn main() {
     let mut rows: Vec<EngineRow> = Vec::new();
     let mut sweep_done: Option<(u128, usize)> = None;
     let mut scale_rows: Vec<ScalePoint> = Vec::new();
-    let mut event_profile: Option<EventProfile> = None;
     let flush = |rows: &[EngineRow],
                  sweep_done: &Option<(u128, usize)>,
                  scale_rows: &[ScalePoint],
-                 event_profile: &Option<EventProfile>,
                  partial: bool| {
         let json = render_output(
             quick,
@@ -377,8 +359,6 @@ fn main() {
             rows,
             sweep_done,
             (scale, scale_dur, scale_rows),
-            pre_ref,
-            event_profile.as_ref(),
         );
         if let Err(e) = std::fs::write(out_path, json.render() + "\n") {
             if partial {
@@ -411,7 +391,7 @@ fn main() {
                     );
                     progress.engine.insert(key, unit);
                     progress.save(&progress_path, &fingerprint);
-                    flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
+                    flush(&rows, &sweep_done, &scale_rows, true);
                     unit
                 }
             };
@@ -435,7 +415,7 @@ fn main() {
             row.ns_per_event()
         );
         rows.push(row);
-        flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
+        flush(&rows, &sweep_done, &scale_rows, true);
     }
 
     // Parallel sweep timing (work-stealing run_all, all cores). One unit:
@@ -477,7 +457,7 @@ fn main() {
         sweep_runs as f64 / (sweep_ms / 1_000.0)
     );
     sweep_done = Some((sweep_ns, sweep_runs));
-    flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
+    flush(&rows, &sweep_done, &scale_rows, true);
 
     if scale {
         // The two sizes `scale_check` gates are one unit, recorded with
@@ -529,42 +509,12 @@ fn main() {
                     delivered: p.delivered,
                     mean_delay_secs: p.mean_delay_secs,
                 });
-                flush(&rows, &sweep_done, &scale_rows, &event_profile, true);
+                flush(&rows, &sweep_done, &scale_rows, true);
             }
         }
     }
 
-    if profile_events {
-        // One extra profiled run, never part of the tracked figures (the
-        // two timestamps per event distort its aggregate wall time) and
-        // deliberately outside the progress ledger — it is cheap relative
-        // to the measured sections and always reflects the current binary.
-        let sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(1)
-            .build();
-        let (_report, prof) = sim.run_profiled();
-        eprintln!(
-            "event profile (OPT seed 1, {engine_secs} s; profiled run, wall not comparable):"
-        );
-        eprintln!(
-            "{:<18} {:>10} {:>12} {:>9} {:>9} {:>9}",
-            "kind", "events", "total_us", "mean_ns", "p50_ns", "p99_ns"
-        );
-        for row in prof.by_cost() {
-            eprintln!(
-                "{:<18} {:>10} {:>12.1} {:>9.0} {:>9} {:>9}",
-                row.label,
-                row.count,
-                row.total_ns as f64 / 1e3,
-                row.mean_ns(),
-                row.p50_ns(),
-                row.p99_ns()
-            );
-        }
-        event_profile = Some(prof);
-    }
-
-    flush(&rows, &sweep_done, &scale_rows, &event_profile, false);
+    flush(&rows, &sweep_done, &scale_rows, false);
     // A finished baseline starts over next time: the progress file only
     // bridges interruptions, it must not freeze old measurements forever.
     let _ = std::fs::remove_file(&progress_path);
@@ -583,8 +533,6 @@ fn render_output(
     rows: &[EngineRow],
     sweep_done: &Option<(u128, usize)>,
     scale: (bool, u64, &[ScalePoint]),
-    pre_ref: Option<f64>,
-    event_profile: Option<&EventProfile>,
 ) -> Json {
     let engine_rows: Vec<Json> = rows
         .iter()
@@ -657,56 +605,13 @@ fn render_output(
                     .field("mean_delay_secs", r.mean_delay_secs)
             })
             .collect();
-        let mut section = Json::object()
-            .field("protocol", "OPT")
-            .field("duration_secs", scale_dur)
-            .field("seed", 1u64)
-            .field("rows", Json::Arr(tier_rows));
-        if let Some(ev_s) = pre_ref {
-            let lazy_1k = scale_rows
-                .iter()
-                .find(|r| r.sensors == 1_000 && r.mode == "lazy")
-                .map_or(0.0, ScalePoint::events_per_sec);
-            section = section.field(
-                "pre_pr_reference",
-                Json::object()
-                    .field("events_per_sec", ev_s)
-                    .field("speedup_lazy_1000", lazy_1k / ev_s)
-                    .field(
-                        "method",
-                        "OPT ticked 1000-sensor scale workload, pre-change binary, \
-                         same machine (EXPERIMENTS.md \u{a7} Scale tier)",
-                    ),
-            );
-        }
-        json = json.field("scale", section);
-    }
-    if let Some(prof) = event_profile {
-        let kind_rows: Vec<Json> = prof
-            .by_cost()
-            .into_iter()
-            .map(|k| {
-                let hist: Vec<Json> = k.hist.iter().map(|&c| Json::from(c)).collect();
-                Json::object()
-                    .field("kind", k.label)
-                    .field("events", k.count)
-                    .field("total_ns", k.total_ns.to_string())
-                    .field("mean_ns", k.mean_ns())
-                    .field("p50_ns", k.p50_ns())
-                    .field("p99_ns", k.p99_ns())
-                    .field("hist_pow2_ns", Json::Arr(hist))
-            })
-            .collect();
         json = json.field(
-            "event_profile",
+            "scale",
             Json::object()
                 .field("protocol", "OPT")
+                .field("duration_secs", scale_dur)
                 .field("seed", 1u64)
-                .field(
-                    "note",
-                    "profiled run; aggregate wall time not comparable with engine rows",
-                )
-                .field("kinds", Json::Arr(kind_rows)),
+                .field("rows", Json::Arr(tier_rows)),
         );
     }
     json

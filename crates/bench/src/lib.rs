@@ -10,15 +10,16 @@
 //! | `speed` | Prose-B: nodal-speed sweep |
 //! | `opt_tables` | Opt-1/2/3: Sec. 4 analytic optimization tables |
 //! | `ablation` | Abl-1: per-optimization ablation |
+//! | `sensitivity`, `buffer` | calibrated constants and queue capacity |
+//! | `fault_sweep`, `adversary_sweep` | delivery under failures and adversaries |
+//! | `policy_search` | per-policy grid over the tunable constants |
 //! | `perf_baseline` | tracked engine/sweep/scale throughput baseline |
-//! | `scale_check` | warn-only scale-tier guard vs `BENCH_engine.json` |
+//! | `scale_check` | failing scale-tier regression gate vs `BENCH_engine.json` |
+//! | `api_surface` | public-API snapshot check against `API_SURFACE.txt` |
 //!
-//! All binaries accept `--quick` (short runs), `--seeds N`,
+//! The experiment binaries accept `--quick` (short runs), `--seeds N`,
 //! `--duration SECS` and `--threads N`, and write text + CSV tables under
 //! `results/`.
-//!
-//! The Criterion benches (`cargo bench`) cover the protocol math, queue
-//! operations, the substrates, and short end-to-end simulations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

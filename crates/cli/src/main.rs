@@ -82,6 +82,39 @@ impl From<CkptError> for CliError {
     }
 }
 
+/// Standard output behind one fallible writer. `print!` panics when stdout
+/// is full or its pipe is closed; every line the CLI writes there goes
+/// through `write!`/`writeln!` on an `Out` instead, so such a failure is a
+/// [`CliError::Io`] naming standard output (exit 3).
+struct Out(std::io::StdoutLock<'static>);
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+        std::io::Write::write_fmt(&mut self.0, args).map_err(stdout_error)
+    }
+
+    fn flush(&mut self) -> Result<(), CliError> {
+        std::io::Write::flush(&mut self.0).map_err(stdout_error)
+    }
+}
+
+fn stdout_error(source: std::io::Error) -> CliError {
+    CliError::Io {
+        op: "cannot write",
+        path: "standard output".into(),
+        source,
+    }
+}
+
+/// `eprintln!` without its panic: progress, warning and error lines are
+/// best effort, so a full or closed stderr never aborts a run.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// Async-signal handling: the handler only stores the signal number; the
 /// run loop polls it between events and performs the orderly shutdown
 /// (final checkpoint + partial report) on the main thread.
@@ -133,20 +166,16 @@ fn main() {
     let owned: Vec<String> = std::env::args().skip(1).collect();
     let refs: Vec<&str> = owned.iter().map(String::as_str).collect();
     let code = match parse(&refs) {
-        Ok(Command::Help) => {
-            print!("{USAGE}");
-            0
-        }
         Ok(cmd) => match dispatch(cmd) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                note!("error: {e}");
                 e.exit_code()
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
+            note!("error: {e}\n");
+            let _ = std::io::Write::write_all(&mut std::io::stderr(), USAGE.as_bytes());
             2
         }
     };
@@ -154,29 +183,32 @@ fn main() {
 }
 
 fn dispatch(cmd: Command) -> Result<i32, CliError> {
-    match cmd {
+    let out = &mut Out(std::io::stdout().lock());
+    let code = match cmd {
         Command::Help => {
-            print!("{USAGE}");
-            Ok(0)
+            write!(out, "{USAGE}")?;
+            0
         }
-        Command::Run(cfg) => run_one(cfg),
+        Command::Run(cfg) => run_one(out, cfg)?,
         Command::Compare(cfg) => {
-            compare(&cfg);
-            Ok(0)
+            compare(out, &cfg)?;
+            0
         }
         Command::Inspect {
             path,
             series,
             width,
         } => {
-            inspect(&path, series.as_deref(), width)?;
-            Ok(0)
+            inspect(out, &path, series.as_deref(), width)?;
+            0
         }
         Command::Analyze { scenario } => {
-            analyze(&scenario);
-            Ok(0)
+            analyze(out, &scenario)?;
+            0
         }
-    }
+    };
+    out.flush()?;
+    Ok(code)
 }
 
 /// The observer handle kept alongside a running simulation so the CLI can
@@ -193,7 +225,7 @@ fn build_fresh(cfg: &RunConfig) -> Result<(Simulation, Option<Observing>), CliEr
         PolicySpec::Builtin => cfg.protocol.to_string(),
         other => format!("policy {}", other.label()),
     };
-    eprintln!(
+    note!(
         "running {} on {} sensors / {} sinks for {} s (seed {}, {} fault events)...",
         what,
         cfg.scenario.sensors,
@@ -241,10 +273,10 @@ fn build_resumed(
 ) -> Result<(Simulation, Option<Observing>), CliError> {
     let resumed = Simulation::resume(Path::new(ckpt_path))?;
     if resumed.from_backup {
-        eprintln!("warning: '{ckpt_path}' was corrupt; resumed from its .bak rotation instead");
+        note!("warning: '{ckpt_path}' was corrupt; resumed from its .bak rotation instead");
     }
     let sim = resumed.sim;
-    eprintln!(
+    note!(
         "resumed from '{ckpt_path}' at t = {:.0} s",
         sim.now().as_secs_f64()
     );
@@ -298,7 +330,7 @@ fn build_resumed(
             })
         }
         (Some(_), None) => {
-            eprintln!(
+            note!(
                 "warning: the checkpoint carries an observer; pass the original \
                  --observe FILE to continue its JSONL stream (windows from here \
                  on are otherwise dropped)"
@@ -306,7 +338,7 @@ fn build_resumed(
             None
         }
         (None, Some(_)) => {
-            eprintln!(
+            note!(
                 "warning: --observe ignored: the checkpointed run had no \
                  observer attached"
             );
@@ -317,7 +349,7 @@ fn build_resumed(
     Ok((sim, observing))
 }
 
-fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
+fn run_one(out: &mut Out, cfg: RunConfig) -> Result<i32, CliError> {
     let (mut sim, observing) = match &cfg.resume {
         Some(path) => build_resumed(&cfg, path)?,
         None => build_fresh(&cfg)?,
@@ -351,13 +383,13 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
 
     if let Some(sig) = interrupted {
         let now = sim.now();
-        eprintln!(
+        note!(
             "interrupted by signal {sig} at t = {:.0} s",
             now.as_secs_f64()
         );
         if let Some(ckpt) = &cfg.checkpoint {
             write_checkpoint(&mut sim, ckpt, observing.as_ref())?;
-            eprintln!(
+            note!(
                 "final checkpoint written; resume with: dftmsn run --resume {}",
                 ckpt.path
             );
@@ -367,18 +399,18 @@ fn run_one(cfg: RunConfig) -> Result<i32, CliError> {
         let report = sim.finish_partial();
         observe_written(observing.as_ref())?;
         report_observing(observing.as_ref());
-        eprintln!(
+        note!(
             "partial report (run covered {:.0} s):",
             report.duration_secs
         );
-        print_report(&cfg, &report);
+        print_report(out, &cfg, &report)?;
         return Ok(128 + sig);
     }
 
     let report = sim.run();
     observe_written(observing.as_ref())?;
     report_observing(observing.as_ref());
-    print_report(&cfg, &report);
+    print_report(out, &cfg, &report)?;
     Ok(0)
 }
 
@@ -406,7 +438,7 @@ fn write_checkpoint(
 ) -> Result<(), CliError> {
     observe_written(observing)?;
     sim.checkpoint(Path::new(&ckpt.path))?;
-    eprintln!(
+    note!(
         "checkpoint written to '{}' at t = {:.0} s",
         ckpt.path,
         sim.now().as_secs_f64()
@@ -417,72 +449,85 @@ fn write_checkpoint(
 fn report_observing(observing: Option<&Observing>) {
     if let Some(obs) = observing {
         let (windows, _) = obs.recorder.totals();
-        eprintln!("wrote {windows} windows to {}", obs.path);
+        note!("wrote {windows} windows to {}", obs.path);
     }
 }
 
-fn print_report(cfg: &RunConfig, report: &SimReport) {
+fn print_report(out: &mut Out, cfg: &RunConfig, report: &SimReport) -> Result<(), CliError> {
     if cfg.json {
-        println!("{}", report.to_json());
-        return;
+        return writeln!(out, "{}", report.to_json());
     }
     if cfg.csv {
-        println!("msg,origin,created_secs,delay_secs,sink");
+        writeln!(out, "msg,origin,created_secs,delay_secs,sink")?;
         for d in &report.deliveries {
-            println!(
+            writeln!(
+                out,
                 "{},{},{},{},{}",
                 d.msg.0, d.origin.0, d.created_secs, d.delay_secs, d.sink.0
-            );
+            )?;
         }
-        return;
+        return Ok(());
     }
-    println!("{}", report.summary());
-    println!(
+    writeln!(out, "{}", report.summary())?;
+    writeln!(
+        out,
         "  delivery ratio   : {:>8.2} %",
         report.delivery_ratio() * 100.0
-    );
-    println!("  mean delay       : {:>8.0} s", report.mean_delay_secs);
-    println!("  p95 delay        : {:>8.0} s", report.p95_delay_secs);
-    println!(
+    )?;
+    writeln!(
+        out,
+        "  mean delay       : {:>8.0} s",
+        report.mean_delay_secs
+    )?;
+    writeln!(out, "  p95 delay        : {:>8.0} s", report.p95_delay_secs)?;
+    writeln!(
+        out,
         "  avg power        : {:>8.3} mW",
         report.avg_sensor_power_mw
-    );
-    println!("  attempts         : {:>8}", report.attempts);
-    println!("  multicasts       : {:>8}", report.multicasts);
-    println!("  copies sent      : {:>8}", report.copies_sent);
-    println!("  collisions       : {:>8}", report.collisions);
-    println!(
+    )?;
+    writeln!(out, "  attempts         : {:>8}", report.attempts)?;
+    writeln!(out, "  multicasts       : {:>8}", report.multicasts)?;
+    writeln!(out, "  copies sent      : {:>8}", report.copies_sent)?;
+    writeln!(out, "  collisions       : {:>8}", report.collisions)?;
+    writeln!(
+        out,
         "  drops (ovf/rej/ftd): {} / {} / {}",
         report.drops_overflow, report.drops_rejected, report.drops_ftd
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  control overhead : {:>8.2} ctrl/data bits",
         report.control_overhead()
-    );
-    println!("  mean final xi    : {:>8.3}", report.mean_final_xi);
+    )?;
+    writeln!(out, "  mean final xi    : {:>8.3}", report.mean_final_xi)?;
     if report.faults.any() {
         let f = &report.faults;
-        println!(
+        writeln!(
+            out,
             "  faults           : {} crashes ({} battery), {} recoveries, {} sink outages",
             f.crashes, f.battery_deaths, f.recoveries, f.sink_outages
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  fault losses     : {} queued msgs, {} frames dropped, {} corrupted",
             f.messages_lost_to_crash, f.frames_dropped, f.data_corrupted
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  despite faults   : {:>8} deliveries",
             f.deliveries_despite_faults
-        );
+        )?;
         if f.behavior_changes > 0 {
-            println!(
+            writeln!(
+                out,
                 "  adversaries      : {} behavior changes, {} copies captured",
                 f.behavior_changes, f.copies_captured
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  adversary frames : {} forged ({} detected), {} lied adverts",
                 f.forged_frames, f.forged_detected, f.lied_advertisements
-            );
+            )?;
         }
     }
     let l = &report.lifetime;
@@ -491,17 +536,19 @@ fn print_report(cfg: &RunConfig, report: &SimReport) {
             Some(t) => format!("{t:.0}s"),
             None => "-".into(),
         };
-        println!(
+        writeln!(
+            out,
             "  lifetime         : FND {} / HND {} / LND {}, {} alive at end",
             fmt(l.first_death_secs),
             fmt(l.half_death_secs),
             fmt(l.last_death_secs),
             l.alive_at_end
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn compare(cfg: &RunConfig) {
+fn compare(out: &mut Out, cfg: &RunConfig) -> Result<(), CliError> {
     let mut table = Table::new(
         "variant comparison",
         &[
@@ -522,7 +569,7 @@ fn compare(cfg: &RunConfig) {
         ]);
     };
     for kind in ProtocolKind::ALL {
-        eprintln!("running {kind}...");
+        note!("running {kind}...");
         let r = Simulation::builder(cfg.scenario.clone(), kind)
             .seed(cfg.seed)
             .faults(cfg.faults.clone())
@@ -533,7 +580,7 @@ fn compare(cfg: &RunConfig) {
     // A non-builtin --policy joins the panel as a seventh row, run on the
     // OPT base configuration so its MAC knobs match the strongest builtin.
     if cfg.policy != PolicySpec::Builtin {
-        eprintln!("running policy {}...", cfg.policy.label());
+        note!("running policy {}...", cfg.policy.label());
         let r = Simulation::builder(cfg.scenario.clone(), ProtocolKind::Opt)
             .seed(cfg.seed)
             .policy(cfg.policy)
@@ -542,7 +589,7 @@ fn compare(cfg: &RunConfig) {
             .run();
         row(cfg.policy.label(), &r);
     }
-    println!("{}", table.render_text(2));
+    writeln!(out, "{}", table.render_text(2))
 }
 
 /// The series `inspect` can extract from an observation file: top-level
@@ -615,7 +662,7 @@ fn load_observe_file(path: &str) -> Result<(Json, Vec<Json>, Option<Json>), CliE
             Ok(j) => j,
             Err(e) => {
                 skipped += 1;
-                eprintln!("warning: {path}:{}: skipping unparseable line ({e})", i + 1);
+                note!("warning: {path}:{}: skipping unparseable line ({e})", i + 1);
                 continue;
             }
         };
@@ -634,7 +681,7 @@ fn load_observe_file(path: &str) -> Result<(Json, Vec<Json>, Option<Json>), CliE
         }
     }
     if skipped > 0 {
-        eprintln!(
+        note!(
             "warning: {path}: skipped {skipped} corrupt line(s) — interrupted \
              run or torn write; rendering the {} windows that parsed",
             rows.len()
@@ -649,7 +696,7 @@ fn load_observe_file(path: &str) -> Result<(Json, Vec<Json>, Option<Json>), CliE
     Ok((header, rows, totals))
 }
 
-fn inspect(path: &str, series: Option<&str>, width: usize) -> Result<(), CliError> {
+fn inspect(out: &mut Out, path: &str, series: Option<&str>, width: usize) -> Result<(), CliError> {
     let (header, rows, totals) = load_observe_file(path)?;
 
     let protocol = header.get("protocol").and_then(Json::as_str).unwrap_or("?");
@@ -658,7 +705,8 @@ fn inspect(path: &str, series: Option<&str>, width: usize) -> Result<(), CliErro
         .and_then(Json::as_f64)
         .unwrap_or(0.0);
     let seed = header.get("seed").and_then(Json::as_f64).unwrap_or(0.0);
-    println!(
+    writeln!(
+        out,
         "{path}: {} windows of {window} s ({protocol}, seed {seed}){}",
         rows.len(),
         if totals.is_some() {
@@ -666,17 +714,20 @@ fn inspect(path: &str, series: Option<&str>, width: usize) -> Result<(), CliErro
         } else {
             " — no totals line; run incomplete?"
         },
-    );
+    )?;
 
     if let Some(name) = series {
-        return inspect_series(&rows, name, width);
+        return inspect_series(out, &rows, name, width);
     }
 
     if rows.is_empty() {
         // A run shorter than one window writes only the header (and
         // possibly totals); render the empty table rather than erroring so
         // scripted pipelines see a well-formed summary.
-        println!("no complete windows recorded (run shorter than one window?)");
+        writeln!(
+            out,
+            "no complete windows recorded (run shorter than one window?)"
+        )?;
     }
     let mut table = Table::new("series", &["series", "min", "mean", "max", "last", "trend"]);
     for name in COUNTER_SERIES.iter().chain(SNAPSHOT_SERIES) {
@@ -697,12 +748,12 @@ fn inspect(path: &str, series: Option<&str>, width: usize) -> Result<(), CliErro
             sparkline(&resample(&values, width)).into(),
         ]);
     }
-    println!("{}", table.render_text(2));
-    println!("use --series NAME for per-window values of one series");
+    writeln!(out, "{}", table.render_text(2))?;
+    writeln!(out, "use --series NAME for per-window values of one series")?;
     Ok(())
 }
 
-fn inspect_series(rows: &[Json], name: &str, width: usize) -> Result<(), CliError> {
+fn inspect_series(out: &mut Out, rows: &[Json], name: &str, width: usize) -> Result<(), CliError> {
     let points = extract(rows, name);
     if points.is_empty() {
         let known: Vec<&str> = COUNTER_SERIES
@@ -716,46 +767,52 @@ fn inspect_series(rows: &[Json], name: &str, width: usize) -> Result<(), CliErro
         )));
     }
     let values: Vec<f64> = points.iter().map(|&(_, v)| v).collect();
-    println!("{name}: {}", sparkline(&resample(&values, width)));
+    writeln!(out, "{name}: {}", sparkline(&resample(&values, width)))?;
     let mut table = Table::new(name, &["t (s)", name]);
     for (t, v) in points {
         table.row(vec![t.into(), v.into()]);
     }
-    println!("{}", table.render_text(3));
+    writeln!(out, "{}", table.render_text(3))?;
     Ok(())
 }
 
-fn analyze(scenario: &ScenarioParams) {
+fn analyze(out: &mut Out, scenario: &ScenarioParams) -> Result<(), CliError> {
     let contacts = ContactModel::from_scenario(scenario);
     let epidemic = EpidemicModel::from_scenario(scenario);
     let horizon = scenario.duration_secs as f64;
-    println!("analytic contact model (well-mixed approximation):");
-    println!(
+    writeln!(out, "analytic contact model (well-mixed approximation):")?;
+    writeln!(
+        out,
         "  sensor-sensor contact rate : {:.3e} /s  (mean gap {:.0} s)",
         contacts.lambda_node_node,
         contacts.mean_intercontact_nn()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  sensor-sink contact rate   : {:.3e} /s  (mean gap {:.0} s)",
         contacts.lambda_node_sink,
         contacts.mean_intercontact_ns()
-    );
-    println!("direct transmission:");
-    println!(
+    )?;
+    writeln!(out, "direct transmission:")?;
+    writeln!(
+        out,
         "  expected delay             : {:.0} s",
         direct_expected_delay(contacts.lambda_node_sink, scenario.sinks)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  avg ratio over a {horizon:.0} s run: {:.1} %",
         direct_average_ratio(contacts.lambda_node_sink, scenario.sinks, horizon) * 100.0
-    );
-    println!("flooding:");
-    println!(
+    )?;
+    writeln!(out, "flooding:")?;
+    writeln!(
+        out,
         "  expected delay             : {:.0} s",
         epidemic.expected_delay()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  P(delivered by {horizon:.0} s)     : {:.1} %",
         epidemic.delivery_probability_by(horizon, 1.0) * 100.0
-    );
+    )
 }

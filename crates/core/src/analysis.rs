@@ -12,7 +12,8 @@
 //!   mobility at sub-area transmission ranges);
 //! * [`ContactModel`] estimates λ from the scenario geometry
 //!   (`λ ≈ 2·r·v_rel / A`);
-//! * [`direct_delivery_probability`] solves the one-state model;
+//! * [`direct_expected_delay`] and [`direct_average_ratio`] solve the
+//!   one-state model;
 //! * [`EpidemicModel`] integrates the flooding master equation: state
 //!   *i* = number of message holders, infection rate `i(n−i)λ_nn`,
 //!   absorption (delivery) rate `i·k·λ_ns`.
@@ -82,29 +83,15 @@ impl ContactModel {
     }
 }
 
-/// Probability that direct transmission delivers a message within
-/// `horizon_secs`, given `sinks` stationary sinks and the node–sink
-/// contact rate: `1 − exp(−k·λ·t)`.
+/// Mean direct-transmission delivery delay: `1/(k·λ)`, infinite when
+/// λ = 0 (nothing moves, so no sensor ever meets a sink).
 ///
 /// # Panics
 ///
-/// Panics if `lambda_ns` or `horizon_secs` is negative, or `sinks == 0`.
-#[must_use]
-pub fn direct_delivery_probability(lambda_ns: f64, sinks: usize, horizon_secs: f64) -> f64 {
-    assert!(lambda_ns >= 0.0, "negative contact rate");
-    assert!(horizon_secs >= 0.0, "negative horizon");
-    assert!(sinks > 0, "need at least one sink");
-    1.0 - (-(sinks as f64) * lambda_ns * horizon_secs).exp()
-}
-
-/// Mean direct-transmission delivery delay: `1/(k·λ)`.
-///
-/// # Panics
-///
-/// Panics if the rate is not positive or `sinks == 0`.
+/// Panics if the rate is negative or NaN, or `sinks == 0`.
 #[must_use]
 pub fn direct_expected_delay(lambda_ns: f64, sinks: usize) -> f64 {
-    assert!(lambda_ns > 0.0, "rate must be positive");
+    assert!(lambda_ns >= 0.0, "rate must be non-negative");
     assert!(sinks > 0, "need at least one sink");
     1.0 / (sinks as f64 * lambda_ns)
 }
@@ -158,18 +145,23 @@ impl EpidemicModel {
     }
 
     /// Expected delivery delay (s) starting from one holder, by first-step
-    /// analysis over the birth chain.
+    /// analysis over the birth chain; infinite when `lambda_ns` is 0.
     ///
     /// # Panics
     ///
-    /// Panics if the model has no sensors or non-positive rates.
+    /// Panics if the model has no sensors or a negative or NaN rate.
     #[must_use]
     pub fn expected_delay(&self) -> f64 {
         assert!(self.sensors > 0, "no sensors");
         assert!(
-            self.lambda_ns > 0.0 && self.lambda_nn >= 0.0,
-            "rates must be positive"
+            self.lambda_ns >= 0.0 && self.lambda_nn >= 0.0,
+            "rates must be non-negative"
         );
+        // No sink contact ever absorbs the chain. Returning here also keeps
+        // the recursion below from forming 0·∞ = NaN when λ_nn is 0 too.
+        if self.lambda_ns == 0.0 {
+            return f64::INFINITY;
+        }
         // T_i = 1/(µ_i + b_i) + b_i/(µ_i + b_i) · T_{i+1}, T at i = n has
         // b = 0.
         let n = self.sensors;
@@ -253,20 +245,33 @@ mod tests {
     }
 
     #[test]
-    fn direct_probability_behaves() {
-        assert_eq!(direct_delivery_probability(0.001, 1, 0.0), 0.0);
-        let short = direct_delivery_probability(0.001, 1, 100.0);
-        let long = direct_delivery_probability(0.001, 1, 10_000.0);
-        assert!(long > short);
-        let more_sinks = direct_delivery_probability(0.001, 5, 100.0);
-        assert!(more_sinks > short);
-        assert!(long < 1.0 + 1e-12);
-    }
-
-    #[test]
     fn direct_expected_delay_is_inverse_rate() {
         assert!((direct_expected_delay(0.002, 1) - 500.0).abs() < 1e-9);
         assert!((direct_expected_delay(0.002, 4) - 125.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_motion_means_infinite_expected_delay() {
+        assert_eq!(direct_expected_delay(0.0, 3), f64::INFINITY);
+        let mut m = paper_model();
+        m.lambda_ns = 0.0;
+        assert_eq!(m.expected_delay(), f64::INFINITY);
+        m.lambda_nn = 0.0;
+        assert_eq!(m.expected_delay(), f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be non-negative")]
+    fn negative_direct_rate_panics() {
+        let _ = direct_expected_delay(-1e-3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rates must be non-negative")]
+    fn nan_epidemic_rate_panics() {
+        let mut m = paper_model();
+        m.lambda_ns = f64::NAN;
+        let _ = m.expected_delay();
     }
 
     #[test]
@@ -339,6 +344,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sink")]
     fn zero_sinks_panics() {
-        let _ = direct_delivery_probability(0.001, 0, 10.0);
+        let _ = direct_expected_delay(0.001, 0);
     }
 }

@@ -47,8 +47,6 @@ pub struct Ftd(f64);
 impl Ftd {
     /// FTD of a freshly sensed message: no other copy exists.
     pub const NEW: Ftd = Ftd(0.0);
-    /// FTD of a copy whose message has reached a sink.
-    pub const DELIVERED: Ftd = Ftd(1.0);
 
     /// Wraps a raw FTD. Ulp-level drift outside the unit interval (within
     /// [`DeliveryProb::DRIFT_SLACK`]) is clamped rather than rejected.
@@ -123,9 +121,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_and_delivered_extremes() {
+    fn fresh_message_has_zero_ftd() {
         assert_eq!(Ftd::NEW.value(), 0.0);
-        assert_eq!(Ftd::DELIVERED.value(), 1.0);
     }
 
     #[test]
@@ -189,9 +186,9 @@ mod tests {
         // If one co-receiver is a sink (ξ = 1), every other copy becomes
         // redundant: FTD 1.
         let f = Ftd::NEW.receiver_copy(0.1, &[1.0]);
-        assert_eq!(f, Ftd::DELIVERED);
+        assert_eq!(f.value(), 1.0);
         let sender = Ftd::NEW.after_multicast(&[1.0, 0.2]);
-        assert_eq!(sender, Ftd::DELIVERED);
+        assert_eq!(sender.value(), 1.0);
     }
 
     #[test]
@@ -223,9 +220,9 @@ mod tests {
         let f = Ftd::new(1.0 + 1e-12);
         assert_eq!(f.value(), 1.0);
         let after = Ftd::NEW.after_multicast(&[1.0 + 1e-12, -1e-12]);
-        assert_eq!(after, Ftd::DELIVERED);
+        assert_eq!(after.value(), 1.0);
         let copy = Ftd::new(-1e-12).receiver_copy(1.0 + 1e-12, &[]);
-        assert_eq!(copy, Ftd::DELIVERED);
+        assert_eq!(copy.value(), 1.0);
     }
 
     #[test]
@@ -235,6 +232,6 @@ mod tests {
         assert_eq!(f.value(), 0.4);
         assert_eq!(Ftd::new(0.4).combined_delivery(&[1.0]), 1.0);
         assert_eq!(Ftd::NEW.combined_delivery(&[]), 0.0);
-        assert_eq!(Ftd::DELIVERED.combined_delivery(&[]), 1.0);
+        assert_eq!(Ftd::new(1.0).combined_delivery(&[]), 1.0);
     }
 }

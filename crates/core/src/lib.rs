@@ -63,8 +63,6 @@ mod prefetch;
 pub mod profile;
 pub mod queue;
 pub mod report;
-pub mod scenarios;
-pub mod sensing;
 pub mod sleep;
 pub mod trace;
 pub mod variants;

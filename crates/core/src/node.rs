@@ -222,13 +222,6 @@ impl Node {
         self.state = next;
         self.epoch += 1;
     }
-
-    /// Clears both exchange contexts (cycle boundary).
-    pub fn clear_ctx(&mut self) {
-        self.sender_ctx = None;
-        self.receiver_ctx = None;
-        self.listen_retries = 0;
-    }
 }
 
 #[cfg(test)]
@@ -271,24 +264,5 @@ mod tests {
         assert!(!MacState::Sleeping.receptive());
         assert!(!MacState::AwaitData.receptive());
         assert!(!MacState::Transmitting(TxPlan::Rts).receptive());
-    }
-
-    #[test]
-    fn clear_ctx_resets_attempt_state() {
-        let mut n = node(NodeRole::Sensor);
-        n.listen_retries = 2;
-        n.receiver_ctx = Some(ReceiverCtx {
-            sender: NodeId(1),
-            msg: MessageId(0),
-            rts_ftd: 0.0,
-            window_slots: 4,
-            rts_end: SimTime::ZERO,
-            assigned_ftd: None,
-            ack_slot: 0,
-        });
-        n.clear_ctx();
-        assert!(n.receiver_ctx.is_none());
-        assert!(n.sender_ctx.is_none());
-        assert_eq!(n.listen_retries, 0);
     }
 }

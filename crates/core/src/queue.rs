@@ -171,15 +171,6 @@ impl FtdQueue {
         }
     }
 
-    /// Purges every copy whose FTD exceeds `threshold`, returning them
-    /// (Sec. 3.1.2's redundancy drop).
-    pub fn drop_above(&mut self, threshold: Ftd) -> Vec<Message> {
-        let cut = self
-            .items
-            .partition_point(|x| x.ftd.value() <= threshold.value());
-        self.items.split_off(cut)
-    }
-
     /// Available buffer space for a message with FTD `f` (Sec. 3.2.2):
     /// empty slots plus slots held by copies with a strictly larger FTD,
     /// i.e. `capacity − |{m : m.ftd ≤ f}|`.
@@ -335,18 +326,6 @@ mod tests {
         assert_eq!(q.peek_head().unwrap().id, MessageId(2));
         assert!(!q.update_ftd(MessageId(42), Ftd::new(0.1)));
         q.assert_sorted();
-    }
-
-    #[test]
-    fn drop_above_purges_redundant_copies() {
-        let mut q = FtdQueue::new(10);
-        for (id, f) in [(1, 0.1), (2, 0.5), (3, 0.95), (4, 0.99)] {
-            q.insert(msg(id, f));
-        }
-        let dropped = q.drop_above(Ftd::new(0.9));
-        let ids: Vec<u64> = dropped.iter().map(|m| m.id.0).collect();
-        assert_eq!(ids, vec![3, 4]);
-        assert_eq!(q.len(), 2);
     }
 
     #[test]

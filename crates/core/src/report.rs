@@ -328,16 +328,6 @@ impl SimReport {
         self.control_bits as f64 / self.data_bits as f64
     }
 
-    /// Acknowledged copies per unique delivery — the replication factor.
-    #[must_use]
-    pub fn copies_per_delivery(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.copies_sent as f64 / self.delivered as f64
-        }
-    }
-
     /// Exports the headline metrics (and per-node summaries) as a JSON
     /// object for external plotting pipelines.
     #[must_use]
@@ -772,11 +762,8 @@ mod tests {
     }
 
     #[test]
-    fn overhead_and_copies() {
-        let r = report(10, 4);
-        assert!((r.control_overhead() - 0.5).abs() < 1e-12);
-        assert!((r.copies_per_delivery() - 2.0).abs() < 1e-12);
-        assert_eq!(report(10, 0).copies_per_delivery(), 0.0);
+    fn control_overhead_is_control_over_data_bits() {
+        assert!((report(10, 4).control_overhead() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -124,50 +124,6 @@ impl TraceSink for Box<dyn TraceSink> {
     }
 }
 
-/// A sink that stores every event in memory.
-#[derive(Debug, Default)]
-pub struct VecTrace {
-    events: Vec<TraceEvent>,
-}
-
-impl VecTrace {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events, in order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Consumes the trace, returning its events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
-    /// The tags of sent frames, in order — handy for handshake assertions.
-    #[must_use]
-    pub fn sent_tags(&self) -> Vec<&'static str> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::FrameSent { tag, .. } => Some(*tag),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-impl TraceSink for VecTrace {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
 /// A sink that counts events by class without storing them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountingTrace {
@@ -218,9 +174,9 @@ impl TraceSink for CountingTrace {
 /// # Examples
 ///
 /// ```
-/// use dftmsn_core::trace::{CountingTrace, TeeSink, VecTrace};
+/// use dftmsn_core::trace::{CountingTrace, SharedTrace, TeeSink};
 ///
-/// let tee = TeeSink(CountingTrace::new(), VecTrace::new());
+/// let tee = TeeSink(CountingTrace::new(), SharedTrace::new());
 /// # let _ = tee;
 /// ```
 #[derive(Debug, Default)]
@@ -238,7 +194,7 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 }
 
-/// A clonable, thread-safe handle around a [`VecTrace`], for reading a
+/// A clonable, thread-safe in-memory store of every event, for reading a
 /// trace back after [`Simulation::run`](crate::world::Simulation::run)
 /// consumed the sink.
 ///
@@ -264,7 +220,7 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedTrace {
-    inner: std::sync::Arc<std::sync::Mutex<VecTrace>>,
+    inner: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
 }
 
 impl SharedTrace {
@@ -281,11 +237,7 @@ impl SharedTrace {
     /// Panics if a previous holder of the lock panicked.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.inner
-            .lock()
-            .expect("trace lock poisoned")
-            .events()
-            .to_vec()
+        self.inner.lock().expect("trace lock poisoned").clone()
     }
 
     /// The tags of sent frames, in order.
@@ -295,16 +247,21 @@ impl SharedTrace {
     /// Panics if a previous holder of the lock panicked.
     #[must_use]
     pub fn sent_tags(&self) -> Vec<&'static str> {
-        self.inner.lock().expect("trace lock poisoned").sent_tags()
+        self.inner
+            .lock()
+            .expect("trace lock poisoned")
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::FrameSent { tag, .. } => Some(*tag),
+                _ => None,
+            })
+            .collect()
     }
 }
 
 impl TraceSink for SharedTrace {
     fn record(&mut self, event: TraceEvent) {
-        self.inner
-            .lock()
-            .expect("trace lock poisoned")
-            .record(event);
+        self.inner.lock().expect("trace lock poisoned").push(event);
     }
 }
 
@@ -324,25 +281,6 @@ mod tests {
         });
         assert_eq!(reader.sent_tags(), vec!["PRE"]);
         assert_eq!(reader.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn vec_trace_stores_in_order() {
-        let mut t = VecTrace::new();
-        t.record(TraceEvent::FrameSent {
-            at: SimTime::ZERO,
-            node: NodeId(0),
-            tag: "PRE",
-            bits: 50,
-        });
-        t.record(TraceEvent::FrameSent {
-            at: SimTime::from_secs(1),
-            node: NodeId(0),
-            tag: "RTS",
-            bits: 50,
-        });
-        assert_eq!(t.sent_tags(), vec!["PRE", "RTS"]);
-        assert_eq!(t.events().len(), 2);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! Small, dependency-light building blocks for collecting and reporting
 //! simulation results:
 //!
-//! * [`stats`] — streaming mean/variance/min/max with mergeable state and
-//!   normal-approximation confidence intervals;
+//! * [`stats`] — streaming mean/min/max/sum with checkpointable state;
 //! * [`histogram`] — fixed-bucket histograms with approximate quantiles;
-//! * [`timeseries`] — monotone `(t, v)` series with step interpolation;
+//! * [`timeseries`] — monotone `(t, v)` series;
 //! * [`table`] — titled result tables rendered as aligned text or CSV,
 //!   the output format of every regenerated figure/table;
 //! * [`viz`] — terminal sparklines, bar charts and grid heatmaps;
-//! * [`json`] — a minimal dependency-free JSON writer for exports.
+//! * [`json`] — a minimal dependency-free JSON value with a writer and a
+//!   depth-capped parser.
 //!
 //! # Examples
 //!
@@ -21,7 +21,7 @@
 //! for d in [120.0, 340.0, 95.0] {
 //!     delays.record(d);
 //! }
-//! println!("mean delay {:.1} ± {:.1}", delays.mean(), delays.ci95_half_width());
+//! println!("mean delay {:.1} s over {} deliveries", delays.mean(), delays.count());
 //! ```
 
 #![forbid(unsafe_code)]

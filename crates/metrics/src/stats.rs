@@ -2,9 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Welford-style running mean/variance with min/max tracking.
+/// Welford-style running mean with min/max tracking.
 ///
-/// Numerically stable for long runs; O(1) memory.
+/// Numerically stable for long runs; O(1) memory. The accumulator also
+/// keeps Welford's sum of squared deviations (`m2`), which checkpoints
+/// carry through [`raw_parts`](Self::raw_parts).
 ///
 /// # Examples
 ///
@@ -17,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.min(), Some(2.0));
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert_eq!(s.sum(), 40.0);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
@@ -56,26 +58,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -108,49 +90,6 @@ impl RunningStats {
     #[must_use]
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
-    }
-
-    /// Population variance (divides by *n*; 0 when empty).
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (divides by *n − 1*; 0 with fewer than 2 samples).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Half-width of the normal-approximation 95% confidence interval of
-    /// the mean (`1.96·s/√n`; 0 with fewer than 2 samples).
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.sample_std_dev() / (self.count as f64).sqrt()
-        }
     }
 
     /// The raw accumulator fields `(count, mean, m2, min, max)`, for
@@ -194,8 +133,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -205,7 +142,6 @@ mod tests {
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
-        assert_eq!(s.population_variance(), 0.0);
     }
 
     #[test]
@@ -216,60 +152,8 @@ mod tests {
             s.record(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-9);
-        assert!((s.population_variance() - var).abs() < 1e-6);
         assert!((s.sum() - xs.iter().sum::<f64>()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..200] {
-            a.record(x);
-        }
-        for &x in &xs[200..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.sample_variance() - whole.sample_variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let mut s10 = RunningStats::new();
-        let mut s1000 = RunningStats::new();
-        for i in 0..1000 {
-            let x = if i % 2 == 0 { 1.0 } else { -1.0 };
-            if i < 10 {
-                s10.record(x);
-            }
-            s1000.record(x);
-        }
-        assert!(s1000.ci95_half_width() < s10.ci95_half_width());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// ts.push(0.0, 0.0);
 /// ts.push(10.0, 0.4);
 /// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.value_at(5.0), Some(0.0)); // step interpolation
+/// assert_eq!(ts.last(), Some((10.0, 0.4)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -76,33 +76,6 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(f64, f64)> {
         Some((*self.t.last()?, *self.v.last()?))
     }
-
-    /// Step ("sample and hold") interpolation: the value of the most recent
-    /// sample at or before `t`, or `None` before the first sample.
-    #[must_use]
-    pub fn value_at(&self, t: f64) -> Option<f64> {
-        let idx = self.t.partition_point(|&x| x <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.v[idx - 1])
-        }
-    }
-
-    /// Time-weighted mean over the recorded span (step interpolation).
-    /// Returns `None` with fewer than two samples.
-    #[must_use]
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.t.len() < 2 {
-            return None;
-        }
-        let mut acc = 0.0;
-        for i in 0..self.t.len() - 1 {
-            acc += self.v[i] * (self.t[i + 1] - self.t[i]);
-        }
-        let span = self.t.last().unwrap() - self.t[0];
-        (span > 0.0).then(|| acc / span)
-    }
 }
 
 #[cfg(test)]
@@ -120,35 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn step_interpolation() {
-        let mut ts = TimeSeries::new("x");
-        ts.push(10.0, 1.0);
-        ts.push(20.0, 2.0);
-        assert_eq!(ts.value_at(5.0), None);
-        assert_eq!(ts.value_at(10.0), Some(1.0));
-        assert_eq!(ts.value_at(15.0), Some(1.0));
-        assert_eq!(ts.value_at(25.0), Some(2.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut ts = TimeSeries::new("x");
-        ts.push(0.0, 0.0);
-        ts.push(9.0, 10.0); // value 0 held for 9 s
-        ts.push(10.0, 10.0); // value 10 held for 1 s
-        let mean = ts.time_weighted_mean().unwrap();
-        assert!((mean - 1.0).abs() < 1e-12, "got {mean}");
-    }
-
-    #[test]
-    fn mean_undefined_for_short_series() {
-        let mut ts = TimeSeries::new("x");
-        assert_eq!(ts.time_weighted_mean(), None);
-        ts.push(0.0, 1.0);
-        assert_eq!(ts.time_weighted_mean(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "time went backwards")]
     fn non_monotone_time_panics() {
         let mut ts = TimeSeries::new("x");
@@ -161,6 +105,6 @@ mod tests {
         let mut ts = TimeSeries::new("x");
         ts.push(1.0, 0.0);
         ts.push(1.0, 5.0);
-        assert_eq!(ts.value_at(1.0), Some(5.0));
+        assert_eq!(ts.last(), Some((1.0, 5.0)));
     }
 }

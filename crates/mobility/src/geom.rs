@@ -74,12 +74,6 @@ impl Vec2 {
             Vec2::new(self.x / len, self.y / len)
         }
     }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
 }
 
 impl Add for Vec2 {
@@ -260,7 +254,6 @@ mod tests {
         assert_eq!(b - a, Vec2::new(2.0, -3.0));
         assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
         assert_eq!(-a, Vec2::new(-1.0, -2.0));
-        assert_eq!(a.dot(b), 1.0);
     }
 
     #[test]

@@ -300,12 +300,6 @@ impl SpatialGrid {
         let dy = (y0 - p.y).max(p.y - (y0 + self.cell)).max(0.0);
         dx * dx + dy * dy <= r * r * (1.0 + 1e-12) + 1e-12
     }
-
-    /// The cell side length in metres.
-    #[must_use]
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 //!   plus [`RandomWaypoint`],
 //!   [`RandomWalk`] and
 //!   [`Stationary`] for sensitivity studies;
-//! * [`grid_index`] — a spatial hash grid for O(1)-ish range queries;
-//! * [`trace`] — trace-replay mobility and pairwise contact extraction.
+//! * [`grid_index`] — a spatial hash grid for O(1)-ish range queries.
 //!
 //! # Examples
 //!
@@ -32,11 +31,9 @@
 pub mod geom;
 pub mod grid_index;
 pub mod models;
-pub mod trace;
 pub mod zones;
 
 pub use geom::{Bounds, Vec2};
 pub use grid_index::SpatialGrid;
 pub use models::{MobilityModel, RandomWalk, RandomWaypoint, Stationary, ZoneMobility};
-pub use trace::{extract_contacts, Contact, TraceMobility};
 pub use zones::{ZoneGrid, ZoneId};

@@ -274,12 +274,6 @@ impl ZoneMobility {
         m
     }
 
-    /// The node's home zone.
-    #[must_use]
-    pub fn home_zone(&self) -> ZoneId {
-        self.home
-    }
-
     /// The zone currently containing the node.
     #[must_use]
     pub fn current_zone(&self) -> ZoneId {

@@ -201,12 +201,6 @@ impl<P: Clone> Medium<P> {
         }
     }
 
-    /// Whether the node is currently marked listening.
-    #[must_use]
-    pub fn is_listening(&self, node: NodeId) -> bool {
-        self.listening[node.index()]
-    }
-
     /// Carrier sense: is any transmission audible at `node` right now?
     ///
     /// This reflects what the node's radio can physically detect, whether

@@ -3,7 +3,6 @@
 //! the zone grid as a heatmap. Sinks sit at zones 4, 12 and 20 of the
 //! 5×5 grid — the bright cells should cluster around them.
 
-use dftmsn::core::sensing::home_zone_assignment;
 use dftmsn::metrics::viz::{heatmap, sparkline};
 use dftmsn::prelude::*;
 
@@ -20,13 +19,15 @@ fn main() {
         .run();
     println!("{}\n", report.summary());
 
-    // Average final ξ per home zone.
+    // Average final ξ per home zone. Sensor i's home zone is i mod the
+    // zone count: the rule `Simulation` applies when it builds each
+    // sensor's `ZoneMobility` (`construct_static` in `crates/core/src/world.rs`).
     let mut sums = vec![0.0f64; zones];
     let mut counts = vec![0u32; zones];
     for n in &report.node_summaries {
-        let z = home_zone_assignment(n.id.0, zones);
-        sums[z.0] += n.final_metric;
-        counts[z.0] += 1;
+        let z = n.id.0 % zones;
+        sums[z] += n.final_metric;
+        counts[z] += 1;
     }
     let means: Vec<f64> = sums
         .iter()
