@@ -26,9 +26,15 @@ done
 echo "==> event-queue oracle at depth (timing wheel vs. binary heap, 16384 cases)"
 PROPTEST_CASES=16384 cargo test --release -q -p dftmsn-sim --test properties
 
-echo "==> Eq. 12/13 kernel vs reference at depth (bit-exact γ and τ_max, 16384 cases)"
+echo "==> Eq. 12/13/14 decisions vs reference at depth (bit-exact γ, τ_max and windows, 16384 cases)"
 PROPTEST_CASES=16384 cargo test --release -q --test protocol_invariants -- \
-    rts_collision_is_probability tau_optimizer_minimal_and_feasible
+    rts_collision_is_probability tau_optimizer_minimal_and_feasible near_ties_match_the_reference \
+    cts_window_math_is_sound
+# The certified Eq. 13 test against the kernel, its near-tie fallback, and
+# the run's lazily filled Eq. 14 table, fresh and after a resume.
+cargo test --release -q -p dftmsn-core --lib -- \
+    certified_decisions_are_the_kernels exact_ties_defer_to_the_kernel \
+    eq14_table_matches_the_window_search_fresh_and_resumed
 
 echo "==> golden determinism baseline (empty fault plan must change nothing)"
 cargo test --release -q --test determinism_baseline

@@ -6,15 +6,18 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{ablation, write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{ablation, exit_status, publish, ExperimentOpts};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     eprintln!(
         "ablation: 6 configurations x {} seeds @ {} s",
         opts.seeds, opts.duration_secs
     );
-    for table in ablation(&opts) {
-        println!("{}", write_table("results", "ablation", &table));
-    }
+    exit_status(
+        ablation(&opts)
+            .iter()
+            .try_for_each(|table| publish("ablation", table)),
+    )
 }

@@ -26,7 +26,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::behavior::{self, NodeBehavior};
 use dftmsn_core::faults::FaultPlan;
@@ -36,6 +36,7 @@ use dftmsn_core::report::SimReport;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_metrics::table::{Cell, Table};
 use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Mutex;
 
 const ADV_FRACTIONS: [f64; 5] = [0.0, 0.1, 0.25, 0.4, 0.5];
@@ -71,9 +72,9 @@ fn variant_spec(column: &str, scenario: ScenarioParams, seed: u64, faults: Fault
     }
 }
 
-fn main() {
-    let opts = ExperimentOpts::from_args();
-    let fresh = std::env::args().any(|a| a == "--fresh");
+fn main() -> ExitCode {
+    let (opts, switches) = ExperimentOpts::from_args_with(&["--fresh"]);
+    let fresh = switches.contains(&"--fresh");
 
     eprintln!(
         "adversary_sweep: selfish fraction {{0..0.5}} + lifetime {{0.25..1}} x \
@@ -133,14 +134,10 @@ fn main() {
 
     let done: Vec<Option<SimReport>> = reports.into_iter().map(Some).collect();
     let (delivery, lifetime) = tables(&done, seeds);
-    println!(
-        "{}",
-        write_table("results", "adversary_sweep_delivery", &delivery)
-    );
-    println!(
-        "{}",
-        write_table("results", "adversary_sweep_lifetime", &lifetime)
-    );
+    exit_status(
+        publish("adversary_sweep_delivery", &delivery)
+            .and_then(|()| publish("adversary_sweep_lifetime", &lifetime)),
+    )
 }
 
 /// Mean of the anchors that fired, or a dash when none did (e.g. LND in a

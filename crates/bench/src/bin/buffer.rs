@@ -7,15 +7,16 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
 use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_metrics::table::Table;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     let capacities = [10usize, 25, 50, 100, 200, 400];
     let variants = [ProtocolKind::Opt, ProtocolKind::Epidemic];
@@ -77,5 +78,5 @@ fn main() {
             drops(&reports[base + opts.seeds as usize..base + 2 * opts.seeds as usize]).into(),
         ]);
     }
-    println!("{}", write_table("results", "buffer", &table));
+    exit_status(publish("buffer", &table))
 }

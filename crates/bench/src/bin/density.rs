@@ -6,9 +6,10 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{density, write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{density, exit_status, publish, ExperimentOpts};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     eprintln!(
         "density: sensors {{50..250}} x 4 variants x {} seeds @ {} s",
@@ -22,7 +23,10 @@ fn main() {
         "density_collisions",
         "density_overhead",
     ];
-    for (table, slug) in tables.iter().zip(slugs) {
-        println!("{}", write_table("results", slug, table));
-    }
+    exit_status(
+        tables
+            .iter()
+            .zip(slugs)
+            .try_for_each(|(table, slug)| publish(slug, table)),
+    )
 }

@@ -22,7 +22,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, write_table, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -30,16 +30,19 @@ use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::report::SimReport;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_metrics::table::Table;
+use std::io;
 use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Mutex;
 
 const FRACTIONS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 const VARIANTS: [ProtocolKind; 3] = [ProtocolKind::Opt, ProtocolKind::NoOpt, ProtocolKind::Zbr];
 const PROGRESS_PATH: &str = "results/fault_sweep.progress";
 
-fn main() {
-    let opts = ExperimentOpts::from_args();
-    let fresh = std::env::args().any(|a| a == "--fresh");
+fn main() -> ExitCode {
+    let (opts, switches) = ExperimentOpts::from_args_with(&["--fresh", "--observe"]);
+    let fresh = switches.contains(&"--fresh");
+    let observe = switches.contains(&"--observe");
 
     eprintln!(
         "fault_sweep: failure fraction {{0..0.5}} x {{OPT,NOOPT,ZBR}} x {} seeds @ {} s",
@@ -99,12 +102,17 @@ fn main() {
 
     let done: Vec<Option<SimReport>> = reports.into_iter().map(Some).collect();
     let (ratio, delay) = tables(&done, seeds);
-    println!("{}", write_table("results", "fault_sweep_delivery", &ratio));
-    println!("{}", write_table("results", "fault_sweep_delay", &delay));
-
-    if std::env::args().any(|a| a == "--observe") {
-        timeline(&opts, &VARIANTS);
-    }
+    exit_status(
+        publish("fault_sweep_delivery", &ratio)
+            .and_then(|()| publish("fault_sweep_delay", &delay))
+            .and_then(|()| {
+                if observe {
+                    timeline(&opts, &VARIANTS)
+                } else {
+                    Ok(())
+                }
+            }),
+    )
 }
 
 /// Builds the delivery-ratio and delay tables from whatever runs have
@@ -154,7 +162,7 @@ fn tables(reports: &[Option<SimReport>], seeds: usize) -> (Table, Table) {
 /// One observed run per variant at a fixed failure fraction: the windowed
 /// delivery counts show the dip (and any recovery) around fault onset
 /// that the sweep's end-of-run averages integrate away.
-fn timeline(opts: &ExperimentOpts, variants: &[ProtocolKind]) {
+fn timeline(opts: &ExperimentOpts, variants: &[ProtocolKind]) -> io::Result<()> {
     let frac = 0.3;
     let seed = 1;
     // ~25 points across the run, whatever the duration.
@@ -204,5 +212,5 @@ fn timeline(opts: &ExperimentOpts, variants: &[ProtocolKind]) {
             cell(2).into(),
         ]);
     }
-    println!("{}", write_table("results", "fault_sweep_timeline", &table));
+    publish("fault_sweep_timeline", &table)
 }

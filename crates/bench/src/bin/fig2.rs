@@ -7,9 +7,10 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{fig2, write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, fig2, publish, ExperimentOpts};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     eprintln!(
         "fig2: sinks 1..=10 x {{OPT,NOSLEEP,NOOPT,ZBR}} x {} seeds @ {} s",
@@ -23,7 +24,10 @@ fn main() {
         "fig2x_collisions",
         "fig2x_overhead",
     ];
-    for (table, slug) in tables.iter().zip(slugs) {
-        println!("{}", write_table("results", slug, table));
-    }
+    exit_status(
+        tables
+            .iter()
+            .zip(slugs)
+            .try_for_each(|(table, slug)| publish(slug, table)),
+    )
 }

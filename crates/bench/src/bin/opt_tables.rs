@@ -5,16 +5,20 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{optimization_tables, write_table};
+use dftmsn_bench::experiments::{exit_status, optimization_tables, publish};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let tables = optimization_tables();
     let slugs = [
         "opt1_rts_collisions",
         "opt2_cts_collisions",
         "opt3_sleep_surface",
     ];
-    for (table, slug) in tables.iter().zip(slugs) {
-        println!("{}", write_table("results", slug, table));
-    }
+    exit_status(
+        tables
+            .iter()
+            .zip(slugs)
+            .try_for_each(|(table, slug)| publish(slug, table)),
+    )
 }

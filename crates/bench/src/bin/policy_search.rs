@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -23,6 +23,7 @@ use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_metrics::table::Table;
 use std::path::Path;
+use std::process::ExitCode;
 
 /// One grid cell: a policy × protocol-constant combination.
 struct Cell {
@@ -55,7 +56,7 @@ impl Cell {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     let policies: [(&str, PolicySpec); 3] = [
         ("OPT", PolicySpec::Builtin),
@@ -207,9 +208,7 @@ fn main() {
         ]);
     }
 
-    println!("{}", write_table("results", "policy_fig2", &fig2));
-    println!(
-        "{}",
-        write_table("results", "policy_search_frontier", &frontier)
-    );
+    exit_status(
+        publish("policy_fig2", &fig2).and_then(|()| publish("policy_search_frontier", &frontier)),
+    )
 }

@@ -37,9 +37,22 @@
 
 use dftmsn_bench::scale::{run_tier, REPS, SCALE_DURATION_SECS, SCALE_SENSORS};
 use dftmsn_metrics::json::Json;
+use std::io::Write as _;
 
 /// Relative ns/event regression beyond which the gate fails.
 const FAIL_BUDGET: f64 = 0.25;
+
+/// Prints a line to standard output; a full or closed stdout ends the
+/// gate with status 3 instead of a panic.
+fn say(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        let _ = writeln!(
+            std::io::stderr(),
+            "error: cannot write standard output: {e}"
+        );
+        std::process::exit(3);
+    }
+}
 
 fn committed_row<'a>(scale: &'a Json, sensors: f64, mode: &str) -> Option<&'a Json> {
     scale.get("rows")?.as_array()?.iter().find(|r| {
@@ -101,14 +114,14 @@ fn main() {
         };
         let now_ns = row.ns_per_event();
         let rel = now_ns / ref_ns - 1.0;
-        println!(
+        say(format_args!(
             "scale_check {:>5} {:>6}: {:>7.1} ns/event, fastest of {REPS} (committed {:>7.1}, {:+.1}%)",
             row.sensors,
             row.mode_label(),
             now_ns,
             ref_ns,
             rel * 100.0
-        );
+        ));
         if rel > FAIL_BUDGET {
             eprintln!(
                 "{}: {} {} ns/event regressed {:.1}% (> {:.0}% budget)",
@@ -169,6 +182,8 @@ fn main() {
             std::process::exit(1);
         }
     } else if !warned {
-        println!("scale_check: within tolerance of the committed baseline");
+        say(format_args!(
+            "scale_check: within tolerance of the committed baseline"
+        ));
     }
 }

@@ -8,15 +8,16 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
 use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::variants::ProtocolKind;
 use dftmsn_metrics::table::Table;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     let base = ProtocolParams::paper_default();
 
@@ -90,5 +91,5 @@ fn main() {
             avg.collisions.mean().into(),
         ]);
     }
-    println!("{}", write_table("results", "sensitivity", &table));
+    exit_status(publish("sensitivity", &table))
 }

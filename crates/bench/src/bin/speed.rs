@@ -5,9 +5,10 @@
 
 #![forbid(unsafe_code)]
 
-use dftmsn_bench::experiments::{speed, write_table, ExperimentOpts};
+use dftmsn_bench::experiments::{exit_status, publish, speed, ExperimentOpts};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
     eprintln!(
         "speed: v_max {{1..10}} m/s x 4 variants x {} seeds @ {} s",
@@ -21,7 +22,10 @@ fn main() {
         "speed_collisions",
         "speed_overhead",
     ];
-    for (table, slug) in tables.iter().zip(slugs) {
-        println!("{}", write_table("results", slug, table));
-    }
+    exit_status(
+        tables
+            .iter()
+            .zip(slugs)
+            .try_for_each(|(table, slug)| publish(slug, table)),
+    )
 }

@@ -12,6 +12,8 @@ use dftmsn_core::policy::PolicySpec;
 use dftmsn_core::sleep::SleepController;
 use dftmsn_core::variants::{ProtocolKind, VariantConfig};
 use dftmsn_metrics::table::Table;
+use std::io::{self, Write};
+use std::process::ExitCode;
 
 /// Shared experiment knobs.
 #[derive(Debug, Clone)]
@@ -45,32 +47,87 @@ impl ExperimentOpts {
         }
     }
 
-    /// Parses `--quick`, `--seeds N`, `--duration S`, `--threads N` from
-    /// the process arguments; defaults to [`ExperimentOpts::full`].
+    /// [`Self::from_args_with`] for a binary without switches of its own.
     #[must_use]
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = if args.iter().any(|a| a == "--quick") {
-            Self::quick()
-        } else {
-            Self::full()
-        };
-        let grab = |flag: &str| -> Option<u64> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        };
-        if let Some(s) = grab("--seeds") {
+        Self::from_args_with(&[]).0
+    }
+
+    /// [`Self::parse`] over the process arguments, with the binary's own
+    /// on/off `switches`. On a bad argument it prints the error and a usage
+    /// line to standard error and exits with status 2.
+    #[must_use]
+    pub fn from_args_with(switches: &[&'static str]) -> (Self, Vec<&'static str>) {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let args: Vec<String> = args.collect();
+        Self::parse(&args, switches).unwrap_or_else(|e| {
+            let name = std::path::Path::new(&program)
+                .file_name()
+                .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
+            let extra: String = switches.iter().map(|s| format!(" [{s}]")).collect();
+            let _ = writeln!(
+                io::stderr(),
+                "error: {e}\nusage: {name} [--quick] [--seeds N] [--duration SECS] [--threads N]{extra}"
+            );
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses experiment arguments (program name excluded): `--quick`,
+    /// `--seeds N`, `--duration SECS`, `--threads N` and the calling
+    /// binary's own on/off `switches`. `--quick` picks the base
+    /// ([`Self::quick`], else [`Self::full`]) wherever it appears, and the
+    /// values override it; zero seeds or seconds count as one. Returns the
+    /// options and the switches given.
+    ///
+    /// # Errors
+    ///
+    /// An argument that is neither one of these flags nor a declared
+    /// switch, or a flag whose value is missing or not a non-negative
+    /// integer.
+    pub fn parse<'s>(
+        args: &[String],
+        switches: &[&'s str],
+    ) -> Result<(Self, Vec<&'s str>), String> {
+        let mut quick = false;
+        let (mut seeds, mut duration, mut threads) = (None, None, None);
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let slot = match arg.as_str() {
+                "--quick" => {
+                    quick = true;
+                    continue;
+                }
+                "--seeds" => &mut seeds,
+                "--duration" => &mut duration,
+                "--threads" => &mut threads,
+                other => match switches.iter().find(|&&s| s == other) {
+                    Some(&switch) => {
+                        given.push(switch);
+                        continue;
+                    }
+                    None => return Err(format!("unknown argument '{other}'")),
+                },
+            };
+            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            let parsed = value
+                .parse::<u64>()
+                .map_err(|_| format!("{arg} takes a non-negative integer, got '{value}'"))?;
+            *slot = Some(parsed);
+        }
+        let mut opts = if quick { Self::quick() } else { Self::full() };
+        if let Some(s) = seeds {
             opts.seeds = s.max(1);
         }
-        if let Some(d) = grab("--duration") {
+        if let Some(d) = duration {
             opts.duration_secs = d.max(1);
         }
-        if let Some(t) = grab("--threads") {
-            opts.threads = t as usize;
+        if let Some(t) = threads {
+            opts.threads = usize::try_from(t).map_err(|_| format!("--threads {t} is too large"))?;
         }
-        opts
+        Ok((opts, given))
     }
 }
 
@@ -329,15 +386,47 @@ pub fn optimization_tables() -> Vec<Table> {
 /// Writes a table as aligned text + CSV under `dir` (created on demand),
 /// and returns the rendered text.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the directory or files cannot be written.
-pub fn write_table(dir: &str, slug: &str, table: &Table) -> String {
-    std::fs::create_dir_all(dir).expect("create results dir");
+/// The directory or file that could not be written, named in the error.
+pub fn write_table(dir: &str, slug: &str, table: &Table) -> io::Result<String> {
+    let named = |path: &str, e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
+    std::fs::create_dir_all(dir).map_err(|e| named(dir, e))?;
     let text = table.render_text(3);
-    std::fs::write(format!("{dir}/{slug}.txt"), &text).expect("write table text");
-    std::fs::write(format!("{dir}/{slug}.csv"), table.render_csv()).expect("write table csv");
-    text
+    let txt = format!("{dir}/{slug}.txt");
+    std::fs::write(&txt, &text).map_err(|e| named(&txt, e))?;
+    let csv = format!("{dir}/{slug}.csv");
+    std::fs::write(&csv, table.render_csv()).map_err(|e| named(&csv, e))?;
+    Ok(text)
+}
+
+/// Writes `table` under `results/` ([`write_table`]) and prints its text
+/// and a blank line to standard output: how every experiment binary
+/// reports a table. A full or closed standard output is an error here,
+/// where `println!` would panic.
+///
+/// # Errors
+///
+/// The first file, or standard output, that could not be written.
+pub fn publish(slug: &str, table: &Table) -> io::Result<()> {
+    let text = write_table("results", slug, table)?;
+    let mut out = io::stdout().lock();
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(|e| io::Error::new(e.kind(), format!("standard output: {e}")))
+}
+
+/// An experiment binary's exit status: success, or status 3 after one
+/// `error: cannot write …` line on standard error.
+#[must_use]
+pub fn exit_status(result: io::Result<()>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            let _ = writeln!(io::stderr(), "error: cannot write {e}");
+            ExitCode::from(3)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +456,53 @@ mod tests {
         assert_eq!(full.duration_secs, 25_000);
         let quick = ExperimentOpts::quick();
         assert!(quick.duration_secs < full.duration_secs);
+    }
+
+    fn parse(
+        args: &[&str],
+        switches: &[&'static str],
+    ) -> Result<(ExperimentOpts, Vec<&'static str>), String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        ExperimentOpts::parse(&args, switches)
+    }
+
+    #[test]
+    fn opts_parse_values_over_the_quick_or_full_base() {
+        let (opts, given) = parse(&[], &[]).unwrap();
+        assert_eq!(
+            (opts.seeds, opts.duration_secs, opts.threads),
+            (3, 25_000, 0)
+        );
+        assert!(given.is_empty());
+        let (opts, _) = parse(&["--seeds", "5", "--threads", "2", "--quick"], &[]).unwrap();
+        assert_eq!(
+            (opts.seeds, opts.duration_secs, opts.threads),
+            (5, 3_000, 2)
+        );
+        let (opts, _) = parse(&["--duration", "0", "--seeds", "0"], &[]).unwrap();
+        assert_eq!((opts.seeds, opts.duration_secs), (1, 1));
+    }
+
+    #[test]
+    fn opts_parse_takes_only_declared_switches() {
+        let (_, given) = parse(&["--observe", "--quick"], &["--fresh", "--observe"]).unwrap();
+        assert_eq!(given, ["--observe"]);
+        let err = parse(&["--fresh"], &[]).unwrap_err();
+        assert!(err.contains("'--fresh'"), "{err}");
+    }
+
+    #[test]
+    fn opts_parse_rejects_what_it_cannot_read() {
+        for (args, says) in [
+            (&["--quick", "--seed", "5"][..], "unknown argument '--seed'"),
+            (&["results"], "unknown argument 'results'"),
+            (&["--duration", "10s"], "'10s'"),
+            (&["--seeds", "-1"], "'-1'"),
+            (&["--threads"], "--threads needs a value"),
+        ] {
+            let err = parse(args, &[]).unwrap_err();
+            assert!(err.contains(says), "{args:?}: {err}");
+        }
     }
 
     #[test]

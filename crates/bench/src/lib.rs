@@ -18,8 +18,11 @@
 //! | `api_surface` | public-API snapshot check against `API_SURFACE.txt` |
 //!
 //! The experiment binaries accept `--quick` (short runs), `--seeds N`,
-//! `--duration SECS` and `--threads N`, and write text + CSV tables under
-//! `results/`.
+//! `--duration SECS` and `--threads N` (plus `--fresh` for the two
+//! resumable sweeps and `--observe` for `fault_sweep`), and exit 2 with a
+//! usage line on any other argument. They write text + CSV tables under
+//! `results/` and the text to standard output; a failed write of either
+//! exits 3 with one `error:` line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -157,26 +157,157 @@ fn collision_probability(sigmas: &[u64], scratch: &mut Vec<f64>) -> f64 {
 /// over contenders with the given delivery probabilities is at most
 /// `target`. Returns `cap` when even the cap misses the target.
 ///
+/// Each candidate is decided exactly as `rts_collision_probability(σ) <=
+/// target` decides it, but in O(c) per τ for c contenders unless γ lies
+/// within a rounding margin of `target`; only those near-ties run the
+/// O(c²) kernel.
+///
 /// # Panics
 ///
 /// Panics if `cap` is zero or `target` is outside `[0, 1]`.
 #[must_use]
 pub fn optimize_tau_max(xis: &[f64], target: f64, cap: u64) -> u64 {
+    optimize_tau_max_in(xis, target, cap, &mut TauScratch::default())
+}
+
+/// Working memory of [`optimize_tau_max_in`]: once its capacities have
+/// grown, a search allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TauScratch {
+    sigmas: Vec<u64>,
+    kernel: Vec<f64>,
+}
+
+/// [`optimize_tau_max`] on caller-owned working memory.
+pub(crate) fn optimize_tau_max_in(
+    xis: &[f64],
+    target: f64,
+    cap: u64,
+    scratch: &mut TauScratch,
+) -> u64 {
     assert!(cap > 0, "τ_max cap must be positive");
     assert!(
         (0.0..=1.0).contains(&target),
         "target {target} outside [0,1]"
     );
-    let mut sigmas = Vec::with_capacity(xis.len());
-    let mut scratch = Vec::new();
+    let delta = rounding_margin(xis.len(), cap);
+    let lo = (1.0 - target) - delta;
+    // Where δ ≥ 2 its bound no longer holds: nothing is certified.
+    let hi = if delta < 2.0 {
+        (1.0 - target) + delta
+    } else {
+        f64::INFINITY
+    };
     for tau_max in 1..=cap {
-        sigmas.clear();
-        sigmas.extend(xis.iter().map(|&xi| sigma(xi, tau_max)));
-        if collision_probability(&sigmas, &mut scratch) <= target {
+        scratch.sigmas.clear();
+        scratch
+            .sigmas
+            .extend(xis.iter().map(|&xi| sigma(xi, tau_max)));
+        let meets = certify(&scratch.sigmas, lo, hi).unwrap_or_else(|| {
+            collision_probability(&scratch.sigmas, &mut scratch.kernel) <= target
+        });
+        if meets {
             return tau_max;
         }
     }
     cap
+}
+
+/// δ, the margin around `1 − H` inside which [`certify`] leaves the
+/// decision to the exact kernel: `8·(c + cap + 2)·ε` for `c` contenders,
+/// with ε = `f64::EPSILON` = 2u (u = 2⁻⁵³, the unit roundoff).
+///
+/// Write γₙ = n·u/(1 − n·u), the standard bound on the relative error
+/// that n rounded operations leave in a product, or in each term of a sum
+/// of non-negative terms (Higham, *Accuracy and Stability of Numerical
+/// Algorithms*, § 3.1), and let n = 3c + cap + 2. Every σ is at most
+/// `τ_max ≤ cap`, so each τ sum has at most m₁ ≤ cap terms.
+///
+/// - [`certify`]: F(τ) carries c quotients and c − 1 products, each part
+///   of Σ 1/(σᵢ − τ) one quotient and at most c − 1 sums, and a term their
+///   product, so at most 3c in all; the tail term carries 2c − 1. The
+///   running sum adds at most cap − 1 roundings per term, and the reject
+///   test's `sum + F` one more. Its sums are off by at most γ_{3c+cap}
+///   times the exact value they estimate, which is at most 1.
+/// - The kernel: a term carries 2c − 1 (c − 1 quotients, c − 1 products,
+///   the quotient by σᵢ), its τ sum at most cap − 1 more and its Σᵢ c − 1
+///   more, so its total is off by at most γ_{3c+cap}; `1 − total` adds at
+///   most u, and the clamp only moves toward the exact γ ∈ [0, 1].
+/// - Forming `(1 − H) ± δ` costs at most 3u.
+///
+/// So a certified accept (computed sum > `hi`) means the kernel returns
+/// γ < H − δ + 2·γ_{3c+cap} + 4u ≤ H − δ + 2γₙ, and a certified reject
+/// (computed sum + F < `lo`) means γ > H + δ − 2γₙ. While
+/// c + cap + 2 < 2⁵⁰, n·u < 3/8 gives γₙ ≤ 2n·u, so
+/// 2γₙ ≤ (6c + 2·cap + 4)·ε < δ and every certified answer is the
+/// kernel's. Beyond that δ ≥ 2: the caller then sets `hi` to +∞ and `lo`
+/// is below −1, so the kernel decides every candidate. The rest of δ, at
+/// least 12ε, covers underflow, which adds at most 2⁻¹⁰⁷⁵ per operation
+/// (times at most c where a term multiplies by Σ 1/(σᵢ − τ) ≤ c). Nothing
+/// overflows: every other factor and term is at most 1.
+fn rounding_margin(contenders: usize, cap: u64) -> f64 {
+    8.0 * (contenders as f64 + cap as f64 + 2.0) * f64::EPSILON
+}
+
+/// Decides `rts_collision_probability(sigmas) <= H` in O(c) per τ, or
+/// returns `None` when the exact γ lies too close to H to tell. `lo` and
+/// `hi` are `1 − H ∓ δ` ([`rounding_margin`]).
+///
+/// It sums U = 1 − γ, the probability that one contender draws the unique
+/// minimum. Let F(τ) = ∏ⱼ (σⱼ − τ)/σⱼ, the probability that every draw
+/// exceeds τ. For τ < m₁ (m₁ ≤ m₂ the two smallest σ, k the first index
+/// of m₁) contender i's product over j ≠ i is F(τ)·σᵢ/(σᵢ − τ), so the
+/// minimum is unique at τ with probability F(τ)·Σᵢ 1/(σᵢ − τ). At τ = m₁
+/// only k can win, and only when m₁ < m₂, with probability
+/// (1/m₁)·∏_{j≠k} (σⱼ − m₁)/σⱼ. Once the partial sum exceeds `hi`, γ is
+/// certainly at most H. Once the partial sum plus F(τ) falls below `lo`,
+/// γ is certainly above H: every later term is part of
+/// P(min > τ) = F(τ).
+fn certify(sigmas: &[u64], lo: f64, hi: f64) -> Option<bool> {
+    if sigmas.len() <= 1 {
+        // γ = 0, and H ≥ 0.
+        return Some(true);
+    }
+    let (mut m1, mut k, mut m2) = (u64::MAX, 0, u64::MAX);
+    for (j, &s) in sigmas.iter().enumerate() {
+        if s < m1 {
+            (m1, k, m2) = (s, j, m1);
+        } else if s < m2 {
+            m2 = s;
+        }
+    }
+    let mut sum = 0.0;
+    for tau in 1..m1 {
+        let (mut all_above, mut hazard) = (1.0, 0.0);
+        for &s in sigmas {
+            let rest = (s - tau) as f64;
+            all_above *= rest / s as f64;
+            hazard += 1.0 / rest;
+        }
+        sum += all_above * hazard;
+        if sum > hi {
+            return Some(true);
+        }
+        if sum + all_above < lo {
+            return Some(false);
+        }
+    }
+    if m1 < m2 {
+        let mut tail = 1.0 / m1 as f64;
+        for (j, &s) in sigmas.iter().enumerate() {
+            if j != k {
+                tail *= (s - m1) as f64 / s as f64;
+            }
+        }
+        sum += tail;
+    }
+    if sum > hi {
+        Some(true)
+    } else if sum < lo {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// γₒ of Eq. 14: the probability that `n` repliers choosing uniformly
@@ -330,6 +461,56 @@ mod tests {
     fn optimize_tau_max_returns_cap_when_impossible() {
         // Two ξ=0 contenders always collide (σ=1 each) regardless of τ_max.
         assert_eq!(optimize_tau_max(&[0.0, 0.0], 0.1, 16), 16);
+    }
+
+    /// Every σ vector of up to four contenders with σ ≤ 12, at targets on
+    /// and off exact collision probabilities: whatever [`certify`] decides
+    /// is what the kernel decides, and the exact ties are deferred.
+    #[test]
+    fn certified_decisions_are_the_kernels() {
+        let targets = [0.0, 0.05, 0.1, 0.125, 1.0 / 3.0, 0.5, 1.0];
+        let (mut sigmas, mut kernel) = (Vec::new(), Vec::new());
+        let mut deferred = 0;
+        for c in 1..=4 {
+            for code in 0..12u64.pow(c) {
+                sigmas.clear();
+                sigmas.extend((0..c).map(|j| code / 12u64.pow(j) % 12 + 1));
+                for h in targets {
+                    let delta = rounding_margin(sigmas.len(), 12);
+                    match certify(&sigmas, (1.0 - h) - delta, (1.0 - h) + delta) {
+                        Some(meets) => assert_eq!(
+                            meets,
+                            collision_probability(&sigmas, &mut kernel) <= h,
+                            "σ = {sigmas:?}, H = {h}"
+                        ),
+                        None => deferred += 1,
+                    }
+                }
+            }
+        }
+        assert!(deferred > 0, "no near-tie reached the kernel");
+    }
+
+    /// Two contenders of equal σ = s collide with probability exactly 1/s.
+    /// At H = 1/s the certified test defers, and the kernel's rounding
+    /// decides, either way: the paper's H = 0.1 fails at σ = 10.
+    #[test]
+    fn exact_ties_defer_to_the_kernel() {
+        for s in 2..=64u64 {
+            let h = 1.0 / s as f64;
+            let delta = rounding_margin(2, s);
+            let decision = certify(&[s, s], (1.0 - h) - delta, (1.0 - h) + delta);
+            assert_eq!(decision, None, "σ = {s}");
+        }
+        assert!(rts_collision_probability(&[10, 10]) > 0.1);
+        assert_eq!(optimize_tau_max(&[1.0, 1.0], 0.1, 32), 11);
+        assert!(rts_collision_probability(&[2, 2]) <= 0.5);
+        assert_eq!(optimize_tau_max(&[1.0, 1.0], 0.5, 32), 2);
+        // A cap past the margin's bound leaves every candidate to the
+        // kernel, with the same answers.
+        assert!(rounding_margin(2, 1 << 50) >= 2.0);
+        assert_eq!(optimize_tau_max(&[1.0, 1.0], 0.1, 1 << 50), 11);
+        assert_eq!(optimize_tau_max(&[1.0, 1.0], 0.5, 1 << 50), 2);
     }
 
     #[test]

@@ -85,14 +85,22 @@ impl NeighborTable {
     /// deterministic (node-id) order.
     #[must_use]
     pub fn fresh_xis(&self, now: SimTime, ttl: SimDuration) -> Vec<f64> {
-        let mut fresh: Vec<(NodeId, f64)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.last_seen) <= ttl)
-            .map(|(&id, e)| (id, e.xi))
-            .collect();
-        fresh.sort_by_key(|&(id, _)| id);
+        let mut fresh = Vec::new();
+        self.fresh_by_id(now, ttl, &mut fresh);
         fresh.into_iter().map(|(_, xi)| xi).collect()
+    }
+
+    /// The `(id, ξ)` of entries observed within `ttl` of `now`, written
+    /// into `out` (cleared first) in node-id order.
+    pub(crate) fn fresh_by_id(&self, now: SimTime, ttl: SimDuration, out: &mut Vec<(NodeId, f64)>) {
+        out.clear();
+        out.extend(
+            self.entries
+                .iter()
+                .filter(|(_, e)| now.saturating_since(e.last_seen) <= ttl)
+                .map(|(&id, e)| (id, e.xi)),
+        );
+        out.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// How many fresh neighbors advertise a ξ strictly above `own_xi` —

@@ -27,7 +27,7 @@
 //! node can wedge: see the state table in `node.rs`.
 
 use crate::behavior::{BehaviorTable, LifetimeTracker, NodeBehavior};
-use crate::contention::{optimize_cts_window, optimize_tau_max, sigma};
+use crate::contention::{optimize_cts_window, optimize_tau_max_in, sigma, TauScratch};
 use crate::delivery::DeliveryProb;
 use crate::dense::{DeliveredSet, HotNodeTable, LinkDropTable};
 use crate::faults::{FaultKind, FaultPlan};
@@ -150,6 +150,17 @@ struct CycleScratch {
     acked_bufs: Vec<Vec<NodeId>>,
     /// Retired SCHEDULE receiver lists awaiting reuse.
     schedule_bufs: Vec<Vec<(NodeId, f64)>>,
+    /// Fresh neighbour `(id, ξ)` pairs, sorted by id (Eq. 13 input).
+    /// This and the next two grow on first use rather than in `seeded`:
+    /// reserving them there raised the peak memory of a 20 000-sensor run
+    /// checkpointed and resumed every 10 s from 64 to 73 MiB, although
+    /// they hold a few KiB.
+    fresh: Vec<(NodeId, f64)>,
+    /// The Eq. 13 contenders' ξ: the fresh neighbours in id order, then
+    /// the node itself.
+    xis: Vec<f64>,
+    /// The Eq. 13 search's σ and kernel buffers.
+    tau: TauScratch,
 }
 
 impl CycleScratch {
@@ -552,6 +563,10 @@ pub struct Simulation {
     deliveries: Vec<DeliveryRecord>,
 
     scratch: CycleScratch,
+    /// Eq. 14's window for each expected replier count `1..=cap + 1`
+    /// ([`Self::cts_window`]), searched on first use. Derived from the
+    /// protocol constants alone, so never serialized.
+    cts_windows: Vec<u32>,
     trace: Option<Box<dyn TraceSink>>,
     /// The attached metrics recorder, if any. Trace events reach it through
     /// `trace` (composed with any user sink by the builder); this handle
@@ -982,6 +997,7 @@ impl Simulation {
         let mac = policy.mac();
         let behaviors = BehaviorTable::new(n);
         let lifetime = LifetimeTracker::new(scenario.sensors);
+        let cts_windows = vec![0; protocol.cts_window_cap as usize + 2];
         Simulation {
             scenario,
             protocol,
@@ -1007,6 +1023,7 @@ impl Simulation {
             metrics,
             deliveries: Vec::new(),
             scratch: CycleScratch::seeded(k),
+            cts_windows,
             trace: None,
             observer: None,
             observe_ticks: 0,
@@ -2112,12 +2129,16 @@ impl Simulation {
         }
         let node = &self.nodes[i.index()];
         let ttl = SimDuration::from_secs_f64(self.protocol.neighbor_ttl_secs);
-        let mut xis = node.table.fresh_xis(now, ttl);
-        xis.push(node.metric.value());
-        let tau = optimize_tau_max(
-            &xis,
+        let s = &mut self.scratch;
+        node.table.fresh_by_id(now, ttl, &mut s.fresh);
+        s.xis.clear();
+        s.xis.extend(s.fresh.iter().map(|&(_, xi)| xi));
+        s.xis.push(node.metric.value());
+        let tau = optimize_tau_max_in(
+            &s.xis,
             self.protocol.tau_collision_target,
             self.protocol.tau_max_cap_slots,
+            &mut s.tau,
         );
         self.nodes[i.index()].cached_tau = Some((now, tau));
         tau
@@ -2125,7 +2146,7 @@ impl Simulation {
 
     /// Contention window for node `i`: Eq. 14 over the expected replier
     /// count, or the fixed NOOPT value.
-    fn window_for(&self, now: SimTime, i: NodeId) -> u32 {
+    fn window_for(&mut self, now: SimTime, i: NodeId) -> u32 {
         if !self.mac.adaptive_window {
             return self.protocol.cts_window_fixed as u32;
         }
@@ -2133,12 +2154,25 @@ impl Simulation {
         let ttl = SimDuration::from_secs_f64(self.protocol.neighbor_ttl_secs);
         // Expected repliers: fresh higher-metric neighbors, plus one for a
         // possibly-unknown sink in range.
-        let n_hat = (node.table.qualified_count(node.metric.value(), now, ttl) as u64 + 1).max(1);
-        optimize_cts_window(
-            n_hat,
-            self.protocol.cts_collision_target,
-            self.protocol.cts_window_cap,
-        ) as u32
+        let n_hat = node.table.qualified_count(node.metric.value(), now, ttl) as u64 + 1;
+        self.cts_window(n_hat)
+    }
+
+    /// Eq. 14's window for `n_hat` expected repliers, from the run's
+    /// table. The table is indexed by `n_hat` clamped to `cap + 1`: past
+    /// the cap every window `w ≤ cap` has `n_hat > w`, so γₒ = 1 for each
+    /// and the search's answer is the one at `cap + 1`. An entry is
+    /// searched on its first use (0 marks one not yet searched; a window
+    /// is at least one slot).
+    fn cts_window(&mut self, n_hat: u64) -> u32 {
+        let cap = self.protocol.cts_window_cap;
+        let idx = n_hat.min(cap + 1) as usize;
+        let entry = &mut self.cts_windows[idx];
+        if *entry == 0 {
+            *entry =
+                optimize_cts_window(idx as u64, self.protocol.cts_collision_target, cap) as u32;
+        }
+        *entry
     }
 
     // ------------------------------------------------------------------
@@ -3147,6 +3181,38 @@ mod tests {
             sim.nodes[i.index()].cached_tau.unwrap().0,
             t0 + SimDuration::from_secs(60)
         );
+    }
+
+    #[test]
+    fn eq14_table_matches_the_window_search_fresh_and_resumed() {
+        // The paper's constants, plus small caps where n̂ = cap + 1 and
+        // cap + 2 take the clamp, one of them at a target every window
+        // meets.
+        for (target, cap) in [(0.1, 32), (0.5, 5), (1.0, 3)] {
+            let mut p = ProtocolParams::paper_default();
+            p.cts_collision_target = target;
+            p.cts_window_cap = cap;
+            let mut sim = Simulation::builder(tiny(), ProtocolKind::Opt)
+                .protocol(p)
+                .seed(1)
+                .build();
+            assert!(sim.cts_windows.iter().all(|&w| w == 0), "filled lazily");
+            while sim.now() < SimTime::from_secs(200) && sim.step() {}
+            let (mut resumed, _) =
+                Simulation::resume_from_bytes(&sim.checkpoint_bytes()).expect("resumes");
+            assert!(
+                resumed.cts_windows.iter().all(|&w| w == 0),
+                "not serialized"
+            );
+            for run in [&mut sim, &mut resumed] {
+                for n_hat in 1..=cap + 2 {
+                    let expected = optimize_cts_window(n_hat, target, cap) as u32;
+                    assert_eq!(run.cts_window(n_hat), expected, "n̂ {n_hat}, cap {cap}");
+                    // A second read comes from the table.
+                    assert_eq!(run.cts_window(n_hat), expected);
+                }
+            }
+        }
     }
 
     #[test]

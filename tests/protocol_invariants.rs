@@ -98,6 +98,41 @@ fn reference_tau_max(xis: &[f64], target: f64, cap: u64) -> u64 {
         .unwrap_or(cap)
 }
 
+/// Eq. 13 at exact ties, which the certified test leaves to the kernel:
+/// two contenders collide with probability exactly 1/σ_max, and three of
+/// equal σ = s with probability exactly (3s − 1)/(2s²). With the target on
+/// that value the kernel's last bits decide, and over these cases they
+/// decide both ways, so a fallback that guessed either answer would miss
+/// the reference.
+#[test]
+fn near_ties_match_the_reference() {
+    let (mut passed, mut failed) = (0, 0);
+    for s in 1..=64u64 {
+        let pair = 1.0 / s as f64;
+        let triple = (3 * s - 1) as f64 / (2 * s * s) as f64;
+        let cases: [(&[f64], f64); 4] = [
+            (&[1.0, 1.0], pair),
+            (&[0.5, 0.5], pair),
+            (&[0.25, 1.0], pair),
+            (&[1.0, 1.0, 1.0], triple),
+        ];
+        for (xis, target) in cases {
+            let best = optimize_tau_max(xis, target, 128);
+            assert_eq!(
+                best,
+                reference_tau_max(xis, target, 128),
+                "ξ = {xis:?}, H = {target}"
+            );
+        }
+        if rts_collision_probability(&[s, s]) <= pair {
+            passed += 1;
+        } else {
+            failed += 1;
+        }
+    }
+    assert!(passed > 0 && failed > 0, "ties must fall both ways");
+}
+
 proptest! {
     /// Eq. 1 keeps ξ in [0, 1] under any sequence of transmissions and
     /// timeouts.
@@ -232,8 +267,14 @@ proptest! {
     #[test]
     fn tau_optimizer_minimal_and_feasible(
         xis in contender_xis(),
-        // 0 and 1 are the extremes; the paper's H = 0.1 gets extra weight.
-        target in (0u32..=120).prop_map(|t| if t > 100 { 0.1 } else { f64::from(t) / 100.0 }),
+        // 0 and 1 are the extremes; the paper's H = 0.1 gets extra weight,
+        // and 1/s, the collision probability of two contenders whose
+        // larger σ is s, lands exactly on ties.
+        target in (0u32..=184).prop_map(|t| match t {
+            0..=100 => f64::from(t) / 100.0,
+            101..=120 => 0.1,
+            s => 1.0 / f64::from(s - 120),
+        }),
         cap in 1u64..=64,
     ) {
         let best = optimize_tau_max(&xis, target, cap);
