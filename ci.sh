@@ -14,6 +14,9 @@ echo "==> tier-1 tests (release build + root test suite)"
 cargo build --release
 cargo test -q
 
+echo "==> member crates' tests in a debug build (debug_assert!s and overflow checks on)"
+cargo test -q --workspace --exclude dftmsn
+
 echo "==> full workspace tests"
 cargo test --workspace --release -q
 

@@ -7,13 +7,15 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{ablation, exit_status, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
-    eprintln!(
+    note!(
         "ablation: 6 configurations x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
     exit_status(
         ablation(&opts)

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, write_table, ExperimentOpts};
+use dftmsn_bench::note;
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::behavior::{self, NodeBehavior};
 use dftmsn_core::faults::FaultPlan;
@@ -76,10 +77,11 @@ fn main() -> ExitCode {
     let (opts, switches) = ExperimentOpts::from_args_with(&["--fresh"]);
     let fresh = switches.contains(&"--fresh");
 
-    eprintln!(
+    note!(
         "adversary_sweep: selfish fraction {{0..0.5}} + lifetime {{0.25..1}} x \
          {{OPT,NOOPT,TWOHOP,MEETRATE}} x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
 
     let mut specs = Vec::new();
@@ -107,7 +109,7 @@ fn main() -> ExitCode {
     }
 
     if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("error: cannot create results directory: {e}");
+        note!("error: cannot create results directory: {e}");
         std::process::exit(3);
     }
     let progress_path = Path::new(PROGRESS_PATH);
@@ -127,7 +129,7 @@ fn main() -> ExitCode {
     let reports = match outcome {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: adversary_sweep progress file {PROGRESS_PATH}: {e}");
+            note!("error: adversary_sweep progress file {PROGRESS_PATH}: {e}");
             std::process::exit(3);
         }
     };

@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 
+use dftmsn_bench::note;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -154,23 +155,23 @@ fn main() {
             if let Err(e) = std::fs::write(SNAPSHOT, &current) {
                 write_failed(SNAPSHOT, &e);
             }
-            eprintln!("api_surface: wrote {SNAPSHOT}");
+            note!("api_surface: wrote {SNAPSHOT}");
         }
         Some("--check") => {
             let committed = std::fs::read_to_string(SNAPSHOT).unwrap_or_default();
             if committed == current {
-                eprintln!("api_surface: OK ({SNAPSHOT} matches)");
+                note!("api_surface: OK ({SNAPSHOT} matches)");
                 return;
             }
-            eprintln!("api_surface: public surface drifted from {SNAPSHOT}:");
+            note!("api_surface: public surface drifted from {SNAPSHOT}:");
             for diff in diff_lines(&committed, &current) {
-                eprintln!("  {diff}");
+                note!("  {diff}");
             }
-            eprintln!("api_surface: run `cargo run -p dftmsn-bench --bin api_surface -- --write` and commit the result if the change is intended");
+            note!("api_surface: run `cargo run -p dftmsn-bench --bin api_surface -- --write` and commit the result if the change is intended");
             std::process::exit(1);
         }
         Some(other) => {
-            eprintln!("api_surface: unknown flag {other} (want --check or --write)");
+            note!("api_surface: unknown flag {other} (want --check or --write)");
             std::process::exit(2);
         }
     }
@@ -178,7 +179,7 @@ fn main() {
 
 /// Exits with status 3, naming what could not be written.
 fn write_failed(what: &str, e: &std::io::Error) -> ! {
-    let _ = writeln!(std::io::stderr(), "api_surface: cannot write {what}: {e}");
+    note!("api_surface: cannot write {what}: {e}");
     std::process::exit(3);
 }
 

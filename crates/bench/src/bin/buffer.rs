@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -21,9 +22,10 @@ fn main() -> ExitCode {
     let capacities = [10usize, 25, 50, 100, 200, 400];
     let variants = [ProtocolKind::Opt, ProtocolKind::Epidemic];
 
-    eprintln!(
+    note!(
         "buffer: capacity {{10..400}} x {{OPT,EPIDEMIC}} x {} seeds @ {} s (2x traffic)",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
 
     let mut specs = Vec::new();

@@ -7,13 +7,15 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{density, exit_status, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
-    eprintln!(
+    note!(
         "density: sensors {{50..250}} x 4 variants x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
     let tables = density(&opts);
     let slugs = [

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, write_table, ExperimentOpts};
+use dftmsn_bench::note;
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -44,9 +45,10 @@ fn main() -> ExitCode {
     let fresh = switches.contains(&"--fresh");
     let observe = switches.contains(&"--observe");
 
-    eprintln!(
+    note!(
         "fault_sweep: failure fraction {{0..0.5}} x {{OPT,NOOPT,ZBR}} x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
 
     let mut specs = Vec::new();
@@ -73,7 +75,7 @@ fn main() -> ExitCode {
     }
 
     if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("error: cannot create results directory: {e}");
+        note!("error: cannot create results directory: {e}");
         std::process::exit(3);
     }
     let progress_path = Path::new(PROGRESS_PATH);
@@ -95,7 +97,7 @@ fn main() -> ExitCode {
     let reports = match outcome {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: fault_sweep progress file {PROGRESS_PATH}: {e}");
+            note!("error: fault_sweep progress file {PROGRESS_PATH}: {e}");
             std::process::exit(3);
         }
     };
@@ -169,7 +171,7 @@ fn timeline(opts: &ExperimentOpts, variants: &[ProtocolKind]) -> io::Result<()> 
     let window = (opts.duration_secs as f64 / 25.0).max(1.0);
     let scenario = ScenarioParams::paper_default().with_duration_secs(opts.duration_secs);
     let faults = FaultPlan::node_failures(&scenario, frac, None, seed);
-    eprintln!(
+    note!(
         "fault_sweep: timeline at failure fraction {frac} ({} fault events, {window:.0} s windows)",
         faults.len()
     );

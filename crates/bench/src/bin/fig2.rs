@@ -8,13 +8,15 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, fig2, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
-    eprintln!(
+    note!(
         "fig2: sinks 1..=10 x {{OPT,NOSLEEP,NOOPT,ZBR}} x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
     let tables = fig2(&opts);
     let slugs = [

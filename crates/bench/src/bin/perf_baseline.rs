@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 
+use dftmsn_bench::note;
 use dftmsn_bench::scale::{
     measure, run_tier, ScaleRow, QUICK_DURATION_SECS, REPS, SCALE_DURATION_SECS, SCALE_SENSORS,
 };
@@ -152,14 +153,14 @@ impl Progress {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Progress::default(),
             Err(e) => {
-                eprintln!("warning: cannot read {}: {e}; re-measuring", path.display());
+                note!("warning: cannot read {}: {e}; re-measuring", path.display());
                 return Progress::default();
             }
         };
         let json = match Json::parse(&text) {
             Ok(j) => j,
             Err(e) => {
-                eprintln!(
+                note!(
                     "warning: {} is not valid progress JSON ({e}); re-measuring",
                     path.display()
                 );
@@ -169,7 +170,7 @@ impl Progress {
         if json.get("schema").and_then(Json::as_str) != Some(PROGRESS_SCHEMA)
             || json.get("fingerprint").and_then(Json::as_str) != Some(fingerprint)
         {
-            eprintln!(
+            note!(
                 "warning: {} records a different workload shape; re-measuring",
                 path.display()
             );
@@ -279,7 +280,7 @@ impl Progress {
         let write =
             std::fs::write(&tmp, json.render() + "\n").and_then(|()| std::fs::rename(&tmp, path));
         if let Err(e) = write {
-            eprintln!(
+            note!(
                 "warning: cannot save progress to {}: {e}; interrupted work will repeat",
                 path.display()
             );
@@ -331,7 +332,7 @@ fn main() {
     let mut progress = Progress::load(&progress_path, &fingerprint);
     let resumed_units = progress.engine.len() + progress.scale.len();
     if resumed_units > 0 || progress.sweep.is_some() {
-        eprintln!(
+        note!(
             "perf_baseline: resuming from {} ({} timed units on record)",
             progress_path.display(),
             resumed_units + usize::from(progress.sweep.is_some()),
@@ -362,9 +363,9 @@ fn main() {
         );
         if let Err(e) = std::fs::write(out_path, json.render() + "\n") {
             if partial {
-                eprintln!("warning: cannot flush partial {out_path}: {e}");
+                note!("warning: cannot flush partial {out_path}: {e}");
             } else {
-                eprintln!("error: cannot write {out_path}: {e}");
+                note!("error: cannot write {out_path}: {e}");
                 std::process::exit(3);
             }
         }
@@ -406,7 +407,7 @@ fn main() {
             events,
             frames,
         };
-        eprintln!(
+        note!(
             "{:<9} {:>8.1} ms  {:>9} events  {:>6.0} kev/s  {:>5.0} ns/ev",
             row.protocol,
             row.wall_ms(),
@@ -452,7 +453,7 @@ fn main() {
     };
     assert_eq!(sweep_runs, spec_count, "sweep batch shape drifted");
     let sweep_ms = sweep_ns as f64 / 1e6;
-    eprintln!(
+    note!(
         "sweep     {sweep_ms:>8.1} ms  {sweep_runs:>9} runs    {:>6.2} runs/s",
         sweep_runs as f64 / (sweep_ms / 1_000.0)
     );
@@ -491,7 +492,7 @@ fn main() {
                     progress.save(&progress_path, &fingerprint);
                 }
                 let p = &progress.scale[&key];
-                eprintln!(
+                note!(
                     "scale {:>5} sensors {:>6}: {:>8.1} ms  {:>9} events  {:>7.0} kev/s  ratio {:.2}",
                     p.sensors,
                     p.mode,
@@ -518,7 +519,7 @@ fn main() {
     // A finished baseline starts over next time: the progress file only
     // bridges interruptions, it must not freeze old measurements forever.
     let _ = std::fs::remove_file(&progress_path);
-    eprintln!("wrote {out_path}");
+    note!("wrote {out_path}");
 }
 
 #[allow(clippy::too_many_arguments)]

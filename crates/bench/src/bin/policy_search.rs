@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use dftmsn_bench::sweep::{average, run_all_resumable, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -109,7 +110,7 @@ fn main() -> ExitCode {
             });
         }
     }
-    eprintln!(
+    note!(
         "policy_search: {} cells x {} seeds = {} runs @ {} s",
         cells.len(),
         opts.seeds,
@@ -121,7 +122,7 @@ fn main() -> ExitCode {
     let progress = Path::new("results/policy_search.progress");
     let reports = run_all_resumable(&specs, opts.threads, progress, |i, _| {
         if (i + 1) % 50 == 0 {
-            eprintln!("policy_search: {}/{} runs done", i + 1, specs.len());
+            note!("policy_search: {}/{} runs done", i + 1, specs.len());
         }
     })
     .expect("sweep failed");

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+use dftmsn_bench::note;
 use dftmsn_bench::scale::{run_tier, REPS, SCALE_DURATION_SECS, SCALE_SENSORS};
 use dftmsn_metrics::json::Json;
 use std::io::Write as _;
@@ -46,10 +47,7 @@ const FAIL_BUDGET: f64 = 0.25;
 /// gate with status 3 instead of a panic.
 fn say(line: std::fmt::Arguments<'_>) {
     if let Err(e) = writeln!(std::io::stdout(), "{line}") {
-        let _ = writeln!(
-            std::io::stderr(),
-            "error: cannot write standard output: {e}"
-        );
+        note!("error: cannot write standard output: {e}");
         std::process::exit(3);
     }
 }
@@ -75,17 +73,17 @@ fn main() {
         Ok(text) => match Json::parse(&text) {
             Ok(json) => json,
             Err(e) => {
-                eprintln!("scale_check: cannot parse '{path}': {e} — nothing to compare");
+                note!("scale_check: cannot parse '{path}': {e} — nothing to compare");
                 return;
             }
         },
         Err(e) => {
-            eprintln!("scale_check: cannot read '{path}': {e} — nothing to compare");
+            note!("scale_check: cannot read '{path}': {e} — nothing to compare");
             return;
         }
     };
     let Some(scale) = committed.get("scale") else {
-        eprintln!(
+        note!(
             "scale_check: '{path}' has no scale section (schema {:?}) — \
              regenerate with `perf_baseline --scale`",
             committed.get("schema").and_then(Json::as_str)
@@ -102,7 +100,7 @@ fn main() {
     let mut warned = false;
     for row in &rows {
         let Some(committed_row) = committed_row(scale, row.sensors as f64, row.mode_label()) else {
-            eprintln!(
+            note!(
                 "scale_check: '{path}' has no committed {} {} row — skipping",
                 row.sensors,
                 row.mode_label()
@@ -123,7 +121,7 @@ fn main() {
             rel * 100.0
         ));
         if rel > FAIL_BUDGET {
-            eprintln!(
+            note!(
                 "{}: {} {} ns/event regressed {:.1}% (> {:.0}% budget)",
                 if warn_only { "warning" } else { "FAIL" },
                 row.sensors,
@@ -133,7 +131,7 @@ fn main() {
             );
             failed = true;
         } else if rel > 0.0 {
-            eprintln!(
+            note!(
                 "warning: {} {} ns/event up {:.1}% (within the {:.0}% budget)",
                 row.sensors,
                 row.mode_label(),
@@ -161,7 +159,7 @@ fn main() {
         let ref_speedup = rl / rt;
         let now_speedup = ev_s(1_000, "lazy") / ev_s(1_000, "ticked").max(1e-9);
         if now_speedup < 0.5 * ref_speedup {
-            eprintln!(
+            note!(
                 "warning: lazy/ticked speedup collapsed to {now_speedup:.2}x \
                  (committed {ref_speedup:.2}x) — lazy mobility may have regressed"
             );
@@ -171,9 +169,9 @@ fn main() {
 
     if failed {
         if warn_only {
-            eprintln!("scale_check: regressions over budget (ignored: --warn-only)");
+            note!("scale_check: regressions over budget (ignored: --warn-only)");
         } else {
-            eprintln!(
+            note!(
                 "scale_check: FAILED — ns/event regressed beyond the {:.0}% budget; \
                  if this machine legitimately differs from the baseline's, re-run with \
                  --warn-only or refresh BENCH_engine.json via `perf_baseline --scale`",

@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, ExperimentOpts};
+use dftmsn_bench::note;
 use dftmsn_bench::sweep::{average, run_all, RunSpec};
 use dftmsn_core::faults::FaultPlan;
 use dftmsn_core::params::{ProtocolParams, ScenarioParams};
@@ -47,7 +48,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    eprintln!(
+    note!(
         "sensitivity: {} configurations x {} seeds @ {} s",
         cases.len(),
         opts.seeds,

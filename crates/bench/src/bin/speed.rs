@@ -6,13 +6,15 @@
 #![forbid(unsafe_code)]
 
 use dftmsn_bench::experiments::{exit_status, publish, speed, ExperimentOpts};
+use dftmsn_bench::note;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let opts = ExperimentOpts::from_args();
-    eprintln!(
+    note!(
         "speed: v_max {{1..10}} m/s x 4 variants x {} seeds @ {} s",
-        opts.seeds, opts.duration_secs
+        opts.seeds,
+        opts.duration_secs
     );
     let tables = speed(&opts);
     let slugs = [

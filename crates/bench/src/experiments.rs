@@ -66,8 +66,7 @@ impl ExperimentOpts {
                 .file_name()
                 .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
             let extra: String = switches.iter().map(|s| format!(" [{s}]")).collect();
-            let _ = writeln!(
-                io::stderr(),
+            note!(
                 "error: {e}\nusage: {name} [--quick] [--seeds N] [--duration SECS] [--threads N]{extra}"
             );
             std::process::exit(2);
@@ -423,7 +422,7 @@ pub fn exit_status(result: io::Result<()>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            let _ = writeln!(io::stderr(), "error: cannot write {e}");
+            note!("error: cannot write {e}");
             ExitCode::from(3)
         }
     }

@@ -22,10 +22,22 @@
 //! resumable sweeps and `--observe` for `fault_sweep`), and exit 2 with a
 //! usage line on any other argument. They write text + CSV tables under
 //! `results/` and the text to standard output; a failed write of either
-//! exits 3 with one `error:` line.
+//! exits 3 with one `error:` line. Progress and warning lines go to
+//! standard error through [`note!`], best effort: a full or closed stderr
+//! drops them and changes no exit status.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// `eprintln!` without the panic: writes one line to standard error and
+/// ignores a failed write, so a full or closed stderr only loses the line.
+#[macro_export]
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
 
 pub mod experiments;
 pub mod scale;

@@ -201,7 +201,7 @@ impl SweepProgress {
         };
         let mut progress = SweepProgress::default();
         if !bytes.starts_with(PROGRESS_MAGIC) {
-            eprintln!(
+            note!(
                 "warning: {} is not a sweep progress file; ignoring its contents",
                 path.display()
             );
@@ -211,7 +211,7 @@ impl SweepProgress {
         let total = bytes.len();
         while at < total {
             let Some(record) = decode_record(&bytes[at..]) else {
-                eprintln!(
+                note!(
                     "warning: {}: dropping torn record at byte {at} (interrupted write?); \
                      keeping the {} completed runs before it",
                     path.display(),
@@ -323,7 +323,7 @@ where
         }
     }
     if !progress.is_empty() {
-        eprintln!(
+        note!(
             "sweep: {} of {} runs already completed in {}; running the remaining {}",
             specs.len() - pending.len(),
             specs.len(),
@@ -360,7 +360,7 @@ where
         {
             let mut f = file.lock().expect("progress file lock");
             if let Err(e) = f.write_all(&record).and_then(|()| f.flush()) {
-                eprintln!(
+                note!(
                     "warning: could not append to {}: {e}; this run will repeat on resume",
                     progress_path.display()
                 );

@@ -1,11 +1,12 @@
 //! The experiment binaries end with exit 3 and one `error:` line, never a
-//! panic, when a result file or standard output cannot be written, and
-//! with exit 2 and a usage line on an argument they do not take.
+//! panic, when a result file or standard output cannot be written, with
+//! exit 2 and a usage line on an argument they do not take, and lose only
+//! their progress lines when standard error cannot be written.
 #![cfg(target_os = "linux")]
 
 use std::fs::File;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A fresh working directory for one test, so the binaries write their
 /// `results/` there and not into the repository.
@@ -61,5 +62,40 @@ fn a_bad_argument_exits_2_before_any_run() {
         assert!(stderr.starts_with("error: "), "{stderr}");
         assert!(stderr.contains("\nusage: fig2 [--quick]"), "{stderr}");
         assert!(!stderr.contains("seeds @"), "the grid started: {stderr}");
+    }
+}
+
+#[test]
+fn a_full_stderr_only_loses_the_progress_lines() {
+    let args = ["--quick", "--seeds", "1", "--duration", "10"];
+    for (name, bin, extra) in [
+        ("fig2", env!("CARGO_BIN_EXE_fig2"), &[][..]),
+        (
+            "fault_sweep",
+            env!("CARGO_BIN_EXE_fault_sweep"),
+            &["--fresh"],
+        ),
+    ] {
+        let run = |stderr: Stdio, dir: &str| {
+            Command::new(bin)
+                .current_dir(workdir(&format!("{dir}_{name}")))
+                .args(args)
+                .args(extra)
+                .stderr(stderr)
+                .output()
+                .expect("the binary runs")
+        };
+        let full = run(
+            File::create("/dev/full").expect("/dev/full opens").into(),
+            "full_stderr",
+        );
+        let captured = run(Stdio::piped(), "captured_stderr");
+        let stderr = String::from_utf8_lossy(&captured.stderr);
+        assert_eq!(captured.status.code(), Some(0), "{name}: {stderr}");
+        assert_eq!(full.status.code(), Some(0), "{name} with a full stderr");
+        assert!(
+            full.stdout == captured.stdout,
+            "{name}: a full stderr changed standard output"
+        );
     }
 }

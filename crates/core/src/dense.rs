@@ -1,11 +1,9 @@
 //! Dense replacements for the engine's hot lookup structures.
 //!
 //! The original engine kept delivery de-duplication in a
-//! `HashSet<MessageId>`, fault-degraded links in a
-//! `HashMap<(NodeId, NodeId), f64>`, and read per-node MAC state through
-//! the full [`Node`](crate::node::Node) struct (several cache lines per
-//! node). All three sit on per-frame paths, so at thousands of nodes the
-//! hashing and pointer-chasing dominate. This module provides flat,
+//! `HashSet<MessageId>` and fault-degraded links in a
+//! `HashMap<(NodeId, NodeId), f64>`. Both sit on per-frame paths, so at
+//! thousands of nodes the hashing dominates. This module provides flat,
 //! index-addressed equivalents:
 //!
 //! * [`DeliveredSet`] — a growable bitset keyed by the sequential
@@ -14,17 +12,12 @@
 //! * [`LinkDropTable`] — a triangular dense table over unordered node
 //!   pairs, allocated lazily on the first per-pair fault so fault-free
 //!   runs pay nothing.
-//! * [`HotNodeTable`] — a struct-of-arrays mirror of the per-node fields
-//!   the delivery loop reads most (timer-guard epoch, MAC state tag, ξ),
-//!   kept in sync by the world at every mutation site. Positions are
-//!   already split into the world's own `Vec<Vec2>`.
 //!
-//! None of these change any observable behaviour: they are drop-in
+//! Neither changes any observable behaviour: both are drop-in
 //! lookup-structure swaps, and the 12-golden determinism baseline holds
 //! bit-for-bit with them active.
 
 use crate::message::MessageId;
-use crate::node::MacState;
 use dftmsn_radio::ids::NodeId;
 
 /// Growable bitset over the sequential [`MessageId`] space.
@@ -205,65 +198,9 @@ impl LinkDropTable {
     }
 }
 
-/// Struct-of-arrays mirror of the hottest per-node fields.
-///
-/// The delivery loop and the frame-reception filters read three per-node
-/// facts over and over — the timer-guard epoch, the MAC state tag, and the
-/// routing metric ξ — but the canonical copies live inside
-/// [`Node`](crate::node::Node), a large struct whose neighbours (queue,
-/// neighbor table, RNG, energy meter) evict cache lines on every touch.
-/// This table packs the three into flat arrays the world keeps current by
-/// calling [`HotNodeTable::sync`] after every mutation block; readers in
-/// `world` carry `debug_assert!`s against the canonical fields, so a
-/// missed sync fails the (debug-built) test suite immediately.
-#[derive(Debug, Default)]
-pub struct HotNodeTable {
-    /// Timer-guard epoch, mirroring `Node::epoch`.
-    pub epoch: Vec<u64>,
-    /// MAC state tag, mirroring `Node::state`.
-    pub state: Vec<MacState>,
-    /// Routing-metric value ξ, mirroring `Node::metric.value()`.
-    pub xi: Vec<f64>,
-    /// Sink flag, mirroring `Node::is_sink()`. Immutable after
-    /// construction — roles never change mid-run.
-    pub sink: Vec<bool>,
-    /// Liveness flag, mirroring `Node::alive`. Toggled only by the fault
-    /// handlers, which call [`HotNodeTable::sync_alive`].
-    pub alive: Vec<bool>,
-}
-
-impl HotNodeTable {
-    /// Creates a table of `n` entries in each node's initial state.
-    #[must_use]
-    pub fn with_len(n: usize) -> Self {
-        HotNodeTable {
-            epoch: vec![0; n],
-            state: vec![MacState::Passive; n],
-            xi: vec![0.0; n],
-            sink: vec![false; n],
-            alive: vec![true; n],
-        }
-    }
-
-    /// Refreshes entry `idx` from the canonical node fields.
-    #[inline]
-    pub fn sync(&mut self, idx: usize, epoch: u64, state: MacState, xi: f64) {
-        self.epoch[idx] = epoch;
-        self.state[idx] = state;
-        self.xi[idx] = xi;
-    }
-
-    /// Refreshes the liveness mirror for entry `idx`.
-    #[inline]
-    pub fn sync_alive(&mut self, idx: usize, alive: bool) {
-        self.alive[idx] = alive;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::TxPlan;
 
     #[test]
     fn delivered_set_matches_hashset_semantics() {
@@ -338,15 +275,5 @@ mod tests {
     fn link_drop_rejects_out_of_range_nodes() {
         let mut t = LinkDropTable::new(3);
         t.set(NodeId(0), NodeId(3), 0.5);
-    }
-
-    #[test]
-    fn hot_table_sync_updates_one_row() {
-        let mut h = HotNodeTable::with_len(3);
-        assert_eq!(h.state[1], MacState::Passive);
-        h.sync(1, 7, MacState::Transmitting(TxPlan::Data), 0.75);
-        assert_eq!(h.epoch, vec![0, 7, 0]);
-        assert_eq!(h.state[1], MacState::Transmitting(TxPlan::Data));
-        assert_eq!(h.xi, vec![0.0, 0.75, 0.0]);
     }
 }

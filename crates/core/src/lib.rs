@@ -78,7 +78,7 @@ pub use params::{ProtocolParams, ScenarioParams};
 pub use policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
 pub use queue::FtdQueue;
 pub use report::SimReport;
-pub use trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
+pub use trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
 pub use variants::ProtocolKind;
 pub use world::{CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC};
 
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::params::{ProtocolParams, ScenarioParams};
     pub use crate::policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
     pub use crate::report::SimReport;
-    pub use crate::trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
+    pub use crate::trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
     pub use crate::variants::{ProtocolKind, VariantConfig};
     pub use crate::world::{
         CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC,

@@ -34,8 +34,9 @@ pub struct NeighborEntry {
 ///
 /// let mut t = NeighborTable::new();
 /// t.observe(NodeId(2), 0.6, SimTime::from_secs(10));
-/// let fresh = t.fresh_xis(SimTime::from_secs(20), SimDuration::from_secs(300));
-/// assert_eq!(fresh, vec![0.6]);
+/// let ttl = SimDuration::from_secs(300);
+/// assert_eq!(t.qualified_count(0.5, SimTime::from_secs(20), ttl), 1);
+/// assert_eq!(t.get(NodeId(2)).unwrap().xi, 0.6);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NeighborTable {
@@ -79,15 +80,6 @@ impl NeighborTable {
     #[must_use]
     pub fn get(&self, id: NodeId) -> Option<NeighborEntry> {
         self.entries.get(&id).copied()
-    }
-
-    /// The ξ values of entries observed within `ttl` of `now`, in
-    /// deterministic (node-id) order.
-    #[must_use]
-    pub fn fresh_xis(&self, now: SimTime, ttl: SimDuration) -> Vec<f64> {
-        let mut fresh = Vec::new();
-        self.fresh_by_id(now, ttl, &mut fresh);
-        fresh.into_iter().map(|(_, xi)| xi).collect()
     }
 
     /// The `(id, ξ)` of entries observed within `ttl` of `now`, written
@@ -316,7 +308,9 @@ mod tests {
         t.observe(NodeId(2), 0.7, SimTime::from_secs(100));
         let now = SimTime::from_secs(150);
         let ttl = SimDuration::from_secs(100);
-        assert_eq!(t.fresh_xis(now, ttl), vec![0.7]);
+        let mut fresh = Vec::new();
+        t.fresh_by_id(now, ttl, &mut fresh);
+        assert_eq!(fresh, vec![(NodeId(2), 0.7)]);
         assert_eq!(t.qualified_count(0.5, now, ttl), 1);
         assert_eq!(t.qualified_count(0.8, now, ttl), 0);
         t.prune(now, ttl);
@@ -325,14 +319,17 @@ mod tests {
     }
 
     #[test]
-    fn fresh_xis_order_is_deterministic() {
+    fn fresh_by_id_order_is_deterministic() {
         let mut t = NeighborTable::new();
         t.observe(NodeId(9), 0.9, SimTime::ZERO);
         t.observe(NodeId(1), 0.1, SimTime::ZERO);
         t.observe(NodeId(5), 0.5, SimTime::ZERO);
+        // A stale buffer is cleared, not appended to.
+        let mut fresh = vec![(NodeId(7), 0.7)];
+        t.fresh_by_id(SimTime::ZERO, SimDuration::from_secs(1), &mut fresh);
         assert_eq!(
-            t.fresh_xis(SimTime::ZERO, SimDuration::from_secs(1)),
-            vec![0.1, 0.5, 0.9]
+            fresh,
+            vec![(NodeId(1), 0.1), (NodeId(5), 0.5), (NodeId(9), 0.9)]
         );
     }
 

@@ -488,12 +488,12 @@ fn row_json(row: &ObserveRow) -> Json {
 
 /// A clonable, thread-safe windowed metrics recorder.
 ///
-/// Implements [`TraceSink`], so it can be attached anywhere a sink goes —
-/// through [`SimulationBuilder::observe`](crate::world::SimulationBuilder::observe)
-/// (which also feeds it boundary [`WorldSnapshot`]s), through
-/// [`SimulationBuilder::trace`](crate::world::SimulationBuilder::trace), or
-/// fanned out next to a user sink with a
-/// [`TeeSink`](crate::trace::TeeSink).
+/// Attach it with
+/// [`SimulationBuilder::observe`](crate::world::SimulationBuilder::observe),
+/// which feeds it every trace event ahead of any user sink and samples a
+/// [`WorldSnapshot`] at each window boundary. It also implements
+/// [`TraceSink`], so it can stand in as a plain sink through
+/// [`SimulationBuilder::trace`](crate::world::SimulationBuilder::trace).
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
     inner: Arc<Mutex<RecorderInner>>,

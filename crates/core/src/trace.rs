@@ -165,35 +165,6 @@ impl TraceSink for CountingTrace {
     }
 }
 
-/// A fan-out sink: every event goes to `A` first, then to `B`.
-///
-/// Composes observation with user tracing — e.g. a
-/// [`MetricsRecorder`](crate::observe::MetricsRecorder) next to a
-/// [`SharedTrace`] — without either knowing about the other.
-///
-/// # Examples
-///
-/// ```
-/// use dftmsn_core::trace::{CountingTrace, SharedTrace, TeeSink};
-///
-/// let tee = TeeSink(CountingTrace::new(), SharedTrace::new());
-/// # let _ = tee;
-/// ```
-#[derive(Debug, Default)]
-pub struct TeeSink<A: TraceSink, B: TraceSink>(
-    /// The first receiver.
-    pub A,
-    /// The second receiver.
-    pub B,
-);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn record(&mut self, event: TraceEvent) {
-        self.0.record(event.clone());
-        self.1.record(event);
-    }
-}
-
 /// A clonable, thread-safe in-memory store of every event, for reading a
 /// trace back after [`Simulation::run`](crate::world::Simulation::run)
 /// consumed the sink.
@@ -281,40 +252,6 @@ mod tests {
         });
         assert_eq!(reader.sent_tags(), vec!["PRE"]);
         assert_eq!(reader.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn tee_sink_delivers_to_both_arms_in_order() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Debug)]
-        struct Log(&'static str, Arc<Mutex<Vec<(&'static str, SimTime)>>>);
-        impl TraceSink for Log {
-            fn record(&mut self, event: TraceEvent) {
-                self.1.lock().unwrap().push((self.0, event.at()));
-            }
-        }
-
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut tee = TeeSink(Log("a", log.clone()), Log("b", log.clone()));
-        tee.record(TraceEvent::Collision {
-            at: SimTime::from_secs(1),
-            at_node: NodeId(0),
-        });
-        tee.record(TraceEvent::Collision {
-            at: SimTime::from_secs(2),
-            at_node: NodeId(0),
-        });
-        let got = log.lock().unwrap().clone();
-        assert_eq!(
-            got,
-            vec![
-                ("a", SimTime::from_secs(1)),
-                ("b", SimTime::from_secs(1)),
-                ("a", SimTime::from_secs(2)),
-                ("b", SimTime::from_secs(2)),
-            ]
-        );
     }
 
     #[test]

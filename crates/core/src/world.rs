@@ -29,7 +29,7 @@
 use crate::behavior::{BehaviorTable, LifetimeTracker, NodeBehavior};
 use crate::contention::{optimize_cts_window, optimize_tau_max_in, sigma, TauScratch};
 use crate::delivery::DeliveryProb;
-use crate::dense::{DeliveredSet, HotNodeTable, LinkDropTable};
+use crate::dense::{DeliveredSet, LinkDropTable};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::frames::MacPayload;
 use crate::ftd::Ftd;
@@ -46,7 +46,7 @@ use crate::prefetch::prefetch;
 use crate::profile::EventProfile;
 use crate::queue::InsertOutcome;
 use crate::report::{DeliveryRecord, Lifetime, NodeSummary, RunMetrics, SimReport};
-use crate::trace::{DropReason, TeeSink, TraceEvent, TraceSink};
+use crate::trace::{DropReason, TraceEvent, TraceSink};
 use crate::variants::{ProtocolKind, VariantConfig};
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_mobility::geom::{Bounds, Vec2};
@@ -540,10 +540,6 @@ pub struct Simulation {
 
     events: EventQueue<Event>,
     nodes: Vec<Node>,
-    /// Struct-of-arrays mirror of the hottest per-node fields (epoch, MAC
-    /// state tag, ξ); refreshed via [`Self::sync_hot`] after every
-    /// mutation, asserted against the canonical fields in debug builds.
-    hot: HotNodeTable,
     mobility: Vec<Box<dyn MobilityModel>>,
     mobility_rng: SimRng,
     /// `Some` when running in [`MobilityMode::Lazy`].
@@ -567,10 +563,10 @@ pub struct Simulation {
     /// ([`Self::cts_window`]), searched on first use. Derived from the
     /// protocol constants alone, so never serialized.
     cts_windows: Vec<u32>,
+    /// The user trace sink, if any; it sees each event after `observer`.
     trace: Option<Box<dyn TraceSink>>,
-    /// The attached metrics recorder, if any. Trace events reach it through
-    /// `trace` (composed with any user sink by the builder); this handle
-    /// only drives window-boundary snapshots and run finalization.
+    /// The attached metrics recorder, if any: fed every trace event first,
+    /// sampled at window boundaries and finalized with the run.
     observer: Option<MetricsRecorder>,
     /// `ObserveTick`s handled so far. Subtracted from the queue's popped
     /// count in the report, so `events_processed` measures simulation work
@@ -747,19 +743,14 @@ impl SimulationBuilder {
                 sensors: sim.scenario.sensors,
                 sinks: sim.scenario.sinks,
             });
-            sim.trace = Some(match self.trace {
-                Some(sink) => Box::new(TeeSink(recorder.clone(), sink)),
-                None => Box::new(recorder.clone()),
-            });
             let window = SimDuration::from_secs_f64(recorder.window_secs());
             let first = SimTime::ZERO + window;
             if first <= sim.end && !window.is_zero() {
                 sim.events.schedule_at(first, Event::ObserveTick);
             }
             sim.observer = Some(recorder);
-        } else {
-            sim.trace = self.trace;
         }
+        sim.trace = self.trace;
         sim
     }
 }
@@ -986,13 +977,6 @@ impl Simulation {
         let occupancy = (n as f64 * disc / (area.width() * area.height()).max(1.0)).ceil();
         let k = (occupancy as usize).clamp(8, 256);
 
-        let mut hot = HotNodeTable::with_len(n);
-        for (idx, node) in nodes.iter().enumerate() {
-            hot.sync(idx, node.epoch, node.state, node.metric.value());
-            hot.sink[idx] = node.is_sink();
-            hot.sync_alive(idx, node.alive);
-        }
-
         let policy = Policy::builtin(config);
         let mac = policy.mac();
         let behaviors = BehaviorTable::new(n);
@@ -1009,7 +993,6 @@ impl Simulation {
             end,
             events: EventQueue::new(),
             nodes,
-            hot,
             mobility,
             mobility_rng,
             lazy,
@@ -1104,8 +1087,12 @@ impl Simulation {
         self.config
     }
 
+    /// Feeds `event` to the attached observer, then to the user sink.
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
+        if let Some(recorder) = self.observer.as_mut() {
+            recorder.record(event.clone());
+        }
         if let Some(sink) = self.trace.as_mut() {
             sink.record(event);
         }
@@ -1201,9 +1188,9 @@ impl Simulation {
     }
 
     /// Requests the lines the next ready event's handler loads first — its
-    /// node's `Node` and hot-table rows — so those misses overlap the
-    /// current event's handler (DESIGN.md § 6, "Lookahead prefetch").
-    /// Cache state only: no simulation state is read or written.
+    /// node's `Node` — so those misses overlap the current event's handler
+    /// (DESIGN.md § 6, "Lookahead prefetch"). Cache state only: no
+    /// simulation state is read or written.
     #[inline]
     fn prefetch_next_event(&self) {
         let j = match self.events.lookahead() {
@@ -1217,11 +1204,6 @@ impl Simulation {
             _ => return,
         };
         prefetch(&self.nodes[j]);
-        prefetch(&self.hot.epoch[j]);
-        prefetch(&self.hot.state[j]);
-        prefetch(&self.hot.xi[j]);
-        prefetch(&self.hot.sink[j]);
-        prefetch(&self.hot.alive[j]);
     }
 
     /// Row index into [`EVENT_KIND_LABELS`] for a pending event. Timers
@@ -1233,7 +1215,7 @@ impl Simulation {
             Event::MetricTimeout(_) => 2,
             Event::TxEnd(..) => 3,
             Event::Timer(i, epoch, timer) => {
-                if self.hot.epoch[i.index()] != *epoch {
+                if self.nodes[i.index()].epoch != *epoch {
                     11
                 } else {
                     match timer {
@@ -1273,29 +1255,15 @@ impl Simulation {
             Event::MetricTimeout(i) => self.on_metric_timeout(now, i),
             Event::TxEnd(i, handle) => self.on_tx_end(now, i, handle),
             Event::Timer(i, epoch, timer) => {
-                // Staleness check against the dense epoch mirror: most
-                // timers are stale (implicit cancellation), so this filter
-                // runs hot and must not pull whole `Node`s through cache.
-                debug_assert_eq!(self.hot.epoch[i.index()], self.nodes[i.index()].epoch);
-                if self.hot.epoch[i.index()] == epoch {
+                // A timer whose epoch no longer matches its node's was
+                // implicitly cancelled by a later state transition.
+                if self.nodes[i.index()].epoch == epoch {
                     self.on_timer(now, i, timer);
                 }
             }
             Event::Fault(k) => self.on_fault(now, k),
             Event::ObserveTick => self.on_observe_tick(now),
         }
-    }
-
-    /// Refreshes node `idx`'s row of the dense hot-state mirror. Must be
-    /// called after every block that transitions the MAC state (which
-    /// bumps the epoch) or updates the routing metric; consumers
-    /// `debug_assert` the mirror against the canonical fields, so a
-    /// missed call fails the debug-built test suite.
-    #[inline]
-    fn sync_hot(&mut self, idx: usize) {
-        let node = &self.nodes[idx];
-        self.hot
-            .sync(idx, node.epoch, node.state, node.metric.value());
     }
 
     // ------------------------------------------------------------------
@@ -1417,10 +1385,6 @@ impl Simulation {
                 let idx = node.index();
                 // Orthogonal to liveness: assigning to a dead node records
                 // the behavior, which takes effect if the node recovers.
-                debug_assert_eq!(
-                    self.hot.alive[idx], self.nodes[idx].alive,
-                    "alive mirror drifted at behavior change"
-                );
                 self.behaviors.set(idx, behavior);
                 self.metrics.faults.behavior_changes += 1;
             }
@@ -1434,15 +1398,7 @@ impl Simulation {
         let idx = i.index();
         if !self.nodes[idx].alive {
             // Crashing a dead node is a no-op, but a battery death still
-            // pins it down so a later recovery is refused. `battery_dead`
-            // has no SoA mirror and nothing else here touches mirrored
-            // state, so no re-sync is needed; the assertions prove the
-            // mirrors were left consistent when the node went down.
-            debug_assert!(
-                !self.hot.alive[idx],
-                "alive mirror drifted on an already-dead node"
-            );
-            debug_assert_eq!(self.hot.epoch[idx], self.nodes[idx].epoch);
+            // pins it down so a later recovery is refused.
             if permanent {
                 self.nodes[idx].battery_dead = true;
             }
@@ -1473,8 +1429,6 @@ impl Simulation {
         if let Some(ctx) = taken_ctx {
             self.scratch.recycle_sender_ctx(ctx);
         }
-        self.sync_hot(idx);
-        self.hot.sync_alive(idx, false);
         self.metrics.faults.messages_lost_to_crash += lost;
         self.medium.set_listening(i, false);
         if idx < self.scenario.sensors {
@@ -1500,8 +1454,6 @@ impl Simulation {
             node.cycles_inactive = 0;
             node.listen_retries = 0;
         }
-        self.sync_hot(idx);
-        self.hot.sync_alive(idx, true);
         self.medium.set_listening(i, true);
         if idx < self.scenario.sensors {
             self.lifetime.on_revive();
@@ -1529,8 +1481,7 @@ impl Simulation {
     }
 
     fn schedule_timer(&mut self, i: NodeId, delay: SimDuration, timer: Timer) {
-        debug_assert_eq!(self.hot.epoch[i.index()], self.nodes[i.index()].epoch);
-        let epoch = self.hot.epoch[i.index()];
+        let epoch = self.nodes[i.index()].epoch;
         self.events
             .schedule_after(delay, Event::Timer(i, epoch, timer));
     }
@@ -1706,7 +1657,6 @@ impl Simulation {
             let windows = (now.saturating_since(anchor).ticks() / delta.ticks().max(1)).max(1);
             node.metric.decay_windows(self.protocol.alpha, windows);
             node.xi_anchor = anchor + delta * windows;
-            self.sync_hot(i.index());
             self.events.schedule_after(delta, Event::MetricTimeout(i));
         } else {
             self.events.schedule_at(due, Event::MetricTimeout(i));
@@ -1730,12 +1680,8 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn start_cycle(&mut self, now: SimTime, i: NodeId) {
-        // Hottest early exit in the event loop (every WakeUp lands here):
-        // served from the dense mirrors so the common case touches no
-        // `Node` cache line before the real work starts.
-        debug_assert_eq!(self.hot.sink[i.index()], self.nodes[i.index()].is_sink());
-        debug_assert_eq!(self.hot.alive[i.index()], self.nodes[i.index()].alive);
-        if self.hot.sink[i.index()] || !self.hot.alive[i.index()] {
+        let node = &self.nodes[i.index()];
+        if node.is_sink() || !node.alive {
             return;
         }
         // A node waking from a long nap catches its own position up before
@@ -1763,7 +1709,6 @@ impl Simulation {
             // then re-evaluate the sleeping policy.
             let window = SimDuration::from_secs_f64(self.protocol.receiver_window_secs);
             self.nodes[i.index()].transition(MacState::Passive);
-            self.sync_hot(i.index());
             self.schedule_timer(i, window, Timer::Guard);
         } else {
             self.enter_sender_listen(now, i);
@@ -1783,7 +1728,6 @@ impl Simulation {
         };
         let tau_slots = node.rng.gen_range_inclusive(1, sig);
         node.transition(MacState::SenderListen);
-        self.sync_hot(i.index());
         self.metrics.attempts += 1;
         let listen = self.timing.listen_slot * tau_slots;
         self.schedule_timer(i, listen, Timer::ListenDone);
@@ -1853,7 +1797,7 @@ impl Simulation {
         // win the sender's selection; the sender's copy-fate logic then
         // believes the copy moved (or was delivered) and drops it — the
         // capture mechanism of both behaviors.
-        let (metric, space) = if self.behaviors.any() && !self.hot.sink[i.index()] {
+        let (metric, space) = if self.behaviors.any() && !self.nodes[i.index()].is_sink() {
             match self.behaviors.get(i.index()) {
                 NodeBehavior::Liar => {
                     self.metrics.faults.lied_advertisements += 1;
@@ -1978,8 +1922,7 @@ impl Simulation {
         for (k, &(id, _)) in selection.receivers.iter().enumerate() {
             if ctx.acked.contains(&id) {
                 self.scratch.confirmed_xis.push(selection.receiver_xis[k]);
-                debug_assert_eq!(self.hot.sink[id.index()], self.nodes[id.index()].is_sink());
-                if self.hot.sink[id.index()] {
+                if self.nodes[id.index()].is_sink() {
                     any_sink = true;
                 }
             }
@@ -2012,7 +1955,6 @@ impl Simulation {
                 &mut node.metric,
             )
         };
-        self.sync_hot(i.index());
 
         // Queue bookkeeping for the transmitted message.
         let msg_id = ctx.msg.id;
@@ -2041,8 +1983,7 @@ impl Simulation {
     }
 
     fn end_cycle(&mut self, now: SimTime, i: NodeId, active: bool) {
-        debug_assert_eq!(self.hot.sink[i.index()], self.nodes[i.index()].is_sink());
-        if self.hot.sink[i.index()] {
+        if self.nodes[i.index()].is_sink() {
             let node = &mut self.nodes[i.index()];
             if let Some(ctx) = node.sender_ctx.take() {
                 self.scratch.recycle_sender_ctx(ctx);
@@ -2050,7 +1991,6 @@ impl Simulation {
             node.receiver_ctx = None;
             node.listen_retries = 0;
             node.transition(MacState::Passive);
-            self.sync_hot(i.index());
             return;
         }
         let urgency_bound = Ftd::new(self.protocol.urgency_ftd_bound);
@@ -2094,7 +2034,6 @@ impl Simulation {
             node.transition(MacState::Sleeping);
             node.meter
                 .set_state(now, RadioState::Sleep, &self.scenario.energy);
-            self.sync_hot(i.index());
             self.medium.set_listening(i, false);
             self.emit(TraceEvent::Slept {
                 at: now,
@@ -2104,7 +2043,6 @@ impl Simulation {
             self.schedule_timer(i, duration, Timer::WakeUp);
         } else {
             self.nodes[i.index()].transition(MacState::Passive);
-            self.sync_hot(i.index());
             self.schedule_timer(i, backoff, Timer::WakeUp);
         }
     }
@@ -2321,7 +2259,6 @@ impl Simulation {
             node.meter
                 .set_state(now, RadioState::Tx, &self.scenario.energy);
         }
-        self.sync_hot(i.index());
         self.medium.set_listening(i, false);
         let handle = self.medium.begin_tx(
             now,
@@ -2401,14 +2338,12 @@ impl Simulation {
                     .expect("RTS without ctx")
                     .window_slots;
                 self.nodes[i.index()].transition(MacState::CollectCts);
-                self.sync_hot(i.index());
                 let wait = self.timing.cts_slot * u64::from(window) + self.timing.gap;
                 self.schedule_timer(i, wait, Timer::CtsWindowEnd);
             }
             TxPlan::Cts => {
                 let ctx = self.nodes[i.index()].receiver_ctx.expect("CTS without ctx");
                 self.nodes[i.index()].transition(MacState::AwaitSchedule);
-                self.sync_hot(i.index());
                 let deadline = ctx.rts_end
                     + self.timing.cts_slot * u64::from(ctx.window_slots)
                     + self.timing.ctrl
@@ -2438,7 +2373,6 @@ impl Simulation {
                         .map_or(0, |s| s.receivers.len() as u64)
                 };
                 self.nodes[i.index()].transition(MacState::AwaitAcks);
-                self.sync_hot(i.index());
                 let wait = self.timing.ack_slot * receivers + self.timing.gap * 2;
                 self.schedule_timer(i, wait, Timer::AckWindowEnd);
             }
@@ -2449,7 +2383,7 @@ impl Simulation {
         }
 
         // Deliveries and collision losses.
-        if self.trace.is_some() {
+        if self.observer.is_some() || self.trace.is_some() {
             let tag = outcome.frame.payload.tag();
             let from = outcome.frame.src;
             for &r in &outcome.delivered_to {
@@ -2484,11 +2418,8 @@ impl Simulation {
             // Fault filters. All of them are inert on a fault-free run:
             // every node is alive, both drop tables are empty and every
             // corruption probability is zero, so no branch is taken and no
-            // random number is drawn. The liveness read comes from the
-            // dense mirror — this loop fans out to every audible node, so
-            // pulling a full `Node` per receiver would dominate it.
-            debug_assert_eq!(self.hot.alive[r.index()], self.nodes[r.index()].alive);
-            if !self.hot.alive[r.index()] {
+            // random number is drawn.
+            if !self.nodes[r.index()].alive {
                 self.metrics.faults.frames_dropped += 1;
                 if is_data {
                     self.metrics.faults.retransmissions_triggered += 1;
@@ -2538,22 +2469,14 @@ impl Simulation {
         ftd: f64,
         msg: MessageId,
     ) -> bool {
-        debug_assert_eq!(self.hot.sink[r.index()], self.nodes[r.index()].is_sink());
-        if self.hot.sink[r.index()] {
+        let node = &self.nodes[r.index()];
+        if node.is_sink() {
             // Sinks always qualify: ξ = 1 and effectively infinite buffer.
             return true;
         }
-        let node = &self.nodes[r.index()];
-        // The ξ comparison screens most receivers out before the queue is
-        // consulted, so it reads the dense mirror.
-        debug_assert_eq!(
-            self.hot.xi[r.index()].to_bits(),
-            node.metric.value().to_bits()
-        );
-        let xi = self.hot.xi[r.index()];
         self.policy.qualifies(
             &RxView {
-                xi,
+                xi: node.metric.value(),
                 queue: &node.queue,
             },
             &RtsInfo {
@@ -2570,22 +2493,16 @@ impl Simulation {
         // Policy estimator hook: any heard frame is a contact observation.
         // Builtin returns `None` unconditionally (the compiler folds the
         // branch away), so the pre-seam runs stay bit-identical.
-        if !self.hot.sink[r.index()] {
-            let src_is_sink = self.hot.sink[src.index()];
+        if !self.nodes[r.index()].is_sink() {
+            let src_is_sink = self.nodes[src.index()].is_sink();
             if let Some(m) = self.policy.on_frame_from(r, src, src_is_sink, now) {
                 self.nodes[r.index()].metric = DeliveryProb::new(m);
-                self.sync_hot(r.index());
             }
         }
         match &frame.payload {
             MacPayload::Preamble => {
-                // Preambles fan out to every audible node, so this filter
-                // is the hottest state read in the loop — serve it from
-                // the dense mirror.
-                debug_assert_eq!(self.hot.state[r.index()], self.nodes[r.index()].state);
-                if self.hot.state[r.index()].receptive() {
+                if self.nodes[r.index()].state.receptive() {
                     self.nodes[r.index()].transition(MacState::AwaitRts);
-                    self.sync_hot(r.index());
                     let deadline = self.timing.ctrl + self.timing.gap * 2;
                     self.schedule_timer(r, deadline, Timer::Guard);
                 }
@@ -2607,7 +2524,7 @@ impl Simulation {
                 // liars/forgers volunteer whenever they can physically
                 // store the copy (their CTS then inflates the
                 // advertisement).
-                let qualifies = if self.behaviors.any() && !self.hot.sink[r.index()] {
+                let qualifies = if self.behaviors.any() && !self.nodes[r.index()].is_sink() {
                     match self.behaviors.get(r.index()) {
                         NodeBehavior::Honest => self.qualified(r, src, *xi, *ftd, *msg),
                         NodeBehavior::Selfish => false,
@@ -2638,13 +2555,11 @@ impl Simulation {
                         ack_slot: 0,
                     });
                     self.nodes[r.index()].transition(MacState::CtsPending);
-                    self.sync_hot(r.index());
                     let delay = self.timing.cts_slot * u64::from(slot - 1) + self.timing.gap;
                     self.schedule_timer(r, delay, Timer::CtsSlot);
                 } else {
                     // NAV: defer until the overheard exchange finishes.
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_after_rts(*window_slots);
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2669,7 +2584,6 @@ impl Simulation {
                 } else if state.receptive() {
                     // Third party: stay out of the way (NAV).
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_overheard();
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2691,13 +2605,11 @@ impl Simulation {
                             ctx.ack_slot = k as u32;
                         }
                         self.nodes[r.index()].transition(MacState::AwaitData);
-                        self.sync_hot(r.index());
                         let deadline = self.timing.data + self.timing.gap * 2;
                         self.schedule_timer(r, deadline, Timer::Guard);
                     } else {
                         // Replied but not selected: wait out the exchange.
                         self.nodes[r.index()].transition(MacState::Passive);
-                        self.sync_hot(r.index());
                         let nav = self.timing.data
                             + self.timing.ack_slot * receivers.len() as u64
                             + self.timing.gap * 3;
@@ -2705,7 +2617,6 @@ impl Simulation {
                     }
                 } else if state.receptive() {
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_overheard();
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2720,8 +2631,7 @@ impl Simulation {
                 if ctx.msg != msg.id || ctx.sender != src {
                     return;
                 }
-                debug_assert_eq!(self.hot.sink[r.index()], self.nodes[r.index()].is_sink());
-                if self.hot.sink[r.index()] {
+                if self.nodes[r.index()].is_sink() {
                     self.record_sink_reception(now, r, &msg.hopped());
                 } else {
                     // Any adversarial receiver captures the copy: the ACK it
@@ -2747,7 +2657,6 @@ impl Simulation {
                     }
                 }
                 self.nodes[r.index()].transition(MacState::AckPending);
-                self.sync_hot(r.index());
                 let delay = self.timing.ack_slot * u64::from(ctx.ack_slot) + self.timing.gap;
                 self.schedule_timer(r, delay, Timer::AckSlot);
             }
@@ -3082,9 +2991,6 @@ mod tests {
         let mut sim = mk(ProtocolKind::Opt);
         let r = NodeId(0);
         sim.nodes[r.index()].metric = DeliveryProb::new(0.5);
-        // Direct metric pokes bypass the engine's mutation sites, so the
-        // hot mirror must be refreshed by hand.
-        sim.sync_hot(r.index());
         let s = NodeId(5);
         assert!(sim.qualified(r, s, 0.4, 0.0, MessageId(9)));
         assert!(
@@ -3574,11 +3480,11 @@ mod tests {
     }
 
     #[test]
-    fn stacked_fault_plans_keep_the_hot_mirrors_consistent() {
+    fn battery_death_on_a_crashed_node_counts_once_and_refuses_recovery() {
         // Property sweep over stacked plans: BatteryDeath landing on an
-        // already-crashed node takes the early return in `crash_node`,
-        // whose debug assertions prove the SoA mirrors never drift. The
-        // recovery then stays refused (battery_dead pins the node down).
+        // already-crashed node takes the early return in `crash_node`, so
+        // only the first crash counts, and the recovery then stays refused
+        // (battery_dead pins the node down).
         let mut rng = SimRng::seed_from(0x057A_C4ED);
         for trial in 0..8 {
             let scenario = tiny();

@@ -31,7 +31,7 @@ pub mod prelude {
     pub use dftmsn_core::params::{ProtocolParams, ScenarioParams};
     pub use dftmsn_core::policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
     pub use dftmsn_core::report::SimReport;
-    pub use dftmsn_core::trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
+    pub use dftmsn_core::trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
     pub use dftmsn_core::variants::{ProtocolKind, VariantConfig};
     pub use dftmsn_core::world::{
         CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC,
