@@ -65,20 +65,6 @@ fn check_secs(name: &str, secs: f64, zero_ok: bool) -> Result<(), InvalidParams>
     }
 }
 
-/// Which mobility model drives the sensors.
-///
-/// The paper evaluates on [`MobilityKind::ZoneBased`]; the others support
-/// sensitivity studies (e.g. how much the home-zone bias matters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MobilityKind {
-    /// The paper's home-zone model (Sec. 5).
-    ZoneBased,
-    /// Classic random waypoint over the whole area.
-    RandomWaypoint,
-    /// Random direction with boundary reflection.
-    RandomWalk,
-}
-
 /// Deployment, traffic and radio configuration (paper Sec. 5).
 ///
 /// Marked `#[non_exhaustive]`: construct via [`ScenarioParams::paper_default`]
@@ -122,12 +108,6 @@ pub struct ScenarioParams {
     pub duration_secs: u64,
     /// Mobility integration step (s).
     pub mobility_tick_secs: f64,
-    /// Sensor mobility model.
-    pub mobility: MobilityKind,
-    /// Number of the sinks that are mobile — "carried by a subset of
-    /// people" (paper Sec. 1) — instead of fixed at strategic locations.
-    /// Must not exceed `sinks`.
-    pub mobile_sinks: usize,
 }
 
 impl ScenarioParams {
@@ -153,8 +133,6 @@ impl ScenarioParams {
             energy: EnergyModel::berkeley_mote(),
             duration_secs: 25_000,
             mobility_tick_secs: 0.5,
-            mobility: MobilityKind::ZoneBased,
-            mobile_sinks: 0,
         }
     }
 
@@ -287,8 +265,8 @@ impl ScenarioParams {
         check_secs("mobility tick", self.mobility_tick_secs, false)?;
         // Neighbour queries are widened by how far a node can drift: the
         // ticked contact cache by 2·v·(0.25 s + tick), lazy mobility by
-        // v·sync_every (both derived in world.rs, with v floored at
-        // 0.2 m/s). A finite speed can still overflow either radius, and
+        // v·sync_every (both derived in world_mobility.rs, with v floored
+        // at 0.2 m/s). A finite speed can still overflow either radius, and
         // the spatial grid refuses a non-finite one.
         let v = self.speed_max_mps.max(0.2);
         let sync_every = (range / v).clamp(self.mobility_tick_secs.min(30.0), 30.0);
@@ -303,9 +281,6 @@ impl ScenarioParams {
             )));
         }
         check_secs("duration", self.duration_secs as f64, false)?;
-        if self.mobile_sinks > self.sinks {
-            return Err(InvalidParams::new("mobile_sinks cannot exceed sinks"));
-        }
         Ok(())
     }
 }

@@ -105,9 +105,8 @@ impl FaultCounters {
 /// Network-lifetime summary: LEACH-style death anchors plus the end-of-run
 /// sensor energy distribution.
 ///
-/// Marked `#[non_exhaustive]`: only the engine constructs it (tests can use
-/// [`Lifetime::quiet`]), so new lifetime diagnostics can land without
-/// breaking downstream consumers.
+/// Marked `#[non_exhaustive]`: only the engine constructs it, so new
+/// lifetime diagnostics can land without breaking downstream consumers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct Lifetime {
@@ -122,22 +121,6 @@ pub struct Lifetime {
     pub alive_at_end: u64,
     /// Distribution of per-sensor total energy consumed (J).
     pub energy_hist: Histogram,
-}
-
-impl Lifetime {
-    /// The lifetime block of a run in which no sensor ever died and no
-    /// energy histogram was collected — the baseline for tests and for
-    /// legacy serialized reports that predate the lifetime tier.
-    #[must_use]
-    pub fn quiet(sensors: usize) -> Lifetime {
-        Lifetime {
-            first_death_secs: None,
-            half_death_secs: None,
-            last_death_secs: None,
-            alive_at_end: sensors as u64,
-            energy_hist: Histogram::new(0.0, 1.0, 8),
-        }
-    }
 }
 
 /// Live counters updated during a run.
@@ -425,7 +408,7 @@ impl SimReport {
     #[must_use]
     pub fn snap_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u8(2); // layout version (2 = v1 + behavioral counters + lifetime)
+        w.u8(2); // layout version
         w.string(&self.protocol);
         w.u64(self.seed);
         w.f64(self.duration_secs);
@@ -498,14 +481,6 @@ impl SimReport {
                 w.f64(e);
             }
         });
-        self.write_v2_tail(&mut w);
-        w.into_bytes()
-    }
-
-    /// The v2-only suffix: behavioral fault counters plus the lifetime
-    /// block, strictly appended after the v1 payload so v1 decoding can
-    /// stop right before it.
-    fn write_v2_tail(&self, w: &mut SnapWriter) {
         for c in [
             self.faults.behavior_changes,
             self.faults.copies_captured,
@@ -525,6 +500,7 @@ impl SimReport {
         w.seq(buckets, |w, &b| w.u64(b));
         w.u64(underflow);
         w.u64(overflow);
+        w.into_bytes()
     }
 
     /// Reconstructs a report serialized with [`snap_bytes`](Self::snap_bytes).
@@ -536,7 +512,7 @@ impl SimReport {
     pub fn from_snap_bytes(bytes: &[u8]) -> Result<SimReport, SnapError> {
         let mut r = SnapReader::new(bytes);
         let version = r.u8()?;
-        if version != 1 && version != 2 {
+        if version != 2 {
             return Err(SnapError::new(format!(
                 "unknown SimReport layout version {version}"
             )));
@@ -627,35 +603,29 @@ impl SimReport {
                 energy_by_state_j,
             })
         })?;
-        let lifetime = if version >= 2 {
-            faults.behavior_changes = r.u64()?;
-            faults.copies_captured = r.u64()?;
-            faults.forged_frames = r.u64()?;
-            faults.forged_detected = r.u64()?;
-            faults.lied_advertisements = r.u64()?;
-            let first_death_secs = r.option(SnapReader::f64)?;
-            let half_death_secs = r.option(SnapReader::f64)?;
-            let last_death_secs = r.option(SnapReader::f64)?;
-            let alive_at_end = r.u64()?;
-            let elo = r.f64()?;
-            let ehi = r.f64()?;
-            let ebuckets = r.seq(SnapReader::u64)?;
-            let eunder = r.u64()?;
-            let eover = r.u64()?;
-            if !(elo.is_finite() && ehi.is_finite() && elo < ehi) || ebuckets.is_empty() {
-                return Err(SnapError::new("invalid energy histogram geometry"));
-            }
-            Lifetime {
-                first_death_secs,
-                half_death_secs,
-                last_death_secs,
-                alive_at_end,
-                energy_hist: Histogram::from_raw_parts(elo, ehi, ebuckets, eunder, eover),
-            }
-        } else {
-            // v1 predates the lifetime tier: behavioral counters stay zero
-            // and the lifetime block reads as "nothing ever died".
-            Lifetime::quiet(sensors)
+        faults.behavior_changes = r.u64()?;
+        faults.copies_captured = r.u64()?;
+        faults.forged_frames = r.u64()?;
+        faults.forged_detected = r.u64()?;
+        faults.lied_advertisements = r.u64()?;
+        let first_death_secs = r.option(SnapReader::f64)?;
+        let half_death_secs = r.option(SnapReader::f64)?;
+        let last_death_secs = r.option(SnapReader::f64)?;
+        let alive_at_end = r.u64()?;
+        let elo = r.f64()?;
+        let ehi = r.f64()?;
+        let ebuckets = r.seq(SnapReader::u64)?;
+        let eunder = r.u64()?;
+        let eover = r.u64()?;
+        if !(elo.is_finite() && ehi.is_finite() && elo < ehi) || ebuckets.is_empty() {
+            return Err(SnapError::new("invalid energy histogram geometry"));
+        }
+        let lifetime = Lifetime {
+            first_death_secs,
+            half_death_secs,
+            last_death_secs,
+            alive_at_end,
+            energy_hist: Histogram::from_raw_parts(elo, ehi, ebuckets, eunder, eover),
         };
         if !r.is_exhausted() {
             return Err(SnapError::new("trailing bytes after SimReport payload"));
@@ -747,7 +717,13 @@ mod tests {
             mean_final_xi: 0.4,
             mean_hops: 1.0,
             faults: FaultCounters::default(),
-            lifetime: Lifetime::quiet(10),
+            lifetime: Lifetime {
+                first_death_secs: None,
+                half_death_secs: None,
+                last_death_secs: None,
+                alive_at_end: 10,
+                energy_hist: Histogram::new(0.0, 1.0, 8),
+            },
             delay_stats: RunningStats::new(),
             delay_hist: Histogram::new(0.0, 100.0, 10),
             deliveries: Vec::new(),
@@ -847,10 +823,12 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(SimReport::from_snap_bytes(&padded).is_err());
-        // Unknown version byte is rejected.
-        let mut vers = bytes;
-        vers[0] = 99;
-        assert!(SimReport::from_snap_bytes(&vers).is_err());
+        // An unknown version byte is rejected, the retired v1 included.
+        for version in [1, 99] {
+            let mut vers = bytes.clone();
+            vers[0] = version;
+            assert!(SimReport::from_snap_bytes(&vers).is_err(), "v{version}");
+        }
     }
 
     #[test]
@@ -872,29 +850,6 @@ mod tests {
         assert!(js.contains("\"copies_captured\":13"), "{js}");
         assert!(js.contains("\"first_death_secs\":312.5"), "{js}");
         assert!(js.contains("\"last_death_secs\":null"), "{js}");
-    }
-
-    #[test]
-    fn snap_v1_payloads_still_decode_as_pre_lifetime_reports() {
-        // A v1 payload is exactly the v2 bytes minus the appended tail,
-        // with the version byte rolled back — sweep progress files written
-        // before the lifetime tier must keep loading.
-        let r = report(10, 5);
-        let full = r.snap_bytes();
-        let mut tail = SnapWriter::new();
-        r.write_v2_tail(&mut tail);
-        let tail_len = tail.into_bytes().len();
-        let mut v1 = full[..full.len() - tail_len].to_vec();
-        v1[0] = 1;
-        let back = SimReport::from_snap_bytes(&v1).expect("v1 decode");
-        assert_eq!(back.faults, FaultCounters::default());
-        assert_eq!(back.lifetime, Lifetime::quiet(10));
-        assert_eq!(back.generated, r.generated);
-        // But a truncated v2 payload is corruption, not a v1 record.
-        let mut bad = full[..full.len() - tail_len].to_vec();
-        assert!(SimReport::from_snap_bytes(&bad).is_err());
-        bad.push(0);
-        assert!(SimReport::from_snap_bytes(&bad).is_err());
     }
 
     #[test]

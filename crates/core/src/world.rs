@@ -5,8 +5,8 @@
 //!
 //! A single deterministic event queue drives everything:
 //!
-//! * `MobilityTick` — advances every mobility model and rebuilds the
-//!   spatial index;
+//! * `MobilityTick` — the mobility driver (`world_mobility.rs`) advances
+//!   node positions and the spatial index;
 //! * `DataGen(i)` — Poisson sensing at sensor *i*;
 //! * `MetricTimeout(i)` — the Δ-timer of Eq. 1;
 //! * `TxEnd(i, handle)` — a frame finished; reception outcomes fan out;
@@ -37,7 +37,7 @@ use crate::message::{Message, MessageId, MessageIdAllocator};
 use crate::neighbor::{Candidate, Selection, SelectionScratch};
 use crate::node::{MacState, Node, NodeRole, ReceiverCtx, SenderCtx, TxPlan};
 use crate::observe::{MetricsRecorder, RunMeta, WorldSnapshot};
-use crate::params::{MobilityKind, ProtocolParams, ScenarioParams};
+use crate::params::{ProtocolParams, ScenarioParams};
 use crate::policy::{
     Confirmed, CopyFate, ForwardingPolicy, MacControls, Policy, PolicySpec, RtsInfo, RxView,
     SelectCtx,
@@ -49,12 +49,6 @@ use crate::report::{DeliveryRecord, Lifetime, NodeSummary, RunMetrics, SimReport
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use crate::variants::{ProtocolKind, VariantConfig};
 use dftmsn_metrics::histogram::Histogram;
-use dftmsn_mobility::geom::{Bounds, Vec2};
-use dftmsn_mobility::grid_index::SpatialGrid;
-use dftmsn_mobility::models::{
-    MobilityModel, RandomWalk, RandomWaypoint, Stationary, ZoneMobility,
-};
-use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 use dftmsn_radio::energy::RadioState;
 use dftmsn_radio::ids::NodeId;
 use dftmsn_radio::medium::{Frame, Medium, TxHandle};
@@ -65,6 +59,10 @@ use dftmsn_sim::time::{SimDuration, SimTime};
 #[path = "world_ckpt.rs"]
 mod ckpt;
 pub use ckpt::{CkptError, Resumed, CKPT_MAGIC};
+
+#[path = "world_mobility.rs"]
+mod mobility;
+use mobility::MobilityDriver;
 
 /// Node-local timer kinds; all are epoch-guarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +134,6 @@ struct CycleScratch {
     idx: Vec<usize>,
     /// The same set as `NodeId`s, fed to the medium.
     ids: Vec<NodeId>,
-    /// Unfiltered ring-neighbourhood superset pending materialization.
-    mat: Vec<usize>,
     /// Receiver-selection working memory.
     sel: SelectionScratch,
     /// ξ of the receivers whose ACK arrived (Eqs. 1/3 inputs).
@@ -178,7 +174,6 @@ impl CycleScratch {
         let mut s = CycleScratch::default();
         s.idx.reserve(k);
         s.ids.reserve(k);
-        s.mat.reserve(4 * k);
         s.confirmed_xis.reserve(k);
         for _ in 0..POOL {
             s.selections.push(Selection::default());
@@ -284,13 +279,13 @@ impl Timing {
 ///
 /// [`Lazy`](MobilityMode::Lazy) gives each node its own forked RNG stream
 /// and extrapolates its trajectory in closed form
-/// ([`MobilityModel::advance_span`]) only when the position is actually
-/// needed: on wake-up, on a spatial query, or at a low-rate staleness
-/// sweep that bounds how far any position lags. Sleeping nodes cost
-/// nothing while they sleep. Spatial queries run at an expanded radius
-/// (`range + v_max · sweep_period`) so a node whose stored position is
-/// stale can never be missed; candidates are caught up and re-filtered at
-/// the true range before the protocol sees them.
+/// ([`dftmsn_mobility::models::MobilityModel::advance_span`]) only when the
+/// position is actually needed: on wake-up, on a spatial query, or at a
+/// low-rate staleness sweep that bounds how far any position lags.
+/// Sleeping nodes cost nothing while they sleep. Spatial queries run at an
+/// expanded radius (`range + v_max · sweep_period`) so a node whose stored
+/// position is stale can never be missed; candidates are caught up and
+/// re-filtered at the true range before the protocol sees them.
 ///
 /// The two modes sample the same mobility distributions but consume
 /// randomness in different orders, so `Lazy` runs re-baseline: they are
@@ -304,203 +299,6 @@ pub enum MobilityMode {
     Ticked,
     /// Per-node RNG streams + on-demand closed-form catch-up.
     Lazy,
-}
-
-/// Bookkeeping for [`MobilityMode::Lazy`].
-#[derive(Debug)]
-struct LazyMobility {
-    /// Per-node mobility streams (forked from the shared mobility RNG),
-    /// so catching node *i* up never perturbs node *j*'s trajectory.
-    rngs: Vec<SimRng>,
-    /// The sim-time each node's position was last advanced to.
-    synced_at: Vec<SimTime>,
-    /// Staleness bound: a low-rate sweep catches every node up at this
-    /// period, so no stored position lags truth by more than it.
-    sync_every: SimDuration,
-    /// Spatial-query radius inflated by the worst-case staleness drift
-    /// (`range + v_max · sync_every`); also the grid cell size.
-    query_radius: f64,
-    /// The speed bound used to derive `query_radius`, kept for the
-    /// per-candidate drift pruning in `fill_neighbors`.
-    vmax: f64,
-}
-
-/// Slots in the coast due-wheel; windows are clipped to `COAST_WHEEL − 2`
-/// ticks so a rescheduled node can never land back in the slot being
-/// drained.
-const COAST_WHEEL: usize = 256;
-
-/// How far down the sorted due list a mobility tick prefetches: while it
-/// visits node `due[k]` it requests the lines of `due[k + 6]`. The
-/// distance is not critical; 1 and 12 timed within noise of 6
-/// (EXPERIMENTS.md § Scale tier).
-const DUE_PREFETCH_AHEAD: usize = 6;
-
-/// SoA coast ledger for [`MobilityMode::Ticked`].
-///
-/// Each node holds a *coast lease* from its model
-/// ([`MobilityModel::tick_grant`]): for `left` more ticks the node's
-/// position moves by exactly `disp` per tick with no RNG draw and no
-/// boundary interaction, so the per-tick sweep applies the displacement to
-/// the dense `positions` array and skips the model entirely — three
-/// contiguous array lanes instead of a virtual call into a heap-scattered
-/// model per node per tick. Leases are additionally split into cell
-/// windows ([`SpatialGrid::move_node_window`]: the whole steps to the
-/// grid-cell edge ahead along the node's displacement) so a coasting node
-/// can never invalidate its grid bucket. `pending` counts coasted ticks
-/// not yet reported back; a settle ([`MobilityModel::tick_settle`])
-/// replays them bit-identically before the model is advanced, saved, or
-/// re-granted, which is what keeps ticked goldens and checkpoints
-/// byte-exact.
-#[derive(Debug)]
-struct TickedCoast {
-    /// Per-tick displacement while the lease is live.
-    disp: Vec<Vec2>,
-    /// Lease ticks remaining beyond the node's current wheel window — the
-    /// part of the model's grant held back by the grid-cell clip and the
-    /// wheel horizon.
-    model_left: Vec<u32>,
-    /// Coast steps applied to `positions[j]` but not yet settled into
-    /// model `j` ([`MobilityModel::tick_settle`]'s replay count).
-    applied: Vec<u32>,
-    /// The tick index `positions[j]` reflects. A coasting node's dense
-    /// position is allowed to lag the clock; [`materialize`]
-    /// (TickedCoast::materialize) replays the missing steps on demand.
-    anchor: Vec<u64>,
-    /// `wheel[t % COAST_WHEEL]` lists the nodes due for per-node handling
-    /// at tick `t`: lease expiry (settle + advance + re-grant) or cell
-    /// recheck. Nodes mid-window appear in no slot and cost nothing per
-    /// tick — this is what makes the tick handler O(due), not O(n).
-    wheel: Vec<Vec<u32>>,
-    /// Mobility ticks processed so far (the wheel's clock).
-    tick_no: u64,
-}
-
-impl TickedCoast {
-    fn new(n: usize) -> Self {
-        let mut wheel = vec![Vec::new(); COAST_WHEEL];
-        // Everyone starts with no lease: all due on the first tick.
-        wheel[1 % COAST_WHEEL] = (0..n as u32).collect();
-        TickedCoast {
-            disp: vec![Vec2::ZERO; n],
-            model_left: vec![0; n],
-            applied: vec![0; n],
-            anchor: vec![0; n],
-            wheel,
-            tick_no: 0,
-        }
-    }
-
-    /// Replays node `j`'s outstanding coast steps so `positions[j]`
-    /// reflects tick `to_tick`. Each replayed step is the identical
-    /// `+= disp` the old per-tick sweep performed, in the same order, so
-    /// the resulting bit pattern is the same — batching only moves the
-    /// work to the moment the position is actually read.
-    #[inline]
-    fn materialize(&mut self, j: usize, to_tick: u64, positions: &mut [Vec2]) {
-        let k = (to_tick - self.anchor[j]) as u32;
-        if k == 0 {
-            return;
-        }
-        let d = self.disp[j];
-        let mut p = positions[j];
-        for _ in 0..k {
-            p += d;
-        }
-        positions[j] = p;
-        self.anchor[j] = to_tick;
-        self.applied[j] += k;
-    }
-
-    /// Requests node `j`'s lines of the four coast lanes ahead of its
-    /// visit.
-    #[inline]
-    fn prefetch(&self, j: usize) {
-        prefetch(&self.disp[j]);
-        prefetch(&self.model_left[j]);
-        prefetch(&self.applied[j]);
-        prefetch(&self.anchor[j]);
-    }
-
-    /// Schedules node `j`'s next due visit `window + 1` ticks from now and
-    /// returns the window actually booked (clipped to the wheel horizon).
-    #[inline]
-    fn book(&mut self, j: usize, window: u32) -> u32 {
-        let window = window.min(COAST_WHEEL as u32 - 2);
-        let slot = ((self.tick_no + u64::from(window) + 1) % COAST_WHEEL as u64) as usize;
-        self.wheel[slot].push(j as u32);
-        window
-    }
-}
-
-/// Per-node contact cache for [`MobilityMode::Ticked`] neighbour queries —
-/// pure memoization of [`SpatialGrid::query_within`].
-///
-/// A miss queries the grid at `range + margin_m` and parks the candidate
-/// indices in a shared arena; a hit re-filters that superset at the true
-/// range against *current* positions. The superset stays exact while the
-/// worst-case relative drift since it was taken cannot exceed the margin:
-/// every position moves at most `v_max · dt` per mobility tick, so after
-/// elapsed time `e` the sender and a candidate have closed at most
-/// `2 · v_max · (e + dt)` metres (the `+ dt` absorbs tick quantization).
-/// [`ContactCache::valid_for`] is derived by inverting that bound, which
-/// makes a hit's output bit-identical to a fresh query: membership is
-/// re-decided by the same `distance_sq ≤ range²` predicate on the same
-/// positions, and the arena preserves the grid's ascending index order.
-///
-/// Ticked mode only: a lazy-mode query *advances* candidate trajectories
-/// (RNG draws, position writes), so caching it would change when those
-/// side effects fire and split `advance_span` calls differently —
-/// ULP-level divergence the lazy goldens would catch.
-#[derive(Debug)]
-struct ContactCache {
-    /// Shared storage for every node's cached candidate set.
-    arena: Vec<u32>,
-    /// Per-node: sim-time the cached superset was queried.
-    at: Vec<SimTime>,
-    /// Per-node: offset of the cached slice in `arena`.
-    start: Vec<u32>,
-    /// Per-node: length of the cached slice.
-    len: Vec<u32>,
-    /// Per-node: generation stamp; stale entries are dropped wholesale by
-    /// bumping `arena_gen` instead of walking the arena.
-    gen: Vec<u32>,
-    /// Current arena generation; entries from older generations are dead.
-    arena_gen: u32,
-    /// Extra query radius that buys the validity window (metres).
-    margin_m: f64,
-    /// How long a cached superset stays exact (`margin / (2·v_max)` minus
-    /// one tick of quantization slack).
-    valid_for: SimDuration,
-    /// Arena size that triggers a wholesale generation reset.
-    cap: usize,
-    /// Hits / misses under the current settings (perf telemetry only).
-    hits: u64,
-    misses: u64,
-}
-
-impl ContactCache {
-    fn new(n: usize, vmax: f64, tick_secs: f64) -> Self {
-        // Sized so one cached superset typically survives a whole
-        // RTS→CTS→SCHEDULE→DATA→ACK exchange (~0.1 s of sim-time): a
-        // 0.25 s window at the paper's v_max = 5 m/s costs 2.75 m of
-        // extra query radius on a 10 m range.
-        const TARGET_VALID_SECS: f64 = 0.25;
-        let margin_m = 2.0 * vmax * (TARGET_VALID_SECS + tick_secs);
-        ContactCache {
-            arena: Vec::new(),
-            at: vec![SimTime::ZERO; n],
-            start: vec![0; n],
-            len: vec![0; n],
-            gen: vec![0; n],
-            arena_gen: 1,
-            margin_m,
-            valid_for: SimDuration::from_secs_f64(TARGET_VALID_SECS),
-            cap: (8 * n).max(1024),
-            hits: 0,
-            misses: 0,
-        }
-    }
 }
 
 /// A configured, runnable simulation.
@@ -540,17 +338,8 @@ pub struct Simulation {
 
     events: EventQueue<Event>,
     nodes: Vec<Node>,
-    mobility: Vec<Box<dyn MobilityModel>>,
-    mobility_rng: SimRng,
-    /// `Some` when running in [`MobilityMode::Lazy`].
-    lazy: Option<LazyMobility>,
-    /// `Some` when running in [`MobilityMode::Ticked`].
-    coast: Option<TickedCoast>,
-    /// `Some` when running in [`MobilityMode::Ticked`]: memoized
-    /// neighbour supersets keyed by a worst-case-drift validity window.
-    contacts: Option<ContactCache>,
-    positions: Vec<Vec2>,
-    grid: SpatialGrid,
+    /// Node motion: the models, their streams, positions and the grid.
+    mobility: MobilityDriver,
     medium: Medium<MacPayload>,
 
     ids: MessageIdAllocator,
@@ -733,7 +522,7 @@ impl SimulationBuilder {
             sim.install_fault_plan(plan);
         }
         if !self.contact_cache {
-            sim.contacts = None;
+            sim.mobility.drop_contact_cache();
         }
         if let Some(recorder) = self.observer {
             recorder.begin_run(RunMeta {
@@ -786,15 +575,15 @@ impl Simulation {
         mode: MobilityMode,
     ) -> Self {
         let mut sim = Self::construct_static(scenario, protocol, config, seed, mode);
-        sim.grid.rebuild(&sim.positions);
+        sim.mobility.sync_positions();
         sim.schedule_initial_events();
         sim
     }
 
     /// The world [`construct`](Self::construct) starts from: nodes, models,
-    /// medium and tables, with the spatial grid still empty and no event
-    /// scheduled. Checkpoint restore starts here, since it replaces the
-    /// event set and rebuilds the grid from restored positions.
+    /// medium and tables, with positions and the spatial grid still empty
+    /// and no event scheduled. Checkpoint restore starts here, since it
+    /// replaces the event set and syncs positions from restored models.
     fn construct_static(
         scenario: ScenarioParams,
         protocol: ProtocolParams,
@@ -810,156 +599,25 @@ impl Simulation {
             .unwrap_or_else(|e| panic!("invalid protocol params: {e}"));
 
         let root = SimRng::seed_from(seed);
-        let mut mobility_rng = root.fork(0x4d4f_4249); // "MOBI"
         let fault_rng = root.fork(0x4641_554C); // "FAUL"
-        let area = Bounds::new(scenario.area_width_m, scenario.area_height_m);
-        let zones = ZoneGrid::new(area, scenario.zone_cols, scenario.zone_rows);
         let n = scenario.node_count();
-
-        // Lazy mode forks one mobility stream per node, so catching one
-        // node up never consumes another's randomness; the model is also
-        // *placed* from its own stream, which is why lazy runs re-baseline.
-        // In Ticked mode `own` is an unused placeholder (nothing is drawn
-        // from it), keeping the shared-stream draw order bit-identical to
-        // every pre-existing baseline.
-        let lazy_mode = mode == MobilityMode::Lazy;
-        let mut nodes = Vec::with_capacity(n);
-        let mut mobility: Vec<Box<dyn MobilityModel>> = Vec::with_capacity(n);
-        let mut lazy_rngs: Vec<SimRng> = Vec::with_capacity(if lazy_mode { n } else { 0 });
-        for i in 0..scenario.sensors {
-            let mut own = if lazy_mode {
-                mobility_rng.fork(i as u64)
-            } else {
-                SimRng::seed_from(0)
-            };
-            let rng: &mut SimRng = if lazy_mode {
-                &mut own
-            } else {
-                &mut mobility_rng
-            };
-            let model: Box<dyn MobilityModel> = match scenario.mobility {
-                MobilityKind::ZoneBased => Box::new(ZoneMobility::new(
-                    zones.clone(),
-                    ZoneId(i % zones.zone_count()),
-                    scenario.speed_min_mps,
-                    scenario.speed_max_mps,
-                    scenario.zone_exit_prob,
-                    rng,
-                )),
-                MobilityKind::RandomWaypoint => Box::new(RandomWaypoint::new(
-                    area,
-                    scenario.speed_min_mps.max(0.1),
-                    scenario.speed_max_mps.max(0.2),
-                    0.0,
-                    rng,
-                )),
-                MobilityKind::RandomWalk => Box::new(RandomWalk::new(
-                    area,
-                    scenario.speed_min_mps,
-                    scenario.speed_max_mps,
-                    20.0,
-                    rng,
-                )),
-            };
-            if lazy_mode {
-                lazy_rngs.push(own);
-            }
-            mobility.push(model);
-            nodes.push(Node::new(
-                NodeId(i),
-                NodeRole::Sensor,
-                scenario.queue_capacity,
-                protocol.history_window_s,
-                root.fork(1000 + i as u64),
-            ));
-        }
-        // Sinks sit at "strategic locations" (zone centres spread evenly
-        // across the grid); the last `mobile_sinks` of them are carried by
-        // people instead and move like sensors (paper Sec. 1).
-        for j in 0..scenario.sinks {
-            let zone = ZoneId(((2 * j + 1) * zones.zone_count()) / (2 * scenario.sinks));
-            let i = scenario.sensors + j;
-            let mut own = if lazy_mode {
-                mobility_rng.fork(i as u64)
-            } else {
-                SimRng::seed_from(0)
-            };
-            if j >= scenario.sinks - scenario.mobile_sinks {
-                let rng: &mut SimRng = if lazy_mode {
-                    &mut own
+        let nodes: Vec<Node> = (0..n)
+            .map(|i| {
+                let role = if i < scenario.sensors {
+                    NodeRole::Sensor
                 } else {
-                    &mut mobility_rng
+                    NodeRole::Sink
                 };
-                mobility.push(Box::new(ZoneMobility::new(
-                    zones.clone(),
-                    zone,
-                    scenario.speed_min_mps,
-                    scenario.speed_max_mps,
-                    scenario.zone_exit_prob,
-                    rng,
-                )));
-            } else {
-                mobility.push(Box::new(Stationary::new(zones.zone_center(zone))));
-            }
-            if lazy_mode {
-                // Stationary sinks never draw, but the slot keeps per-node
-                // stream indexing aligned.
-                lazy_rngs.push(own);
-            }
-            nodes.push(Node::new(
-                NodeId(i),
-                NodeRole::Sink,
-                scenario.queue_capacity,
-                protocol.history_window_s,
-                root.fork(1000 + i as u64),
-            ));
-        }
-
-        let lazy = match mode {
-            MobilityMode::Ticked => None,
-            MobilityMode::Lazy => {
-                let vmax = scenario.speed_max_mps.max(0.2);
-                let sync_every = (scenario.channel.range_m / vmax)
-                    .clamp(scenario.mobility_tick_secs.min(30.0), 30.0);
-                Some(LazyMobility {
-                    rngs: lazy_rngs,
-                    synced_at: vec![SimTime::ZERO; n],
-                    sync_every: SimDuration::from_secs_f64(sync_every),
-                    query_radius: scenario.channel.range_m + vmax * sync_every,
-                    vmax,
-                })
-            }
-        };
-
-        let coast = match mode {
-            MobilityMode::Ticked => Some(TickedCoast::new(n)),
-            MobilityMode::Lazy => None,
-        };
-        let contacts = match mode {
-            MobilityMode::Ticked => Some(ContactCache::new(
-                n,
-                scenario.speed_max_mps.max(0.2),
-                scenario.mobility_tick_secs,
-            )),
-            MobilityMode::Lazy => None,
-        };
-
-        let positions: Vec<Vec2> = mobility.iter().map(|m| m.position()).collect();
-        // Cell size is decoupled from every query radius (the grid scans
-        // ⌈r/cell⌉ rings), so it is a pure performance knob — query
-        // results are exact for any cell size, and the two modes want
-        // opposite settings. Ticked: wider cells mean a coasting node
-        // crosses cell edges — and pays a lease recheck — proportionally
-        // less often, and at the paper's densities (~4.4·10⁻³ nodes/m²) a
-        // 4·range cell holds around seven nodes, so a 3×3 scan stays
-        // within a few cache lines. Lazy: queries go out at the inflated
-        // `query_radius`, so cells sized to it keep the scan at one ring
-        // of tight buckets.
-        let cell = match &lazy {
-            Some(l) => l.query_radius.max(1.0),
-            None => (4.0 * scenario.channel.range_m).max(1.0),
-        };
-        let grid = SpatialGrid::new(area, cell);
+                Node::new(
+                    NodeId(i),
+                    role,
+                    scenario.queue_capacity,
+                    protocol.history_window_s,
+                    root.fork(1000 + i as u64),
+                )
+            })
+            .collect();
+        let mobility = MobilityDriver::new(&scenario, mode, root.fork(0x4d4f_4249)); // "MOBI"
 
         let mut medium = Medium::new(n);
         for node in &nodes {
@@ -974,7 +632,8 @@ impl Simulation {
         // Expected radio-disc occupancy at this density, the natural size
         // for every neighbourhood-shaped scratch buffer.
         let disc = std::f64::consts::PI * scenario.channel.range_m * scenario.channel.range_m;
-        let occupancy = (n as f64 * disc / (area.width() * area.height()).max(1.0)).ceil();
+        let area = scenario.area_width_m * scenario.area_height_m;
+        let occupancy = (n as f64 * disc / area.max(1.0)).ceil();
         let k = (occupancy as usize).clamp(8, 256);
 
         let policy = Policy::builtin(config);
@@ -994,12 +653,6 @@ impl Simulation {
             events: EventQueue::new(),
             nodes,
             mobility,
-            mobility_rng,
-            lazy,
-            coast,
-            contacts,
-            positions,
-            grid,
             medium,
             ids: MessageIdAllocator::new(),
             delivered_ids: DeliveredSet::new(),
@@ -1056,13 +709,8 @@ impl Simulation {
     }
 
     fn schedule_initial_events(&mut self) {
-        // In Lazy mode the MobilityTick is a low-rate staleness sweep, not
-        // a per-tick advance.
-        let tick = match &self.lazy {
-            Some(l) => l.sync_every,
-            None => SimDuration::from_secs_f64(self.scenario.mobility_tick_secs),
-        };
-        self.events.schedule_after(tick, Event::MobilityTick);
+        self.events
+            .schedule_after(self.mobility.period(), Event::MobilityTick);
         for i in 0..self.scenario.sensors {
             let id = NodeId(i);
             // Desynchronize first wakeups.
@@ -1125,7 +773,7 @@ impl Simulation {
     /// neighbour cache, `None` in lazy mode.
     #[must_use]
     pub fn contact_cache_stats(&self) -> Option<(u64, u64)> {
-        self.contacts.as_ref().map(|c| (c.hits, c.misses))
+        self.mobility.contact_cache_stats()
     }
 
     /// Frames currently on the air: transmissions whose `TxEnd` has not
@@ -1142,11 +790,7 @@ impl Simulation {
     /// lets tests prove a snapshot instant actually was mid-lease.
     #[must_use]
     pub fn coasting_nodes(&self) -> Option<usize> {
-        self.coast.as_ref().map(|c| {
-            (0..c.model_left.len())
-                .filter(|&j| c.model_left[j] > 0 || c.applied[j] > 0)
-                .count()
-        })
+        self.mobility.coasting_nodes()
     }
 
     /// The simulation clock: the time of the most recently processed
@@ -1487,137 +1131,9 @@ impl Simulation {
     }
 
     fn on_mobility_tick(&mut self, now: SimTime) {
-        if let Some(every) = self.lazy.as_ref().map(|l| l.sync_every) {
-            // Lazy mode: this tick is a low-rate staleness sweep. Catching
-            // every node up to `now` re-establishes the invariant the
-            // expanded-radius queries rely on — no stored position lags
-            // truth by more than `sync_every · v_max` metres.
-            for j in 0..self.mobility.len() {
-                self.catch_up_node(j, now);
-            }
-            self.events.schedule_after(every, Event::MobilityTick);
-            return;
-        }
-        let dt = self.scenario.mobility_tick_secs;
-        let Simulation {
-            mobility,
-            mobility_rng,
-            coast,
-            positions,
-            grid,
-            ..
-        } = self;
-        let coast = coast.as_mut().expect("ticked mode has a coast ledger");
-        // O(due) tick: nodes mid-lease appear in no wheel slot and cost
-        // nothing — their dense positions simply lag and are materialized
-        // when read. Only the handful of nodes whose lease or cell window
-        // expires this tick are touched.
-        coast.tick_no += 1;
-        let t = coast.tick_no;
-        let mut due = std::mem::take(&mut coast.wheel[(t % COAST_WHEEL as u64) as usize]);
-        // Slots accumulate pushes from different grant instants, so sort:
-        // RNG draws below must happen in the exact shared-stream (node-
-        // ascending) order a lease-free per-node loop would make them.
-        due.sort_unstable();
-        for (k, &j) in due.iter().enumerate() {
-            // Request a later due node's lines now, so they arrive while
-            // the nodes before it are visited.
-            if let Some(&ahead) = due.get(k + DUE_PREFETCH_AHEAD) {
-                let ahead = ahead as usize;
-                coast.prefetch(ahead);
-                prefetch(&positions[ahead]);
-                prefetch(&*mobility[ahead]);
-            }
-            let j = j as usize;
-            // Catch the dense position up to the previous tick; this
-            // tick's step is taken below on whichever path applies.
-            coast.materialize(j, t - 1, positions);
-            if coast.model_left[j] > 0 {
-                // Mid-lease cell recheck: the lease is still live — this
-                // tick is one of its promised straight-line steps — but
-                // the node may now cross a grid-cell edge, so apply the
-                // step with the bucket update and re-clip the window to
-                // the edge ahead in its (possibly new) cell.
-                let d = coast.disp[j];
-                let p = positions[j] + d;
-                positions[j] = p;
-                coast.anchor[j] = t;
-                coast.applied[j] += 1;
-                coast.model_left[j] -= 1;
-                let window = coast.model_left[j].min(grid.move_node_window(j, p, d));
-                let booked = coast.book(j, window);
-                coast.model_left[j] -= booked;
-                continue;
-            }
-            // Full path: replay the coasted ticks into the model, advance
-            // it for real (this is where legs end, boundaries reflect and
-            // randomness is drawn), then take out a fresh lease.
-            let m = &mut mobility[j];
-            let pending = std::mem::take(&mut coast.applied[j]);
-            if pending > 0 {
-                m.tick_settle(dt, pending, positions[j]);
-            }
-            m.advance(dt, mobility_rng);
-            let p = m.position();
-            positions[j] = p;
-            coast.anchor[j] = t;
-            let (disp, granted) = m.tick_grant(dt);
-            coast.disp[j] = disp;
-            let window = granted.min(grid.move_node_window(j, p, disp));
-            let booked = coast.book(j, window);
-            coast.model_left[j] = granted - booked;
-        }
-        due.clear();
-        coast.wheel[(t % COAST_WHEEL as u64) as usize] = due;
-        let tick = SimDuration::from_secs_f64(dt);
-        self.events.schedule_after(tick, Event::MobilityTick);
-    }
-
-    /// Settles every outstanding coast lease so the mobility models' own
-    /// state (not just the dense position mirror) is exact — required
-    /// before `save_state`. Leases are cancelled, forcing the next tick
-    /// through the full path exactly as a freshly resumed run would go,
-    /// so checkpointing mid-lease cannot diverge from an uninterrupted
-    /// run. No-op in Lazy mode.
-    fn settle_coast(&mut self) {
-        let Some(coast) = self.coast.as_mut() else {
-            return;
-        };
-        let dt = self.scenario.mobility_tick_secs;
-        let t = coast.tick_no;
-        for (j, m) in self.mobility.iter_mut().enumerate() {
-            coast.materialize(j, t, &mut self.positions);
-            let pending = std::mem::take(&mut coast.applied[j]);
-            if pending > 0 {
-                m.tick_settle(dt, pending, self.positions[j]);
-            }
-            coast.model_left[j] = 0;
-        }
-        // Every lease is void now: rebook the whole population for the
-        // next tick so each node re-grants from its settled model state.
-        for slot in &mut coast.wheel {
-            slot.clear();
-        }
-        let next = ((t + 1) % COAST_WHEEL as u64) as usize;
-        coast.wheel[next] = (0..self.mobility.len() as u32).collect();
-    }
-
-    /// Advances node `j`'s mobility from its last synced instant to `now`
-    /// in one closed-form span, updating its stored position and grid
-    /// cell. No-op in Ticked mode and for already-current nodes.
-    fn catch_up_node(&mut self, j: usize, now: SimTime) {
-        let Some(lazy) = self.lazy.as_mut() else {
-            return;
-        };
-        let dt = now.saturating_since(lazy.synced_at[j]);
-        if dt.is_zero() {
-            return;
-        }
-        lazy.synced_at[j] = now;
-        self.mobility[j].advance_span(dt.as_secs_f64(), &mut lazy.rngs[j]);
-        let p = self.mobility[j].position();
-        self.positions[j] = p;
-        self.grid.move_node(j, p);
+        self.mobility.tick(now);
+        self.events
+            .schedule_after(self.mobility.period(), Event::MobilityTick);
     }
 
     fn on_data_gen(&mut self, now: SimTime, i: NodeId) {
@@ -1686,7 +1202,7 @@ impl Simulation {
         }
         // A node waking from a long nap catches its own position up before
         // acting (lazy mode only; no-op otherwise).
-        self.catch_up_node(i.index(), now);
+        self.mobility.catch_up(i.index(), now);
         {
             let node = &mut self.nodes[i.index()];
             if node.state == MacState::Sleeping {
@@ -2117,119 +1633,13 @@ impl Simulation {
     // Radio plumbing
     // ------------------------------------------------------------------
 
+    /// Leaves the other nodes within radio range of `i` in `scratch.ids`,
+    /// in ascending order.
     fn fill_neighbors(&mut self, now: SimTime, i: NodeId) {
-        let range = self.scenario.channel.range_m;
-        if let Some(radius) = self.lazy.as_ref().map(|l| l.query_radius) {
-            // Lazy mode: stored positions may lag truth by up to
-            // `sync_every · v_max` metres (center included until the line
-            // below), so query at the inflated radius — anything truly in
-            // range is guaranteed to fall inside it — then catch the
-            // candidates up and re-filter at the true range. `retain`
-            // preserves the ascending order downstream relies on.
-            self.catch_up_node(i.index(), now);
-            self.grid
-                .query_within(&self.positions, i.index(), radius, &mut self.scratch.idx);
-            let mut idx = std::mem::take(&mut self.scratch.idx);
-            let center = self.positions[i.index()];
-            {
-                // Drift-bound pruning: a candidate whose *stale* position
-                // already lies farther than `range + v_max · staleness`
-                // cannot be within range now, so it needs neither catch-up
-                // nor a second look. This keeps the expanded-radius query
-                // from turning every contact check into a ring of
-                // trajectory advances.
-                let lazy = self.lazy.as_ref().expect("lazy branch");
-                let vmax = lazy.vmax;
-                let positions = &self.positions;
-                idx.retain(|&j| {
-                    let s = now.saturating_since(lazy.synced_at[j]).as_secs_f64();
-                    let reach = range + vmax * s;
-                    positions[j].distance_sq(center) <= reach * reach
-                });
-            }
-            for &j in &idx {
-                self.catch_up_node(j, now);
-            }
-            let r2 = range * range;
-            idx.retain(|&j| self.positions[j].distance_sq(center) <= r2);
-            self.scratch.idx = idx;
-        } else {
-            // Ticked mode: positions are dense and exact, so the query is
-            // memoizable. See [`ContactCache`] for the exactness argument;
-            // on either path `scratch.idx` ends up holding precisely the
-            // ascending indices a bare `query_within(range)` would return.
-            let Simulation {
-                grid,
-                positions,
-                scratch,
-                contacts,
-                coast,
-                ..
-            } = self;
-            let coast = coast.as_mut().expect("ticked mode has a coast ledger");
-            let slot = i.index();
-            let t = coast.tick_no;
-            coast.materialize(slot, t, positions);
-            let center = positions[slot];
-            let r2 = range * range;
-            let Some(cache) = contacts.as_mut() else {
-                // Cache disabled (the differential-testing knob): same
-                // materialize-then-exact-query sequence as a cache miss,
-                // just at the true range with nothing memoized.
-                grid.collect_neighborhood(slot, range, &mut scratch.mat);
-                for &j in &scratch.mat {
-                    coast.materialize(j, t, positions);
-                }
-                grid.query_within(positions, slot, range, &mut scratch.idx);
-                scratch.ids.clear();
-                let (idx, ids) = (&scratch.idx, &mut scratch.ids);
-                ids.extend(idx.iter().map(|&j| NodeId(j)));
-                return;
-            };
-            let fresh = cache.gen[slot] == cache.arena_gen
-                && now.saturating_since(cache.at[slot]) <= cache.valid_for;
-            if fresh {
-                cache.hits += 1;
-                let s = cache.start[slot] as usize;
-                let l = cache.len[slot] as usize;
-                scratch.idx.clear();
-                for k in s..s + l {
-                    let j = cache.arena[k] as usize;
-                    coast.materialize(j, t, positions);
-                    if positions[j].distance_sq(center) <= r2 {
-                        scratch.idx.push(j);
-                    }
-                }
-            } else {
-                cache.misses += 1;
-                // Catch the whole candidate neighbourhood up to the current
-                // tick before the exact query reads it: the ring superset is
-                // every node the expanded-radius query could inspect, and a
-                // node cannot leave its grid cell mid-lease, so the buckets
-                // themselves are already current.
-                grid.collect_neighborhood(slot, range + cache.margin_m, &mut scratch.mat);
-                for &j in &scratch.mat {
-                    coast.materialize(j, t, positions);
-                }
-                grid.query_within(positions, slot, range + cache.margin_m, &mut scratch.idx);
-                if cache.arena.len() + scratch.idx.len() > cache.cap {
-                    cache.arena.clear();
-                    cache.arena_gen = cache.arena_gen.wrapping_add(1);
-                }
-                cache.at[slot] = now;
-                cache.gen[slot] = cache.arena_gen;
-                cache.start[slot] = u32::try_from(cache.arena.len()).expect("arena fits u32");
-                cache.len[slot] = scratch.idx.len() as u32;
-                cache.arena.extend(scratch.idx.iter().map(|&j| j as u32));
-                scratch
-                    .idx
-                    .retain(|&j| positions[j].distance_sq(center) <= r2);
-            }
-        }
-        self.scratch.ids.clear();
-        self.scratch
-            .ids
-            .extend(self.scratch.idx.iter().map(|&j| NodeId(j)));
+        let s = &mut self.scratch;
+        self.mobility.neighbors(now, i.index(), &mut s.idx);
+        s.ids.clear();
+        s.ids.extend(s.idx.iter().map(|&j| NodeId(j)));
     }
 
     fn begin_frame(
@@ -2862,6 +2272,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dftmsn_mobility::geom::Vec2;
 
     fn tiny() -> ScenarioParams {
         ScenarioParams {
@@ -3142,43 +2553,13 @@ mod tests {
     }
 
     #[test]
-    fn alternative_mobility_models_run_and_differ() {
-        use crate::params::MobilityKind;
-        let mut base = tiny();
-        base.duration_secs = 300;
-        let mut reports = Vec::new();
-        for kind in [
-            MobilityKind::ZoneBased,
-            MobilityKind::RandomWaypoint,
-            MobilityKind::RandomWalk,
-        ] {
-            let mut scenario = base.clone();
-            scenario.mobility = kind;
-            let r = Simulation::builder(scenario, ProtocolKind::Opt)
-                .seed(5)
-                .build()
-                .run();
-            assert!(r.generated > 0, "{kind:?} generated nothing");
-            reports.push(r);
-        }
-        // Different contact patterns change the MAC's behaviour (node RNG
-        // streams interleave traffic and protocol draws, so even the
-        // generation counts may drift slightly).
-        assert!(
-            reports[0].frames_sent != reports[1].frames_sent
-                || reports[1].frames_sent != reports[2].frames_sent,
-            "mobility model had no effect on the MAC"
-        );
-    }
-
-    #[test]
     fn sink_placement_is_spread_and_stationary() {
         let scenario = ScenarioParams::paper_default().with_sinks(3);
         let sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
             .seed(1)
             .build();
         let sinks: Vec<Vec2> = (0..3)
-            .map(|j| sim.positions[scenario.sensors + j])
+            .map(|j| sim.mobility.position(scenario.sensors + j))
             .collect();
         // Spread: pairwise distances well above a transmission range.
         for a in 0..3 {
@@ -3354,22 +2735,6 @@ mod tests {
             .run();
         assert!(report.delivered > 0, "no deliveries: {}", report.summary());
         assert!(report.mean_delay_secs >= 0.0);
-    }
-
-    /// An explicitly-attached builtin policy is the default path, so the
-    /// two spellings must produce bit-identical runs.
-    #[test]
-    fn explicit_builtin_policy_matches_the_default() {
-        let implicit = Simulation::builder(tiny(), ProtocolKind::Opt)
-            .seed(7)
-            .build()
-            .run();
-        let explicit = Simulation::builder(tiny(), ProtocolKind::Opt)
-            .seed(7)
-            .policy(PolicySpec::Builtin)
-            .build()
-            .run();
-        assert_eq!(implicit.to_json().render(), explicit.to_json().render());
     }
 
     /// Attaching an observer must not perturb the run: the `ObserveTick`

@@ -1,4 +1,4 @@
-//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/2`
+//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/3`
 //! format.
 //!
 //! A checkpoint captures the *complete* live state of a run: every node's
@@ -14,7 +14,7 @@
 //! # File format
 //!
 //! ```text
-//! magic   13 bytes   b"dftmsn-ckpt/2"
+//! magic   13 bytes   b"dftmsn-ckpt/3"
 //! len      8 bytes   payload length, u64 LE
 //! payload  n bytes   SnapWriter-encoded state
 //! checksum 8 bytes   checksum64 of the payload, u64 LE
@@ -23,9 +23,13 @@
 //! The frame is encoded into one buffer presized from the live state, with
 //! the header written in place. The payload opens with the parameters the
 //! static world is rebuilt from, then the clock and the count of message
-//! ids issued, which later sections are checked against. A file of another
-//! `dftmsn-ckpt/` version is rejected as [`CkptError::Corrupt`] naming
-//! that version.
+//! ids issued, which later sections are checked against. The policy frame
+//! and the fault stream follow, then the mobility driver's block (the
+//! shared mobility stream, Lazy mode's per-node streams and sync instants,
+//! each model's trajectory state), then the nodes, the medium, the run
+//! counters, the pending events, the fault and behavior state, and the
+//! observer. Only `/3` decodes: a file of another `dftmsn-ckpt/` version
+//! is rejected as [`CkptError::Corrupt`] naming that version.
 //!
 //! Decoding trusts nothing the checksum cannot vouch for: node ids must lie
 //! below the node count, ξ/FTD/metric values in `[0, 1]`, recorded instants
@@ -68,9 +72,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file; the trailing `/2` is the
+/// Magic bytes opening every checkpoint file; the trailing `/3` is the
 /// format version.
-pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/2";
+pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/3";
 
 /// The magic's version-independent prefix, so a file of another version is
 /// named as such rather than as "not a checkpoint".
@@ -95,7 +99,7 @@ pub enum CkptError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The bytes are not a valid `dftmsn-ckpt/2` snapshot: bad magic, an
+    /// The bytes are not a valid `dftmsn-ckpt/3` snapshot: bad magic, an
     /// unsupported version, truncation, checksum mismatch, or a malformed
     /// payload.
     Corrupt {
@@ -213,7 +217,7 @@ struct Limits {
     issued: u64,
 }
 
-fn w_time(w: &mut SnapWriter, t: SimTime) {
+pub(super) fn w_time(w: &mut SnapWriter, t: SimTime) {
     w.u64(t.ticks());
 }
 
@@ -223,7 +227,7 @@ fn r_time(r: &mut SnapReader) -> Result<SimTime, SnapError> {
 
 /// Reads an instant the run has already passed (a creation, last-seen or
 /// state-entry time), which cannot lie after the clock.
-fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapError> {
+pub(super) fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapError> {
     let t = r_time(r)?;
     if t > now {
         return Err(SnapError::new(format!(
@@ -273,13 +277,13 @@ fn r_rts_ftd(r: &mut SnapReader, budget: bool) -> Result<f64, SnapError> {
     Ok(v)
 }
 
-fn w_rng(w: &mut SnapWriter, rng: &SimRng) {
+pub(super) fn w_rng(w: &mut SnapWriter, rng: &SimRng) {
     for word in rng.state() {
         w.u64(word);
     }
 }
 
-fn r_rng(r: &mut SnapReader) -> Result<SimRng, SnapError> {
+pub(super) fn r_rng(r: &mut SnapReader) -> Result<SimRng, SnapError> {
     let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     if s == [0, 0, 0, 0] {
         return Err(SnapError::new("all-zero RNG state"));
@@ -614,23 +618,6 @@ fn r_fault_kind(r: &mut SnapReader, n: usize) -> Result<FaultKind, SnapError> {
 // Parameter sections
 // ---------------------------------------------------------------------
 
-fn mobility_kind_tag(k: MobilityKind) -> u8 {
-    match k {
-        MobilityKind::ZoneBased => 0,
-        MobilityKind::RandomWaypoint => 1,
-        MobilityKind::RandomWalk => 2,
-    }
-}
-
-fn r_mobility_kind(r: &mut SnapReader) -> Result<MobilityKind, SnapError> {
-    Ok(match r.u8()? {
-        0 => MobilityKind::ZoneBased,
-        1 => MobilityKind::RandomWaypoint,
-        2 => MobilityKind::RandomWalk,
-        t => return Err(SnapError::new(format!("bad MobilityKind tag {t}"))),
-    })
-}
-
 fn w_scenario(w: &mut SnapWriter, s: &ScenarioParams) {
     w.f64(s.area_width_m);
     w.f64(s.area_height_m);
@@ -654,8 +641,6 @@ fn w_scenario(w: &mut SnapWriter, s: &ScenarioParams) {
     w.f64(s.energy.e_switch_j);
     w.u64(s.duration_secs);
     w.f64(s.mobility_tick_secs);
-    w.u8(mobility_kind_tag(s.mobility));
-    w.usize(s.mobile_sinks);
 }
 
 fn r_scenario(r: &mut SnapReader) -> Result<ScenarioParams, SnapError> {
@@ -686,8 +671,6 @@ fn r_scenario(r: &mut SnapReader) -> Result<ScenarioParams, SnapError> {
         },
         duration_secs: r.u64()?,
         mobility_tick_secs: r.f64()?,
-        mobility: r_mobility_kind(r)?,
-        mobile_sinks: r.usize()?,
     })
 }
 
@@ -1395,7 +1378,7 @@ fn r_policy(r: &mut SnapReader, sim: &mut Simulation, now: SimTime) -> Result<()
 
 impl Simulation {
     /// Serializes the complete live state into a framed, checksummed
-    /// `dftmsn-ckpt/2` byte buffer. Call between events — e.g. after
+    /// `dftmsn-ckpt/3` byte buffer. Call between events — e.g. after
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///
@@ -1404,7 +1387,7 @@ impl Simulation {
     /// no-op, so checkpointing never perturbs the run.
     #[must_use]
     pub fn checkpoint_bytes(&mut self) -> Vec<u8> {
-        self.settle_coast();
+        self.mobility.settle();
         // Rounded up to a power of two so that successive checkpoints of
         // one run ask the allocator for the same block size and reuse the
         // block the last one freed. The bound itself drifts by a few
@@ -1441,8 +1424,6 @@ impl Simulation {
         const NODE: usize = 256;
         const MESSAGE: usize = 36;
         const NEIGHBOR: usize = 24;
-        // Length prefix plus at most eight state values.
-        const MODEL: usize = 72;
         // Listening flag plus an optional (tx id, corrupted) reception.
         const MEDIUM_NODE: usize = 11;
         // A frame in flight, including a long audible list.
@@ -1473,8 +1454,8 @@ impl Simulation {
         FIXED
             + 48 * self.fault_plan.events.len()
             + policy
-            + self.lazy.as_ref().map_or(0, |_| 40 * n)
-            + (MODEL + MEDIUM_NODE) * n
+            + self.mobility.ckpt_len_bound()
+            + MEDIUM_NODE * n
             + nodes
             + AIRBORNE * self.medium.airborne()
             + 8 * (buckets.len() + self.delivered_ids.raw_words().len())
@@ -1490,7 +1471,7 @@ impl Simulation {
         w_protocol(w, &self.protocol);
         w_config(w, &self.config);
         w.u64(self.seed);
-        w.bool(self.lazy.is_some());
+        w.bool(self.mobility.mode() == MobilityMode::Lazy);
         w.seq(&self.fault_plan.events, |w, ev| {
             w.f64(ev.at_secs);
             w_fault_kind(w, &ev.kind);
@@ -1504,22 +1485,10 @@ impl Simulation {
 
         w_policy(w, &self.policy);
 
-        // Random streams.
-        w_rng(w, &self.mobility_rng);
         w_rng(w, &self.fault_rng);
-        if let Some(lazy) = &self.lazy {
-            w.seq(&lazy.rngs, w_rng);
-            w.seq(&lazy.synced_at, |w, &t| w_time(w, t));
-        }
-
-        // Mobility models (positions are derived from these on restore).
-        let mut state = Vec::with_capacity(8);
-        w.usize(self.mobility.len());
-        for m in &self.mobility {
-            state.clear();
-            m.save_state(&mut state);
-            w.seq(&state, |w, &v| w.f64(v));
-        }
+        // Node motion: streams and model states (positions are derived
+        // from these on restore).
+        self.mobility.encode(w);
 
         // Per-node protocol state.
         let mut neighbors = Vec::new();
@@ -1718,40 +1687,8 @@ impl Simulation {
         r_policy(r, &mut sim, now)?;
         let budget = matches!(sim.policy, Policy::TwoHop(_));
 
-        sim.mobility_rng = r_rng(r)?;
         sim.fault_rng = r_rng(r)?;
-        if let Some(lazy) = sim.lazy.as_mut() {
-            if r.seq_len()? != n {
-                return Err(CkptError::corrupt("lazy-mobility stream count mismatch"));
-            }
-            for rng in &mut lazy.rngs {
-                *rng = r_rng(r)?;
-            }
-            if r.seq_len()? != n {
-                return Err(CkptError::corrupt("lazy-mobility sync table mismatch"));
-            }
-            for t in &mut lazy.synced_at {
-                *t = r_past(r, now)?;
-            }
-        }
-
-        let model_count = r.usize()?;
-        if model_count != n {
-            return Err(CkptError::corrupt(format!(
-                "{model_count} mobility models for {n} nodes"
-            )));
-        }
-        let mut state = Vec::with_capacity(8);
-        for (j, model) in sim.mobility.iter_mut().enumerate() {
-            let len = r.seq_len()?;
-            state.clear();
-            for _ in 0..len {
-                state.push(r.f64()?);
-            }
-            model
-                .load_state(&state)
-                .map_err(|e| CkptError::corrupt(format!("mobility model {j}: {e}")))?;
-        }
+        sim.mobility.decode(r, now)?;
 
         let node_count = r.usize()?;
         if node_count != n {
@@ -1914,13 +1851,6 @@ impl Simulation {
         sim.lifetime.restore(alive_sensors, first, half, last);
 
         let recorder_state = r.option(|r| r_recorder_state(r, now))?;
-
-        // Derived state: positions mirror the models, the grid mirrors the
-        // positions.
-        for (p, m) in sim.positions.iter_mut().zip(&sim.mobility) {
-            *p = m.position();
-        }
-        sim.grid.rebuild(&sim.positions);
 
         let recorder = recorder_state.map(MetricsRecorder::restore_state);
         sim.observer = recorder.clone();

@@ -5,10 +5,8 @@
 //!
 //! * [`geom`] — planar points/vectors and reflecting rectangular bounds;
 //! * [`zones`] — the paper's zone grid over the deployment area;
-//! * [`models`] — the paper's [`ZoneMobility`] model
-//!   plus [`RandomWaypoint`],
-//!   [`RandomWalk`] and
-//!   [`Stationary`] for sensitivity studies;
+//! * [`models`] — the paper's [`ZoneMobility`] model for sensors and
+//!   [`Stationary`] for the sinks at strategic locations;
 //! * [`grid_index`] — a spatial hash grid for O(1)-ish range queries.
 //!
 //! # Examples
@@ -35,5 +33,5 @@ pub mod zones;
 
 pub use geom::{Bounds, Vec2};
 pub use grid_index::SpatialGrid;
-pub use models::{MobilityModel, RandomWalk, RandomWaypoint, Stationary, ZoneMobility};
+pub use models::{MobilityModel, Stationary, ZoneMobility};
 pub use zones::{ZoneGrid, ZoneId};

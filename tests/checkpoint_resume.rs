@@ -166,7 +166,7 @@ fn second_seed_resumes_bit_identically_in_both_modes() {
     }
 }
 
-/// Golden `dftmsn-ckpt/2` fixture: a mid-run snapshot (OPT, 16 sensors,
+/// Golden `dftmsn-ckpt/3` fixture: a mid-run snapshot (OPT, 16 sensors,
 /// 2 sinks, 800 s, seed 7, checkpointed at the first event boundary past
 /// 450 s) committed under `tests/fixtures/`. Resuming it must still work
 /// on every future build of this workspace — this is the format-stability
@@ -480,14 +480,16 @@ fn other_format_versions_are_rejected_by_name() {
     );
     while sim.now().as_secs_f64() < 100.0 && sim.step() {}
     let bytes = sim.checkpoint_bytes();
-    let old = frame(b"dftmsn-ckpt/1", payload(&bytes));
-    let err = Simulation::resume_from_bytes(&old).unwrap_err();
-    assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("unsupported checkpoint version dftmsn-ckpt/1"),
-        "{msg}"
-    );
+    for version in ["dftmsn-ckpt/1", "dftmsn-ckpt/2"] {
+        let old = frame(version.as_bytes(), payload(&bytes));
+        let err = Simulation::resume_from_bytes(&old).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("unsupported checkpoint version {version}")),
+            "{msg}"
+        );
+    }
 }
 
 /// Checkpoints crafted to name sizes the resume would allocate for — 2^40
@@ -498,12 +500,12 @@ fn other_format_versions_are_rejected_by_name() {
 #[test]
 fn crafted_sizes_are_rejected_before_allocation() {
     // Payload offsets: the parameters open the payload with the scenario
-    // (area width and height, zone columns and rows, then sensors; 185
+    // (area width and height, zone columns and rows, then sensors; 176
     // bytes in all), followed by the protocol (α, Δ, R, the FTD drop
     // threshold and L, then S).
     const AREA_WIDTH: usize = 0;
     const SENSORS: usize = 32;
-    const HISTORY_WINDOW: usize = 185 + 5 * 8;
+    const HISTORY_WINDOW: usize = 176 + 5 * 8;
     let mut sim = Simulation::builder(ScenarioParams::paper_default(), ProtocolKind::Opt)
         .seed(1)
         .build();

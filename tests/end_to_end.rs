@@ -303,30 +303,6 @@ fn energy_breakdown_sums_to_total() {
 }
 
 #[test]
-fn mobile_sinks_work_and_change_the_outcome() {
-    let mut fixed = small(25, 3, 2_000);
-    let mut mobile = fixed.clone();
-    mobile.mobile_sinks = 3;
-    mobile.validate().unwrap();
-    let r_fixed = Simulation::builder(fixed.clone(), ProtocolKind::Opt)
-        .seed(13)
-        .build()
-        .run();
-    let r_mobile = Simulation::builder(mobile, ProtocolKind::Opt)
-        .seed(13)
-        .build()
-        .run();
-    assert!(r_fixed.generated > 0 && r_mobile.generated > 0);
-    assert!(
-        r_fixed.frames_sent != r_mobile.frames_sent,
-        "mobile sinks had no effect"
-    );
-    // Validation rejects more mobile sinks than sinks.
-    fixed.mobile_sinks = 4;
-    assert!(fixed.validate().is_err());
-}
-
-#[test]
 #[should_panic(expected = "invalid scenario")]
 fn invalid_scenario_is_rejected() {
     let mut params = small(10, 1, 100);

@@ -1,8 +1,7 @@
 //! Randomized stress tests of the whole engine: small simulations over
-//! arbitrary (valid) scenario corners must never panic, wedge, or violate
-//! the global accounting invariants.
+//! arbitrary (valid) scenario corners, in either mobility mode, must never
+//! panic, wedge, or violate the global accounting invariants.
 
-use dftmsn::core::params::MobilityKind;
 use dftmsn::prelude::*;
 use proptest::prelude::*;
 
@@ -10,27 +9,26 @@ fn kind_from(ix: u8) -> ProtocolKind {
     ProtocolKind::ALL[ix as usize % ProtocolKind::ALL.len()]
 }
 
-fn mobility_from(ix: u8) -> MobilityKind {
-    [
-        MobilityKind::ZoneBased,
-        MobilityKind::RandomWaypoint,
-        MobilityKind::RandomWalk,
-    ][ix as usize % 3]
+fn mode_from(lazy: bool) -> MobilityMode {
+    if lazy {
+        MobilityMode::Lazy
+    } else {
+        MobilityMode::Ticked
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 24, // each case is a full (small) simulation
+        cases: 48, // each case is a full (small) simulation
     })]
 
     #[test]
     fn random_scenarios_hold_global_invariants(
         seed in any::<u64>(),
         kind_ix in any::<u8>(),
-        mobility_ix in any::<u8>(),
+        lazy in any::<bool>(),
         sensors in 2usize..20,
         sinks in 1usize..4,
-        mobile_sinks in 0usize..4,
         area in 20.0f64..250.0,
         zones in 1usize..6,
         vmax in 0.5f64..8.0,
@@ -48,12 +46,14 @@ proptest! {
         params.zone_rows = zones;
         params.queue_capacity = queue_cap;
         params.data_interval_secs = interval;
-        params.mobility = mobility_from(mobility_ix);
-        params.mobile_sinks = mobile_sinks.min(sinks);
         prop_assert!(params.validate().is_ok());
 
         let kind = kind_from(kind_ix);
-        let report = Simulation::builder(params, kind).seed(seed).build().run();
+        let report = Simulation::builder(params, kind)
+            .seed(seed)
+            .mobility_mode(mode_from(lazy))
+            .build()
+            .run();
 
         // Accounting invariants that must hold for ANY run.
         prop_assert!(report.delivered <= report.generated);
@@ -85,6 +85,7 @@ proptest! {
     fn random_scenarios_are_deterministic(
         seed in any::<u64>(),
         kind_ix in any::<u8>(),
+        lazy in any::<bool>(),
         sensors in 2usize..15,
     ) {
         let params = ScenarioParams::paper_default()
@@ -92,11 +93,13 @@ proptest! {
             .with_sinks(1)
             .with_duration_secs(120);
         let kind = kind_from(kind_ix);
-        let a = Simulation::builder(params.clone(), kind).seed(seed).build().run();
-        let b = Simulation::builder(params, kind).seed(seed).build().run();
-        prop_assert_eq!(a.generated, b.generated);
-        prop_assert_eq!(a.delivered, b.delivered);
-        prop_assert_eq!(a.frames_sent, b.frames_sent);
-        prop_assert_eq!(a.collisions, b.collisions);
+        let run = || {
+            Simulation::builder(params.clone(), kind)
+                .seed(seed)
+                .mobility_mode(mode_from(lazy))
+                .build()
+                .run()
+        };
+        prop_assert!(run().snap_bytes() == run().snap_bytes(), "{kind} {:?}", mode_from(lazy));
     }
 }
