@@ -535,9 +535,10 @@ mod tests {
     }
 
     fn temp_progress_path(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dftmsn-sweeptest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(format!("{tag}.progress"))
+        std::env::temp_dir().join(format!(
+            "dftmsn-sweeptest-{}-{tag}.progress",
+            std::process::id()
+        ))
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! A [`NodeBehavior`] is assigned per node through the ordinary
 //! [`FaultPlan`] seam as a scheduled [`FaultKind::BehaviorChange`] event,
 //! so behaviors compose with every other fault, ride the same event queue,
-//! and survive checkpoints. An all-honest [`BehaviorTable`] (the default)
-//! leaves a run bit-for-bit identical to the pre-adversary engine: every
-//! interception in the world is gated on [`BehaviorTable::any`], and no
-//! behavior ever draws randomness at protocol time — victim choice happens
-//! here, at plan-construction time, from a dedicated seeded fork.
+//! and survive checkpoints. An all-honest population (the default) leaves
+//! a run bit-for-bit identical to the pre-adversary engine: every
+//! interception in the world is gated on the adversary census of the
+//! engine's behavior table, and no behavior ever draws randomness at
+//! protocol time — victim choice happens here, at plan-construction time,
+//! from a dedicated seeded fork.
 //!
-//! [`LifetimeTracker`] rides along because the questions meet: *when does
-//! the network die* (first/half/last node death) is the flip side of *who
-//! is quietly killing it*.
+//! The network-lifetime census rides along because the questions meet:
+//! *when does the network die* (first/half/last node death) is the flip
+//! side of *who is quietly killing it*.
 
 use crate::faults::{FaultKind, FaultPlan, InvalidFaultPlan};
 use crate::params::ScenarioParams;
@@ -122,7 +123,7 @@ impl std::fmt::Display for NodeBehavior {
 /// compare ([`any`](Self::any)) when the population is all honest — the
 /// quiet-run bit-identity contract hangs on that gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BehaviorTable {
+pub(crate) struct BehaviorTable {
     assigned: Vec<NodeBehavior>,
     adversaries: usize,
 }
@@ -130,7 +131,7 @@ pub struct BehaviorTable {
 impl BehaviorTable {
     /// An all-honest table for `n` nodes.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         BehaviorTable {
             assigned: vec![NodeBehavior::Honest; n],
             adversaries: 0,
@@ -139,20 +140,20 @@ impl BehaviorTable {
 
     /// True when at least one node misbehaves.
     #[must_use]
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.adversaries != 0
     }
 
     /// Number of currently adversarial nodes.
     #[must_use]
-    pub fn adversary_count(&self) -> usize {
+    pub(crate) fn adversary_count(&self) -> usize {
         self.adversaries
     }
 
     /// The behavior of node `i` (honest for out-of-range indices, so
     /// sinks and probes read naturally).
     #[must_use]
-    pub fn get(&self, i: usize) -> NodeBehavior {
+    pub(crate) fn get(&self, i: usize) -> NodeBehavior {
         self.assigned.get(i).copied().unwrap_or_default()
     }
 
@@ -161,7 +162,7 @@ impl BehaviorTable {
     /// # Panics
     ///
     /// Panics if `i` is out of range — behaviors target known nodes only.
-    pub fn set(&mut self, i: usize, behavior: NodeBehavior) {
+    pub(crate) fn set(&mut self, i: usize, behavior: NodeBehavior) {
         let slot = &mut self.assigned[i];
         self.adversaries -= usize::from(slot.is_adversarial());
         *slot = behavior;
@@ -170,7 +171,7 @@ impl BehaviorTable {
 
     /// Iterates the non-honest assignments as `(index, behavior)` pairs,
     /// in index order (the checkpoint encoding).
-    pub fn entries(&self) -> impl Iterator<Item = (usize, NodeBehavior)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (usize, NodeBehavior)> + '_ {
         self.assigned
             .iter()
             .enumerate()
@@ -186,84 +187,58 @@ impl BehaviorTable {
 /// The anchors are monotone: a recovery raises the alive count again but
 /// never un-rings a bell that already rang.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LifetimeTracker {
+pub(crate) struct LifetimeTracker {
     sensors: usize,
     alive: usize,
-    first_death_secs: Option<f64>,
-    half_death_secs: Option<f64>,
-    last_death_secs: Option<f64>,
+    /// FND, HND and LND (s), each set once.
+    anchors: [Option<f64>; 3],
 }
 
 impl LifetimeTracker {
     /// A fresh tracker with every sensor alive.
     #[must_use]
-    pub fn new(sensors: usize) -> Self {
+    pub(crate) fn new(sensors: usize) -> Self {
         LifetimeTracker {
             sensors,
             alive: sensors,
-            first_death_secs: None,
-            half_death_secs: None,
-            last_death_secs: None,
+            anchors: [None; 3],
         }
     }
 
     /// Records a sensor's alive→dead transition at `now_secs`.
-    pub fn on_death(&mut self, now_secs: f64) {
+    pub(crate) fn on_death(&mut self, now_secs: f64) {
         self.alive = self.alive.saturating_sub(1);
-        if self.first_death_secs.is_none() {
-            self.first_death_secs = Some(now_secs);
-        }
-        if self.half_death_secs.is_none() && self.alive * 2 <= self.sensors {
-            self.half_death_secs = Some(now_secs);
-        }
-        if self.last_death_secs.is_none() && self.alive == 0 {
-            self.last_death_secs = Some(now_secs);
+        let rung = [true, self.alive * 2 <= self.sensors, self.alive == 0];
+        for (anchor, rung) in self.anchors.iter_mut().zip(rung) {
+            if rung && anchor.is_none() {
+                *anchor = Some(now_secs);
+            }
         }
     }
 
     /// Records a sensor's dead→alive transition (node churn recovery).
-    pub fn on_revive(&mut self) {
+    pub(crate) fn on_revive(&mut self) {
         self.alive = (self.alive + 1).min(self.sensors);
     }
 
     /// Sensors currently alive.
     #[must_use]
-    pub fn alive(&self) -> usize {
+    pub(crate) fn alive(&self) -> usize {
         self.alive
     }
 
-    /// Time of the first sensor death, if any sensor has died.
-    #[must_use]
-    pub fn first_death_secs(&self) -> Option<f64> {
-        self.first_death_secs
-    }
-
-    /// Time at which half (or more) of the sensors were dead at once.
-    #[must_use]
-    pub fn half_death_secs(&self) -> Option<f64> {
-        self.half_death_secs
-    }
-
-    /// Time at which every sensor was dead at once.
-    #[must_use]
-    pub fn last_death_secs(&self) -> Option<f64> {
-        self.last_death_secs
+    /// The times of the first sensor death, of half (or more) of the
+    /// sensors being dead at once, and of every sensor being dead at once.
+    pub(crate) fn anchors(&self) -> [Option<f64>; 3] {
+        self.anchors
     }
 
     /// Restores checkpointed anchors and the alive census (the census is
     /// recomputed from node liveness at resume; the anchors are history
     /// and must travel in the snapshot).
-    pub fn restore(
-        &mut self,
-        alive: usize,
-        first_death_secs: Option<f64>,
-        half_death_secs: Option<f64>,
-        last_death_secs: Option<f64>,
-    ) {
+    pub(crate) fn restore(&mut self, alive: usize, anchors: [Option<f64>; 3]) {
         self.alive = alive.min(self.sensors);
-        self.first_death_secs = first_death_secs;
-        self.half_death_secs = half_death_secs;
-        self.last_death_secs = last_death_secs;
+        self.anchors = anchors;
     }
 }
 
@@ -433,28 +408,23 @@ mod tests {
         let mut lt = LifetimeTracker::new(4);
         assert_eq!(lt.alive(), 4);
         lt.on_death(10.0);
-        assert_eq!(lt.first_death_secs(), Some(10.0));
-        assert_eq!(lt.half_death_secs(), None);
+        assert_eq!(lt.anchors(), [Some(10.0), None, None]);
         lt.on_death(20.0);
-        assert_eq!(
-            lt.half_death_secs(),
-            Some(20.0),
-            "2 of 4 alive is half dead"
-        );
+        assert_eq!(lt.anchors()[1], Some(20.0), "2 of 4 alive is half dead");
         lt.on_revive();
         lt.on_death(30.0);
         assert_eq!(
-            lt.half_death_secs(),
+            lt.anchors()[1],
             Some(20.0),
             "recovery must not re-arm the HND anchor"
         );
         lt.on_death(40.0);
         lt.on_death(50.0);
         assert_eq!(lt.alive(), 0);
-        assert_eq!(lt.last_death_secs(), Some(50.0));
+        assert_eq!(lt.anchors()[2], Some(50.0));
         lt.on_revive();
         assert_eq!(lt.alive(), 1);
-        assert_eq!(lt.last_death_secs(), Some(50.0));
+        assert_eq!(lt.anchors()[2], Some(50.0));
     }
 
     #[test]

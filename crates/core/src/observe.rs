@@ -1,12 +1,12 @@
 //! Windowed observability: live metrics aggregation over the trace seam.
 //!
-//! A [`MetricsRecorder`] is a [`TraceSink`] that folds the MAC-level event
-//! stream into fixed-width time windows — deliveries, drops by
-//! [`DropReason`], collisions, airtime by frame
-//! tag, sleep transitions and fault markers — and, when attached through
+//! A [`MetricsRecorder`], attached through
 //! [`SimulationBuilder::observe`](crate::world::SimulationBuilder::observe),
-//! receives periodic [`WorldSnapshot`]s of queue occupancy, the ξ
-//! distribution, the sleep duty cycle and cumulative energy.
+//! folds the MAC-level event stream into fixed-width time windows —
+//! deliveries, drops by [`DropReason`], collisions, airtime by frame tag,
+//! sleep transitions and fault markers — and receives periodic
+//! [`WorldSnapshot`]s of queue occupancy, the ξ distribution, the sleep
+//! duty cycle and cumulative energy.
 //!
 //! Closed windows stream incrementally as JSONL (schema
 //! [`SCHEMA`] = `dftmsn-observe/1`) so multi-hour runs never buffer
@@ -37,9 +37,10 @@
 //! assert_eq!(total as u64, report.delivered);
 //! ```
 
-use crate::trace::{DropReason, TraceEvent, TraceSink};
+use crate::trace::{DropReason, TraceEvent};
 use dftmsn_metrics::json::Json;
 use dftmsn_metrics::timeseries::TimeSeries;
+use dftmsn_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dftmsn_sim::time::{SimTime, TICKS_PER_SEC};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -55,7 +56,11 @@ pub struct InvalidWindow(String);
 /// the floor every scenario duration already has. A narrower window
 /// would make one event close many empty windows, each written as a
 /// row, and its boundary ticks would round to zero.
-pub(crate) const MIN_WINDOW_SECS: f64 = 1.0 / TICKS_PER_SEC as f64;
+const MIN_WINDOW_SECS: f64 = 1.0 / TICKS_PER_SEC as f64;
+
+/// Widest window a checkpoint may carry (s): far beyond any run, yet small
+/// enough that the clock plus one window cannot overflow.
+const MAX_WINDOW_SECS: f64 = 1e12;
 
 impl std::fmt::Display for InvalidWindow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -90,6 +95,32 @@ pub struct WorldSnapshot {
     /// lifetime tier's alive-node timeseries. Trailing field so
     /// `dftmsn-observe/1` rows stay backward-compatible.
     pub alive_nodes: u64,
+}
+
+impl WorldSnapshot {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.f64(self.queue_mean);
+        w.u64(self.queue_max);
+        w.f64(self.xi_mean);
+        w.f64(self.xi_min);
+        w.f64(self.xi_max);
+        w.f64(self.asleep_fraction);
+        w.f64(self.energy_j);
+        w.u64(self.alive_nodes);
+    }
+
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(WorldSnapshot {
+            queue_mean: r.f64()?,
+            queue_max: r.u64()?,
+            xi_mean: r.f64()?,
+            xi_min: r.f64()?,
+            xi_max: r.f64()?,
+            asleep_fraction: r.f64()?,
+            energy_j: r.f64()?,
+            alive_nodes: r.u64()?,
+        })
+    }
 }
 
 /// Event counts accumulated over one window (or over the whole run, for
@@ -145,6 +176,48 @@ impl WindowCounters {
         self.sleep_secs += o.sleep_secs;
         self.faults += o.faults;
     }
+
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.deliveries);
+        w.f64(self.delay_sum_secs);
+        w.u64(self.drops_overflow);
+        w.u64(self.drops_rejected);
+        w.u64(self.drops_ftd);
+        w.u64(self.collisions);
+        w.u64(self.frames_sent);
+        for k in self.frames_by_kind {
+            w.u64(k);
+        }
+        w.u64(self.frame_deliveries);
+        w.u64(self.control_bits);
+        w.u64(self.data_bits);
+        w.u64(self.sleeps);
+        w.f64(self.sleep_secs);
+        w.u64(self.faults);
+    }
+
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let mut c = WindowCounters {
+            deliveries: r.u64()?,
+            delay_sum_secs: r.f64()?,
+            drops_overflow: r.u64()?,
+            drops_rejected: r.u64()?,
+            drops_ftd: r.u64()?,
+            collisions: r.u64()?,
+            frames_sent: r.u64()?,
+            ..WindowCounters::default()
+        };
+        for k in &mut c.frames_by_kind {
+            *k = r.u64()?;
+        }
+        c.frame_deliveries = r.u64()?;
+        c.control_bits = r.u64()?;
+        c.data_bits = r.u64()?;
+        c.sleeps = r.u64()?;
+        c.sleep_secs = r.f64()?;
+        c.faults = r.u64()?;
+        Ok(c)
+    }
 }
 
 /// One closed observation window.
@@ -163,19 +236,39 @@ pub struct ObserveRow {
     pub snapshot: Option<WorldSnapshot>,
 }
 
+impl ObserveRow {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.window);
+        w.f64(self.t0_secs);
+        w.f64(self.t1_secs);
+        self.counters.encode(w);
+        w.option(self.snapshot.as_ref(), |w, s| s.encode(w));
+    }
+
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(ObserveRow {
+            window: r.u64()?,
+            t0_secs: r.f64()?,
+            t1_secs: r.f64()?,
+            counters: WindowCounters::decode(r)?,
+            snapshot: r.option(WorldSnapshot::decode)?,
+        })
+    }
+}
+
 /// Run metadata written in the JSONL header line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunMeta {
+pub(crate) struct RunMeta {
     /// Variant label (OPT, NOOPT, …).
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Run seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Configured duration (s).
-    pub duration_secs: f64,
+    pub(crate) duration_secs: f64,
     /// Sensor count.
-    pub sensors: usize,
+    pub(crate) sensors: usize,
     /// Sink count.
-    pub sinks: usize,
+    pub(crate) sinks: usize,
 }
 
 /// The per-metric [`TimeSeries`] view of a finished observation, sampled
@@ -201,38 +294,6 @@ impl ObserveSeries {
     pub fn names(&self) -> Vec<&str> {
         self.series.iter().map(TimeSeries::name).collect()
     }
-}
-
-/// Complete resumable recorder state, for checkpointing.
-///
-/// Captures everything needed to continue the JSONL stream byte-for-byte:
-/// the accumulating window, the pending (snapshot-awaiting) row, the
-/// running totals and `bytes_written` — the exact length of the output
-/// emitted so far, so a resuming process can truncate a partially-written
-/// observe file back to the last complete line this state describes.
-/// Retained in-memory rows are **not** captured; after a restore,
-/// [`MetricsRecorder::rows`]/[`MetricsRecorder::series`] cover only
-/// post-resume windows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecorderState {
-    /// The configured window width (s).
-    pub window_secs: f64,
-    /// Run metadata for the header line.
-    pub meta: Option<RunMeta>,
-    /// Whether the header line has been emitted.
-    pub header_written: bool,
-    /// Index of the currently accumulating window.
-    pub cur_index: u64,
-    /// Counters accumulated in the current window so far.
-    pub cur: WindowCounters,
-    /// A closed window still awaiting its boundary snapshot.
-    pub pending: Option<ObserveRow>,
-    /// Cumulative counters across emitted windows.
-    pub totals: WindowCounters,
-    /// Number of windows emitted.
-    pub windows_emitted: u64,
-    /// Bytes written to the attached output so far (0 when none).
-    pub bytes_written: u64,
 }
 
 struct RecorderInner {
@@ -356,7 +417,7 @@ impl RecorderInner {
         match event {
             TraceEvent::FrameSent { tag, bits, .. } => {
                 self.cur.frames_sent += 1;
-                self.cur.frames_by_kind[crate::report::RunMetrics::kind_index(tag)] += 1;
+                self.cur.frames_by_kind[kind_index(tag)] += 1;
                 if tag == "DATA" {
                     self.cur.data_bits += bits;
                 } else {
@@ -491,9 +552,7 @@ fn row_json(row: &ObserveRow) -> Json {
 /// Attach it with
 /// [`SimulationBuilder::observe`](crate::world::SimulationBuilder::observe),
 /// which feeds it every trace event ahead of any user sink and samples a
-/// [`WorldSnapshot`] at each window boundary. It also implements
-/// [`TraceSink`], so it can stand in as a plain sink through
-/// [`SimulationBuilder::trace`](crate::world::SimulationBuilder::trace).
+/// [`WorldSnapshot`] at each window boundary.
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
     inner: Arc<Mutex<RecorderInner>>,
@@ -545,53 +604,6 @@ impl MetricsRecorder {
         })
     }
 
-    /// Captures the complete resumable recorder state, for checkpointing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    #[must_use]
-    pub fn snapshot_state(&self) -> RecorderState {
-        let inner = self.lock();
-        RecorderState {
-            window_secs: inner.window_secs,
-            meta: inner.meta.clone(),
-            header_written: inner.header_written,
-            cur_index: inner.cur_index,
-            cur: inner.cur,
-            pending: inner.pending.clone(),
-            totals: inner.totals,
-            windows_emitted: inner.windows_emitted,
-            bytes_written: inner.bytes_written,
-        }
-    }
-
-    /// Rebuilds a recorder from [`snapshot_state`](Self::snapshot_state)
-    /// output, ready to continue the stream. No output is attached — chain
-    /// [`with_output`](Self::with_output) with a file truncated to
-    /// [`RecorderState::bytes_written`] to resume a JSONL stream
-    /// byte-for-byte. Retention starts empty (see [`RecorderState`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state carries an invalid window width.
-    #[must_use]
-    pub fn restore_state(state: RecorderState) -> Self {
-        let recorder = Self::new(state.window_secs);
-        {
-            let mut inner = recorder.lock();
-            inner.meta = state.meta;
-            inner.header_written = state.header_written;
-            inner.cur_index = state.cur_index;
-            inner.cur = state.cur;
-            inner.pending = state.pending;
-            inner.totals = state.totals;
-            inner.windows_emitted = state.windows_emitted;
-            inner.bytes_written = state.bytes_written;
-        }
-        recorder
-    }
-
     /// Bytes emitted to the attached output so far (0 when none).
     ///
     /// # Panics
@@ -636,33 +648,103 @@ impl MetricsRecorder {
     }
 
     /// The configured window width (s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    #[must_use]
-    pub fn window_secs(&self) -> f64 {
+    pub(crate) fn window_secs(&self) -> f64 {
         self.lock().window_secs
     }
 
     /// Installs run metadata for the JSONL header. Called by the
     /// simulation when the recorder is attached; a no-op after the header
     /// has been written.
-    pub fn begin_run(&self, meta: RunMeta) {
+    pub(crate) fn begin_run(&self, meta: RunMeta) {
         self.lock().meta = Some(meta);
+    }
+
+    /// Folds one trace event into the current window.
+    pub(crate) fn record(&self, event: TraceEvent) {
+        self.lock().record(event);
     }
 
     /// Feeds a world snapshot taken at a window boundary; closes the
     /// window that ends at `at`.
-    pub fn record_snapshot(&self, at: SimTime, snap: WorldSnapshot) {
+    pub(crate) fn record_snapshot(&self, at: SimTime, snap: WorldSnapshot) {
         self.lock().snapshot(at, snap);
     }
 
     /// Closes the trailing (possibly partial) window at `at`, writes the
     /// totals line and flushes the output. Recording after `finish` is
     /// ignored.
-    pub fn finish(&self, at: SimTime, snap: Option<WorldSnapshot>) {
+    pub(crate) fn finish(&self, at: SimTime, snap: Option<WorldSnapshot>) {
         self.lock().finish(at, snap);
+    }
+
+    /// Writes everything needed to continue the JSONL stream byte for
+    /// byte: the accumulating window, the pending (snapshot-awaiting) row,
+    /// the running totals and the count of bytes written so far, so a
+    /// resuming process can truncate a partly written observe file back to
+    /// the last complete line. Retained in-memory rows are not written:
+    /// after a resume, [`rows`](Self::rows) and [`series`](Self::series)
+    /// cover only post-resume windows.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        let inner = self.lock();
+        w.f64(inner.window_secs);
+        w.option(inner.meta.as_ref(), |w, meta| {
+            w.string(&meta.protocol);
+            w.u64(meta.seed);
+            w.f64(meta.duration_secs);
+            w.usize(meta.sensors);
+            w.usize(meta.sinks);
+        });
+        w.bool(inner.header_written);
+        w.u64(inner.cur_index);
+        inner.cur.encode(w);
+        w.option(inner.pending.as_ref(), |w, row| row.encode(w));
+        inner.totals.encode(w);
+        w.u64(inner.windows_emitted);
+        w.u64(inner.bytes_written);
+    }
+
+    /// Rebuilds a recorder from what [`encode`](Self::encode) wrote at
+    /// the clock `now`, checking the window width and that the window
+    /// cursor keeps up with the clock. No output is attached: chain
+    /// [`with_output`](Self::with_output) with a file truncated to
+    /// [`bytes_written`](Self::bytes_written) bytes to continue the stream.
+    pub(crate) fn decode(r: &mut SnapReader, now: SimTime) -> Result<Self, SnapError> {
+        let window_secs = r.f64()?;
+        if !(MIN_WINDOW_SECS..=MAX_WINDOW_SECS).contains(&window_secs) {
+            return Err(SnapError::new(format!(
+                "bad observer window width {window_secs}"
+            )));
+        }
+        let recorder = Self::new(window_secs);
+        {
+            let mut inner = recorder.lock();
+            inner.meta = r.option(|r| {
+                Ok(RunMeta {
+                    protocol: r.string()?,
+                    seed: r.u64()?,
+                    duration_secs: r.f64()?,
+                    sensors: r.usize()?,
+                    sinks: r.usize()?,
+                })
+            })?;
+            inner.header_written = r.bool()?;
+            inner.cur_index = r.u64()?;
+            inner.cur = WindowCounters::decode(r)?;
+            inner.pending = r.option(ObserveRow::decode)?;
+            inner.totals = WindowCounters::decode(r)?;
+            inner.windows_emitted = r.u64()?;
+            inner.bytes_written = r.u64()?;
+            // A window closes at every boundary tick, so the cursor never
+            // trails the clock by two windows; one that did would make the
+            // next event roll through an unbounded run of empty windows.
+            if now.as_secs_f64() >= (inner.cur_index as f64 + 2.0) * window_secs {
+                return Err(SnapError::new(format!(
+                    "observer window {} trails the clock {now}",
+                    inner.cur_index
+                )));
+            }
+        }
+        Ok(recorder)
     }
 
     /// Closed windows retained so far (empty in streaming-only mode).
@@ -745,9 +827,15 @@ impl MetricsRecorder {
     }
 }
 
-impl TraceSink for MetricsRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.lock().record(event);
+/// Index into `frames_by_kind` for a frame tag.
+fn kind_index(tag: &str) -> usize {
+    match tag {
+        "PRE" => 0,
+        "RTS" => 1,
+        "CTS" => 2,
+        "SCHD" => 3,
+        "DATA" => 4,
+        _ => 5,
     }
 }
 
@@ -807,7 +895,7 @@ mod tests {
 
     #[test]
     fn events_on_the_exact_boundary_open_the_next_window() {
-        let mut rec = MetricsRecorder::new(10.0);
+        let rec = MetricsRecorder::new(10.0);
         rec.record(delivered(9.999));
         rec.record(delivered(10.0)); // boundary: belongs to window 1
         rec.finish(SimTime::from_secs(20), None);
@@ -821,7 +909,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_still_emitted() {
-        let mut rec = MetricsRecorder::new(5.0);
+        let rec = MetricsRecorder::new(5.0);
         rec.record(delivered(17.0)); // windows 0..=2 pass with nothing
         rec.finish(SimTime::from_secs(20), None);
         let rows = rec.rows();
@@ -832,7 +920,7 @@ mod tests {
 
     #[test]
     fn trailing_partial_window_closes_at_finish_time() {
-        let mut rec = MetricsRecorder::new(10.0);
+        let rec = MetricsRecorder::new(10.0);
         rec.record(delivered(12.0));
         rec.finish(t(14.5), Some(snap(1.0)));
         let rows = rec.rows();
@@ -848,13 +936,13 @@ mod tests {
     #[test]
     fn snapshot_attaches_to_the_window_it_closes_in_either_event_order() {
         // Tick first, then a boundary-time event.
-        let mut a = MetricsRecorder::new(10.0);
+        let a = MetricsRecorder::new(10.0);
         a.record(delivered(3.0));
         a.record_snapshot(SimTime::from_secs(10), snap(7.0));
         a.record(delivered(10.0));
         a.finish(SimTime::from_secs(20), None);
         // Boundary-time event first, then the tick.
-        let mut b = MetricsRecorder::new(10.0);
+        let b = MetricsRecorder::new(10.0);
         b.record(delivered(3.0));
         b.record(delivered(10.0));
         b.record_snapshot(SimTime::from_secs(10), snap(7.0));
@@ -867,7 +955,7 @@ mod tests {
 
     #[test]
     fn recording_after_finish_is_ignored() {
-        let mut rec = MetricsRecorder::new(10.0);
+        let rec = MetricsRecorder::new(10.0);
         rec.finish(SimTime::from_secs(10), None);
         rec.record(delivered(11.0));
         let (windows, totals) = rec.totals();
@@ -888,7 +976,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut rec = MetricsRecorder::new(10.0).with_output(Box::new(Shared(buf.clone())));
+        let rec = MetricsRecorder::new(10.0).with_output(Box::new(Shared(buf.clone())));
         rec.begin_run(RunMeta {
             protocol: "OPT".into(),
             seed: 7,
@@ -933,8 +1021,7 @@ mod tests {
             }
         }
         let run = |room, flush_fails| {
-            let mut rec =
-                MetricsRecorder::new(10.0).with_output(Box::new(Tight { room, flush_fails }));
+            let rec = MetricsRecorder::new(10.0).with_output(Box::new(Tight { room, flush_fails }));
             rec.record(delivered(1.0));
             rec.finish(SimTime::from_secs(20), None);
             rec
@@ -984,7 +1071,7 @@ mod tests {
         };
         // Uninterrupted reference run.
         let whole: Arc<Mutex<Vec<u8>>> = Arc::default();
-        let mut a = MetricsRecorder::new(10.0).with_output(buf(&whole));
+        let a = MetricsRecorder::new(10.0).with_output(buf(&whole));
         a.begin_run(meta.clone());
         for &s in &[1.0, 9.0, 12.0, 15.5, 31.0] {
             a.record(delivered(s));
@@ -994,15 +1081,19 @@ mod tests {
 
         // Same events split at t = 14: checkpoint, restore, continue.
         let head: Arc<Mutex<Vec<u8>>> = Arc::default();
-        let mut b = MetricsRecorder::new(10.0).with_output(buf(&head));
+        let b = MetricsRecorder::new(10.0).with_output(buf(&head));
         b.begin_run(meta);
         for &s in &[1.0, 9.0, 12.0] {
             b.record(delivered(s));
         }
-        let state = b.snapshot_state();
-        assert_eq!(state.bytes_written, head.lock().unwrap().len() as u64);
+        let mut w = SnapWriter::new();
+        b.encode(&mut w);
+        let state = w.into_bytes();
+        assert_eq!(b.bytes_written(), head.lock().unwrap().len() as u64);
         let tail: Arc<Mutex<Vec<u8>>> = Arc::default();
-        let mut c = MetricsRecorder::restore_state(state).with_output(buf(&tail));
+        let c = MetricsRecorder::decode(&mut SnapReader::new(&state), SimTime::from_secs(14))
+            .expect("decodes")
+            .with_output(buf(&tail));
         for &s in &[15.5, 31.0] {
             c.record(delivered(s));
         }
@@ -1019,8 +1110,15 @@ mod tests {
     }
 
     #[test]
+    fn kind_indices_are_distinct() {
+        let tags = ["PRE", "RTS", "CTS", "SCHD", "DATA", "ACK"];
+        let idx: std::collections::HashSet<usize> = tags.iter().map(|t| kind_index(t)).collect();
+        assert_eq!(idx.len(), 6);
+    }
+
+    #[test]
     fn series_sample_at_window_ends() {
-        let mut rec = MetricsRecorder::new(10.0);
+        let rec = MetricsRecorder::new(10.0);
         rec.record(delivered(1.0));
         rec.record_snapshot(SimTime::from_secs(10), snap(3.0));
         rec.record(delivered(12.0));

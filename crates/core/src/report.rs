@@ -152,8 +152,6 @@ pub struct RunMetrics {
     pub multicasts: u64,
     /// Acknowledged copies handed to receivers.
     pub copies_sent: u64,
-    /// Frames transmitted, by kind: [preamble, rts, cts, schedule, data, ack].
-    pub frames_by_kind: [u64; 6],
     /// Control bits put on the air.
     pub control_bits: u64,
     /// Data bits put on the air.
@@ -180,7 +178,6 @@ impl RunMetrics {
             failed_attempts: 0,
             multicasts: 0,
             copies_sent: 0,
-            frames_by_kind: [0; 6],
             control_bits: 0,
             data_bits: 0,
             faults: FaultCounters::default(),
@@ -192,19 +189,6 @@ impl RunMetrics {
         self.delivered += 1;
         self.delay.record(delay_secs);
         self.delay_hist.record(delay_secs);
-    }
-
-    /// Index into `frames_by_kind` for a frame tag.
-    #[must_use]
-    pub fn kind_index(tag: &str) -> usize {
-        match tag {
-            "PRE" => 0,
-            "RTS" => 1,
-            "CTS" => 2,
-            "SCHD" => 3,
-            "DATA" => 4,
-            _ => 5,
-        }
     }
 }
 
@@ -850,13 +834,5 @@ mod tests {
         assert!(js.contains("\"copies_captured\":13"), "{js}");
         assert!(js.contains("\"first_death_secs\":312.5"), "{js}");
         assert!(js.contains("\"last_death_secs\":null"), "{js}");
-    }
-
-    #[test]
-    fn kind_indices_are_distinct() {
-        let tags = ["PRE", "RTS", "CTS", "SCHD", "DATA", "ACK"];
-        let idx: std::collections::HashSet<usize> =
-            tags.iter().map(|t| RunMetrics::kind_index(t)).collect();
-        assert_eq!(idx.len(), 6);
     }
 }

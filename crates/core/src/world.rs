@@ -26,10 +26,10 @@
 //! timer (or an unguarded `TxEnd`) that eventually ends the cycle, so no
 //! node can wedge: see the state table in `node.rs`.
 
-use crate::behavior::{BehaviorTable, LifetimeTracker, NodeBehavior};
+use crate::behavior::NodeBehavior;
 use crate::contention::{optimize_cts_window, optimize_tau_max_in, sigma, TauScratch};
 use crate::delivery::DeliveryProb;
-use crate::dense::{DeliveredSet, LinkDropTable};
+use crate::dense::DeliveredSet;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::frames::MacPayload;
 use crate::ftd::Ftd;
@@ -45,7 +45,7 @@ use crate::policy::{
 use crate::prefetch::prefetch;
 use crate::profile::EventProfile;
 use crate::queue::InsertOutcome;
-use crate::report::{DeliveryRecord, Lifetime, NodeSummary, RunMetrics, SimReport};
+use crate::report::{DeliveryRecord, NodeSummary, RunMetrics, SimReport};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use crate::variants::{ProtocolKind, VariantConfig};
 use dftmsn_metrics::histogram::Histogram;
@@ -63,6 +63,14 @@ pub use ckpt::{CkptError, Resumed, CKPT_MAGIC};
 #[path = "world_mobility.rs"]
 mod mobility;
 use mobility::MobilityDriver;
+
+#[path = "world_faults.rs"]
+mod injector;
+use injector::FaultInjector;
+
+#[path = "world_observers.rs"]
+mod observers;
+use observers::Observers;
 
 /// Node-local timer kinds; all are epoch-guarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,43 +360,11 @@ pub struct Simulation {
     /// ([`Self::cts_window`]), searched on first use. Derived from the
     /// protocol constants alone, so never serialized.
     cts_windows: Vec<u32>,
-    /// The user trace sink, if any; it sees each event after `observer`.
-    trace: Option<Box<dyn TraceSink>>,
-    /// The attached metrics recorder, if any: fed every trace event first,
-    /// sampled at window boundaries and finalized with the run.
-    observer: Option<MetricsRecorder>,
-    /// `ObserveTick`s handled so far. Subtracted from the queue's popped
-    /// count in the report, so `events_processed` measures simulation work
-    /// and an attached observer leaves the report bit-for-bit unchanged.
-    observe_ticks: u64,
-
-    fault_plan: FaultPlan,
-    /// Dedicated stream for fault coin flips; forked from the root seed but
-    /// never drawn from unless a fault makes a probabilistic decision, so an
-    /// empty plan perturbs nothing.
-    fault_rng: SimRng,
-    /// Per-frame drop probability applied to every link without a
-    /// per-pair entry.
-    global_link_drop: f64,
-    /// Per-pair drop probabilities (dense, lazily allocated).
-    link_drop: LinkDropTable,
-    /// True once any fault event has fired (gates the
-    /// `deliveries_despite_faults` counter).
-    fault_regime: bool,
-    /// Per-node behavior assignments (DESIGN.md § 9). All-honest unless a
-    /// [`FaultKind::BehaviorChange`] fires; every adversarial check is
-    /// gated on [`BehaviorTable::any`] so quiet runs pay one integer
-    /// compare per site and stay bit-identical to the goldens.
-    behaviors: BehaviorTable,
-    /// Network-lifetime census: alive sensor count plus FND/HND/LND death
-    /// anchors, updated by [`crash_node`](Self::crash_node) and
-    /// [`recover_node`](Self::recover_node).
-    lifetime: LifetimeTracker,
-
-    /// Per-event-kind wall-time counters, populated only by
-    /// [`run_profiled`](Self::run_profiled). `None` costs one predictable
-    /// branch per event; never serialized (telemetry, not state).
-    profile: Option<Box<EventProfile>>,
+    /// The fault plan, the fault stream, link degradation, behaviors and
+    /// the lifetime census.
+    faults: FaultInjector,
+    /// The trace sink, the metrics recorder and the event profile.
+    observers: Observers,
 }
 
 /// Configures and constructs a [`Simulation`].
@@ -519,27 +495,28 @@ impl SimulationBuilder {
         );
         sim.install_policy(self.policy);
         if let Some(plan) = self.faults {
-            sim.install_fault_plan(plan);
+            plan.validate(&sim.scenario)
+                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+            for (k, at) in sim.faults.install(plan) {
+                sim.events.schedule_at(at, Event::Fault(k));
+            }
         }
         if !self.contact_cache {
             sim.mobility.drop_contact_cache();
         }
-        if let Some(recorder) = self.observer {
-            recorder.begin_run(RunMeta {
-                protocol: sim.policy.label().to_owned(),
-                seed: sim.seed,
-                duration_secs: sim.scenario.duration_secs as f64,
-                sensors: sim.scenario.sensors,
-                sinks: sim.scenario.sinks,
-            });
-            let window = SimDuration::from_secs_f64(recorder.window_secs());
-            let first = SimTime::ZERO + window;
-            if first <= sim.end && !window.is_zero() {
-                sim.events.schedule_at(first, Event::ObserveTick);
-            }
-            sim.observer = Some(recorder);
+        let meta = || RunMeta {
+            protocol: sim.policy.label().to_owned(),
+            seed: sim.seed,
+            duration_secs: sim.scenario.duration_secs as f64,
+            sensors: sim.scenario.sensors,
+            sinks: sim.scenario.sinks,
+        };
+        if let Some(first) = sim
+            .observers
+            .attach(self.trace, self.observer, meta, sim.end)
+        {
+            sim.events.schedule_at(first, Event::ObserveTick);
         }
-        sim.trace = self.trace;
         sim
     }
 }
@@ -599,8 +576,8 @@ impl Simulation {
             .unwrap_or_else(|e| panic!("invalid protocol params: {e}"));
 
         let root = SimRng::seed_from(seed);
-        let fault_rng = root.fork(0x4641_554C); // "FAUL"
         let n = scenario.node_count();
+        let faults = FaultInjector::new(n, scenario.sensors, root.fork(0x4641_554C)); // "FAUL"
         let nodes: Vec<Node> = (0..n)
             .map(|i| {
                 let role = if i < scenario.sensors {
@@ -638,8 +615,6 @@ impl Simulation {
 
         let policy = Policy::builtin(config);
         let mac = policy.mac();
-        let behaviors = BehaviorTable::new(n);
-        let lifetime = LifetimeTracker::new(scenario.sensors);
         let cts_windows = vec![0; protocol.cts_window_cap as usize + 2];
         Simulation {
             scenario,
@@ -660,17 +635,8 @@ impl Simulation {
             deliveries: Vec::new(),
             scratch: CycleScratch::seeded(k),
             cts_windows,
-            trace: None,
-            observer: None,
-            observe_ticks: 0,
-            fault_plan: FaultPlan::default(),
-            fault_rng,
-            global_link_drop: 0.0,
-            link_drop: LinkDropTable::new(n),
-            fault_regime: false,
-            behaviors,
-            lifetime,
-            profile: None,
+            faults,
+            observers: Observers::default(),
         }
     }
 
@@ -688,24 +654,6 @@ impl Simulation {
     #[must_use]
     pub fn policy_spec(&self) -> PolicySpec {
         self.policy.spec()
-    }
-
-    /// Installs a fault plan, scheduling its events as first-class entries
-    /// in the ordinary event queue. An empty plan schedules nothing and
-    /// leaves the run bit-for-bit identical to a fault-free one; installing
-    /// the same nonempty plan with the same seed reproduces the same report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`] for this scenario.
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        plan.validate(&self.scenario)
-            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-        for (k, ev) in plan.events.iter().enumerate() {
-            let at = SimTime::ZERO + SimDuration::from_secs_f64(ev.at_secs);
-            self.events.schedule_at(at, Event::Fault(k));
-        }
-        self.fault_plan = plan;
     }
 
     fn schedule_initial_events(&mut self) {
@@ -735,17 +683,6 @@ impl Simulation {
         self.config
     }
 
-    /// Feeds `event` to the attached observer, then to the user sink.
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(recorder) = self.observer.as_mut() {
-            recorder.record(event.clone());
-        }
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(event);
-        }
-    }
-
     /// Runs the simulation to its configured end and produces the report.
     #[must_use]
     pub fn run(mut self) -> SimReport {
@@ -763,9 +700,9 @@ impl Simulation {
     /// [`run`](Self::run): the profile only observes the wall clock.
     #[must_use]
     pub fn run_profiled(mut self) -> (SimReport, EventProfile) {
-        self.profile = Some(Box::new(EventProfile::new(&EVENT_KIND_LABELS)));
+        self.observers.start_profile(&EVENT_KIND_LABELS);
         while self.step() {}
-        let profile = *self.profile.take().expect("installed above");
+        let profile = self.observers.take_profile();
         (self.finish_report(), profile)
     }
 
@@ -813,15 +750,11 @@ impl Simulation {
             Some(t) if t <= self.end => {
                 let (now, ev) = self.events.pop().expect("peeked event exists");
                 self.prefetch_next_event();
-                if self.profile.is_some() {
+                if self.observers.profiling() {
                     let kind = self.event_kind_index(&ev);
                     let t0 = std::time::Instant::now();
                     self.handle(now, ev);
-                    let took = t0.elapsed();
-                    self.profile
-                        .as_mut()
-                        .expect("checked above")
-                        .record(kind, took);
+                    self.observers.record_profile(kind, t0.elapsed());
                 } else {
                     self.handle(now, ev);
                 }
@@ -918,59 +851,10 @@ impl Simulation {
     /// boundary tick. Reads state only — no RNG stream is touched — so
     /// observation never perturbs the simulation.
     fn on_observe_tick(&mut self, now: SimTime) {
-        self.observe_ticks += 1;
-        let Some(recorder) = self.observer.clone() else {
-            return;
-        };
-        let snap = self.world_snapshot(now);
-        recorder.record_snapshot(now, snap);
-        let window = SimDuration::from_secs_f64(recorder.window_secs());
-        if !window.is_zero() && now + window <= self.end {
-            self.events.schedule_at(now + window, Event::ObserveTick);
-        }
-    }
-
-    /// Instantaneous sensor-population state: queue occupancy, the ξ
-    /// distribution, the sleeping fraction and cumulative energy.
-    fn world_snapshot(&self, now: SimTime) -> WorldSnapshot {
-        let sensors = self.scenario.sensors.max(1);
-        let mut queue_sum = 0u64;
-        let mut queue_max = 0u64;
-        let mut xi_sum = 0.0;
-        let mut xi_min = f64::INFINITY;
-        let mut xi_max = f64::NEG_INFINITY;
-        let mut asleep = 0usize;
-        let mut energy = 0.0;
-        let mut alive_nodes = 0u64;
-        for node in self.nodes.iter().take(self.scenario.sensors) {
-            if node.alive {
-                alive_nodes += 1;
-            }
-            let len = node.queue.len() as u64;
-            queue_sum += len;
-            queue_max = queue_max.max(len);
-            let xi = node.metric.value();
-            xi_sum += xi;
-            xi_min = xi_min.min(xi);
-            xi_max = xi_max.max(xi);
-            if node.meter.state() == RadioState::Sleep {
-                asleep += 1;
-            }
-            energy += node.meter.total_energy_j(now, &self.scenario.energy);
-        }
-        if xi_min > xi_max {
-            xi_min = 0.0;
-            xi_max = 0.0;
-        }
-        WorldSnapshot {
-            queue_mean: queue_sum as f64 / sensors as f64,
-            queue_max,
-            xi_mean: xi_sum / sensors as f64,
-            xi_min,
-            xi_max,
-            asleep_fraction: asleep as f64 / sensors as f64,
-            energy_j: energy,
-            alive_nodes,
+        let (nodes, scenario) = (&self.nodes, &self.scenario);
+        let snapshot = || world_snapshot(nodes, scenario, now);
+        if let Some(next) = self.observers.tick(now, self.end, snapshot) {
+            self.events.schedule_at(next, Event::ObserveTick);
         }
     }
 
@@ -978,13 +862,13 @@ impl Simulation {
     // Fault injection
     // ------------------------------------------------------------------
 
+    /// Fires fault event `k`. The injector applies the kinds that change
+    /// only its own state; the node-side kinds are applied here.
     fn on_fault(&mut self, now: SimTime, k: usize) {
-        self.fault_regime = true;
-        self.emit(TraceEvent::FaultInjected {
-            at: now,
-            kind: self.fault_plan.events[k].kind.label(),
-        });
-        match self.fault_plan.events[k].kind {
+        let kind = self.faults.label(k);
+        self.observers
+            .emit(TraceEvent::FaultInjected { at: now, kind });
+        match self.faults.fire(k) {
             FaultKind::NodeCrash(i) => {
                 if self.crash_node(now, i, false) {
                     self.metrics.faults.crashes += 1;
@@ -1012,26 +896,13 @@ impl Simulation {
                     self.metrics.faults.recoveries += 1;
                 }
             }
-            FaultKind::LinkDegrade { a, b, drop_prob } => {
-                if drop_prob > 0.0 {
-                    self.link_drop.set(a, b, drop_prob.clamp(0.0, 1.0));
-                } else {
-                    self.link_drop.clear(a, b);
-                }
-            }
-            FaultKind::GlobalLinkDegrade { drop_prob } => {
-                self.global_link_drop = drop_prob.clamp(0.0, 1.0);
-            }
             FaultKind::DataCorruption { node, prob } => {
                 self.nodes[node.index()].corrupt_rx_prob = prob.clamp(0.0, 1.0);
             }
-            FaultKind::BehaviorChange { node, behavior } => {
-                let idx = node.index();
-                // Orthogonal to liveness: assigning to a dead node records
-                // the behavior, which takes effect if the node recovers.
-                self.behaviors.set(idx, behavior);
+            FaultKind::BehaviorChange { .. } => {
                 self.metrics.faults.behavior_changes += 1;
             }
+            FaultKind::LinkDegrade { .. } | FaultKind::GlobalLinkDegrade { .. } => {}
         }
     }
 
@@ -1076,7 +947,7 @@ impl Simulation {
         self.metrics.faults.messages_lost_to_crash += lost;
         self.medium.set_listening(i, false);
         if idx < self.scenario.sensors {
-            self.lifetime.on_death(now.as_secs_f64());
+            self.faults.on_death(now);
         }
         true
     }
@@ -1100,28 +971,13 @@ impl Simulation {
         }
         self.medium.set_listening(i, true);
         if idx < self.scenario.sensors {
-            self.lifetime.on_revive();
+            self.faults.on_revive();
         }
         if !self.nodes[idx].is_sink() {
-            // Fault-plan randomness lives in the dedicated fault fork:
-            // drawing this jitter from the node's primary stream would
-            // desynchronize every later primary draw from the quiet run's,
-            // breaking the contract that faults perturb only the faulted
-            // behaviour.
-            let jitter = SimDuration::from_secs_f64(self.fault_rng.gen_range_f64(0.0, 2.0));
+            let jitter = self.faults.recovery_jitter();
             self.schedule_timer(i, jitter, Timer::WakeUp);
         }
         true
-    }
-
-    /// Effective per-frame drop probability on the (undirected) link
-    /// `a`–`b`: a per-pair entry overrides the global figure. Zero on every
-    /// link unless a fault plan degraded it.
-    fn link_drop_prob(&self, a: NodeId, b: NodeId) -> f64 {
-        if self.link_drop.is_empty() {
-            return self.global_link_drop;
-        }
-        self.link_drop.get(a, b).unwrap_or(self.global_link_drop)
     }
 
     fn schedule_timer(&mut self, i: NodeId, delay: SimDuration, timer: Timer) {
@@ -1219,8 +1075,7 @@ impl Simulation {
         // Withholding adversaries (selfish, liar, blackhole) never enter
         // the sender phase: captured copies rot in their queues. Forgers
         // *do* transmit — corrupting relayed DATA requires sending it.
-        let withholds = self.behaviors.any() && self.behaviors.get(i.index()).withholds();
-        if withholds || self.nodes[i.index()].queue.is_empty() {
+        if self.faults.behavior(i.index()).withholds() || self.nodes[i.index()].queue.is_empty() {
             // Nothing to send: stay available as a receiver for a window,
             // then re-evaluate the sleeping policy.
             let window = SimDuration::from_secs_f64(self.protocol.receiver_window_secs);
@@ -1313,8 +1168,8 @@ impl Simulation {
         // win the sender's selection; the sender's copy-fate logic then
         // believes the copy moved (or was delivered) and drops it — the
         // capture mechanism of both behaviors.
-        let (metric, space) = if self.behaviors.any() && !self.nodes[i.index()].is_sink() {
-            match self.behaviors.get(i.index()) {
+        let (metric, space) = if !self.nodes[i.index()].is_sink() {
+            match self.faults.behavior(i.index()) {
                 NodeBehavior::Liar => {
                     self.metrics.faults.lied_advertisements += 1;
                     (1.0, u32::MAX)
@@ -1396,7 +1251,7 @@ impl Simulation {
         // A forger's ACK is a forgery: it acknowledges data it is about to
         // corrupt (or data it never stored faithfully). The frame itself is
         // indistinguishable on the air, so it still captures the copy.
-        if self.behaviors.any() && self.behaviors.get(i.index()) == NodeBehavior::Forger {
+        if self.faults.behavior(i.index()) == NodeBehavior::Forger {
             self.metrics.faults.forged_frames += 1;
         }
         self.begin_frame(
@@ -1485,7 +1340,7 @@ impl Simulation {
             CopyFate::Drop => {
                 if self.nodes[i.index()].queue.remove(msg_id).is_some() {
                     self.metrics.drops_ftd += 1;
-                    self.emit(TraceEvent::Dropped {
+                    self.observers.emit(TraceEvent::Dropped {
                         at: now,
                         node: i,
                         msg: msg_id,
@@ -1551,7 +1406,7 @@ impl Simulation {
             node.meter
                 .set_state(now, RadioState::Sleep, &self.scenario.energy);
             self.medium.set_listening(i, false);
-            self.emit(TraceEvent::Slept {
+            self.observers.emit(TraceEvent::Slept {
                 at: now,
                 node: i,
                 secs: duration.as_secs_f64(),
@@ -1651,13 +1506,12 @@ impl Simulation {
         plan: TxPlan,
     ) {
         self.fill_neighbors(now, i);
-        self.emit(TraceEvent::FrameSent {
+        self.observers.emit(TraceEvent::FrameSent {
             at: now,
             node: i,
             tag: payload.tag(),
             bits,
         });
-        self.metrics.frames_by_kind[RunMetrics::kind_index(payload.tag())] += 1;
         if payload.is_control() {
             self.metrics.control_bits += bits;
         } else {
@@ -1720,9 +1574,7 @@ impl Simulation {
                 // A liar that flipped mid-cycle inflates its RTS too: a
                 // perfect ξ and a maximally fault-tolerant message draw
                 // receivers it will never actually hand data to usefully.
-                let (xi, ftd) = if self.behaviors.any()
-                    && self.behaviors.get(i.index()) == NodeBehavior::Liar
-                {
+                let (xi, ftd) = if self.faults.behavior(i.index()) == NodeBehavior::Liar {
                     self.metrics.faults.lied_advertisements += 1;
                     (1.0, ftd.max(1.0))
                 } else {
@@ -1793,24 +1645,7 @@ impl Simulation {
         }
 
         // Deliveries and collision losses.
-        if self.observer.is_some() || self.trace.is_some() {
-            let tag = outcome.frame.payload.tag();
-            let from = outcome.frame.src;
-            for &r in &outcome.delivered_to {
-                self.emit(TraceEvent::FrameDelivered {
-                    at: now,
-                    from,
-                    to: r,
-                    tag,
-                });
-            }
-            for &r in &outcome.collided_at {
-                self.emit(TraceEvent::Collision {
-                    at: now,
-                    at_node: r,
-                });
-            }
-        }
+        self.observers.frame_ended(now, &outcome);
         let delivered_to = std::mem::take(&mut outcome.delivered_to);
         let is_data = matches!(outcome.frame.payload, MacPayload::Data { .. });
         let src = outcome.frame.src;
@@ -1818,9 +1653,7 @@ impl Simulation {
         // in the payload, so each receiver detects and discards it (same
         // observable outcome as the DataCorruption fault, but attributed to
         // the forger); the sender keeps the copy queued and retries.
-        let src_forges = is_data
-            && self.behaviors.any()
-            && self.behaviors.get(src.index()) == NodeBehavior::Forger;
+        let src_forges = is_data && self.faults.behavior(src.index()) == NodeBehavior::Forger;
         if src_forges {
             self.metrics.faults.forged_frames += 1;
         }
@@ -1836,21 +1669,17 @@ impl Simulation {
                 }
                 continue;
             }
-            let drop_p = self.link_drop_prob(src, r);
-            if drop_p > 0.0 && self.fault_rng.gen_bool(drop_p) {
+            if self.faults.drops(src, r) {
                 self.metrics.faults.frames_dropped += 1;
                 if is_data {
                     self.metrics.faults.retransmissions_triggered += 1;
                 }
                 continue;
             }
-            if is_data {
-                let corrupt_p = self.nodes[r.index()].corrupt_rx_prob;
-                if corrupt_p > 0.0 && self.fault_rng.gen_bool(corrupt_p) {
-                    self.metrics.faults.data_corrupted += 1;
-                    self.metrics.faults.retransmissions_triggered += 1;
-                    continue;
-                }
+            if is_data && self.faults.corrupts(self.nodes[r.index()].corrupt_rx_prob) {
+                self.metrics.faults.data_corrupted += 1;
+                self.metrics.faults.retransmissions_triggered += 1;
+                continue;
             }
             if src_forges {
                 self.metrics.faults.forged_detected += 1;
@@ -1934,19 +1763,20 @@ impl Simulation {
                 // liars/forgers volunteer whenever they can physically
                 // store the copy (their CTS then inflates the
                 // advertisement).
-                let qualifies = if self.behaviors.any() && !self.nodes[r.index()].is_sink() {
-                    match self.behaviors.get(r.index()) {
-                        NodeBehavior::Honest => self.qualified(r, src, *xi, *ftd, *msg),
-                        NodeBehavior::Selfish => false,
-                        NodeBehavior::Blackhole => true,
-                        NodeBehavior::Liar | NodeBehavior::Forger => {
-                            let queue = &self.nodes[r.index()].queue;
-                            !queue.contains(*msg)
-                                && queue.available_space_for(Ftd::new((*ftd).clamp(0.0, 1.0))) > 0
-                        }
-                    }
+                let behavior = if self.nodes[r.index()].is_sink() {
+                    NodeBehavior::Honest
                 } else {
-                    self.qualified(r, src, *xi, *ftd, *msg)
+                    self.faults.behavior(r.index())
+                };
+                let qualifies = match behavior {
+                    NodeBehavior::Honest => self.qualified(r, src, *xi, *ftd, *msg),
+                    NodeBehavior::Selfish => false,
+                    NodeBehavior::Blackhole => true,
+                    NodeBehavior::Liar | NodeBehavior::Forger => {
+                        let queue = &self.nodes[r.index()].queue;
+                        !queue.contains(*msg)
+                            && queue.available_space_for(Ftd::new((*ftd).clamp(0.0, 1.0))) > 0
+                    }
                 };
                 if qualifies {
                     let slot = {
@@ -2050,11 +1880,7 @@ impl Simulation {
                     // Black holes destroy the copy outright; the others let
                     // it rot in their queue (they never enter the sender
                     // phase).
-                    let behavior = if self.behaviors.any() {
-                        self.behaviors.get(r.index())
-                    } else {
-                        NodeBehavior::Honest
-                    };
+                    let behavior = self.faults.behavior(r.index());
                     if behavior.is_adversarial() {
                         self.metrics.faults.copies_captured += 1;
                     }
@@ -2089,7 +1915,7 @@ impl Simulation {
         if self.delivered_ids.insert(msg.id) {
             let delay = now.saturating_since(msg.created).as_secs_f64();
             self.metrics.record_delivery(delay);
-            if self.fault_regime {
+            if self.faults.regime() {
                 self.metrics.faults.deliveries_despite_faults += 1;
             }
             self.deliveries.push(DeliveryRecord {
@@ -2100,7 +1926,7 @@ impl Simulation {
                 sink,
                 hops: msg.hops,
             });
-            self.emit(TraceEvent::Delivered {
+            self.observers.emit(TraceEvent::Delivered {
                 at: now,
                 msg: msg.id,
                 sink,
@@ -2125,7 +1951,7 @@ impl Simulation {
             InsertOutcome::InsertedEvicting(evicted) => {
                 self.metrics.drops_overflow += 1;
                 self.policy.on_copy_discarded(i, &evicted);
-                self.emit(TraceEvent::Dropped {
+                self.observers.emit(TraceEvent::Dropped {
                     at: now,
                     node: i,
                     msg: evicted.id,
@@ -2134,7 +1960,7 @@ impl Simulation {
             }
             InsertOutcome::RejectedFull => {
                 self.metrics.drops_rejected += 1;
-                self.emit(TraceEvent::Dropped {
+                self.observers.emit(TraceEvent::Dropped {
                     at: now,
                     node: i,
                     msg: msg.id,
@@ -2154,12 +1980,11 @@ impl Simulation {
     }
 
     fn finish_report_at(mut self, duration: SimTime) -> SimReport {
-        // Finalize the observer first: its closing snapshot reads the
+        // Finalize the recorder first: its closing snapshot reads the
         // meters *before* the loop below closes their open intervals.
-        if let Some(recorder) = self.observer.take() {
-            let snap = self.world_snapshot(duration);
-            recorder.finish(duration, Some(snap));
-        }
+        let (nodes, scenario) = (&self.nodes, &self.scenario);
+        self.observers
+            .finish(duration, || world_snapshot(nodes, scenario, duration));
         let energy_model = &self.scenario.energy;
         let mut total_energy = 0.0;
         let mut xi_sum = 0.0;
@@ -2211,13 +2036,7 @@ impl Simulation {
             for n in &node_summaries {
                 energy_hist.record(n.energy_j);
             }
-            Lifetime {
-                first_death_secs: self.lifetime.first_death_secs(),
-                half_death_secs: self.lifetime.half_death_secs(),
-                last_death_secs: self.lifetime.last_death_secs(),
-                alive_at_end: self.lifetime.alive() as u64,
-                energy_hist,
-            }
+            self.faults.lifetime(energy_hist)
         };
         SimReport {
             protocol: self.policy.label().to_owned(),
@@ -2248,7 +2067,7 @@ impl Simulation {
             failed_attempts: m.failed_attempts,
             multicasts: m.multicasts,
             copies_sent: m.copies_sent,
-            events_processed: self.events.popped() - self.observe_ticks,
+            events_processed: self.events.popped() - self.observers.ticks(),
             faults: m.faults,
             lifetime,
             mean_final_xi: xi_sum / sensors as f64,
@@ -2266,6 +2085,50 @@ impl Simulation {
             deliveries: self.deliveries,
             node_summaries,
         }
+    }
+}
+
+/// Instantaneous sensor-population state: queue occupancy, the ξ
+/// distribution, the sleeping fraction and cumulative energy.
+fn world_snapshot(nodes: &[Node], scenario: &ScenarioParams, now: SimTime) -> WorldSnapshot {
+    let sensors = scenario.sensors.max(1);
+    let mut queue_sum = 0u64;
+    let mut queue_max = 0u64;
+    let mut xi_sum = 0.0;
+    let mut xi_min = f64::INFINITY;
+    let mut xi_max = f64::NEG_INFINITY;
+    let mut asleep = 0usize;
+    let mut energy = 0.0;
+    let mut alive_nodes = 0u64;
+    for node in nodes.iter().take(scenario.sensors) {
+        if node.alive {
+            alive_nodes += 1;
+        }
+        let len = node.queue.len() as u64;
+        queue_sum += len;
+        queue_max = queue_max.max(len);
+        let xi = node.metric.value();
+        xi_sum += xi;
+        xi_min = xi_min.min(xi);
+        xi_max = xi_max.max(xi);
+        if node.meter.state() == RadioState::Sleep {
+            asleep += 1;
+        }
+        energy += node.meter.total_energy_j(now, &scenario.energy);
+    }
+    if xi_min > xi_max {
+        xi_min = 0.0;
+        xi_max = 0.0;
+    }
+    WorldSnapshot {
+        queue_mean: queue_sum as f64 / sensors as f64,
+        queue_max,
+        xi_mean: xi_sum / sensors as f64,
+        xi_min,
+        xi_max,
+        asleep_fraction: asleep as f64 / sensors as f64,
+        energy_j: energy,
+        alive_nodes,
     }
 }
 
@@ -2823,7 +2686,7 @@ mod tests {
             .build();
         let idx = 3;
         let primary_before = sim.nodes[idx].rng.state();
-        let fault_before = sim.fault_rng.state();
+        let fault_before = sim.faults.rng_state();
         let now = sim.now();
         assert!(sim.crash_node(now, NodeId(idx), false));
         assert!(sim.recover_node(now, NodeId(idx)));
@@ -2833,7 +2696,7 @@ mod tests {
             "crash/recover touched the node's primary RNG stream"
         );
         assert_ne!(
-            sim.fault_rng.state(),
+            sim.faults.rng_state(),
             fault_before,
             "the recovery jitter should come from the fault fork"
         );

@@ -1,4 +1,4 @@
-//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/3`
+//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/4`
 //! format.
 //!
 //! A checkpoint captures the *complete* live state of a run: every node's
@@ -14,7 +14,7 @@
 //! # File format
 //!
 //! ```text
-//! magic   13 bytes   b"dftmsn-ckpt/3"
+//! magic   13 bytes   b"dftmsn-ckpt/4"
 //! len      8 bytes   payload length, u64 LE
 //! payload  n bytes   SnapWriter-encoded state
 //! checksum 8 bytes   checksum64 of the payload, u64 LE
@@ -22,14 +22,18 @@
 //!
 //! The frame is encoded into one buffer presized from the live state, with
 //! the header written in place. The payload opens with the parameters the
-//! static world is rebuilt from, then the clock and the count of message
-//! ids issued, which later sections are checked against. The policy frame
-//! and the fault stream follow, then the mobility driver's block (the
-//! shared mobility stream, Lazy mode's per-node streams and sync instants,
-//! each model's trajectory state), then the nodes, the medium, the run
-//! counters, the pending events, the fault and behavior state, and the
-//! observer. Only `/3` decodes: a file of another `dftmsn-ckpt/` version
-//! is rejected as [`CkptError::Corrupt`] naming that version.
+//! static world is rebuilt from. The fault injector's block follows (the
+//! plan, the fault stream, the global and per-pair link drops, the regime
+//! flag, the behavior assignments and the lifetime anchors), then the
+//! clock, the count of events processed and the count of message ids
+//! issued, which later sections are checked against. Then come the policy
+//! frame, the mobility driver's block (the shared mobility stream, Lazy
+//! mode's per-node streams and sync instants, each model's trajectory
+//! state), the nodes, the medium, the run counters and the pending events,
+//! and last the observers' block (the observe-tick count and the
+//! recorder). Each owner writes and reads its block itself. Only `/4`
+//! decodes: a file of another `dftmsn-ckpt/` version is rejected as
+//! [`CkptError::Corrupt`] naming that version.
 //!
 //! Decoding trusts nothing the checksum cannot vouch for: node ids must lie
 //! below the node count, ξ/FTD/metric values in `[0, 1]`, recorded instants
@@ -56,9 +60,7 @@
 //!   totals line are exact.
 
 use super::*;
-use crate::behavior::NodeBehavior;
 use crate::neighbor::{NeighborEntry, NeighborTable};
-use crate::observe::{ObserveRow, RecorderState, WindowCounters, MIN_WINDOW_SECS};
 use crate::queue::FtdQueue;
 use crate::report::FaultCounters;
 use crate::variants::QueueDiscipline;
@@ -72,9 +74,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file; the trailing `/3` is the
+/// Magic bytes opening every checkpoint file; the trailing `/4` is the
 /// format version.
-pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/3";
+pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/4";
 
 /// The magic's version-independent prefix, so a file of another version is
 /// named as such rather than as "not a checkpoint".
@@ -82,10 +84,6 @@ const MAGIC_FAMILY: &[u8] = b"dftmsn-ckpt/";
 
 /// Frame bytes before the payload: the magic and the payload length.
 const HEADER_LEN: usize = CKPT_MAGIC.len() + 8;
-
-/// Widest observer window a checkpoint may carry (s): far beyond any run,
-/// yet small enough that the clock plus one window cannot overflow.
-const MAX_WINDOW_SECS: f64 = 1e12;
 
 /// Why a checkpoint could not be written or resumed.
 #[derive(Debug)]
@@ -99,7 +97,7 @@ pub enum CkptError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The bytes are not a valid `dftmsn-ckpt/3` snapshot: bad magic, an
+    /// The bytes are not a valid `dftmsn-ckpt/4` snapshot: bad magic, an
     /// unsupported version, truncation, checksum mismatch, or a malformed
     /// payload.
     Corrupt {
@@ -117,7 +115,7 @@ pub enum CkptError {
 }
 
 impl CkptError {
-    fn corrupt(detail: impl Into<String>) -> Self {
+    pub(super) fn corrupt(detail: impl Into<String>) -> Self {
         CkptError::Corrupt {
             path: None,
             detail: detail.into(),
@@ -188,8 +186,8 @@ pub struct Resumed {
     /// The restored observer, when the checkpointed run had one attached.
     /// Its output stream is detached; re-attach with
     /// [`MetricsRecorder::with_output`] after truncating the observe file
-    /// to [`RecorderState::bytes_written`] bytes (the snapshot's cursor) —
-    /// the continuation then produces a byte-identical JSONL stream.
+    /// to [`MetricsRecorder::bytes_written`] bytes (the snapshot's cursor)
+    /// — the continuation then produces a byte-identical JSONL stream.
     pub recorder: Option<MetricsRecorder>,
     /// True when the primary file was corrupt and the state was recovered
     /// from the `.bak` rotation.
@@ -237,11 +235,11 @@ pub(super) fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapEr
     Ok(t)
 }
 
-fn w_node_id(w: &mut SnapWriter, id: NodeId) {
+pub(super) fn w_node_id(w: &mut SnapWriter, id: NodeId) {
     w.usize(id.index());
 }
 
-fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
+pub(super) fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
     let i = r.usize()?;
     if i >= n {
         return Err(SnapError::new(format!(
@@ -253,7 +251,7 @@ fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
 
 /// Reads a ξ, FTD, delivery-metric or probability value, which must lie in
 /// `[0, 1]`.
-fn r_unit(r: &mut SnapReader, what: &str) -> Result<f64, SnapError> {
+pub(super) fn r_unit(r: &mut SnapReader, what: &str) -> Result<f64, SnapError> {
     let v = r.f64()?;
     if !(0.0..=1.0).contains(&v) {
         return Err(SnapError::new(format!("{what} {v} outside [0,1]")));
@@ -535,82 +533,6 @@ fn r_event(r: &mut SnapReader, n: usize, faults: usize) -> Result<Event, SnapErr
         }
         6 => Event::ObserveTick,
         t => return Err(SnapError::new(format!("bad Event tag {t}"))),
-    })
-}
-
-fn w_fault_kind(w: &mut SnapWriter, k: &FaultKind) {
-    match k {
-        FaultKind::NodeCrash(i) => {
-            w.u8(0);
-            w_node_id(w, *i);
-        }
-        FaultKind::NodeRecover(i) => {
-            w.u8(1);
-            w_node_id(w, *i);
-        }
-        FaultKind::BatteryDeath(i) => {
-            w.u8(2);
-            w_node_id(w, *i);
-        }
-        FaultKind::LinkDegrade { a, b, drop_prob } => {
-            w.u8(3);
-            w_node_id(w, *a);
-            w_node_id(w, *b);
-            w.f64(*drop_prob);
-        }
-        FaultKind::GlobalLinkDegrade { drop_prob } => {
-            w.u8(4);
-            w.f64(*drop_prob);
-        }
-        FaultKind::DataCorruption { node, prob } => {
-            w.u8(5);
-            w_node_id(w, *node);
-            w.f64(*prob);
-        }
-        FaultKind::SinkDown(i) => {
-            w.u8(6);
-            w_node_id(w, *i);
-        }
-        FaultKind::SinkUp(i) => {
-            w.u8(7);
-            w_node_id(w, *i);
-        }
-        FaultKind::BehaviorChange { node, behavior } => {
-            w.u8(8);
-            w_node_id(w, *node);
-            w.u8(behavior.tag());
-        }
-    }
-}
-
-fn r_fault_kind(r: &mut SnapReader, n: usize) -> Result<FaultKind, SnapError> {
-    Ok(match r.u8()? {
-        0 => FaultKind::NodeCrash(r_node_id(r, n)?),
-        1 => FaultKind::NodeRecover(r_node_id(r, n)?),
-        2 => FaultKind::BatteryDeath(r_node_id(r, n)?),
-        3 => FaultKind::LinkDegrade {
-            a: r_node_id(r, n)?,
-            b: r_node_id(r, n)?,
-            drop_prob: r.f64()?,
-        },
-        4 => FaultKind::GlobalLinkDegrade {
-            drop_prob: r.f64()?,
-        },
-        5 => FaultKind::DataCorruption {
-            node: r_node_id(r, n)?,
-            prob: r.f64()?,
-        },
-        6 => FaultKind::SinkDown(r_node_id(r, n)?),
-        7 => FaultKind::SinkUp(r_node_id(r, n)?),
-        8 => FaultKind::BehaviorChange {
-            node: r_node_id(r, n)?,
-            behavior: {
-                let t = r.u8()?;
-                NodeBehavior::from_tag(t)
-                    .ok_or_else(|| SnapError::new(format!("bad NodeBehavior tag {t}")))?
-            },
-        },
-        t => return Err(SnapError::new(format!("bad FaultKind tag {t}"))),
     })
 }
 
@@ -1044,7 +966,7 @@ fn timer_fits(timer: Timer, state: MacState) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Metrics / observer sections
+// Metrics sections
 // ---------------------------------------------------------------------
 
 fn w_run_metrics(w: &mut SnapWriter, m: &RunMetrics) {
@@ -1070,9 +992,6 @@ fn w_run_metrics(w: &mut SnapWriter, m: &RunMetrics) {
     w.u64(m.failed_attempts);
     w.u64(m.multicasts);
     w.u64(m.copies_sent);
-    for k in m.frames_by_kind {
-        w.u64(k);
-    }
     w.u64(m.control_bits);
     w.u64(m.data_bits);
     w_fault_counters(w, &m.faults);
@@ -1107,9 +1026,6 @@ fn r_run_metrics(r: &mut SnapReader) -> Result<RunMetrics, SnapError> {
     m.failed_attempts = r.u64()?;
     m.multicasts = r.u64()?;
     m.copies_sent = r.u64()?;
-    for k in &mut m.frames_by_kind {
-        *k = r.u64()?;
-    }
     m.control_bits = r.u64()?;
     m.data_bits = r.u64()?;
     m.faults = r_fault_counters(r)?;
@@ -1150,146 +1066,6 @@ fn r_fault_counters(r: &mut SnapReader) -> Result<FaultCounters, SnapError> {
         forged_detected: r.u64()?,
         lied_advertisements: r.u64()?,
     })
-}
-
-fn w_window_counters(w: &mut SnapWriter, c: &WindowCounters) {
-    w.u64(c.deliveries);
-    w.f64(c.delay_sum_secs);
-    w.u64(c.drops_overflow);
-    w.u64(c.drops_rejected);
-    w.u64(c.drops_ftd);
-    w.u64(c.collisions);
-    w.u64(c.frames_sent);
-    for k in c.frames_by_kind {
-        w.u64(k);
-    }
-    w.u64(c.frame_deliveries);
-    w.u64(c.control_bits);
-    w.u64(c.data_bits);
-    w.u64(c.sleeps);
-    w.f64(c.sleep_secs);
-    w.u64(c.faults);
-}
-
-fn r_window_counters(r: &mut SnapReader) -> Result<WindowCounters, SnapError> {
-    let mut c = WindowCounters {
-        deliveries: r.u64()?,
-        delay_sum_secs: r.f64()?,
-        drops_overflow: r.u64()?,
-        drops_rejected: r.u64()?,
-        drops_ftd: r.u64()?,
-        collisions: r.u64()?,
-        frames_sent: r.u64()?,
-        ..WindowCounters::default()
-    };
-    for k in &mut c.frames_by_kind {
-        *k = r.u64()?;
-    }
-    c.frame_deliveries = r.u64()?;
-    c.control_bits = r.u64()?;
-    c.data_bits = r.u64()?;
-    c.sleeps = r.u64()?;
-    c.sleep_secs = r.f64()?;
-    c.faults = r.u64()?;
-    Ok(c)
-}
-
-fn w_world_snapshot(w: &mut SnapWriter, s: &WorldSnapshot) {
-    w.f64(s.queue_mean);
-    w.u64(s.queue_max);
-    w.f64(s.xi_mean);
-    w.f64(s.xi_min);
-    w.f64(s.xi_max);
-    w.f64(s.asleep_fraction);
-    w.f64(s.energy_j);
-    w.u64(s.alive_nodes);
-}
-
-fn r_world_snapshot(r: &mut SnapReader) -> Result<WorldSnapshot, SnapError> {
-    Ok(WorldSnapshot {
-        queue_mean: r.f64()?,
-        queue_max: r.u64()?,
-        xi_mean: r.f64()?,
-        xi_min: r.f64()?,
-        xi_max: r.f64()?,
-        asleep_fraction: r.f64()?,
-        energy_j: r.f64()?,
-        alive_nodes: r.u64()?,
-    })
-}
-
-fn w_recorder_state(w: &mut SnapWriter, s: &RecorderState) {
-    w.f64(s.window_secs);
-    w.option(s.meta.as_ref(), |w, meta| {
-        w.string(&meta.protocol);
-        w.u64(meta.seed);
-        w.f64(meta.duration_secs);
-        w.usize(meta.sensors);
-        w.usize(meta.sinks);
-    });
-    w.bool(s.header_written);
-    w.u64(s.cur_index);
-    w_window_counters(w, &s.cur);
-    w.option(s.pending.as_ref(), w_observe_row);
-    w_window_counters(w, &s.totals);
-    w.u64(s.windows_emitted);
-    w.u64(s.bytes_written);
-}
-
-fn w_observe_row(w: &mut SnapWriter, row: &ObserveRow) {
-    w.u64(row.window);
-    w.f64(row.t0_secs);
-    w.f64(row.t1_secs);
-    w_window_counters(w, &row.counters);
-    w.option(row.snapshot.as_ref(), w_world_snapshot);
-}
-
-fn r_observe_row(r: &mut SnapReader) -> Result<ObserveRow, SnapError> {
-    Ok(ObserveRow {
-        window: r.u64()?,
-        t0_secs: r.f64()?,
-        t1_secs: r.f64()?,
-        counters: r_window_counters(r)?,
-        snapshot: r.option(r_world_snapshot)?,
-    })
-}
-
-fn r_recorder_state(r: &mut SnapReader, now: SimTime) -> Result<RecorderState, SnapError> {
-    let window_secs = r.f64()?;
-    if !(MIN_WINDOW_SECS..=MAX_WINDOW_SECS).contains(&window_secs) {
-        return Err(SnapError::new(format!(
-            "bad observer window width {window_secs}"
-        )));
-    }
-    let state = RecorderState {
-        window_secs,
-        meta: r.option(|r| {
-            Ok(RunMeta {
-                protocol: r.string()?,
-                seed: r.u64()?,
-                duration_secs: r.f64()?,
-                sensors: r.usize()?,
-                sinks: r.usize()?,
-            })
-        })?,
-        header_written: r.bool()?,
-        cur_index: r.u64()?,
-        cur: r_window_counters(r)?,
-        pending: r.option(r_observe_row)?,
-        totals: r_window_counters(r)?,
-        windows_emitted: r.u64()?,
-        bytes_written: r.u64()?,
-    };
-    // A window closes at every boundary tick, so the cursor never trails
-    // the clock by two windows; one that did would make the next event
-    // roll through an unbounded run of empty windows.
-    if now.as_secs_f64() >= (state.cur_index as f64 + 2.0) * window_secs {
-        return Err(SnapError::new(format!(
-            "observer window {} trails the clock {now}",
-            state.cur_index
-        )));
-    }
-    Ok(state)
 }
 
 // ---------------------------------------------------------------------
@@ -1378,7 +1154,7 @@ fn r_policy(r: &mut SnapReader, sim: &mut Simulation, now: SimTime) -> Result<()
 
 impl Simulation {
     /// Serializes the complete live state into a framed, checksummed
-    /// `dftmsn-ckpt/3` byte buffer. Call between events — e.g. after
+    /// `dftmsn-ckpt/4` byte buffer. Call between events — e.g. after
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///
@@ -1418,8 +1194,8 @@ impl Simulation {
     /// writes, so it encodes into one buffer that never grows: each
     /// variable part is its element count times its largest encoding.
     fn ckpt_len_bound(&self) -> usize {
-        // Header, checksum, parameters, clock, counters and observer state.
-        const FIXED: usize = 4096;
+        // Header, checksum, parameters, clock and counters.
+        const FIXED: usize = 2048;
         // A node's fixed-size fields and its largest receiver context.
         const NODE: usize = 256;
         const MESSAGE: usize = 36;
@@ -1452,7 +1228,7 @@ impl Simulation {
         };
         let (_, _, buckets, _, _) = self.metrics.delay_hist.raw_parts();
         FIXED
-            + 48 * self.fault_plan.events.len()
+            + self.faults.ckpt_len_bound()
             + policy
             + self.mobility.ckpt_len_bound()
             + MEDIUM_NODE * n
@@ -1461,7 +1237,7 @@ impl Simulation {
             + 8 * (buckets.len() + self.delivered_ids.raw_words().len())
             + DELIVERY * self.deliveries.len()
             + EVENT * self.events.len()
-            + 9 * self.behaviors.adversary_count()
+            + self.observers.ckpt_len_bound()
     }
 
     fn encode_payload(&self, w: &mut SnapWriter) {
@@ -1472,20 +1248,17 @@ impl Simulation {
         w_config(w, &self.config);
         w.u64(self.seed);
         w.bool(self.mobility.mode() == MobilityMode::Lazy);
-        w.seq(&self.fault_plan.events, |w, ev| {
-            w.f64(ev.at_secs);
-            w_fault_kind(w, &ev.kind);
-        });
 
-        // The clock and the message-id count: the bounds the rest of the
-        // payload is checked against on decode.
+        self.faults.encode(w);
+
+        // The clock and the event and message-id counts: the bounds the
+        // rest of the payload is checked against on decode.
         w_time(w, self.events.now());
         w.u64(self.events.popped());
         w.u64(self.ids.issued());
 
         w_policy(w, &self.policy);
 
-        w_rng(w, &self.fault_rng);
         // Node motion: streams and model states (positions are derived
         // from these on restore).
         self.mobility.encode(w);
@@ -1516,9 +1289,7 @@ impl Simulation {
         });
         w.u64(medium.next_id);
         w.u64(medium.counters.frames_sent);
-        w.u64(medium.counters.deliveries);
         w.u64(medium.counters.collisions);
-        w.u64(medium.counters.bits_sent);
 
         // Bookkeeping and counters.
         w.seq(self.delivered_ids.raw_words(), |w, &word| w.u64(word));
@@ -1545,30 +1316,7 @@ impl Simulation {
         });
         debug_assert_eq!(written, pending, "live-event count drifted");
 
-        // Fault state.
-        w.u64(self.observe_ticks);
-        w.f64(self.global_link_drop);
-        w.seq(&self.link_drop.set_entries(), |w, &(a, b, p)| {
-            w_node_id(w, a);
-            w_node_id(w, b);
-            w.f64(p);
-        });
-        w.bool(self.fault_regime);
-
-        // Behavior assignments and the lifetime anchors (the alive census
-        // is derived from node liveness on restore).
-        w.usize(self.behaviors.adversary_count());
-        for (i, b) in self.behaviors.entries() {
-            w.usize(i);
-            w.u8(b.tag());
-        }
-        w.option(self.lifetime.first_death_secs().as_ref(), |w, &t| w.f64(t));
-        w.option(self.lifetime.half_death_secs().as_ref(), |w, &t| w.f64(t));
-        w.option(self.lifetime.last_death_secs().as_ref(), |w, &t| w.f64(t));
-
-        // Observer accumulation state (None when no recorder attached).
-        let recorder_state = self.observer.as_ref().map(|r| r.snapshot_state());
-        w.option(recorder_state.as_ref(), w_recorder_state);
+        self.observers.encode(w);
     }
 
     /// Reconstructs a simulation from [`checkpoint_bytes`] output.
@@ -1654,19 +1402,9 @@ impl Simulation {
             detail: format!("protocol: {e}"),
         })?;
         let n = scenario.node_count();
-        let plan = FaultPlan {
-            events: r.seq(|r| {
-                Ok(crate::faults::FaultEvent {
-                    at_secs: r.f64()?,
-                    kind: r_fault_kind(r, n)?,
-                })
-            })?,
-        };
-        plan.validate(&scenario).map_err(|e| CkptError::Invalid {
-            detail: format!("fault plan: {e}"),
-        })?;
-        // construct_static allocates per node, so a node count the rest
-        // of the payload cannot hold is rejected before it does.
+        // The fault block and construct_static allocate per node, so a
+        // node count the rest of the payload cannot hold is rejected
+        // before they do.
         let need = n.saturating_mul(min_node_bytes());
         if need > r.remaining() {
             return Err(CkptError::corrupt(format!(
@@ -1674,10 +1412,12 @@ impl Simulation {
                 r.remaining()
             )));
         }
+        let faults = FaultInjector::decode(r, &scenario)?;
 
         // Rebuild the static world; every random draw construction makes
         // is immaterial because each stream is overwritten below.
         let mut sim = Simulation::construct_static(scenario, protocol, config, seed, mode);
+        sim.faults = faults;
 
         let now = r_time(r)?;
         let popped = r.u64()?;
@@ -1687,7 +1427,6 @@ impl Simulation {
         r_policy(r, &mut sim, now)?;
         let budget = matches!(sim.policy, Policy::TwoHop(_));
 
-        sim.fault_rng = r_rng(r)?;
         sim.mobility.decode(r, now)?;
 
         let node_count = r.usize()?;
@@ -1700,6 +1439,15 @@ impl Simulation {
         for node in &mut sim.nodes {
             restore_node(r, node, lim, budget, tau_cap)?;
         }
+        // The alive census is derived state: recompute it from restored
+        // node liveness rather than trusting the wire.
+        let alive_sensors = sim
+            .nodes
+            .iter()
+            .take(sim.scenario.sensors)
+            .filter(|node| node.alive)
+            .count();
+        sim.faults.restore_census(alive_sensors, now)?;
 
         let listening = r.seq(|r| r.bool())?;
         let rx = r.seq(|r| r.option(|r| Ok((r.u64()?, r.bool()?))))?;
@@ -1718,9 +1466,7 @@ impl Simulation {
         let next_id = r.u64()?;
         let counters = dftmsn_radio::medium::MediumCounters {
             frames_sent: r.u64()?,
-            deliveries: r.u64()?,
             collisions: r.u64()?,
-            bits_sent: r.u64()?,
         };
         if listening.len() != n || rx.len() != n {
             return Err(CkptError::corrupt("medium table length mismatch"));
@@ -1780,7 +1526,7 @@ impl Simulation {
                     "pending event at {at} precedes the checkpoint clock {now}"
                 )));
             }
-            let ev = r_event(r, n, plan.events.len())?;
+            let ev = r_event(r, n, sim.faults.plan_len())?;
             match ev {
                 Event::TxEnd(i, handle) => {
                     let frame = airborne
@@ -1817,43 +1563,7 @@ impl Simulation {
             return Err(CkptError::corrupt("a frame in flight has no pending end"));
         }
 
-        sim.observe_ticks = r.u64()?;
-        sim.global_link_drop = r_unit(r, "global link drop probability")?;
-        let drops = r.seq(|r| {
-            Ok((
-                r_node_id(r, n)?,
-                r_node_id(r, n)?,
-                r_unit(r, "link drop probability")?,
-            ))
-        })?;
-        sim.link_drop = LinkDropTable::from_set_entries(n, &drops);
-        sim.fault_regime = r.bool()?;
-        sim.fault_plan = plan;
-
-        for _ in 0..r.seq_len()? {
-            let i = r_node_id(r, n)?.index();
-            let tag = r.u8()?;
-            let b = NodeBehavior::from_tag(tag)
-                .ok_or_else(|| CkptError::corrupt(format!("bad NodeBehavior tag {tag}")))?;
-            sim.behaviors.set(i, b);
-        }
-        let first = r.option(SnapReader::f64)?;
-        let half = r.option(SnapReader::f64)?;
-        let last = r.option(SnapReader::f64)?;
-        // The alive census is derived state: recompute it from restored
-        // node liveness rather than trusting the wire.
-        let alive_sensors = sim
-            .nodes
-            .iter()
-            .take(sim.scenario.sensors)
-            .filter(|node| node.alive)
-            .count();
-        sim.lifetime.restore(alive_sensors, first, half, last);
-
-        let recorder_state = r.option(|r| r_recorder_state(r, now))?;
-
-        let recorder = recorder_state.map(MetricsRecorder::restore_state);
-        sim.observer = recorder.clone();
+        let recorder = sim.observers.decode(r, now, popped)?;
         Ok((sim, recorder))
     }
 
@@ -2050,16 +1760,11 @@ mod tests {
         let part_rec = MetricsRecorder::new(window).with_output(Box::new(part_buf.clone()));
         let mut sim = Simulation::builder(scenario(), ProtocolKind::Opt)
             .seed(21)
-            .observe(part_rec)
+            .observe(part_rec.clone())
             .build();
         run_until(&mut sim, SimTime::from_secs(400));
         let bytes = sim.checkpoint_bytes();
-        let cursor = sim
-            .observer
-            .as_ref()
-            .unwrap()
-            .snapshot_state()
-            .bytes_written as usize;
+        let cursor = part_rec.bytes_written() as usize;
         let head = part_buf.bytes()[..cursor].to_vec();
         drop(sim);
 

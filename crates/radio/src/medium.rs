@@ -112,12 +112,8 @@ pub struct TxOutcome<P> {
 pub struct MediumCounters {
     /// Frames whose transmission completed.
     pub frames_sent: u64,
-    /// Successful (frame, receiver) deliveries.
-    pub deliveries: u64,
     /// (frame, receiver) losses due to collision.
     pub collisions: u64,
-    /// Bits of completed transmissions.
-    pub bits_sent: u64,
 }
 
 /// The shared broadcast channel.
@@ -311,8 +307,6 @@ impl<P: Clone> Medium<P> {
             }
         }
         self.counters.frames_sent += 1;
-        self.counters.bits_sent += tx.frame.bits;
-        self.counters.deliveries += delivered_to.len() as u64;
         self.counters.collisions += collided_at.len() as u64;
         let mut audible = tx.audible;
         audible.clear();
@@ -518,9 +512,7 @@ mod tests {
         m.end_tx(t(5), a);
         let c = m.counters();
         assert_eq!(c.frames_sent, 1);
-        assert_eq!(c.deliveries, 2);
         assert_eq!(c.collisions, 0);
-        assert_eq!(c.bits_sent, 50);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use dftmsn_sim as sim;
 
 /// The most commonly used items, re-exported in one place.
 pub mod prelude {
-    pub use dftmsn_core::behavior::{BehaviorTable, LifetimeTracker, NodeBehavior};
+    pub use dftmsn_core::behavior::NodeBehavior;
     pub use dftmsn_core::faults::{FaultKind, FaultPlan};
     pub use dftmsn_core::observe::{MetricsRecorder, ObserveRow, ObserveSeries, WorldSnapshot};
     pub use dftmsn_core::params::{ProtocolParams, ScenarioParams};

@@ -166,7 +166,7 @@ fn second_seed_resumes_bit_identically_in_both_modes() {
     }
 }
 
-/// Golden `dftmsn-ckpt/3` fixture: a mid-run snapshot (OPT, 16 sensors,
+/// Golden `dftmsn-ckpt/4` fixture: a mid-run snapshot (OPT, 16 sensors,
 /// 2 sinks, 800 s, seed 7, checkpointed at the first event boundary past
 /// 450 s) committed under `tests/fixtures/`. Resuming it must still work
 /// on every future build of this workspace — this is the format-stability
@@ -222,38 +222,61 @@ fn print_fixture_digest() {
     println!("const FIXTURE_DIGEST: u64 = {digest:#018x};");
 }
 
+/// Link faults live across a 300 s checkpoint: the per-pair entry cuts
+/// sensor 6 off from sink 16, which exchange frames on both sides of the
+/// checkpoint in both mobility modes at seed 5, while the global drop and
+/// sensor 1's DATA corruption are in force.
+const LINK_FAULTS: &str =
+    "link=6:16:1.0@100;alllinks=0.1@150;corruptnode=1:1.0@200;link=6:16:0.0@450";
+
 #[test]
 fn faulted_runs_resume_bit_identically() {
-    // Faults exercise the fault-plan cursor, the fault RNG stream and the
-    // crash/recovery state machines across the checkpoint boundary.
+    // Churn exercises the fault-plan cursor, the fault RNG stream and the
+    // crash/recovery state machines across the checkpoint boundary; the
+    // link plan carries the link drops and a corruption probability.
     let scenario = scenario();
-    let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("faulted OPT {mode:?}");
+    let churn = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
+    let churned: fn(&SimReport) -> bool = |r| r.faults.crashes > 0;
+    let dropped: fn(&SimReport) -> bool = |r| r.faults.frames_dropped > 0;
+    for (name, plan, injected) in [
+        ("churn", churn, churned),
+        (
+            "links",
+            FaultPlan::parse(LINK_FAULTS, &scenario, 5).unwrap(),
+            dropped,
+        ),
+    ] {
+        for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
+            let label = format!("{name} OPT {mode:?}");
 
-        let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        let full = full_sim.run();
-        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
+            let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+                .seed(5)
+                .mobility_mode(mode)
+                .faults(plan.clone())
+                .build();
+            let full = full_sim.run();
+            assert!(injected(&full), "{label}: plan injected nothing");
 
-        let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        while part_sim.now().as_secs_f64() < 300.0 {
-            if !part_sim.step() {
-                break;
+            let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+                .seed(5)
+                .mobility_mode(mode)
+                .faults(plan.clone())
+                .build();
+            while part_sim.now().as_secs_f64() < 300.0 {
+                if !part_sim.step() {
+                    break;
+                }
             }
+            let bytes = part_sim.checkpoint_bytes();
+            let (resumed_sim, recorder) =
+                Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(
+                recorder.is_none(),
+                "{label}: resumed a recorder never attached"
+            );
+            let resumed = resumed_sim.run();
+            assert_same_report(&resumed, &full, &label);
         }
-        let bytes = part_sim.checkpoint_bytes();
-        let (resumed_sim, _) =
-            Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let resumed = resumed_sim.run();
-        assert_same_report(&resumed, &full, &label);
     }
 }
 
@@ -480,7 +503,7 @@ fn other_format_versions_are_rejected_by_name() {
     );
     while sim.now().as_secs_f64() < 100.0 && sim.step() {}
     let bytes = sim.checkpoint_bytes();
-    for version in ["dftmsn-ckpt/1", "dftmsn-ckpt/2"] {
+    for version in ["dftmsn-ckpt/1", "dftmsn-ckpt/2", "dftmsn-ckpt/3"] {
         let old = frame(version.as_bytes(), payload(&bytes));
         let err = Simulation::resume_from_bytes(&old).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");
@@ -535,12 +558,13 @@ fn crafted_sizes_are_rejected_before_allocation() {
 }
 
 /// A malformed payload that still carries a valid checksum must end in a
-/// typed error or in a resumed run that keeps stepping — never a panic.
-/// Each case xors one byte of a faulted, adversarial, observed mid-frame
-/// checkpoint with a random nonzero value, re-frames it, resumes, and
-/// steps the result 300 times. Every fourth case aims at the parameter
-/// section, which sizes everything the resume allocates; the rest aim at
-/// the sections after it.
+/// typed error or in a resumed run that keeps stepping and reporting —
+/// never a panic. Each case xors one byte of a faulted, adversarial,
+/// observed mid-frame checkpoint with a random nonzero value, re-frames
+/// it, resumes, steps the result 300 times and closes its report. Every
+/// fourth case aims at the parameters and the fault block, which size
+/// everything the resume allocates; the rest aim at the sections after
+/// them.
 #[test]
 fn mutated_payloads_with_valid_checksums_never_panic() {
     const MUTATIONS: usize = 1_200;
@@ -561,7 +585,7 @@ fn mutated_payloads_with_valid_checksums_never_panic() {
     );
     let bytes = sim.checkpoint_bytes();
     let original = payload(&bytes);
-    // The clock opens the section after the parameters.
+    // The clock opens the section after the fault block.
     let clock = sim.now().ticks().to_le_bytes();
     let params_len = original
         .windows(8)
@@ -589,6 +613,7 @@ fn mutated_payloads_with_valid_checksums_never_panic() {
                         break;
                     }
                 }
+                let _ = sim.finish_partial();
                 true
             }
         });
