@@ -23,7 +23,7 @@
 //! Dispatch is static: the sealed [`Policy`] enum-of-impls costs one
 //! predictable branch per decision, which the `scale_check` CI gate
 //! verifies stays inside the ns/event budget. Checkpoints carry the
-//! policy as a frame of `dftmsn-ckpt/4` (see `world_ckpt.rs`).
+//! policy as a frame of `dftmsn-ckpt/5` (see `world_ckpt.rs`).
 
 use crate::delivery::DeliveryProb;
 use crate::ftd::Ftd;

@@ -124,47 +124,6 @@ impl TraceSink for Box<dyn TraceSink> {
     }
 }
 
-/// A sink that counts events by class without storing them.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CountingTrace {
-    /// Frames sent.
-    pub sent: u64,
-    /// Frame deliveries.
-    pub delivered_frames: u64,
-    /// Collision losses.
-    pub collisions: u64,
-    /// First-copy sink deliveries.
-    pub deliveries: u64,
-    /// Sleep transitions.
-    pub sleeps: u64,
-    /// Drops.
-    pub drops: u64,
-    /// Fault-plan events fired.
-    pub faults: u64,
-}
-
-impl CountingTrace {
-    /// Creates a zeroed counter sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for CountingTrace {
-    fn record(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::FrameSent { .. } => self.sent += 1,
-            TraceEvent::FrameDelivered { .. } => self.delivered_frames += 1,
-            TraceEvent::Collision { .. } => self.collisions += 1,
-            TraceEvent::Delivered { .. } => self.deliveries += 1,
-            TraceEvent::Slept { .. } => self.sleeps += 1,
-            TraceEvent::Dropped { .. } => self.drops += 1,
-            TraceEvent::FaultInjected { .. } => self.faults += 1,
-        }
-    }
-}
-
 /// A clonable, thread-safe in-memory store of every event, for reading a
 /// trace back after [`Simulation::run`](crate::world::Simulation::run)
 /// consumed the sink.
@@ -261,33 +220,5 @@ mod tests {
             kind: "NodeCrash",
         };
         assert_eq!(e.at(), SimTime::from_secs(9));
-        let mut c = CountingTrace::new();
-        c.record(e);
-        assert_eq!(c.faults, 1);
-    }
-
-    #[test]
-    fn counting_trace_tallies_classes() {
-        let mut t = CountingTrace::new();
-        t.record(TraceEvent::Collision {
-            at: SimTime::ZERO,
-            at_node: NodeId(1),
-        });
-        t.record(TraceEvent::Delivered {
-            at: SimTime::ZERO,
-            msg: MessageId(0),
-            sink: NodeId(2),
-            delay_secs: 3.0,
-        });
-        t.record(TraceEvent::Dropped {
-            at: SimTime::ZERO,
-            node: NodeId(0),
-            msg: MessageId(1),
-            reason: DropReason::Overflow,
-        });
-        assert_eq!(t.collisions, 1);
-        assert_eq!(t.deliveries, 1);
-        assert_eq!(t.drops, 1);
-        assert_eq!(t.sent, 0);
     }
 }

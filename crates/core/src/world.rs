@@ -280,14 +280,14 @@ impl Timing {
 /// How node motion is advanced through simulated time.
 ///
 /// The default [`Ticked`](MobilityMode::Ticked) mode advances every
-/// mobility model on every global `MobilityTick` from one shared RNG
-/// stream — O(N) work per tick regardless of how many nodes are asleep.
+/// sensor's mobility model on every global `MobilityTick` from one shared
+/// RNG stream — O(N) work per tick regardless of how many nodes are asleep.
 /// It is the mode every existing golden baseline was recorded under and
 /// stays bit-for-bit unchanged by this enum's existence.
 ///
-/// [`Lazy`](MobilityMode::Lazy) gives each node its own forked RNG stream
+/// [`Lazy`](MobilityMode::Lazy) gives each sensor its own forked RNG stream
 /// and extrapolates its trajectory in closed form
-/// ([`dftmsn_mobility::models::MobilityModel::advance_span`]) only when the
+/// ([`dftmsn_mobility::models::ZoneMobility::advance_span`]) only when the
 /// position is actually needed: on wake-up, on a spatial query, or at a
 /// low-rate staleness sweep that bounds how far any position lags.
 /// Sleeping nodes cost nothing while they sleep. Spatial queries run at an
@@ -305,7 +305,7 @@ pub enum MobilityMode {
     /// pre-existing baselines).
     #[default]
     Ticked,
-    /// Per-node RNG streams + on-demand closed-form catch-up.
+    /// Per-sensor RNG streams + on-demand closed-form catch-up.
     Lazy,
 }
 
@@ -721,7 +721,7 @@ impl Simulation {
         self.medium.airborne()
     }
 
-    /// Nodes currently mid-coast-lease in ticked mode (straight-line
+    /// Sensors currently mid-coast-lease in ticked mode (straight-line
     /// ticks promised but not yet replayed into their models). `None` in
     /// lazy mode. Checkpointing settles every lease first; this telemetry
     /// lets tests prove a snapshot instant actually was mid-lease.
@@ -2417,21 +2417,42 @@ mod tests {
 
     #[test]
     fn sink_placement_is_spread_and_stationary() {
-        let scenario = ScenarioParams::paper_default().with_sinks(3);
-        let sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(1)
-            .build();
-        let sinks: Vec<Vec2> = (0..3)
-            .map(|j| sim.mobility.position(scenario.sensors + j))
-            .collect();
-        // Spread: pairwise distances well above a transmission range.
-        for a in 0..3 {
-            for b in (a + 1)..3 {
-                assert!(
-                    sinks[a].distance(sinks[b]) > 30.0,
-                    "sinks {a} and {b} clumped"
-                );
+        let scenario = ScenarioParams::paper_default()
+            .with_sinks(3)
+            .with_duration_secs(600);
+        let sinks = |sim: &Simulation| -> Vec<Vec2> {
+            (0..3)
+                .map(|j| sim.mobility.position(scenario.sensors + j))
+                .collect()
+        };
+        let bits = |ps: &[Vec2]| -> Vec<(u64, u64)> {
+            ps.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        };
+        for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
+            let mut sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+                .seed(1)
+                .mobility_mode(mode)
+                .build();
+            let placed = sinks(&sim);
+            // Spread: pairwise distances well above a transmission range.
+            for a in 0..3 {
+                for b in (a + 1)..3 {
+                    assert!(
+                        placed[a].distance(placed[b]) > 30.0,
+                        "{mode:?}: sinks {a} and {b} clumped"
+                    );
+                }
             }
+            // Never moved: bit-equal after traffic, across a checkpoint and
+            // at the end of the run.
+            let placed = bits(&placed);
+            while sim.now() < SimTime::from_secs(300) && sim.step() {}
+            assert_eq!(bits(&sinks(&sim)), placed, "{mode:?}: moved by 300 s");
+            let (mut resumed, _) =
+                Simulation::resume_from_bytes(&sim.checkpoint_bytes()).expect("resumes");
+            assert_eq!(bits(&sinks(&resumed)), placed, "{mode:?}: moved by resume");
+            while resumed.step() {}
+            assert_eq!(bits(&sinks(&resumed)), placed, "{mode:?}: moved by the end");
         }
     }
 

@@ -1,10 +1,10 @@
-//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/4`
+//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/5`
 //! format.
 //!
 //! A checkpoint captures the *complete* live state of a run: every node's
 //! protocol tables (ξ, FTD queue, sleep history, neighbor table, MAC
 //! context), the timing-wheel event set, every RNG stream (shared mobility,
-//! fault, per-node protocol, and Lazy mode's per-node mobility forks), the
+//! fault, per-node protocol, and Lazy mode's per-sensor mobility forks), the
 //! in-flight radio medium, the run counters, and the windowed observer's
 //! accumulation state. Resuming reconstructs a simulation whose subsequent
 //! event stream is bit-for-bit identical to the uninterrupted run: same
@@ -14,7 +14,7 @@
 //! # File format
 //!
 //! ```text
-//! magic   13 bytes   b"dftmsn-ckpt/4"
+//! magic   13 bytes   b"dftmsn-ckpt/5"
 //! len      8 bytes   payload length, u64 LE
 //! payload  n bytes   SnapWriter-encoded state
 //! checksum 8 bytes   checksum64 of the payload, u64 LE
@@ -28,12 +28,13 @@
 //! clock, the count of events processed and the count of message ids
 //! issued, which later sections are checked against. Then come the policy
 //! frame, the mobility driver's block (the shared mobility stream, Lazy
-//! mode's per-node streams and sync instants, each model's trajectory
-//! state), the nodes, the medium, the run counters and the pending events,
-//! and last the observers' block (the observe-tick count and the
-//! recorder). Each owner writes and reads its block itself. Only `/4`
-//! decodes: a file of another `dftmsn-ckpt/` version is rejected as
-//! [`CkptError::Corrupt`] naming that version.
+//! mode's per-sensor streams and sync instants, then each sensor's seven
+//! trajectory values; sinks never move and write nothing), the nodes, the
+//! medium, the run counters and the pending events, and last the
+//! observers' block (the observe-tick count and the recorder). Each owner
+//! writes and reads its block itself. Only `/5` decodes: a file of another
+//! `dftmsn-ckpt/` version is rejected as [`CkptError::Corrupt`] naming
+//! that version.
 //!
 //! Decoding trusts nothing the checksum cannot vouch for: node ids must lie
 //! below the node count, ξ/FTD/metric values in `[0, 1]`, recorded instants
@@ -74,9 +75,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file; the trailing `/4` is the
+/// Magic bytes opening every checkpoint file; the trailing `/5` is the
 /// format version.
-pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/4";
+pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/5";
 
 /// The magic's version-independent prefix, so a file of another version is
 /// named as such rather than as "not a checkpoint".
@@ -97,7 +98,7 @@ pub enum CkptError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The bytes are not a valid `dftmsn-ckpt/4` snapshot: bad magic, an
+    /// The bytes are not a valid `dftmsn-ckpt/5` snapshot: bad magic, an
     /// unsupported version, truncation, checksum mismatch, or a malformed
     /// payload.
     Corrupt {
@@ -791,14 +792,14 @@ fn w_node(w: &mut SnapWriter, node: &Node, neighbors: &mut Vec<(NodeId, Neighbor
     });
 }
 
-/// The fewest payload bytes one node's records can take: its mobility
-/// model's length prefix, the record of a fresh node (empty queue, history
-/// and table, no exchange context) and its two medium entries.
+/// The fewest payload bytes one node's records can take: the record of a
+/// fresh node (empty queue, history and table, no exchange context) and
+/// its two medium entries. A sink writes no mobility bytes.
 fn min_node_bytes() -> usize {
     let fresh = Node::new(NodeId(0), NodeRole::Sensor, 1, 2, SimRng::seed_from(0));
     let mut w = SnapWriter::with_capacity(256);
     w_node(&mut w, &fresh, &mut Vec::new());
-    8 + w.into_bytes().len() + 2
+    w.into_bytes().len() + 2
 }
 
 /// Decodes one node into `node`, freshly built by `construct_static` (so
@@ -1154,7 +1155,7 @@ fn r_policy(r: &mut SnapReader, sim: &mut Simulation, now: SimTime) -> Result<()
 
 impl Simulation {
     /// Serializes the complete live state into a framed, checksummed
-    /// `dftmsn-ckpt/4` byte buffer. Call between events — e.g. after
+    /// `dftmsn-ckpt/5` byte buffer. Call between events — e.g. after
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///

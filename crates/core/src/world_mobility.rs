@@ -1,6 +1,6 @@
-//! Node motion for [`Simulation`](super::Simulation): the mobility models,
-//! their random streams, the dense position array, the spatial grid and
-//! whichever [`MobilityMode`] advances them.
+//! Node motion for [`Simulation`](super::Simulation): the sensors' mobility
+//! models, their random streams, the dense position array, the spatial grid
+//! and whichever [`MobilityMode`] advances them.
 //!
 //! [`MobilityDriver`] owns all of it. The world asks it four things: take a
 //! `MobilityTick` ([`tick`](MobilityDriver::tick), rescheduled after
@@ -11,10 +11,14 @@
 //! ticked coast ledger and contact cache exist exactly when the run is
 //! ticked, and the lazy stream table exactly when it is lazy.
 //!
-//! Sensors move with the paper's home-zone model ([`ZoneMobility`], Sec. 5);
-//! sinks sit still at zone centres spread evenly across the grid
-//! ([`Stationary`]). Sinks keep their slot in every per-node lane, so node
-//! `j`'s model, position, coast lane and lazy stream all sit at index `j`.
+//! Sensors move with the paper's home-zone model ([`ZoneMobility`], Sec. 5),
+//! and sensor `j`'s model, coast lane and lazy stream all sit at index `j`.
+//! Sinks sit still at zone centres spread evenly across the grid: they have
+//! no model, lane or stream, and their positions, after the sensors' in
+//! `positions`, are written once at construction. They stay in the grid and
+//! the contact cache, since they send CTS and ACK frames and are neighbour
+//! candidates like any node; every lookup that takes any node index treats
+//! an index past the sensor lanes as a node that never moves.
 
 use super::ckpt::{r_past, r_rng, w_rng, w_time};
 use super::MobilityMode;
@@ -22,7 +26,7 @@ use crate::params::ScenarioParams;
 use crate::prefetch::prefetch;
 use dftmsn_mobility::geom::{Bounds, Vec2};
 use dftmsn_mobility::grid_index::SpatialGrid;
-use dftmsn_mobility::models::{MobilityModel, Stationary, ZoneMobility};
+use dftmsn_mobility::models::ZoneMobility;
 use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 use dftmsn_sim::rng::SimRng;
 use dftmsn_sim::snap::{SnapError, SnapReader, SnapWriter};
@@ -42,13 +46,14 @@ const DUE_PREFETCH_AHEAD: usize = 6;
 /// Every node's motion, advanced in one [`MobilityMode`].
 #[derive(Debug)]
 pub(super) struct MobilityDriver {
-    /// One model per node: sensors first, then sinks.
-    models: Vec<Box<dyn MobilityModel>>,
+    /// One model per sensor.
+    models: Vec<ZoneMobility>,
     /// The shared mobility stream. Ticked mode draws every model's
     /// randomness from it in node order; Lazy mode only forked the
-    /// per-node streams from it.
+    /// per-sensor streams from it.
     rng: SimRng,
-    /// Dense position mirror of the models, read by every spatial query.
+    /// Every node's position, read by every spatial query: the sensors'
+    /// dense mirror of their models, then the sinks' fixed locations.
     positions: Vec<Vec2>,
     /// Spatial index over `positions`.
     grid: SpatialGrid,
@@ -75,10 +80,10 @@ enum Mode {
 /// Bookkeeping for [`MobilityMode::Lazy`].
 #[derive(Debug)]
 struct LazyMobility {
-    /// Per-node mobility streams (forked from the shared mobility RNG),
-    /// so catching node *i* up never perturbs node *j*'s trajectory.
+    /// Per-sensor mobility streams (forked from the shared mobility RNG),
+    /// so catching sensor *i* up never perturbs sensor *j*'s trajectory.
     rngs: Vec<SimRng>,
-    /// The sim-time each node's position was last advanced to.
+    /// The sim-time each sensor's position was last advanced to.
     synced_at: Vec<SimTime>,
     /// Staleness bound: a low-rate sweep catches every node up at this
     /// period, so no stored position lags truth by more than it.
@@ -94,16 +99,19 @@ struct LazyMobility {
 impl LazyMobility {
     /// Advances node `j`'s model from its last synced instant to `now` in
     /// one closed-form span, updating its stored position and grid cell.
-    /// No-op for an already-current node.
+    /// No-op for an already-current node and for a sink.
     fn catch_up(
         &mut self,
         j: usize,
         now: SimTime,
-        models: &mut [Box<dyn MobilityModel>],
+        models: &mut [ZoneMobility],
         positions: &mut [Vec2],
         grid: &mut SpatialGrid,
     ) {
-        let dt = now.saturating_since(self.synced_at[j]);
+        let Some(&synced) = self.synced_at.get(j) else {
+            return;
+        };
+        let dt = now.saturating_since(synced);
         if dt.is_zero() {
             return;
         }
@@ -117,17 +125,17 @@ impl LazyMobility {
 
 /// SoA coast ledger for [`MobilityMode::Ticked`].
 ///
-/// Each node holds a *coast lease* from its model
-/// ([`MobilityModel::tick_grant`]): for `left` more ticks the node's
+/// Each sensor holds a *coast lease* from its model
+/// ([`ZoneMobility::tick_grant`]): for `left` more ticks the node's
 /// position moves by exactly `disp` per tick with no RNG draw and no
 /// boundary interaction, so the per-tick sweep applies the displacement to
 /// the dense `positions` array and skips the model entirely — three
-/// contiguous array lanes instead of a virtual call into a heap-scattered
-/// model per node per tick. Leases are additionally split into cell
+/// contiguous array lanes instead of a call into every sensor's model per
+/// tick. Leases are additionally split into cell
 /// windows ([`SpatialGrid::move_node_window`]: the whole steps to the
 /// grid-cell edge ahead along the node's displacement) so a coasting node
 /// can never invalidate its grid bucket. `pending` counts coasted ticks
-/// not yet reported back; a settle ([`MobilityModel::tick_settle`])
+/// not yet reported back; a settle ([`ZoneMobility::tick_settle`])
 /// replays them bit-identically before the model is advanced, saved, or
 /// re-granted, which is what keeps ticked goldens and checkpoints
 /// byte-exact.
@@ -140,7 +148,7 @@ struct TickedCoast {
     /// wheel horizon.
     model_left: Vec<u32>,
     /// Coast steps applied to `positions[j]` but not yet settled into
-    /// model `j` ([`MobilityModel::tick_settle`]'s replay count).
+    /// model `j` ([`ZoneMobility::tick_settle`]'s replay count).
     applied: Vec<u32>,
     /// The tick index `positions[j]` reflects. A coasting node's dense
     /// position is allowed to lag the clock; [`materialize`]
@@ -156,15 +164,15 @@ struct TickedCoast {
 }
 
 impl TickedCoast {
-    fn new(n: usize) -> Self {
+    fn new(sensors: usize) -> Self {
         let mut wheel = vec![Vec::new(); COAST_WHEEL];
-        // Everyone starts with no lease: all due on the first tick.
-        wheel[1 % COAST_WHEEL] = (0..n as u32).collect();
+        // Every sensor starts with no lease: all due on the first tick.
+        wheel[1 % COAST_WHEEL] = (0..sensors as u32).collect();
         TickedCoast {
-            disp: vec![Vec2::ZERO; n],
-            model_left: vec![0; n],
-            applied: vec![0; n],
-            anchor: vec![0; n],
+            disp: vec![Vec2::ZERO; sensors],
+            model_left: vec![0; sensors],
+            applied: vec![0; sensors],
+            anchor: vec![0; sensors],
             wheel,
             tick_no: 0,
         }
@@ -174,10 +182,14 @@ impl TickedCoast {
     /// reflects tick `to_tick`. Each replayed step is the identical
     /// `+= disp` the old per-tick sweep performed, in the same order, so
     /// the resulting bit pattern is the same — batching only moves the
-    /// work to the moment the position is actually read.
+    /// work to the moment the position is actually read. A sink has no
+    /// lane and is always current.
     #[inline]
     fn materialize(&mut self, j: usize, to_tick: u64, positions: &mut [Vec2]) {
-        let k = (to_tick - self.anchor[j]) as u32;
+        let Some(&anchor) = self.anchor.get(j) else {
+            return;
+        };
+        let k = (to_tick - anchor) as u32;
         if k == 0 {
             return;
         }
@@ -284,32 +296,32 @@ impl ContactCache {
 
 impl MobilityDriver {
     /// Places every node of `scenario` and sets up `mode`'s state, drawing
-    /// from `rng`, the run's mobility stream. Positions and the grid stay
-    /// empty until [`sync_positions`](Self::sync_positions).
+    /// from `rng`, the run's mobility stream. The grid stays empty until
+    /// [`sync_positions`](Self::sync_positions).
     ///
-    /// Lazy mode forks one stream per node, so catching one node up never
-    /// consumes another's randomness; each sensor is also *placed* from its
-    /// own stream, which is why lazy runs re-baseline. Ticked mode places
-    /// sensors from the shared stream in node order, the draw order every
-    /// ticked baseline was recorded with.
+    /// Lazy mode forks one stream per sensor, so catching one sensor up
+    /// never consumes another's randomness; each sensor is also *placed*
+    /// from its own stream, which is why lazy runs re-baseline. Ticked mode
+    /// places sensors from the shared stream in node order, the draw order
+    /// every ticked baseline was recorded with.
     pub(super) fn new(scenario: &ScenarioParams, mode: MobilityMode, mut rng: SimRng) -> Self {
         let area = Bounds::new(scenario.area_width_m, scenario.area_height_m);
         let zones = ZoneGrid::new(area, scenario.zone_cols, scenario.zone_rows);
-        let n = scenario.node_count();
+        let (n, sensors) = (scenario.node_count(), scenario.sensors);
         let lazy = mode == MobilityMode::Lazy;
-        let mut models: Vec<Box<dyn MobilityModel>> = Vec::with_capacity(n);
-        let mut streams: Vec<SimRng> = Vec::with_capacity(if lazy { n } else { 0 });
-        let sensor = |i: usize, draw: &mut SimRng| -> Box<dyn MobilityModel> {
-            Box::new(ZoneMobility::new(
+        let mut models = Vec::with_capacity(sensors);
+        let mut streams = Vec::with_capacity(if lazy { sensors } else { 0 });
+        let sensor = |i: usize, draw: &mut SimRng| {
+            ZoneMobility::new(
                 zones.clone(),
                 ZoneId(i % zones.zone_count()),
                 scenario.speed_min_mps,
                 scenario.speed_max_mps,
                 scenario.zone_exit_prob,
                 draw,
-            ))
+            )
         };
-        for i in 0..scenario.sensors {
+        for i in 0..sensors {
             if lazy {
                 let mut own = rng.fork(i as u64);
                 models.push(sensor(i, &mut own));
@@ -318,22 +330,20 @@ impl MobilityDriver {
                 models.push(sensor(i, &mut rng));
             }
         }
+        let mut positions = Vec::with_capacity(n);
+        positions.extend(models.iter().map(ZoneMobility::position));
         // Sinks sit at "strategic locations": zone centres spread evenly
-        // across the grid.
-        for j in 0..scenario.sinks {
-            let zone = ZoneId(((2 * j + 1) * zones.zone_count()) / (2 * scenario.sinks));
-            models.push(Box::new(Stationary::new(zones.zone_center(zone))));
-            if lazy {
-                // A sink never draws, but the slot keeps per-node stream
-                // indexing aligned.
-                streams.push(rng.fork((scenario.sensors + j) as u64));
-            }
-        }
+        // across the grid. This is the only write of their positions.
+        positions.extend((0..scenario.sinks).map(|j| {
+            zones.zone_center(ZoneId(
+                ((2 * j + 1) * zones.zone_count()) / (2 * scenario.sinks),
+            ))
+        }));
 
         let vmax = scenario.speed_max_mps.max(0.2);
         let mode = match mode {
             MobilityMode::Ticked => Mode::Ticked {
-                coast: TickedCoast::new(n),
+                coast: TickedCoast::new(sensors),
                 contacts: Some(Box::new(ContactCache::new(
                     n,
                     vmax,
@@ -345,7 +355,7 @@ impl MobilityDriver {
                     .clamp(scenario.mobility_tick_secs.min(30.0), 30.0);
                 Mode::Lazy(LazyMobility {
                     rngs: streams,
-                    synced_at: vec![SimTime::ZERO; n],
+                    synced_at: vec![SimTime::ZERO; sensors],
                     sync_every: SimDuration::from_secs_f64(sync_every),
                     query_radius: scenario.channel.range_m + vmax * sync_every,
                     vmax,
@@ -369,7 +379,7 @@ impl MobilityDriver {
         MobilityDriver {
             models,
             rng,
-            positions: Vec::with_capacity(n),
+            positions,
             grid: SpatialGrid::new(area, cell),
             mode,
             tick_secs: scenario.mobility_tick_secs,
@@ -386,12 +396,13 @@ impl MobilityDriver {
         }
     }
 
-    /// Reads every node's position from its model and rebuilds the grid
-    /// from them: the derived state a fresh or restored driver starts from.
+    /// Reads every sensor's position from its model and rebuilds the grid
+    /// over all nodes: the derived state a fresh or restored driver starts
+    /// from.
     pub(super) fn sync_positions(&mut self) {
-        self.positions.clear();
-        self.positions
-            .extend(self.models.iter().map(|m| m.position()));
+        for (p, m) in self.positions.iter_mut().zip(&self.models) {
+            *p = m.position();
+        }
         self.grid.rebuild(&self.positions);
     }
 
@@ -418,7 +429,7 @@ impl MobilityDriver {
         } = self;
         let coast = match mode {
             Mode::Lazy(lazy) => {
-                // Catching every node up to `now` re-establishes the
+                // Catching every sensor up to `now` re-establishes the
                 // invariant the expanded-radius queries rely on — no
                 // stored position lags truth by more than
                 // `sync_every · v_max` metres.
@@ -448,7 +459,7 @@ impl MobilityDriver {
                 let ahead = ahead as usize;
                 coast.prefetch(ahead);
                 prefetch(&positions[ahead]);
-                prefetch(&*models[ahead]);
+                prefetch(&models[ahead]);
             }
             let j = j as usize;
             // Catch the dense position up to the previous tick; this
@@ -513,8 +524,8 @@ impl MobilityDriver {
             }
             coast.model_left[j] = 0;
         }
-        // Every lease is void now: rebook the whole population for the
-        // next tick so each node re-grants from its settled model state.
+        // Every lease is void now: rebook every sensor for the next tick
+        // so each re-grants from its settled model state.
         for slot in &mut coast.wheel {
             slot.clear();
         }
@@ -566,9 +577,12 @@ impl MobilityDriver {
                 // cannot be within range now, so it needs neither catch-up
                 // nor a second look. This keeps the expanded-radius query
                 // from turning every contact check into a ring of
-                // trajectory advances.
+                // trajectory advances. A sink is never stale.
                 idx.retain(|&j| {
-                    let s = now.saturating_since(lazy.synced_at[j]).as_secs_f64();
+                    let s = lazy
+                        .synced_at
+                        .get(j)
+                        .map_or(0.0, |&t| now.saturating_since(t).as_secs_f64());
                     let reach = range + lazy.vmax * s;
                     positions[j].distance_sq(center) <= reach * reach
                 });
@@ -658,7 +672,7 @@ impl MobilityDriver {
         }
     }
 
-    /// Nodes mid-coast-lease in Ticked mode; `None` in Lazy mode.
+    /// Sensors mid-coast-lease in Ticked mode; `None` in Lazy mode.
     pub(super) fn coasting_nodes(&self) -> Option<usize> {
         match &self.mode {
             Mode::Ticked { coast, .. } => Some(
@@ -672,74 +686,65 @@ impl MobilityDriver {
 
     /// An upper bound on the bytes [`encode`](Self::encode) writes.
     pub(super) fn ckpt_len_bound(&self) -> usize {
-        // The shared stream and three length prefixes.
-        const FIXED: usize = 56;
-        // Length prefix plus at most eight state values.
-        const MODEL: usize = 72;
-        // A lazy node's stream and sync instant.
+        // The shared stream and the lazy tables' two length prefixes.
+        const FIXED: usize = 48;
+        // A sensor's seven state values.
+        const MODEL: usize = 56;
+        // A lazy sensor's stream and sync instant.
         const LAZY: usize = 40;
-        let per_node = match self.mode {
+        let per_sensor = match self.mode {
             Mode::Ticked { .. } => MODEL,
             Mode::Lazy(_) => MODEL + LAZY,
         };
-        FIXED + per_node * self.models.len()
+        FIXED + per_sensor * self.models.len()
     }
 
     /// Writes the checkpoint state: the shared stream, then in Lazy mode
-    /// every node's stream and sync instant, then each model's trajectory
-    /// state. Call [`settle`](Self::settle) first. Positions, the grid and
-    /// the ticked coast ledger are derived and not written.
+    /// every sensor's stream and sync instant, then each sensor's seven
+    /// trajectory values. Call [`settle`](Self::settle) first. Positions,
+    /// the grid and the ticked coast ledger are derived and not written;
+    /// sinks write nothing.
     pub(super) fn encode(&self, w: &mut SnapWriter) {
         w_rng(w, &self.rng);
         if let Mode::Lazy(lazy) = &self.mode {
             w.seq(&lazy.rngs, w_rng);
             w.seq(&lazy.synced_at, |w, &t| w_time(w, t));
         }
-        let mut state = Vec::with_capacity(8);
-        w.usize(self.models.len());
         for m in &self.models {
-            state.clear();
-            m.save_state(&mut state);
-            w.seq(&state, |w, &v| w.f64(v));
+            for v in m.state() {
+                w.f64(v);
+            }
         }
     }
 
     /// Restores what [`encode`](Self::encode) wrote into a freshly built
     /// driver of the same scenario and mode, checking every count against
-    /// the node count and every sync instant against the clock `now`, then
-    /// [`sync_positions`](Self::sync_positions).
+    /// the sensor count and every sync instant against the clock `now`,
+    /// then [`sync_positions`](Self::sync_positions).
     pub(super) fn decode(&mut self, r: &mut SnapReader, now: SimTime) -> Result<(), SnapError> {
-        let n = self.models.len();
+        let sensors = self.models.len();
         self.rng = r_rng(r)?;
         if let Mode::Lazy(lazy) = &mut self.mode {
-            if r.seq_len()? != n {
+            if r.seq_len()? != sensors {
                 return Err(SnapError::new("lazy-mobility stream count mismatch"));
             }
             for rng in &mut lazy.rngs {
                 *rng = r_rng(r)?;
             }
-            if r.seq_len()? != n {
+            if r.seq_len()? != sensors {
                 return Err(SnapError::new("lazy-mobility sync table mismatch"));
             }
             for t in &mut lazy.synced_at {
                 *t = r_past(r, now)?;
             }
         }
-        let model_count = r.usize()?;
-        if model_count != n {
-            return Err(SnapError::new(format!(
-                "{model_count} mobility models for {n} nodes"
-            )));
-        }
-        let mut state = Vec::with_capacity(8);
         for (j, model) in self.models.iter_mut().enumerate() {
-            let len = r.seq_len()?;
-            state.clear();
-            for _ in 0..len {
-                state.push(r.f64()?);
+            let mut state = [0.0; 7];
+            for v in &mut state {
+                *v = r.f64()?;
             }
             model
-                .load_state(&state)
+                .load_state(state)
                 .map_err(|e| SnapError::new(format!("mobility model {j}: {e}")))?;
         }
         self.sync_positions();

@@ -63,17 +63,6 @@ impl Vec2 {
     pub fn distance_sq(self, other: Vec2) -> f64 {
         (self - other).length_sq()
     }
-
-    /// The same direction with unit length; [`Vec2::ZERO`] stays zero.
-    #[must_use]
-    pub fn normalized(self) -> Vec2 {
-        let len = self.length();
-        if len == 0.0 {
-            Vec2::ZERO
-        } else {
-            Vec2::new(self.x / len, self.y / len)
-        }
-    }
 }
 
 impl Add for Vec2 {
@@ -254,13 +243,6 @@ mod tests {
         assert_eq!(b - a, Vec2::new(2.0, -3.0));
         assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
         assert_eq!(-a, Vec2::new(-1.0, -2.0));
-    }
-
-    #[test]
-    fn normalization() {
-        let v = Vec2::new(3.0, 4.0).normalized();
-        assert!((v.length() - 1.0).abs() < 1e-12);
-        assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
     }
 
     #[test]

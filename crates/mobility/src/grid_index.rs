@@ -8,13 +8,15 @@
 //!
 //! Two properties keep the hot path cheap:
 //!
-//! * every bucket stores its node indices in ascending order, so
-//!   [`query_within`](SpatialGrid::query_within) produces sorted output by
-//!   merging the scanned neighbourhood instead of sorting per query;
-//! * [`update`](SpatialGrid::update) moves only the nodes whose cell
-//!   changed since the last indexing — stationary sinks and slow nodes
-//!   cost nothing per mobility tick, where a full
-//!   [`rebuild`](SpatialGrid::rebuild) used to reclear every bucket.
+//! * [`query_within`](SpatialGrid::query_within) walks each scanned bucket
+//!   once, collects the nodes that pass the distance filter and sorts
+//!   that (typically tiny) survivor set into ascending index order;
+//! * [`move_node`](SpatialGrid::move_node) and
+//!   [`move_node_window`](SpatialGrid::move_node_window) re-index one
+//!   node at a time and touch its buckets only when its cell changed, so
+//!   a node that stays in its cell costs one cell lookup; a full
+//!   [`rebuild`](SpatialGrid::rebuild) is needed only for a new
+//!   population.
 
 use crate::geom::{Bounds, Vec2};
 use crate::models::coast_ticks;
@@ -45,7 +47,8 @@ pub struct SpatialGrid {
     /// `u32` halves the bucket memory traffic on the query hot path; node
     /// counts past 4 billion are far beyond any simulated scenario.
     buckets: Vec<Vec<u32>>,
-    /// Cached cell index per node from the last `rebuild`/`update`.
+    /// Cached cell index per node, kept current by `rebuild` and the
+    /// single-node moves.
     node_cell: Vec<u32>,
 }
 
@@ -168,29 +171,6 @@ impl SpatialGrid {
             u32::MAX
         } else {
             k as u32
-        }
-    }
-
-    /// Incrementally refreshes the index: only nodes whose cell changed
-    /// since the last `rebuild`/`update` are moved. Equivalent to (but
-    /// much cheaper than) a full [`rebuild`](Self::rebuild) over the same
-    /// positions — nodes that stayed inside their cell cost one
-    /// `cell_of` computation and nothing else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node count changed since the last indexing (the
-    /// incremental path tracks movement, not membership; `rebuild` after
-    /// adding or removing nodes).
-    pub fn update(&mut self, positions: &[Vec2]) {
-        assert!(
-            self.node_cell.len() == positions.len(),
-            "index built for {} nodes, updated with {} (rebuild after membership changes)",
-            self.node_cell.len(),
-            positions.len()
-        );
-        for (i, &p) in positions.iter().enumerate() {
-            self.move_node(i, p);
         }
     }
 
@@ -359,7 +339,9 @@ mod tests {
                 p.x = (p.x + rng.gen_range_f64(-step, step)).clamp(0.0, 120.0);
                 p.y = (p.y + rng.gen_range_f64(-step, step)).clamp(0.0, 120.0);
             }
-            inc.update(&positions);
+            for (i, &p) in positions.iter().enumerate() {
+                inc.move_node(i, p);
+            }
             let mut full = SpatialGrid::new(area, 10.0);
             full.rebuild(&positions);
             for i in 0..n {
@@ -369,26 +351,6 @@ mod tests {
                 assert_eq!(out_inc, brute_force(&positions, i, 10.0), "node {i}");
             }
         }
-    }
-
-    #[test]
-    fn update_without_movement_is_identity() {
-        let positions = vec![Vec2::new(5.0, 5.0), Vec2::new(6.0, 6.0)];
-        let mut grid = SpatialGrid::new(Bounds::new(100.0, 100.0), 10.0);
-        grid.rebuild(&positions);
-        let before = grid.clone();
-        grid.update(&positions);
-        assert_eq!(grid.buckets, before.buckets);
-        assert_eq!(grid.node_cell, before.node_cell);
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild after membership changes")]
-    fn update_with_changed_node_count_panics() {
-        let positions = vec![Vec2::ZERO, Vec2::new(1.0, 1.0)];
-        let mut grid = SpatialGrid::new(Bounds::new(10.0, 10.0), 5.0);
-        grid.rebuild(&positions[..1]);
-        grid.update(&positions);
     }
 
     #[test]
@@ -410,7 +372,6 @@ mod tests {
     fn empty_rebuild_is_fine() {
         let mut grid = SpatialGrid::new(Bounds::new(10.0, 10.0), 10.0);
         grid.rebuild(&[]);
-        grid.update(&[]);
         // No nodes, nothing to query; just ensure no panic.
     }
 

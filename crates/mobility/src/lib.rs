@@ -5,15 +5,15 @@
 //!
 //! * [`geom`] — planar points/vectors and reflecting rectangular bounds;
 //! * [`zones`] — the paper's zone grid over the deployment area;
-//! * [`models`] — the paper's [`ZoneMobility`] model for sensors and
-//!   [`Stationary`] for the sinks at strategic locations;
+//! * [`models`] — the paper's [`ZoneMobility`] model for sensors (sinks
+//!   sit still at strategic locations and need none);
 //! * [`grid_index`] — a spatial hash grid for O(1)-ish range queries.
 //!
 //! # Examples
 //!
 //! ```
 //! use dftmsn_mobility::geom::Bounds;
-//! use dftmsn_mobility::models::{MobilityModel, ZoneMobility};
+//! use dftmsn_mobility::models::ZoneMobility;
 //! use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 //! use dftmsn_sim::rng::SimRng;
 //!
@@ -33,5 +33,5 @@ pub mod zones;
 
 pub use geom::{Bounds, Vec2};
 pub use grid_index::SpatialGrid;
-pub use models::{MobilityModel, Stationary, ZoneMobility};
+pub use models::ZoneMobility;
 pub use zones::{ZoneGrid, ZoneId};

@@ -1,112 +1,19 @@
-//! Mobility models.
+//! The sensors' mobility model.
 //!
 //! The paper's evaluation uses a **zone-based** model ([`ZoneMobility`]):
 //! each sensor has a home zone, moves with a uniformly random speed, bounces
 //! back from its current zone's boundary with probability 80% (crosses with
 //! 20%), and always crosses a boundary leading back into its home zone.
-//! Sinks sit at fixed strategic locations ([`Stationary`]).
+//! Sinks sit at fixed strategic locations and need no model.
 //!
-//! Models advance in discrete ticks: the simulation calls
-//! [`MobilityModel::advance`] with a small `dt` (0.5 s by default) and reads
+//! The model advances in discrete ticks: the simulation calls
+//! [`ZoneMobility::advance`] with a small `dt` (0.5 s by default) and reads
 //! back the position. All randomness comes from the caller-supplied
 //! [`SimRng`], keeping runs deterministic.
 
 use crate::geom::Vec2;
 use crate::zones::{ZoneGrid, ZoneId};
 use dftmsn_sim::rng::SimRng;
-
-/// A point process generating node positions over time.
-///
-/// Implementations must keep the position inside the model's area at all
-/// times.
-pub trait MobilityModel: std::fmt::Debug + Send {
-    /// The current position.
-    fn position(&self) -> Vec2;
-
-    /// Advances the model by `dt` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `dt` is not a positive finite number.
-    fn advance(&mut self, dt: f64, rng: &mut SimRng);
-
-    /// Advances the model across an arbitrary span of `dt` seconds in a
-    /// single call — the lazy-mobility catch-up path.
-    ///
-    /// The default forwards to [`advance`](Self::advance), which is correct
-    /// for models whose `advance` already walks the span closed-form
-    /// ([`Stationary`]). A model whose per-tick `advance` makes boundary
-    /// decisions each tick ([`ZoneMobility`]) overrides this with an
-    /// event-stepped walk: cost is proportional to the number of leg ends
-    /// and boundary hits in the span, not to `dt / tick`. The trajectory is
-    /// drawn from the same distribution but is **not** bit-identical to a
-    /// sequence of small ticks, so an engine switching between the two
-    /// modes must re-record its golden baselines.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `dt` is not a positive finite number.
-    fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
-        self.advance(dt, rng);
-    }
-
-    /// Appends the model's mutable state to `out` as flat `f64` values, for
-    /// checkpointing.
-    ///
-    /// Only trajectory state is captured — construction-time parameters
-    /// (area, zone grid, speed bounds) are rebuilt from the scenario.
-    /// Values must round-trip bit-exactly; stateless models append nothing.
-    fn save_state(&self, _out: &mut Vec<f64>) {}
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// freshly constructed model of the same kind and parameters.
-    ///
-    /// # Errors
-    ///
-    /// A description of the problem when `state` does not match the
-    /// [`save_state`](Self::save_state) layout or names a state the model
-    /// cannot be in (a non-finite value, a position outside its area, a
-    /// speed outside its range). The model is left unchanged.
-    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "stateless model handed {} state values",
-                state.len()
-            ))
-        }
-    }
-
-    /// Ticked-mode coast lease: `(disp, k)` promises that each of the next
-    /// `k` calls to [`advance`](Self::advance) with this exact `dt` would
-    /// be a pure straight-line step — the position moves by exactly `disp`
-    /// (bit-identical to what `advance` would compute), no RNG is drawn,
-    /// and no leg end, zone boundary, or area wall is reached.
-    ///
-    /// The caller may then apply `disp` to its own position mirror for up
-    /// to `k` ticks without touching the model, provided it reports the
-    /// skipped ticks back via [`tick_settle`](Self::tick_settle) before
-    /// anything else reads or advances the model. A model whose next tick
-    /// is not such a step returns `(Vec2::ZERO, 0)`, which callers must
-    /// treat as "call `advance` every tick".
-    fn tick_grant(&self, dt: f64) -> (Vec2, u32);
-
-    /// Settles `ticks` coasted ticks granted by
-    /// [`tick_grant`](Self::tick_grant): `pos` is the caller-accumulated
-    /// position after applying the granted displacement `ticks` times —
-    /// bit-identical to what repeated `advance` calls would have produced,
-    /// because both sides perform the same `+= disp` sequence from the
-    /// same start. Implementations replay any per-tick countdowns so
-    /// subsequent redraw decisions land on exactly the tick a pure
-    /// per-tick run would have chosen.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic (in debug builds) when `ticks` exceeds
-    /// what the last grant promised.
-    fn tick_settle(&mut self, dt: f64, ticks: u32, pos: Vec2);
-}
 
 /// Guard band (metres) every coast window keeps from the edge ahead: it
 /// absorbs the accumulated f64 addition error of a lease — microscopic
@@ -150,7 +57,7 @@ fn assert_dt(dt: f64) {
 ///
 /// ```
 /// use dftmsn_mobility::geom::Bounds;
-/// use dftmsn_mobility::models::{MobilityModel, ZoneMobility};
+/// use dftmsn_mobility::models::ZoneMobility;
 /// use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 /// use dftmsn_sim::rng::SimRng;
 ///
@@ -246,14 +153,19 @@ impl ZoneMobility {
         self.speed = rng.gen_range_f64(self.v_min, self.v_max);
         self.leg_remaining = rng.gen_exp(Self::MEAN_LEG_SECS);
     }
-}
 
-impl MobilityModel for ZoneMobility {
-    fn position(&self) -> Vec2 {
+    /// The current position, always inside the model's area.
+    #[must_use]
+    pub fn position(&self) -> Vec2 {
         self.pos
     }
 
-    fn advance(&mut self, dt: f64, rng: &mut SimRng) {
+    /// Advances the model by one tick of `dt` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not a positive finite number.
+    pub fn advance(&mut self, dt: f64, rng: &mut SimRng) {
         assert_dt(dt);
         // The tick path moves `pos` without maintaining the span margin;
         // force the next `advance_span` through its full path.
@@ -287,12 +199,22 @@ impl MobilityModel for ZoneMobility {
         }
     }
 
-    /// Event-stepped span advance: walks from leg end to leg end and from
+    /// Advances the model across an arbitrary span of `dt` seconds in a
+    /// single call — the lazy-mobility catch-up path.
+    ///
+    /// The walk is event-stepped: from leg end to leg end and from
     /// zone-boundary hit to zone-boundary hit, making one crossing decision
     /// per boundary actually reached. Cost ∝ events in the span (legs are
-    /// exponential with mean `MEAN_LEG_SECS` s, boundaries are a
-    /// zone width apart), not ∝ `dt / tick`.
-    fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
+    /// exponential with mean `MEAN_LEG_SECS` s, boundaries are a zone width
+    /// apart), not ∝ `dt / tick`. The trajectory is drawn from the same
+    /// distribution as a sequence of [`advance`](Self::advance) ticks but is
+    /// **not** bit-identical to it, so an engine switching between the two
+    /// must re-record its golden baselines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not a positive finite number.
+    pub fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
         assert_dt(dt);
         /// Nudge across a boundary so `zone_of` sees the far side (m).
         const EPS_M: f64 = 1e-9;
@@ -386,8 +308,16 @@ impl MobilityModel for ZoneMobility {
         self.pos = p;
     }
 
-    fn save_state(&self, out: &mut Vec<f64>) {
-        out.extend_from_slice(&[
+    /// The trajectory state as flat `f64` values, for checkpointing:
+    /// position, heading, speed, the time left on the leg and the span
+    /// margin.
+    ///
+    /// Construction-time parameters (area, zone grid, speed bounds) are
+    /// rebuilt from the scenario, not captured. The values round-trip
+    /// bit-exactly through [`load_state`](Self::load_state).
+    #[must_use]
+    pub fn state(&self) -> [f64; 7] {
+        [
             self.pos.x,
             self.pos.y,
             self.dir.x,
@@ -395,16 +325,21 @@ impl MobilityModel for ZoneMobility {
             self.speed,
             self.leg_remaining,
             self.span_margin_m,
-        ]);
+        ]
     }
 
-    fn load_state(&mut self, state: &[f64]) -> Result<(), String> {
-        let [px, py, dx, dy, speed, leg, margin] = *state else {
-            return Err(format!(
-                "zone mobility expects 7 state values, got {}",
-                state.len()
-            ));
-        };
+    /// Restores what [`state`](Self::state) captured into a freshly
+    /// constructed model of the same parameters.
+    ///
+    /// # Errors
+    ///
+    /// A description of the problem when `state` names a state the model
+    /// cannot be in: a non-finite value, a position outside its area, a
+    /// speed outside its range, a heading that is not a unit vector or a
+    /// span margin past the zone-edge distance. The model is left
+    /// unchanged.
+    pub fn load_state(&mut self, state: [f64; 7]) -> Result<(), String> {
+        let [px, py, dx, dy, speed, leg, margin] = state;
         let pos = Vec2::new(px, py);
         let dir = Vec2::new(dx, dy);
         let (area, v_min, v_max) = (self.grid.area(), self.v_min, self.v_max);
@@ -439,7 +374,20 @@ impl MobilityModel for ZoneMobility {
         Ok(())
     }
 
-    fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
+    /// Ticked-mode coast lease: `(disp, k)` promises that each of the next
+    /// `k` calls to [`advance`](Self::advance) with this exact `dt` would
+    /// be a pure straight-line step — the position moves by exactly `disp`
+    /// (bit-identical to what `advance` would compute), no RNG is drawn,
+    /// and no leg end, zone boundary, or area wall is reached.
+    ///
+    /// The caller may then apply `disp` to its own position mirror for up
+    /// to `k` ticks without touching the model, provided it reports the
+    /// skipped ticks back via [`tick_settle`](Self::tick_settle) before
+    /// anything else reads or advances the model. When the next tick is
+    /// not such a step the grant is `(Vec2::ZERO, 0)`, which callers must
+    /// treat as "call `advance` every tick".
+    #[must_use]
+    pub fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
         // One fewer than the whole ticks left on the leg: the countdown in
         // `advance` must stay strictly positive on every granted tick so
         // the redraw fires exactly where a pure per-tick run fires it.
@@ -461,7 +409,19 @@ impl MobilityModel for ZoneMobility {
         }
     }
 
-    fn tick_settle(&mut self, dt: f64, ticks: u32, pos: Vec2) {
+    /// Settles `ticks` coasted ticks granted by
+    /// [`tick_grant`](Self::tick_grant): `pos` is the caller-accumulated
+    /// position after applying the granted displacement `ticks` times —
+    /// bit-identical to what repeated `advance` calls would have produced,
+    /// because both sides perform the same `+= disp` sequence from the
+    /// same start. The leg countdown is replayed tick by tick, so the next
+    /// redraw lands on exactly the tick a pure per-tick run would choose.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic when `ticks` exceeds what the last grant
+    /// promised.
+    pub fn tick_settle(&mut self, dt: f64, ticks: u32, pos: Vec2) {
         // Replay the per-tick countdown: k single subtractions, not one
         // k·dt subtraction, so the leg ends on the bit-identical tick.
         for _ in 0..ticks {
@@ -474,34 +434,6 @@ impl MobilityModel for ZoneMobility {
         self.pos = pos;
         self.span_margin_m = 0.0;
     }
-}
-
-/// A node that never moves (sinks at strategic locations, anchors in tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stationary {
-    pos: Vec2,
-}
-
-impl Stationary {
-    /// Creates a fixed node at `pos`.
-    #[must_use]
-    pub const fn new(pos: Vec2) -> Self {
-        Stationary { pos }
-    }
-}
-
-impl MobilityModel for Stationary {
-    fn position(&self) -> Vec2 {
-        self.pos
-    }
-
-    fn advance(&mut self, _dt: f64, _rng: &mut SimRng) {}
-
-    fn tick_grant(&self, _dt: f64) -> (Vec2, u32) {
-        (Vec2::ZERO, u32::MAX)
-    }
-
-    fn tick_settle(&mut self, _dt: f64, _ticks: u32, _pos: Vec2) {}
 }
 
 #[cfg(test)]
@@ -578,17 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_never_moves() {
-        let mut rng = SimRng::seed_from(9);
-        let p = Vec2::new(7.0, 7.0);
-        let mut m = Stationary::new(p);
-        for _ in 0..100 {
-            m.advance(10.0, &mut rng);
-        }
-        assert_eq!(m.position(), p);
-    }
-
-    #[test]
     #[should_panic(expected = "dt must be positive")]
     fn non_positive_dt_panics() {
         let mut rng = SimRng::seed_from(10);
@@ -652,14 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn span_advance_defaults_forward_to_advance() {
-        let mut rng = SimRng::seed_from(34);
-        let mut s = Stationary::new(Vec2::new(3.0, 4.0));
-        s.advance_span(1_000.0, &mut rng);
-        assert_eq!(s.position(), Vec2::new(3.0, 4.0));
-    }
-
-    #[test]
     fn save_load_state_resumes_trajectories_bit_exactly() {
         // Drive a model, snapshot, restore into a fresh twin built from the
         // same construction params (its construction draws differ — load
@@ -670,13 +583,8 @@ mod tests {
         for _ in 0..500 {
             zone.advance(0.5, &mut rng);
         }
-        let saved = |m: &dyn MobilityModel| {
-            let mut out = Vec::new();
-            m.save_state(&mut out);
-            out
-        };
         let mut zone2 = ZoneMobility::new(grid(), ZoneId(6), 0.0, 5.0, 0.2, &mut rng);
-        zone2.load_state(&saved(&zone)).unwrap();
+        zone2.load_state(zone.state()).unwrap();
         let mut ra = SimRng::seed_from(5);
         let mut rb = SimRng::seed_from(5);
         for _ in 0..500 {
@@ -684,36 +592,22 @@ mod tests {
             zone2.advance(0.5, &mut rb);
             assert_eq!(zone.position(), zone2.position());
         }
-
-        let mut fixed = Stationary::new(Vec2::new(1.0, 2.0));
-        assert!(saved(&fixed).is_empty());
-        fixed.load_state(&[]).unwrap();
-        assert!(fixed.load_state(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn zone_load_state_rejects_wrong_arity() {
-        let mut rng = SimRng::seed_from(1);
-        let mut m = ZoneMobility::new(grid(), ZoneId(0), 0.0, 5.0, 0.2, &mut rng);
-        let err = m.load_state(&[1.0, 2.0]).unwrap_err();
-        assert!(err.contains("7 state values"), "{err}");
     }
 
     #[test]
     fn load_state_rejects_states_the_model_cannot_be_in() {
         let mut rng = SimRng::seed_from(2);
         let mut zone = ZoneMobility::new(grid(), ZoneId(6), 0.0, 5.0, 0.2, &mut rng);
-        let mut good = Vec::new();
-        zone.save_state(&mut good);
+        let good = zone.state();
         let before = zone.position();
         // Position, NaN, heading, speed, span margin.
         for (k, v) in [(0, 1e300), (1, f64::NAN), (2, 3.0), (4, 9.0), (6, 1e6)] {
-            let mut bad = good.clone();
+            let mut bad = good;
             bad[k] = v;
-            assert!(zone.load_state(&bad).is_err(), "value {k} = {v} accepted");
+            assert!(zone.load_state(bad).is_err(), "value {k} = {v} accepted");
             assert_eq!(zone.position(), before, "a rejected state was applied");
         }
-        zone.load_state(&good).unwrap();
+        zone.load_state(good).unwrap();
     }
 
     /// Drives `leased` through `ticks` ticks of `dt` using the coast-lease
@@ -721,8 +615,8 @@ mod tests {
     /// advances every tick, and requires bit-identical positions and RNG
     /// consumption throughout.
     fn assert_lease_matches_pure(
-        leased: &mut dyn MobilityModel,
-        pure: &mut dyn MobilityModel,
+        leased: &mut ZoneMobility,
+        pure: &mut ZoneMobility,
         dt: f64,
         ticks: usize,
         seed: u64,
@@ -762,12 +656,6 @@ mod tests {
             let mut b = a.clone();
             assert_lease_matches_pure(&mut a, &mut b, 0.025, 40_000, seed ^ 0xA5);
         }
-    }
-
-    #[test]
-    fn stationary_grants_unbounded_coast() {
-        let m = Stationary::new(Vec2::new(3.0, 4.0));
-        assert_eq!(m.tick_grant(0.5), (Vec2::ZERO, u32::MAX));
     }
 
     #[test]

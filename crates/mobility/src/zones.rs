@@ -57,18 +57,6 @@ impl ZoneGrid {
         self.area
     }
 
-    /// Number of zone columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of zone rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Total number of zones.
     #[must_use]
     pub fn zone_count(&self) -> usize {
@@ -108,14 +96,6 @@ impl ZoneGrid {
     #[must_use]
     pub fn zone_center(&self, id: ZoneId) -> Vec2 {
         self.zone_bounds(id).center()
-    }
-
-    /// Whether two zones share an edge (4-neighbourhood).
-    #[must_use]
-    pub fn adjacent(&self, a: ZoneId, b: ZoneId) -> bool {
-        let (ax, ay) = (a.0 % self.cols, a.0 / self.cols);
-        let (bx, by) = (b.0 % self.cols, b.0 / self.cols);
-        ax.abs_diff(bx) + ay.abs_diff(by) == 1
     }
 }
 
@@ -163,16 +143,6 @@ mod tests {
             let c = g.zone_center(ZoneId(i));
             assert_eq!(g.zone_of(c), ZoneId(i));
         }
-    }
-
-    #[test]
-    fn adjacency_is_4_neighbourhood() {
-        let g = grid();
-        assert!(g.adjacent(ZoneId(0), ZoneId(1)));
-        assert!(g.adjacent(ZoneId(0), ZoneId(5)));
-        assert!(!g.adjacent(ZoneId(0), ZoneId(6)), "diagonal");
-        assert!(!g.adjacent(ZoneId(0), ZoneId(0)), "self");
-        assert!(!g.adjacent(ZoneId(4), ZoneId(5)), "row wrap");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use dftmsn_mobility::geom::{Bounds, Vec2};
 use dftmsn_mobility::grid_index::SpatialGrid;
-use dftmsn_mobility::models::{MobilityModel, ZoneMobility};
+use dftmsn_mobility::models::ZoneMobility;
 use dftmsn_mobility::zones::{ZoneGrid, ZoneId};
 use dftmsn_sim::rng::SimRng;
 use proptest::prelude::*;
@@ -99,7 +99,9 @@ proptest! {
                 p.x = (p.x + rng.gen_range_f64(-max_step, max_step)).clamp(0.0, 200.0);
                 p.y = (p.y + rng.gen_range_f64(-max_step, max_step)).clamp(0.0, 200.0);
             }
-            inc.update(&positions);
+            for (i, &p) in positions.iter().enumerate() {
+                inc.move_node(i, p);
+            }
             let mut full = SpatialGrid::new(area, cell);
             full.rebuild(&positions);
             for i in 0..n {

@@ -166,7 +166,7 @@ fn second_seed_resumes_bit_identically_in_both_modes() {
     }
 }
 
-/// Golden `dftmsn-ckpt/4` fixture: a mid-run snapshot (OPT, 16 sensors,
+/// Golden `dftmsn-ckpt/5` fixture: a mid-run snapshot (OPT, 16 sensors,
 /// 2 sinks, 800 s, seed 7, checkpointed at the first event boundary past
 /// 450 s) committed under `tests/fixtures/`. Resuming it must still work
 /// on every future build of this workspace — this is the format-stability
@@ -503,7 +503,12 @@ fn other_format_versions_are_rejected_by_name() {
     );
     while sim.now().as_secs_f64() < 100.0 && sim.step() {}
     let bytes = sim.checkpoint_bytes();
-    for version in ["dftmsn-ckpt/1", "dftmsn-ckpt/2", "dftmsn-ckpt/3"] {
+    for version in [
+        "dftmsn-ckpt/1",
+        "dftmsn-ckpt/2",
+        "dftmsn-ckpt/3",
+        "dftmsn-ckpt/4",
+    ] {
         let old = frame(version.as_bytes(), payload(&bytes));
         let err = Simulation::resume_from_bytes(&old).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");

@@ -252,34 +252,6 @@ fn trace_shows_the_two_phase_handshake() {
 }
 
 #[test]
-fn counting_trace_matches_report_counters() {
-    use dftmsn::core::trace::CountingTrace;
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Debug, Clone, Default)]
-    struct SharedCounting(Arc<Mutex<CountingTrace>>);
-    impl dftmsn::core::trace::TraceSink for SharedCounting {
-        fn record(&mut self, event: dftmsn::core::trace::TraceEvent) {
-            self.0.lock().unwrap().record(event);
-        }
-    }
-    let counter = SharedCounting::default();
-    let sim = Simulation::builder(small(15, 2, 600), ProtocolKind::Opt)
-        .seed(11)
-        .trace(counter.clone())
-        .build();
-    let report = sim.run();
-    let counts = *counter.0.lock().unwrap();
-    assert_eq!(counts.sent, report.frames_sent);
-    assert_eq!(counts.collisions, report.collisions);
-    assert_eq!(counts.deliveries, report.delivered);
-    assert_eq!(
-        counts.drops,
-        report.drops_overflow + report.drops_rejected + report.drops_ftd
-    );
-}
-
-#[test]
 fn energy_breakdown_sums_to_total() {
     let r = Simulation::builder(small(15, 2, 600), ProtocolKind::Opt)
         .seed(12)

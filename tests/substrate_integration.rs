@@ -4,7 +4,7 @@
 
 use dftmsn::mobility::geom::{Bounds, Vec2};
 use dftmsn::mobility::grid_index::SpatialGrid;
-use dftmsn::mobility::models::{MobilityModel, ZoneMobility};
+use dftmsn::mobility::models::ZoneMobility;
 use dftmsn::mobility::zones::{ZoneGrid, ZoneId};
 use dftmsn::radio::channel::ChannelParams;
 use dftmsn::radio::energy::{EnergyMeter, EnergyModel, RadioState};
