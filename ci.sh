@@ -108,7 +108,7 @@ grep -qi 'checksum\|corrupt' target/ci_ckpt_bad.err \
 # A file of another format version is refused by name, also with exit 4.
 cp "$ck" target/ci_ckpt_old.ckpt
 rm -f target/ci_ckpt_old.ckpt.bak
-printf 'dftmsn-ckpt/4' | dd of=target/ci_ckpt_old.ckpt bs=1 seek=0 conv=notrunc status=none
+printf 'dftmsn-ckpt/5' | dd of=target/ci_ckpt_old.ckpt bs=1 seek=0 conv=notrunc status=none
 set +e
 cargo run --release -q -p dftmsn-cli -- run --resume target/ci_ckpt_old.ckpt \
     >/dev/null 2>target/ci_ckpt_old.err
@@ -116,13 +116,13 @@ old_rc=$?
 set -e
 [ "$old_rc" -eq 4 ] \
     || { echo "old-version checkpoint gate: expected exit 4, got $old_rc"; exit 1; }
-grep -q 'unsupported checkpoint version dftmsn-ckpt/4' target/ci_ckpt_old.err \
+grep -q 'unsupported checkpoint version dftmsn-ckpt/5' target/ci_ckpt_old.err \
     || { echo "old-version checkpoint gate: version not named on stderr"; exit 1; }
 
 echo "==> benchmark package tests (unit + --quick smoke)"
 cargo test --release --manifest-path benchmark/Cargo.toml
 
-echo "==> policy-parity gate (builtin variants seed-deterministic through the trait; policy goldens)"
+echo "==> policy-parity gate (builtin variants seed-deterministic; competitor-policy goldens)"
 cargo test --release -q --test policy_parity
 cargo run --release -q -p dftmsn-cli -- run --policy twohop:budget=3 \
     --sensors 10 --sinks 2 --duration 300 --json >/dev/null \

@@ -134,7 +134,7 @@ INSPECT:
     --width CHARS      sparkline width                   (60)
 
 CHECKPOINTING (run only):
-    --checkpoint FILE       write dftmsn-ckpt/5 snapshots to FILE (atomic;
+    --checkpoint FILE       write dftmsn-ckpt/6 snapshots to FILE (atomic;
                             the previous snapshot rotates to FILE.bak)
     --checkpoint-every SECS snapshot every SECS simulated seconds
                             (without it, only SIGINT/SIGTERM snapshot)
@@ -472,7 +472,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dftmsn_core::policy::MeetingRate;
 
     #[test]
     fn empty_args_mean_help() {
@@ -895,13 +894,17 @@ mod tests {
             "linkdrop=0.1",
         ])
         .unwrap();
+        let PolicySpec::MeetingRate { debounce_secs, .. } = PolicySpec::default_meeting_rate()
+        else {
+            unreachable!("the default meeting-rate spec is a meeting-rate spec")
+        };
         match cmd {
             Command::Compare(cfg) => {
                 assert_eq!(
                     cfg.policy,
                     PolicySpec::MeetingRate {
                         horizon_secs: 300.0,
-                        debounce_secs: MeetingRate::DEFAULT_DEBOUNCE_SECS,
+                        debounce_secs,
                         beta: 0.5,
                     }
                 );

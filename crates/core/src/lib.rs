@@ -15,9 +15,9 @@
 //!   a simulated shared medium;
 //! * [`variants`] — OPT / NOOPT / NOSLEEP / ZBR (+ DIRECT, EPIDEMIC)
 //!   baselines;
-//! * [`policy`] — the [`ForwardingPolicy`] seam: every protocol decision
-//!   point behind one trait, plus the TwoHopRelay and MeetingRate
-//!   competitor policies;
+//! * [`policy`] — every protocol decision point in one place, named by
+//!   [`PolicySpec`]: the builtin variants plus the two-hop relay and
+//!   meeting-rate competitor policies;
 //! * [`faults`] — deterministic fault injection (node crashes, link loss,
 //!   DATA corruption, sink outages);
 //! * [`behavior`] — adversarial node behaviors (selfish, liar, forger,
@@ -75,7 +75,7 @@ pub use ftd::Ftd;
 pub use message::{Message, MessageId};
 pub use observe::{MetricsRecorder, ObserveRow, ObserveSeries, WindowCounters, WorldSnapshot};
 pub use params::{ProtocolParams, ScenarioParams};
-pub use policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
+pub use policy::PolicySpec;
 pub use queue::FtdQueue;
 pub use report::SimReport;
 pub use trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::faults::{FaultKind, FaultPlan};
     pub use crate::observe::{MetricsRecorder, ObserveRow, ObserveSeries, WorldSnapshot};
     pub use crate::params::{ProtocolParams, ScenarioParams};
-    pub use crate::policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
+    pub use crate::policy::PolicySpec;
     pub use crate::report::SimReport;
     pub use crate::trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
     pub use crate::variants::{ProtocolKind, VariantConfig};

@@ -1,135 +1,86 @@
-//! The forwarding-policy seam: every protocol decision point behind one
-//! trait (DESIGN.md § 8).
+//! The protocol's decision points (DESIGN.md § 8): who qualifies as a
+//! receiver, which CTS repliers get a copy, what the RTS advertises, how
+//! the routing metric updates, what happens to the sender's retained copy,
+//! and which MAC rules (sleeping, Eqs. 6, 13 and 14) apply.
 //!
-//! The paper's OPT/NOOPT/NOSLEEP/ZBR comparison is really a comparison of
-//! *policies* — who qualifies as a receiver, which CTS repliers get a
-//! copy, what happens to the sender's retained copy, how the routing
-//! metric updates, and whether the MAC adapts its windows and sleeping.
-//! [`ForwardingPolicy`] names those decision points explicitly; the
-//! simulation engine calls them and nothing else.
+//! The engine holds one crate-private `Policy`, an enum whose inherent
+//! methods are those decision points, each one `match`:
 //!
-//! Three implementations ship:
+//! * `Builtin` — the six [`ProtocolKind`] variants, with the rules each
+//!   derives from its kind and the three Sec. 4 switches of its
+//!   [`VariantConfig`];
+//! * `TwoHop` — Altman et al.'s optimal-control two-hop relay: the source
+//!   spreads up to `budget` copies to relays, relays hand their copy to
+//!   sinks only;
+//! * `MeetingRate` — Shaghaghian & Coates-style forwarding on a per-node
+//!   sink inter-contact-rate estimator.
 //!
-//! * [`Builtin`] — the six [`ProtocolKind`](crate::variants::ProtocolKind)
-//!   variants, expressed through
-//!   the trait **bit-identically** to the pre-seam engine (the golden
-//!   determinism baselines enforce this);
-//! * [`TwoHopRelay`] — Altman et al.'s optimal-control two-hop relay:
-//!   the source spreads up to `budget` copies to relays, relays hand
-//!   their copy to sinks only;
-//! * [`MeetingRate`] — Shaghaghian & Coates-style forwarding on a
-//!   per-node sink inter-contact-rate estimator.
-//!
-//! Dispatch is static: the sealed [`Policy`] enum-of-impls costs one
-//! predictable branch per decision, which the `scale_check` CI gate
-//! verifies stays inside the ns/event budget. Checkpoints carry the
-//! policy as a frame of `dftmsn-ckpt/5` (see `world_ckpt.rs`).
+//! Callers name a policy with [`PolicySpec`], the only public type here.
+//! The policy writes its own block of a `dftmsn-ckpt/6` checkpoint (see
+//! `world_ckpt.rs`): the builtin variant and its switches, or a
+//! competitor's parameters and runtime state.
 
 use crate::delivery::DeliveryProb;
 use crate::ftd::Ftd;
 use crate::message::{Message, MessageId};
 use crate::neighbor::{select_receivers_into, Candidate, Selection, SelectionScratch};
 use crate::queue::FtdQueue;
-use crate::variants::{MetricKind, SelectionKind, VariantConfig};
+use crate::variants::{MetricKind, ProtocolKind, SelectionKind, VariantConfig};
+use crate::world::{r_past, w_time};
 use dftmsn_radio::ids::NodeId;
+use dftmsn_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dftmsn_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Builtin {}
-    impl Sealed for super::TwoHopRelay {}
-    impl Sealed for super::MeetingRate {}
-    impl Sealed for super::Policy {}
-}
-
-/// The MAC-adaptation knobs a policy exposes (cached by the engine so the
-/// per-event hot paths read plain bools, not a policy dispatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MacControls {
-    /// Whether the node ever turns its radio off.
-    pub sleeps: bool,
-    /// Eq. 6 adaptive sleeping vs. a fixed period.
-    pub adaptive_sleep: bool,
-    /// Eq. 13 adaptive τ_max vs. a fixed value.
-    pub adaptive_tau: bool,
-    /// Eq. 14 adaptive contention window vs. a fixed value.
-    pub adaptive_window: bool,
-}
-
-impl MacControls {
-    /// OPT-like controls: everything adaptive, sleeping on. The default
-    /// for policies that replace routing but keep the optimized MAC.
-    pub const OPT: MacControls = MacControls {
-        sleeps: true,
-        adaptive_sleep: true,
-        adaptive_tau: true,
-        adaptive_window: true,
-    };
-}
-
-impl From<VariantConfig> for MacControls {
-    fn from(c: VariantConfig) -> Self {
-        MacControls {
-            sleeps: c.sleeps,
-            adaptive_sleep: c.adaptive_sleep,
-            adaptive_tau: c.adaptive_tau,
-            adaptive_window: c.adaptive_window,
-        }
-    }
-}
-
 /// What a prospective receiver knows about itself when an RTS arrives.
 #[derive(Debug)]
-pub struct RxView<'a> {
+pub(crate) struct RxView<'a> {
     /// The receiver's current routing metric (ξ).
-    pub xi: f64,
+    pub(crate) xi: f64,
     /// The receiver's data queue.
-    pub queue: &'a FtdQueue,
+    pub(crate) queue: &'a FtdQueue,
 }
 
 /// The advertisement carried by an RTS frame.
 #[derive(Debug, Clone, Copy)]
-pub struct RtsInfo {
-    /// The advertising sender.
-    pub sender: NodeId,
+pub(crate) struct RtsInfo {
     /// The sender's advertised metric.
-    pub xi: f64,
+    pub(crate) xi: f64,
     /// The sender's advertised per-message figure — the message FTD for
-    /// the builtin variants; policies may repurpose it (TwoHopRelay
-    /// advertises its remaining copy budget here).
-    pub ftd: f64,
+    /// the builtin variants; the two-hop relay advertises its remaining
+    /// copy budget here.
+    pub(crate) ftd: f64,
     /// The message on offer.
-    pub msg: MessageId,
+    pub(crate) msg: MessageId,
 }
 
 /// Sender-side context for receiver selection.
 #[derive(Debug, Clone, Copy)]
-pub struct SelectCtx {
+pub(crate) struct SelectCtx {
     /// The selecting sender.
-    pub sender: NodeId,
+    pub(crate) sender: NodeId,
     /// The sender's current routing metric.
-    pub sender_metric: f64,
+    pub(crate) sender_metric: f64,
     /// The message being offered (FTD, origin and id included).
-    pub msg: Message,
+    pub(crate) msg: Message,
     /// The paper's combined-delivery threshold *R*.
-    pub threshold_r: f64,
+    pub(crate) threshold_r: f64,
 }
 
 /// The acknowledged receiver set of a completed multicast.
 #[derive(Debug, Clone, Copy)]
-pub struct Confirmed<'a> {
+pub(crate) struct Confirmed<'a> {
     /// ξ of every receiver that ACKed, in schedule order.
-    pub xis: &'a [f64],
+    pub(crate) xis: &'a [f64],
     /// Whether any confirmed receiver is a sink.
-    pub any_sink: bool,
+    pub(crate) any_sink: bool,
 }
 
 /// What happens to the sender's retained copy after a confirmed
 /// multicast. The engine applies the fate; the policy only decides it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CopyFate {
+pub(crate) enum CopyFate {
     /// A sink holds the message now: remove the retained copy.
     Delivered,
     /// The copy moved to another carrier: remove it (no drop counted).
@@ -143,245 +94,16 @@ pub enum CopyFate {
     Drop,
 }
 
-/// A forwarding policy: the protocol's decision points as one interface.
-///
-/// Sealed — the engine dispatches statically over [`Policy`], and the
-/// checkpoint codec must know every implementation. To add a policy, add
-/// a variant to [`Policy`] (see DESIGN.md § 8 for the checklist).
-pub trait ForwardingPolicy: sealed::Sealed {
-    /// The run label reported by [`crate::report::SimReport::protocol`].
-    fn label(&self) -> &'static str;
-
-    /// The MAC-adaptation knobs (cached by the engine at attach time).
-    fn mac(&self) -> MacControls;
-
-    /// Sizes per-node state; called once when the policy is attached to
-    /// a world of `nodes` nodes (and after checkpoint restore).
-    fn init(&mut self, nodes: usize);
-
-    /// Does a *non-sink* receiver qualify for the advertised RTS? Sinks
-    /// always qualify; the engine short-circuits them before this call.
-    fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool;
-
-    /// Picks receivers from the CTS repliers, writing into `out`
-    /// (cleared first). `scratch` is pooled working memory.
-    fn select(
-        &self,
-        ctx: &SelectCtx,
-        candidates: &[Candidate],
-        scratch: &mut SelectionScratch,
-        out: &mut Selection,
-    );
-
-    /// The `(ξ, ftd)` pair to advertise in the RTS for `msg`.
-    fn advertise(&self, sender: NodeId, metric: f64, msg: &Message) -> (f64, f64);
-
-    /// A multicast of `msg` was confirmed by `confirmed`. Updates the
-    /// sender's routing metric in place and decides the retained copy's
-    /// fate. `alpha` and `ftd_drop_threshold` come from the protocol
-    /// constants.
-    fn on_multicast(
-        &mut self,
-        sender: NodeId,
-        msg: &Message,
-        confirmed: &Confirmed<'_>,
-        alpha: f64,
-        ftd_drop_threshold: f64,
-        metric: &mut DeliveryProb,
-    ) -> CopyFate;
-
-    /// A frame from `src` was heard by (alive, non-sink) node `rx`.
-    /// Returns `Some(new_metric)` when the policy's estimator moves the
-    /// node's routing metric. Must not draw randomness.
-    fn on_frame_from(
-        &mut self,
-        rx: NodeId,
-        src: NodeId,
-        src_is_sink: bool,
-        now: SimTime,
-    ) -> Option<f64>;
-
-    /// Node `at`'s queued copy of `msg` was discarded outside the
-    /// multicast path (buffer eviction, crash purge); policies holding
-    /// per-message bookkeeping reclaim it here.
-    fn on_copy_discarded(&mut self, at: NodeId, msg: &Message);
-}
-
-// ---------------------------------------------------------------------
-// Builtin: the six paper variants through the seam
-// ---------------------------------------------------------------------
-
-/// The six [`crate::variants::ProtocolKind`] variants expressed through
-/// the policy trait. Each decision point reproduces the pre-seam engine
-/// literally, so every golden determinism baseline holds bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Builtin {
-    config: VariantConfig,
-}
-
-impl Builtin {
-    /// Wraps a variant configuration.
-    #[must_use]
-    pub fn new(config: VariantConfig) -> Self {
-        Builtin { config }
-    }
-
-    /// The wrapped configuration.
-    #[must_use]
-    pub fn config(&self) -> VariantConfig {
-        self.config
-    }
-}
-
-impl ForwardingPolicy for Builtin {
-    fn label(&self) -> &'static str {
-        self.config.kind.label()
-    }
-
-    fn mac(&self) -> MacControls {
-        MacControls::from(self.config)
-    }
-
-    fn init(&mut self, _nodes: usize) {}
-
-    #[inline]
-    fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool {
-        match self.config.selection {
-            SelectionKind::FtdThreshold => {
-                rx.xi > rts.xi
-                    && rx.queue.available_space_for(Ftd::new(rts.ftd)) > 0
-                    && !rx.queue.contains(rts.msg)
-            }
-            SelectionKind::SingleBest => {
-                rx.xi > rts.xi && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
-            }
-            SelectionKind::SinkOnly => false,
-            SelectionKind::AllResponders => !rx.queue.is_full() && !rx.queue.contains(rts.msg),
-        }
-    }
-
-    fn select(
-        &self,
-        ctx: &SelectCtx,
-        candidates: &[Candidate],
-        scratch: &mut SelectionScratch,
-        out: &mut Selection,
-    ) {
-        out.clear();
-        match self.config.selection {
-            SelectionKind::FtdThreshold => select_receivers_into(
-                ctx.sender_metric,
-                ctx.msg.ftd,
-                candidates,
-                ctx.threshold_r,
-                scratch,
-                out,
-            ),
-            SelectionKind::SingleBest | SelectionKind::SinkOnly => {
-                // total_cmp instead of partial_cmp().expect: a NaN metric
-                // is a bug upstream, but selection must not panic on it.
-                let best = candidates
-                    .iter()
-                    .filter(|c| c.buffer_space > 0 && c.xi.is_finite())
-                    .max_by(|a, b| a.xi.total_cmp(&b.xi).then_with(|| b.id.cmp(&a.id)));
-                if let Some(c) = best {
-                    out.receivers
-                        .push((c.id, ctx.msg.ftd.receiver_copy(ctx.sender_metric, &[])));
-                    out.receiver_xis.push(c.xi);
-                    out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
-                }
-            }
-            SelectionKind::AllResponders => {
-                for c in candidates.iter().filter(|c| c.buffer_space > 0) {
-                    out.receivers.push((c.id, Ftd::NEW));
-                    out.receiver_xis.push(c.xi);
-                }
-                out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
-            }
-        }
-    }
-
-    #[inline]
-    fn advertise(&self, _sender: NodeId, metric: f64, msg: &Message) -> (f64, f64) {
-        (metric, msg.ftd.value())
-    }
-
-    fn on_multicast(
-        &mut self,
-        _sender: NodeId,
-        msg: &Message,
-        confirmed: &Confirmed<'_>,
-        alpha: f64,
-        ftd_drop_threshold: f64,
-        metric: &mut DeliveryProb,
-    ) -> CopyFate {
-        // Eq. 1 (or the ZBR history rule) on a successful transmission.
-        match self.config.metric {
-            MetricKind::DeliveryProb => {
-                let best = confirmed.xis.iter().copied().fold(0.0f64, f64::max);
-                metric.on_transmission(DeliveryProb::new(best.clamp(0.0, 1.0)), alpha);
-            }
-            MetricKind::SinkHistory => {
-                if confirmed.any_sink {
-                    metric.on_transmission(DeliveryProb::SINK, alpha);
-                }
-            }
-        }
-        match self.config.selection {
-            SelectionKind::FtdThreshold => {
-                if confirmed.any_sink {
-                    // Highest possible FTD: drop immediately (delivered).
-                    CopyFate::Delivered
-                } else {
-                    let new_ftd = msg.ftd.after_multicast(confirmed.xis);
-                    if new_ftd.value() > ftd_drop_threshold {
-                        CopyFate::Drop
-                    } else {
-                        CopyFate::Demote(new_ftd)
-                    }
-                }
-            }
-            // Single-copy transfer: the message moved.
-            SelectionKind::SingleBest | SelectionKind::SinkOnly => CopyFate::Moved,
-            SelectionKind::AllResponders => {
-                if confirmed.any_sink {
-                    CopyFate::Delivered
-                } else {
-                    CopyFate::Retain
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn on_frame_from(
-        &mut self,
-        _rx: NodeId,
-        _src: NodeId,
-        _src_is_sink: bool,
-        _now: SimTime,
-    ) -> Option<f64> {
-        None
-    }
-
-    fn on_copy_discarded(&mut self, _at: NodeId, _msg: &Message) {}
-}
-
-// ---------------------------------------------------------------------
-// TwoHopRelay
-// ---------------------------------------------------------------------
-
 /// Altman et al.'s two-hop relay with an optimal-control copy budget.
 ///
 /// The *source* of a message spreads at most `budget` copies to relays it
 /// meets; a *relay* holds its copy until it meets a sink and never
 /// re-replicates. The remaining budget rides the RTS `ftd` field (relays
 /// advertise 0, so only sinks qualify for their offers), which keeps the
-/// two-phase MAC untouched. The MAC runs with the full Sec. 4
-/// optimizations ([`MacControls::OPT`]) and the Eq. 1 ξ update, so
-/// energy figures compare fairly against OPT.
+/// two-phase MAC untouched. The MAC runs OPT's rules and the Eq. 1 ξ
+/// update, so energy figures compare fairly against OPT.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TwoHopRelay {
+pub(crate) struct TwoHopRelay {
     budget: u32,
     /// Copies spawned so far per *origin-held* message; entries die with
     /// the retained copy (delivery, eviction, crash).
@@ -389,170 +111,33 @@ pub struct TwoHopRelay {
 }
 
 impl TwoHopRelay {
-    /// Default copy budget *L*.
-    pub const DEFAULT_BUDGET: u32 = 4;
-
-    /// A two-hop relay policy with copy budget `budget` (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(budget: u32) -> Self {
+    /// A two-hop relay policy with copy budget `budget` (clamped to ≥ 1)
+    /// and an empty spawn ledger.
+    pub(crate) fn new(budget: u32) -> Self {
         TwoHopRelay {
             budget: budget.max(1),
             copies: BTreeMap::new(),
         }
     }
 
-    /// The configured copy budget.
-    #[must_use]
-    pub fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    /// Copies already spawned for `msg` at its origin.
-    #[must_use]
-    pub fn copies_spawned(&self, msg: MessageId) -> u32 {
-        self.copies.get(&msg).copied().unwrap_or(0)
-    }
-
+    /// Copies `msg`'s origin may still spawn.
     fn remaining(&self, msg: MessageId) -> u32 {
-        self.budget.saturating_sub(self.copies_spawned(msg))
-    }
-
-    /// Internal: restores the spawn ledger from a checkpoint.
-    pub(crate) fn restore_copies(&mut self, entries: impl IntoIterator<Item = (MessageId, u32)>) {
-        self.copies = entries.into_iter().collect();
-    }
-
-    /// Internal: the spawn ledger in deterministic order, for the
-    /// checkpoint codec.
-    pub(crate) fn copies(&self) -> impl ExactSizeIterator<Item = (MessageId, u32)> + '_ {
-        self.copies.iter().map(|(&m, &c)| (m, c))
+        let spawned = self.copies.get(&msg).copied().unwrap_or(0);
+        self.budget.saturating_sub(spawned)
     }
 }
-
-impl ForwardingPolicy for TwoHopRelay {
-    fn label(&self) -> &'static str {
-        "TWOHOP"
-    }
-
-    fn mac(&self) -> MacControls {
-        MacControls::OPT
-    }
-
-    fn init(&mut self, _nodes: usize) {}
-
-    #[inline]
-    fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool {
-        // The `ftd` field carries the sender's remaining copy budget:
-        // relays advertise 0, so only sinks (pre-qualified) answer them.
-        rts.ftd >= 1.0 && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
-    }
-
-    fn select(
-        &self,
-        ctx: &SelectCtx,
-        candidates: &[Candidate],
-        scratch: &mut SelectionScratch,
-        out: &mut Selection,
-    ) {
-        out.clear();
-        let _ = scratch;
-        // Sinks (ξ = 1) always take a copy — that is a delivery. The
-        // walk is by descending ξ with id tie-breaks, like Sec. 3.2.2.
-        let mut order: Vec<&Candidate> = candidates
-            .iter()
-            .filter(|c| c.buffer_space > 0 && c.xi.is_finite())
-            .collect();
-        order.sort_by(|a, b| b.xi.total_cmp(&a.xi).then_with(|| a.id.cmp(&b.id)));
-        let is_origin = ctx.msg.origin == ctx.sender;
-        let mut relays_left = if is_origin {
-            self.remaining(ctx.msg.id) as usize
-        } else {
-            0
-        };
-        for c in order {
-            let is_sink = c.xi >= 1.0;
-            if !is_sink {
-                if relays_left == 0 {
-                    continue;
-                }
-                relays_left -= 1;
-            }
-            out.receivers.push((c.id, Ftd::NEW));
-            out.receiver_xis.push(c.xi);
-        }
-        out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
-    }
-
-    #[inline]
-    fn advertise(&self, sender: NodeId, metric: f64, msg: &Message) -> (f64, f64) {
-        let remaining = if msg.origin == sender {
-            f64::from(self.remaining(msg.id))
-        } else {
-            0.0
-        };
-        (metric, remaining)
-    }
-
-    fn on_multicast(
-        &mut self,
-        sender: NodeId,
-        msg: &Message,
-        confirmed: &Confirmed<'_>,
-        alpha: f64,
-        _ftd_drop_threshold: f64,
-        metric: &mut DeliveryProb,
-    ) -> CopyFate {
-        // Keep the Eq. 1 ξ update so the adaptive MAC stays calibrated.
-        let best = confirmed.xis.iter().copied().fold(0.0f64, f64::max);
-        metric.on_transmission(DeliveryProb::new(best.clamp(0.0, 1.0)), alpha);
-        if confirmed.any_sink {
-            self.copies.remove(&msg.id);
-            return CopyFate::Delivered;
-        }
-        if msg.origin == sender {
-            let spawned = confirmed.xis.len() as u32;
-            *self.copies.entry(msg.id).or_insert(0) += spawned;
-            CopyFate::Retain
-        } else {
-            // Unreachable by construction (relays only offer to sinks),
-            // but a safe fallback: treat it as a single-copy move.
-            CopyFate::Moved
-        }
-    }
-
-    #[inline]
-    fn on_frame_from(
-        &mut self,
-        _rx: NodeId,
-        _src: NodeId,
-        _src_is_sink: bool,
-        _now: SimTime,
-    ) -> Option<f64> {
-        None
-    }
-
-    fn on_copy_discarded(&mut self, at: NodeId, msg: &Message) {
-        if msg.origin == at {
-            self.copies.remove(&msg.id);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// MeetingRate
-// ---------------------------------------------------------------------
 
 /// Per-node sink-contact bookkeeping for [`MeetingRate`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct MeetState {
+struct MeetState {
     /// Last instant any sink frame was heard (`None` before the first).
-    pub(crate) last_heard: Option<SimTime>,
+    last_heard: Option<SimTime>,
     /// Start of the most recent debounced contact event.
-    pub(crate) contact_at: SimTime,
+    contact_at: SimTime,
     /// EWMA of inter-contact gaps, seconds.
-    pub(crate) ewma_gap_secs: f64,
+    ewma_gap_secs: f64,
     /// Debounced contact events seen so far.
-    pub(crate) contacts: u64,
+    contacts: u64,
 }
 
 /// Meeting-rate-estimation forwarding (after Shaghaghian & Coates).
@@ -565,142 +150,31 @@ pub(crate) struct MeetState {
 /// ZBR, but the metric is measured rather than diffusion-learned. The
 /// Δ-timeout decay of Eq. 1 still applies between contacts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MeetingRate {
+pub(crate) struct MeetingRate {
     horizon_secs: f64,
     debounce_secs: f64,
     beta: f64,
+    /// One entry per node.
     states: Vec<MeetState>,
 }
 
 impl MeetingRate {
-    /// Default delivery horizon (seconds).
-    pub const DEFAULT_HORIZON_SECS: f64 = 600.0;
-    /// Default contact debounce window (seconds).
-    pub const DEFAULT_DEBOUNCE_SECS: f64 = 5.0;
-    /// Default EWMA gain for the gap estimator.
-    pub const DEFAULT_BETA: f64 = 0.3;
-
-    /// A meeting-rate policy with the given estimator constants; NaN or
-    /// non-positive inputs fall back to the defaults.
-    #[must_use]
-    pub fn new(horizon_secs: f64, debounce_secs: f64, beta: f64) -> Self {
+    /// A meeting-rate policy with the given estimator constants and
+    /// per-node table; NaN or non-positive constants fall back to the
+    /// defaults and β is capped at 1.
+    fn new(horizon_secs: f64, debounce_secs: f64, beta: f64, states: Vec<MeetState>) -> Self {
         let ok = |v: f64, d: f64| if v.is_finite() && v > 0.0 { v } else { d };
         MeetingRate {
-            horizon_secs: ok(horizon_secs, Self::DEFAULT_HORIZON_SECS),
-            debounce_secs: ok(debounce_secs, Self::DEFAULT_DEBOUNCE_SECS),
-            beta: ok(beta, Self::DEFAULT_BETA).min(1.0),
-            states: Vec::new(),
+            horizon_secs: ok(horizon_secs, DEFAULT_HORIZON_SECS),
+            debounce_secs: ok(debounce_secs, DEFAULT_DEBOUNCE_SECS),
+            beta: ok(beta, DEFAULT_BETA).min(1.0),
+            states,
         }
     }
 
-    /// The delivery horizon (seconds).
-    #[must_use]
-    pub fn horizon_secs(&self) -> f64 {
-        self.horizon_secs
-    }
-
-    /// The contact debounce window (seconds).
-    #[must_use]
-    pub fn debounce_secs(&self) -> f64 {
-        self.debounce_secs
-    }
-
-    /// The estimator's EWMA gain.
-    #[must_use]
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    pub(crate) fn states(&self) -> &[MeetState] {
-        &self.states
-    }
-
-    pub(crate) fn restore_states(&mut self, states: Vec<MeetState>) {
-        self.states = states;
-    }
-}
-
-impl Default for MeetingRate {
-    fn default() -> Self {
-        Self::new(
-            Self::DEFAULT_HORIZON_SECS,
-            Self::DEFAULT_DEBOUNCE_SECS,
-            Self::DEFAULT_BETA,
-        )
-    }
-}
-
-impl ForwardingPolicy for MeetingRate {
-    fn label(&self) -> &'static str {
-        "MEETRATE"
-    }
-
-    fn mac(&self) -> MacControls {
-        MacControls::OPT
-    }
-
-    fn init(&mut self, nodes: usize) {
-        self.states = vec![MeetState::default(); nodes];
-    }
-
-    #[inline]
-    fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool {
-        rx.xi > rts.xi && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
-    }
-
-    fn select(
-        &self,
-        ctx: &SelectCtx,
-        candidates: &[Candidate],
-        _scratch: &mut SelectionScratch,
-        out: &mut Selection,
-    ) {
-        out.clear();
-        // Single-copy move to the best estimated sink-meeting rate.
-        let best = candidates
-            .iter()
-            .filter(|c| c.buffer_space > 0 && c.xi.is_finite())
-            .max_by(|a, b| a.xi.total_cmp(&b.xi).then_with(|| b.id.cmp(&a.id)));
-        if let Some(c) = best {
-            out.receivers
-                .push((c.id, ctx.msg.ftd.receiver_copy(ctx.sender_metric, &[])));
-            out.receiver_xis.push(c.xi);
-            out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
-        }
-    }
-
-    #[inline]
-    fn advertise(&self, _sender: NodeId, metric: f64, msg: &Message) -> (f64, f64) {
-        (metric, msg.ftd.value())
-    }
-
-    fn on_multicast(
-        &mut self,
-        _sender: NodeId,
-        _msg: &Message,
-        confirmed: &Confirmed<'_>,
-        _alpha: f64,
-        _ftd_drop_threshold: f64,
-        _metric: &mut DeliveryProb,
-    ) -> CopyFate {
-        // The metric is estimator-driven; transmissions do not move it.
-        if confirmed.any_sink {
-            CopyFate::Delivered
-        } else {
-            CopyFate::Moved
-        }
-    }
-
-    fn on_frame_from(
-        &mut self,
-        rx: NodeId,
-        _src: NodeId,
-        src_is_sink: bool,
-        now: SimTime,
-    ) -> Option<f64> {
-        if !src_is_sink {
-            return None;
-        }
+    /// Node `rx` heard a sink at `now`. Returns the node's new metric when
+    /// this frame opens a debounced contact that closes a measured gap.
+    fn on_sink_frame(&mut self, rx: NodeId, now: SimTime) -> Option<f64> {
         let debounce = self.debounce_secs;
         let state = &mut self.states[rx.index()];
         if let Some(t) = state.last_heard {
@@ -731,20 +205,15 @@ impl ForwardingPolicy for MeetingRate {
         let xi = 1.0 - (-self.horizon_secs / state.ewma_gap_secs.max(1e-6)).exp();
         Some(xi.clamp(0.0, 1.0))
     }
-
-    fn on_copy_discarded(&mut self, _at: NodeId, _msg: &Message) {}
 }
 
-// ---------------------------------------------------------------------
-// The sealed enum-of-impls and its serializable descriptor
-// ---------------------------------------------------------------------
-
-/// The engine's policy slot: a sealed enum over every implementation, so
-/// dispatch is a single predictable branch (no vtable on the hot path).
+/// The engine's policy slot. Each decision point is one `match` on the
+/// variant, so dispatch is a single predictable branch, with no vtable on
+/// the hot path.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Policy {
+pub(crate) enum Policy {
     /// A builtin paper variant.
-    Builtin(Builtin),
+    Builtin(VariantConfig),
     /// Two-hop relay with a copy budget.
     TwoHop(TwoHopRelay),
     /// Meeting-rate-estimation forwarding.
@@ -752,77 +221,136 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// The builtin policy for a variant configuration.
-    #[must_use]
-    pub fn builtin(config: VariantConfig) -> Policy {
-        Policy::Builtin(Builtin::new(config))
-    }
-
-    /// The serializable descriptor reproducing this policy's parameters
-    /// (not its runtime state — checkpoints carry that separately).
-    #[must_use]
-    pub fn spec(&self) -> PolicySpec {
+    /// The run label reported by [`crate::report::SimReport::protocol`].
+    #[inline]
+    pub(crate) fn label(&self) -> &'static str {
         match self {
-            Policy::Builtin(_) => PolicySpec::Builtin,
-            Policy::TwoHop(p) => PolicySpec::TwoHop { budget: p.budget() },
-            Policy::MeetingRate(p) => PolicySpec::MeetingRate {
-                horizon_secs: p.horizon_secs(),
-                debounce_secs: p.debounce_secs(),
-                beta: p.beta(),
+            Policy::Builtin(config) => config.kind.label(),
+            Policy::TwoHop(_) => "TWOHOP",
+            Policy::MeetingRate(_) => "MEETRATE",
+        }
+    }
+
+    /// The variant whose MAC rules apply: sleeping (from its kind) and
+    /// its Eq. 6, 13 and 14 switches. The two competitors replace routing
+    /// but keep OPT's MAC. The engine caches the result, so the per-event
+    /// hot paths read plain values.
+    #[inline]
+    pub(crate) fn mac(&self) -> VariantConfig {
+        match self {
+            Policy::Builtin(config) => *config,
+            Policy::TwoHop(_) | Policy::MeetingRate(_) => ProtocolKind::Opt.config(),
+        }
+    }
+
+    /// Does a *non-sink* receiver qualify for the advertised RTS? Sinks
+    /// always qualify; the engine short-circuits them before this call.
+    #[inline]
+    pub(crate) fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool {
+        match self {
+            Policy::Builtin(config) => match config.kind.selection() {
+                SelectionKind::FtdThreshold => {
+                    rx.xi > rts.xi
+                        && rx.queue.available_space_for(Ftd::new(rts.ftd)) > 0
+                        && !rx.queue.contains(rts.msg)
+                }
+                SelectionKind::SingleBest => {
+                    rx.xi > rts.xi && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
+                }
+                SelectionKind::SinkOnly => false,
+                SelectionKind::AllResponders => !rx.queue.is_full() && !rx.queue.contains(rts.msg),
             },
+            // The `ftd` field carries the sender's remaining copy budget:
+            // relays advertise 0, so only sinks (pre-qualified) answer them.
+            Policy::TwoHop(_) => {
+                rts.ftd >= 1.0 && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
+            }
+            Policy::MeetingRate(_) => {
+                rx.xi > rts.xi && !rx.queue.is_full() && !rx.queue.contains(rts.msg)
+            }
         }
     }
-}
 
-macro_rules! dispatch {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            Policy::Builtin($p) => $body,
-            Policy::TwoHop($p) => $body,
-            Policy::MeetingRate($p) => $body,
-        }
-    };
-}
-
-impl ForwardingPolicy for Policy {
+    /// Picks receivers from the CTS repliers, writing into `out`
+    /// (cleared first). `scratch` is pooled working memory.
     #[inline]
-    fn label(&self) -> &'static str {
-        dispatch!(self, p => p.label())
-    }
-
-    #[inline]
-    fn mac(&self) -> MacControls {
-        dispatch!(self, p => p.mac())
-    }
-
-    #[inline]
-    fn init(&mut self, nodes: usize) {
-        dispatch!(self, p => p.init(nodes));
-    }
-
-    #[inline]
-    fn qualifies(&self, rx: &RxView<'_>, rts: &RtsInfo) -> bool {
-        dispatch!(self, p => p.qualifies(rx, rts))
-    }
-
-    #[inline]
-    fn select(
+    pub(crate) fn select(
         &self,
         ctx: &SelectCtx,
         candidates: &[Candidate],
         scratch: &mut SelectionScratch,
         out: &mut Selection,
     ) {
-        dispatch!(self, p => p.select(ctx, candidates, scratch, out));
+        out.clear();
+        match self {
+            Policy::Builtin(config) => match config.kind.selection() {
+                SelectionKind::FtdThreshold => select_receivers_into(
+                    ctx.sender_metric,
+                    ctx.msg.ftd,
+                    candidates,
+                    ctx.threshold_r,
+                    scratch,
+                    out,
+                ),
+                SelectionKind::SingleBest | SelectionKind::SinkOnly => {
+                    select_single_best(ctx, candidates, out);
+                }
+                SelectionKind::AllResponders => {
+                    for c in candidates.iter().filter(|c| c.buffer_space > 0) {
+                        out.receivers.push((c.id, Ftd::NEW));
+                        out.receiver_xis.push(c.xi);
+                    }
+                    out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
+                }
+            },
+            Policy::TwoHop(p) => {
+                // Sinks (ξ = 1) always take a copy — that is a delivery.
+                // The walk is by descending ξ with id tie-breaks, like
+                // Sec. 3.2.2.
+                let mut order: Vec<&Candidate> = candidates
+                    .iter()
+                    .filter(|c| c.buffer_space > 0 && c.xi.is_finite())
+                    .collect();
+                order.sort_by(|a, b| b.xi.total_cmp(&a.xi).then_with(|| a.id.cmp(&b.id)));
+                let mut relays_left = if ctx.msg.origin == ctx.sender {
+                    p.remaining(ctx.msg.id) as usize
+                } else {
+                    0
+                };
+                for c in order {
+                    let is_sink = c.xi >= 1.0;
+                    if !is_sink {
+                        if relays_left == 0 {
+                            continue;
+                        }
+                        relays_left -= 1;
+                    }
+                    out.receivers.push((c.id, Ftd::NEW));
+                    out.receiver_xis.push(c.xi);
+                }
+                out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
+            }
+            // Single-copy move to the best estimated sink-meeting rate.
+            Policy::MeetingRate(_) => select_single_best(ctx, candidates, out),
+        }
     }
 
+    /// The `(ξ, ftd)` pair `sender` advertises in the RTS for `msg`.
     #[inline]
-    fn advertise(&self, sender: NodeId, metric: f64, msg: &Message) -> (f64, f64) {
-        dispatch!(self, p => p.advertise(sender, metric, msg))
+    pub(crate) fn advertise(&self, sender: NodeId, metric: f64, msg: &Message) -> (f64, f64) {
+        match self {
+            Policy::TwoHop(p) if msg.origin == sender => (metric, f64::from(p.remaining(msg.id))),
+            Policy::TwoHop(_) => (metric, 0.0),
+            Policy::Builtin(_) | Policy::MeetingRate(_) => (metric, msg.ftd.value()),
+        }
     }
 
+    /// A multicast of `msg` by `sender` was confirmed by `confirmed`.
+    /// Updates the sender's routing metric in place and decides the
+    /// retained copy's fate. `alpha` and `ftd_drop_threshold` come from
+    /// the protocol constants.
     #[inline]
-    fn on_multicast(
+    pub(crate) fn on_multicast(
         &mut self,
         sender: NodeId,
         msg: &Message,
@@ -831,39 +359,258 @@ impl ForwardingPolicy for Policy {
         ftd_drop_threshold: f64,
         metric: &mut DeliveryProb,
     ) -> CopyFate {
-        dispatch!(self, p => p.on_multicast(sender, msg, confirmed, alpha, ftd_drop_threshold, metric))
+        match self {
+            Policy::Builtin(config) => {
+                // Eq. 1 (or the ZBR history rule) on a successful
+                // transmission.
+                match config.kind.metric() {
+                    MetricKind::DeliveryProb => pull_toward_best(metric, confirmed, alpha),
+                    MetricKind::SinkHistory => {
+                        if confirmed.any_sink {
+                            metric.on_transmission(DeliveryProb::SINK, alpha);
+                        }
+                    }
+                }
+                match config.kind.selection() {
+                    // Highest possible FTD: drop immediately (delivered).
+                    SelectionKind::FtdThreshold if confirmed.any_sink => CopyFate::Delivered,
+                    SelectionKind::FtdThreshold => {
+                        let new_ftd = msg.ftd.after_multicast(confirmed.xis);
+                        if new_ftd.value() > ftd_drop_threshold {
+                            CopyFate::Drop
+                        } else {
+                            CopyFate::Demote(new_ftd)
+                        }
+                    }
+                    // Single-copy transfer: the message moved.
+                    SelectionKind::SingleBest | SelectionKind::SinkOnly => CopyFate::Moved,
+                    SelectionKind::AllResponders if confirmed.any_sink => CopyFate::Delivered,
+                    SelectionKind::AllResponders => CopyFate::Retain,
+                }
+            }
+            Policy::TwoHop(p) => {
+                // Keep the Eq. 1 ξ update so the adaptive MAC stays
+                // calibrated.
+                pull_toward_best(metric, confirmed, alpha);
+                if confirmed.any_sink {
+                    p.copies.remove(&msg.id);
+                    CopyFate::Delivered
+                } else if msg.origin == sender {
+                    *p.copies.entry(msg.id).or_insert(0) += confirmed.xis.len() as u32;
+                    CopyFate::Retain
+                } else {
+                    // Unreachable by construction (relays only offer to
+                    // sinks), but a safe fallback: a single-copy move.
+                    CopyFate::Moved
+                }
+            }
+            // The metric is estimator-driven; transmissions do not move it.
+            Policy::MeetingRate(_) if confirmed.any_sink => CopyFate::Delivered,
+            Policy::MeetingRate(_) => CopyFate::Moved,
+        }
     }
 
+    /// A frame was heard by (alive, non-sink) node `rx`; `src_is_sink`
+    /// says whether a sink sent it. Returns `Some(new_metric)` when the
+    /// policy's estimator moves the node's routing metric. Draws no
+    /// randomness.
     #[inline]
-    fn on_frame_from(
+    pub(crate) fn on_frame_from(
         &mut self,
         rx: NodeId,
-        src: NodeId,
         src_is_sink: bool,
         now: SimTime,
     ) -> Option<f64> {
-        dispatch!(self, p => p.on_frame_from(rx, src, src_is_sink, now))
+        match self {
+            Policy::MeetingRate(p) if src_is_sink => p.on_sink_frame(rx, now),
+            _ => None,
+        }
     }
 
+    /// Node `at`'s queued copy of `msg` was discarded outside the
+    /// multicast path (buffer eviction, crash purge). The two-hop relay
+    /// reclaims the origin's ledger entry; the others keep no
+    /// per-message state.
     #[inline]
-    fn on_copy_discarded(&mut self, at: NodeId, msg: &Message) {
-        dispatch!(self, p => p.on_copy_discarded(at, msg));
+    pub(crate) fn on_copy_discarded(&mut self, at: NodeId, msg: &Message) {
+        match self {
+            Policy::TwoHop(p) if msg.origin == at => {
+                p.copies.remove(&msg.id);
+            }
+            _ => {}
+        }
+    }
+
+    /// The serializable descriptor reproducing this policy's parameters
+    /// (not its runtime state, which the checkpoint block carries).
+    pub(crate) fn spec(&self) -> PolicySpec {
+        match self {
+            Policy::Builtin(_) => PolicySpec::Builtin,
+            Policy::TwoHop(p) => PolicySpec::TwoHop { budget: p.budget },
+            Policy::MeetingRate(p) => PolicySpec::MeetingRate {
+                horizon_secs: p.horizon_secs,
+                debounce_secs: p.debounce_secs,
+                beta: p.beta,
+            },
+        }
+    }
+
+    /// An upper bound on the bytes [`encode`](Self::encode) writes: the
+    /// tag and the fixed fields, then 12 bytes per ledger entry or 40 per
+    /// meeting-rate table entry.
+    pub(crate) fn ckpt_len_bound(&self) -> usize {
+        match self {
+            Policy::Builtin(_) => 5,
+            Policy::TwoHop(p) => 13 + 12 * p.copies.len(),
+            Policy::MeetingRate(p) => 33 + 40 * p.states.len(),
+        }
+    }
+
+    /// Writes the checkpoint block: a tag, then for a builtin variant its
+    /// index in [`ProtocolKind::ALL`] and its three switches, for the
+    /// two-hop relay its budget and spawn ledger, and for the meeting-rate
+    /// policy its constants and per-node table.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        match self {
+            Policy::Builtin(config) => {
+                w.u8(0);
+                let index = ProtocolKind::ALL.iter().position(|&k| k == config.kind);
+                w.u8(index.expect("ALL lists every kind") as u8);
+                w.bool(config.adaptive_sleep);
+                w.bool(config.adaptive_tau);
+                w.bool(config.adaptive_window);
+            }
+            Policy::TwoHop(p) => {
+                w.u8(1);
+                w.u32(p.budget);
+                w.usize(p.copies.len());
+                for (m, &c) in &p.copies {
+                    w.u64(m.0);
+                    w.u32(c);
+                }
+            }
+            Policy::MeetingRate(p) => {
+                w.u8(2);
+                w.f64(p.horizon_secs);
+                w.f64(p.debounce_secs);
+                w.f64(p.beta);
+                w.seq(&p.states, |w, s| {
+                    w.option(s.last_heard.as_ref(), |w, &t| w_time(w, t));
+                    w_time(w, s.contact_at);
+                    w.f64(s.ewma_gap_secs);
+                    w.u64(s.contacts);
+                });
+            }
+        }
+    }
+
+    /// Reads what [`encode`](Self::encode) wrote for a world of `nodes`
+    /// nodes checkpointed at `now`, checking the tags, that the
+    /// meeting-rate table has one entry per node, that its instants lie at
+    /// or before the clock and that its gap estimates are durations.
+    pub(crate) fn decode(
+        r: &mut SnapReader,
+        nodes: usize,
+        now: SimTime,
+    ) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => {
+                let t = r.u8()?;
+                let kind = ProtocolKind::ALL
+                    .get(usize::from(t))
+                    .ok_or_else(|| SnapError::new(format!("bad ProtocolKind tag {t}")))?;
+                let (sleep, tau, window) = (r.bool()?, r.bool()?, r.bool()?);
+                Policy::Builtin(
+                    kind.config()
+                        .with_adaptive_sleep(sleep)
+                        .with_adaptive_tau(tau)
+                        .with_adaptive_window(window),
+                )
+            }
+            1 => {
+                let mut p = TwoHopRelay::new(r.u32()?);
+                p.copies = r
+                    .seq(|r| Ok((MessageId(r.u64()?), r.u32()?)))?
+                    .into_iter()
+                    .collect();
+                Policy::TwoHop(p)
+            }
+            2 => {
+                let (horizon_secs, debounce_secs, beta) = (r.f64()?, r.f64()?, r.f64()?);
+                let states = r.seq(|r| {
+                    let state = MeetState {
+                        last_heard: r.option(|r| r_past(r, now))?,
+                        contact_at: r_past(r, now)?,
+                        ewma_gap_secs: r.f64()?,
+                        contacts: r.u64()?,
+                    };
+                    if !(state.ewma_gap_secs.is_finite() && state.ewma_gap_secs >= 0.0) {
+                        return Err(SnapError::new(format!(
+                            "contact-gap estimate {} is not a duration",
+                            state.ewma_gap_secs
+                        )));
+                    }
+                    Ok(state)
+                })?;
+                if states.len() != nodes {
+                    return Err(SnapError::new("meetrate state table length mismatch"));
+                }
+                Policy::MeetingRate(MeetingRate::new(horizon_secs, debounce_secs, beta, states))
+            }
+            t => return Err(SnapError::new(format!("bad policy tag {t}"))),
+        })
     }
 }
 
+/// Eq. 1 on a successful transmission: pulls `metric` toward the best
+/// confirmed receiver's ξ.
+fn pull_toward_best(metric: &mut DeliveryProb, confirmed: &Confirmed<'_>, alpha: f64) {
+    let best = confirmed.xis.iter().copied().fold(0.0f64, f64::max);
+    metric.on_transmission(DeliveryProb::new(best.clamp(0.0, 1.0)), alpha);
+}
+
+/// Moves the copy to the single best replier: the highest finite ξ with
+/// buffer space, the lowest id on ties.
+fn select_single_best(ctx: &SelectCtx, candidates: &[Candidate], out: &mut Selection) {
+    // total_cmp instead of partial_cmp().expect: a NaN metric is a bug
+    // upstream, but selection must not panic on it.
+    let best = candidates
+        .iter()
+        .filter(|c| c.buffer_space > 0 && c.xi.is_finite())
+        .max_by(|a, b| a.xi.total_cmp(&b.xi).then_with(|| b.id.cmp(&a.id)));
+    if let Some(c) = best {
+        out.receivers
+            .push((c.id, ctx.msg.ftd.receiver_copy(ctx.sender_metric, &[])));
+        out.receiver_xis.push(c.xi);
+        out.combined_delivery = ctx.msg.ftd.combined_delivery(&out.receiver_xis);
+    }
+}
+
+/// The two-hop relay's default copy budget *L*.
+const DEFAULT_BUDGET: u32 = 4;
+/// The meeting-rate policy's default delivery horizon (seconds).
+const DEFAULT_HORIZON_SECS: f64 = 600.0;
+/// The meeting-rate policy's default contact debounce window (seconds).
+const DEFAULT_DEBOUNCE_SECS: f64 = 5.0;
+/// The meeting-rate policy's default EWMA gain for the gap estimator.
+const DEFAULT_BETA: f64 = 0.3;
+
 /// A serializable, parameter-only policy descriptor: what the CLI flag,
-/// the bench `RunSpec` and the checkpoint policy frame carry.
+/// the bench `RunSpec` and [`SimulationBuilder::policy`] take.
+///
+/// [`SimulationBuilder::policy`]: crate::world::SimulationBuilder::policy
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum PolicySpec {
     /// Use the builtin variant the run's `VariantConfig` names.
     #[default]
     Builtin,
-    /// [`TwoHopRelay`] with the given copy budget.
+    /// Altman et al.'s two-hop relay with the given copy budget.
     TwoHop {
         /// Maximum relay copies the source may spawn per message.
         budget: u32,
     },
-    /// [`MeetingRate`] with the given estimator constants.
+    /// Meeting-rate-estimation forwarding with the given estimator
+    /// constants.
     MeetingRate {
         /// Delivery horizon (seconds) in `ξ = 1 − exp(−horizon/ĝ)`.
         horizon_secs: f64,
@@ -875,36 +622,40 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// [`TwoHopRelay`] with the default copy budget.
+    /// The two-hop relay with the default copy budget.
     #[must_use]
     pub fn default_two_hop() -> PolicySpec {
         PolicySpec::TwoHop {
-            budget: TwoHopRelay::DEFAULT_BUDGET,
+            budget: DEFAULT_BUDGET,
         }
     }
 
-    /// [`MeetingRate`] with the default estimator constants.
+    /// The meeting-rate policy with the default estimator constants.
     #[must_use]
     pub fn default_meeting_rate() -> PolicySpec {
         PolicySpec::MeetingRate {
-            horizon_secs: MeetingRate::DEFAULT_HORIZON_SECS,
-            debounce_secs: MeetingRate::DEFAULT_DEBOUNCE_SECS,
-            beta: MeetingRate::DEFAULT_BETA,
+            horizon_secs: DEFAULT_HORIZON_SECS,
+            debounce_secs: DEFAULT_DEBOUNCE_SECS,
+            beta: DEFAULT_BETA,
         }
     }
 
-    /// Instantiates the runtime policy (state empty; the engine calls
-    /// [`ForwardingPolicy::init`] when attaching it).
-    #[must_use]
-    pub fn into_policy(self, config: VariantConfig) -> Policy {
+    /// The runtime policy for a world of `nodes` nodes running `config`,
+    /// with empty state (the meeting-rate table already sized).
+    pub(crate) fn into_policy(self, config: VariantConfig, nodes: usize) -> Policy {
         match self {
-            PolicySpec::Builtin => Policy::builtin(config),
+            PolicySpec::Builtin => Policy::Builtin(config),
             PolicySpec::TwoHop { budget } => Policy::TwoHop(TwoHopRelay::new(budget)),
             PolicySpec::MeetingRate {
                 horizon_secs,
                 debounce_secs,
                 beta,
-            } => Policy::MeetingRate(MeetingRate::new(horizon_secs, debounce_secs, beta)),
+            } => Policy::MeetingRate(MeetingRate::new(
+                horizon_secs,
+                debounce_secs,
+                beta,
+                vec![MeetState::default(); nodes],
+            )),
         }
     }
 
@@ -966,7 +717,7 @@ impl PolicySpec {
                         return Err(format!("unknown twohop parameter '{k}' (want budget)"));
                     }
                 }
-                let budget = take(&kvs, "budget", f64::from(TwoHopRelay::DEFAULT_BUDGET));
+                let budget = take(&kvs, "budget", f64::from(DEFAULT_BUDGET));
                 if !(budget.is_finite() && budget >= 1.0 && budget.fract() == 0.0) {
                     return Err(format!(
                         "twohop budget must be an integer ≥ 1, got {budget}"
@@ -987,9 +738,9 @@ impl PolicySpec {
                         ));
                     }
                 }
-                let horizon = take(&kvs, "horizon", MeetingRate::DEFAULT_HORIZON_SECS);
-                let debounce = take(&kvs, "debounce", MeetingRate::DEFAULT_DEBOUNCE_SECS);
-                let beta = take(&kvs, "beta", MeetingRate::DEFAULT_BETA);
+                let horizon = take(&kvs, "horizon", DEFAULT_HORIZON_SECS);
+                let debounce = take(&kvs, "debounce", DEFAULT_DEBOUNCE_SECS);
+                let beta = take(&kvs, "beta", DEFAULT_BETA);
                 let wellformed = horizon.is_finite()
                     && horizon > 0.0
                     && debounce.is_finite()
@@ -1035,7 +786,6 @@ impl std::fmt::Display for PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variants::ProtocolKind;
 
     fn cand(id: usize, xi: f64, space: usize) -> Candidate {
         Candidate {
@@ -1049,10 +799,14 @@ mod tests {
         Message::sensed(MessageId(id), NodeId(origin), SimTime::ZERO)
     }
 
+    fn two_hop(budget: u32) -> Policy {
+        Policy::TwoHop(TwoHopRelay::new(budget))
+    }
+
     #[test]
     fn builtin_labels_follow_the_kind() {
         for kind in ProtocolKind::ALL {
-            let p = Policy::builtin(kind.config());
+            let p = Policy::Builtin(kind.config());
             assert_eq!(p.label(), kind.label());
             assert_eq!(p.spec(), PolicySpec::Builtin);
         }
@@ -1060,7 +814,7 @@ mod tests {
 
     #[test]
     fn twohop_origin_spends_budget_relays_do_not() {
-        let mut p = TwoHopRelay::new(2);
+        let mut p = two_hop(2);
         let m = msg(1, 0);
         // Origin advertisement carries the remaining budget.
         assert_eq!(p.advertise(NodeId(0), 0.3, &m), (0.3, 2.0));
@@ -1082,12 +836,12 @@ mod tests {
         };
         let fate = p.on_multicast(NodeId(0), &m, &sink, 0.25, 0.9, &mut xi);
         assert_eq!(fate, CopyFate::Delivered);
-        assert_eq!(p.copies_spawned(MessageId(1)), 0);
+        assert_eq!(p, two_hop(2));
     }
 
     #[test]
     fn twohop_selection_prefers_sinks_and_caps_relays() {
-        let p = TwoHopRelay::new(1);
+        let p = two_hop(1);
         let ctx = SelectCtx {
             sender: NodeId(0),
             sender_metric: 0.2,
@@ -1105,11 +859,10 @@ mod tests {
 
     #[test]
     fn twohop_relay_offers_reach_only_sinks() {
-        let p = TwoHopRelay::new(3);
+        let p = two_hop(3);
         let q = FtdQueue::new(4);
         let rx = RxView { xi: 0.9, queue: &q };
         let relay_rts = RtsInfo {
-            sender: NodeId(2),
             xi: 0.1,
             ftd: 0.0,
             msg: MessageId(1),
@@ -1124,20 +877,24 @@ mod tests {
 
     #[test]
     fn meetrate_estimator_needs_two_contacts() {
-        let mut p = MeetingRate::new(600.0, 5.0, 0.3);
-        p.init(4);
+        let spec = PolicySpec::MeetingRate {
+            horizon_secs: 600.0,
+            debounce_secs: 5.0,
+            beta: 0.3,
+        };
+        let mut p = spec.into_policy(ProtocolKind::Opt.config(), 4);
         let t = |s: u64| SimTime::from_secs(s);
         // First contact: anchor only.
-        assert_eq!(p.on_frame_from(NodeId(1), NodeId(9), true, t(100)), None);
+        assert_eq!(p.on_frame_from(NodeId(1), true, t(100)), None);
         // Same contact, debounced.
-        assert_eq!(p.on_frame_from(NodeId(1), NodeId(9), true, t(103)), None);
+        assert_eq!(p.on_frame_from(NodeId(1), true, t(103)), None);
         // Second contact: gaps are start-to-start, ĝ = 200, ξ = 1 − e^{−3}.
         let xi = p
-            .on_frame_from(NodeId(1), NodeId(9), true, t(300))
+            .on_frame_from(NodeId(1), true, t(300))
             .expect("second contact moves the metric");
         assert!((xi - (1.0 - (-3.0f64).exp())).abs() < 1e-12);
         // Non-sink frames never feed the estimator.
-        assert_eq!(p.on_frame_from(NodeId(1), NodeId(2), false, t(400)), None);
+        assert_eq!(p.on_frame_from(NodeId(1), false, t(400)), None);
     }
 
     #[test]
@@ -1166,7 +923,7 @@ mod tests {
 
     #[test]
     fn builtin_on_multicast_matches_the_paper_rules() {
-        let mut p = Builtin::new(ProtocolKind::Opt.config());
+        let mut p = Policy::Builtin(ProtocolKind::Opt.config());
         let m = msg(1, 0);
         let mut xi = DeliveryProb::ZERO;
         // Sink confirmation: delivered, ξ pulled toward 1.
@@ -1196,5 +953,98 @@ mod tests {
             &mut xi,
         );
         assert!(matches!(fate, CopyFate::Demote(_)));
+    }
+
+    /// The clock the decode tests checkpoint at.
+    const NOW: SimTime = SimTime::from_secs(100);
+
+    fn decode(bytes: &[u8]) -> Result<Policy, SnapError> {
+        Policy::decode(&mut SnapReader::new(bytes), 2, NOW)
+    }
+
+    /// A meeting-rate block for two nodes whose second entry is `last`.
+    fn meetrate_block(last: (Option<SimTime>, SimTime, f64)) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u8(2);
+        for v in [600.0, 5.0, 0.3] {
+            w.f64(v);
+        }
+        w.seq(
+            &[(None, SimTime::ZERO, 0.0), last],
+            |w, &(heard, at, gap)| {
+                w.option(heard.as_ref(), |w, &t| w_time(w, t));
+                w_time(w, at);
+                w.f64(gap);
+                w.u64(2);
+            },
+        );
+        w.into_bytes()
+    }
+
+    fn assert_rejected(bytes: &[u8], why: &str) {
+        let err = decode(bytes).expect_err(why);
+        assert!(err.message().contains(why), "{err}");
+    }
+
+    #[test]
+    fn every_policy_round_trips_through_its_block() {
+        let mut twohop = two_hop(3);
+        let confirmed = Confirmed {
+            xis: &[0.4],
+            any_sink: false,
+        };
+        let mut xi = DeliveryProb::ZERO;
+        let _ = twohop.on_multicast(NodeId(0), &msg(9, 0), &confirmed, 0.25, 0.9, &mut xi);
+        let mut meetrate =
+            PolicySpec::default_meeting_rate().into_policy(ProtocolKind::Opt.config(), 2);
+        for s in [10, 50] {
+            let _ = meetrate.on_frame_from(NodeId(1), true, SimTime::from_secs(s));
+        }
+        let ablation = ProtocolKind::Zbr.config().with_adaptive_tau(false);
+        for p in [Policy::Builtin(ablation), twohop, meetrate] {
+            let mut w = SnapWriter::new();
+            p.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert!(bytes.len() <= p.ckpt_len_bound(), "{p:?}");
+            assert_eq!(decode(&bytes).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn an_unknown_policy_tag_is_rejected() {
+        assert_rejected(&[3], "bad policy tag 3");
+    }
+
+    #[test]
+    fn a_builtin_block_with_variant_tag_6_is_rejected() {
+        assert_rejected(&[0, 6, 1, 1, 1], "bad ProtocolKind tag 6");
+    }
+
+    #[test]
+    fn a_meeting_rate_table_of_the_wrong_length_is_rejected() {
+        let mut w = SnapWriter::new();
+        w.u8(2);
+        for v in [600.0, 5.0, 0.3] {
+            w.f64(v);
+        }
+        w.usize(0);
+        assert_rejected(&w.into_bytes(), "meetrate state table length mismatch");
+    }
+
+    #[test]
+    fn a_contact_gap_that_is_nan_or_negative_is_rejected() {
+        for gap in [f64::NAN, -1.0] {
+            let bytes = meetrate_block((None, SimTime::ZERO, gap));
+            assert_rejected(&bytes, "is not a duration");
+        }
+    }
+
+    #[test]
+    fn contact_instants_after_the_clock_are_rejected() {
+        let later = SimTime::from_secs(101);
+        for last in [(Some(later), SimTime::ZERO, 1.0), (None, later, 1.0)] {
+            assert_rejected(&meetrate_block(last), "lies after the checkpoint clock");
+        }
+        assert!(decode(&meetrate_block((Some(NOW), NOW, 1.0))).is_ok());
     }
 }

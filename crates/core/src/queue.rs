@@ -6,8 +6,10 @@
 //! threshold are purged outright.
 //!
 //! Ties on FTD break by message id, which makes equal-importance messages
-//! FIFO; baselines that ignore FTD (ZBR, epidemic) insert everything with
-//! FTD 0 and get a plain FIFO drop-tail queue out of the same structure.
+//! FIFO. DIRECT and EPIDEMIC queues hold only FTD-0 copies and so run FIFO
+//! in message-id order, dropping the newest on overflow. ZBR's is
+//! FTD-ordered like OPT's: its single moved copy carries Eq. 2's receiver
+//! FTD ([`Ftd::receiver_copy`]), so overflow evicts the highest-FTD copy.
 
 use crate::ftd::Ftd;
 use crate::message::{Message, MessageId};

@@ -7,6 +7,7 @@
 //! diagnostics behind them.
 
 use crate::message::MessageId;
+use crate::world::{r_node_id, w_node_id};
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_metrics::stats::RunningStats;
 use dftmsn_radio::ids::NodeId;
@@ -29,6 +30,77 @@ pub struct DeliveryRecord {
     pub sink: NodeId,
     /// Handovers from the sensing node to the sink.
     pub hops: u32,
+}
+
+impl DeliveryRecord {
+    /// Writes the record, shared by [`SimReport::snap_bytes`] and the
+    /// checkpoint's run-metrics section.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        w.u64(self.msg.0);
+        w_node_id(w, self.origin);
+        w.f64(self.created_secs);
+        w.f64(self.delay_secs);
+        w_node_id(w, self.sink);
+        w.u32(self.hops);
+    }
+
+    /// Reads what [`encode`](Self::encode) wrote, checking both node ids
+    /// against the node count `n`.
+    pub(crate) fn decode(r: &mut SnapReader, n: usize) -> Result<Self, SnapError> {
+        Ok(DeliveryRecord {
+            msg: MessageId(r.u64()?),
+            origin: r_node_id(r, n)?,
+            created_secs: r.f64()?,
+            delay_secs: r.f64()?,
+            sink: r_node_id(r, n)?,
+            hops: r.u32()?,
+        })
+    }
+}
+
+/// Writes delay statistics as count, mean, M2, min and max, the layout
+/// [`SimReport::snap_bytes`] and the checkpoint share.
+pub(crate) fn w_stats(w: &mut SnapWriter, s: &RunningStats) {
+    let (count, mean, m2, min, max) = s.raw_parts();
+    w.u64(count);
+    w.f64(mean);
+    w.f64(m2);
+    w.f64(min);
+    w.f64(max);
+}
+
+/// Reads what [`w_stats`] wrote, rejecting a NaN mean or M2.
+pub(crate) fn r_stats(r: &mut SnapReader) -> Result<RunningStats, SnapError> {
+    let (count, mean, m2, min, max) = (r.u64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+    if mean.is_nan() || m2.is_nan() {
+        return Err(SnapError::new("NaN in delay statistics"));
+    }
+    Ok(RunningStats::from_raw_parts(count, mean, m2, min, max))
+}
+
+/// Writes a histogram as its range, its buckets, underflow and overflow,
+/// the layout [`SimReport::snap_bytes`] and the checkpoint share.
+pub(crate) fn w_hist(w: &mut SnapWriter, h: &Histogram) {
+    let (lo, hi, buckets, underflow, overflow) = h.raw_parts();
+    w.f64(lo);
+    w.f64(hi);
+    w.seq(buckets, |w, &b| w.u64(b));
+    w.u64(underflow);
+    w.u64(overflow);
+}
+
+/// Reads what [`w_hist`] wrote, rejecting a range that is not finite and
+/// increasing or an empty bucket list; `what` names the histogram.
+pub(crate) fn r_hist(r: &mut SnapReader, what: &str) -> Result<Histogram, SnapError> {
+    let (lo, hi) = (r.f64()?, r.f64()?);
+    let buckets = r.seq(SnapReader::u64)?;
+    let (underflow, overflow) = (r.u64()?, r.u64()?);
+    if !(lo.is_finite() && hi.is_finite() && lo < hi) || buckets.is_empty() {
+        return Err(SnapError::new(format!("invalid {what} histogram geometry")));
+    }
+    Ok(Histogram::from_raw_parts(
+        lo, hi, buckets, underflow, overflow,
+    ))
 }
 
 /// Per-node end-of-run summary.
@@ -435,26 +507,9 @@ impl SimReport {
         ] {
             w.u64(c);
         }
-        let (count, mean, m2, min, max) = self.delay_stats.raw_parts();
-        w.u64(count);
-        w.f64(mean);
-        w.f64(m2);
-        w.f64(min);
-        w.f64(max);
-        let (lo, hi, buckets, underflow, overflow) = self.delay_hist.raw_parts();
-        w.f64(lo);
-        w.f64(hi);
-        w.seq(buckets, |w, &b| w.u64(b));
-        w.u64(underflow);
-        w.u64(overflow);
-        w.seq(&self.deliveries, |w, d| {
-            w.u64(d.msg.0);
-            w.usize(d.origin.index());
-            w.f64(d.created_secs);
-            w.f64(d.delay_secs);
-            w.usize(d.sink.index());
-            w.u32(d.hops);
-        });
+        w_stats(&mut w, &self.delay_stats);
+        w_hist(&mut w, &self.delay_hist);
+        w.seq(&self.deliveries, |w, d| d.encode(w));
         w.seq(&self.node_summaries, |w, n| {
             w.usize(n.id.index());
             w.f64(n.final_metric);
@@ -478,12 +533,7 @@ impl SimReport {
         w.option(self.lifetime.half_death_secs.as_ref(), |w, &t| w.f64(t));
         w.option(self.lifetime.last_death_secs.as_ref(), |w, &t| w.f64(t));
         w.u64(self.lifetime.alive_at_end);
-        let (lo, hi, buckets, underflow, overflow) = self.lifetime.energy_hist.raw_parts();
-        w.f64(lo);
-        w.f64(hi);
-        w.seq(buckets, |w, &b| w.u64(b));
-        w.u64(underflow);
-        w.u64(overflow);
+        w_hist(&mut w, &self.lifetime.energy_hist);
         w.into_bytes()
     }
 
@@ -492,7 +542,9 @@ impl SimReport {
     /// # Errors
     ///
     /// Returns a [`SnapError`] on truncation, trailing bytes, an unknown
-    /// layout version, or histogram geometry that would not validate.
+    /// layout version, NaN delay statistics, a delivery naming a node past
+    /// the sensors and sinks, or histogram geometry that would not
+    /// validate.
     pub fn from_snap_bytes(bytes: &[u8]) -> Result<SimReport, SnapError> {
         let mut r = SnapReader::new(bytes);
         let version = r.u8()?;
@@ -543,31 +595,10 @@ impl SimReport {
             deliveries_despite_faults: r.u64()?,
             ..FaultCounters::default()
         };
-        let count = r.u64()?;
-        let mean = r.f64()?;
-        let m2 = r.f64()?;
-        let min = r.f64()?;
-        let max = r.f64()?;
-        let delay_stats = RunningStats::from_raw_parts(count, mean, m2, min, max);
-        let lo = r.f64()?;
-        let hi = r.f64()?;
-        let buckets = r.seq(SnapReader::u64)?;
-        let underflow = r.u64()?;
-        let overflow = r.u64()?;
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) || buckets.is_empty() {
-            return Err(SnapError::new("invalid delay histogram geometry"));
-        }
-        let delay_hist = Histogram::from_raw_parts(lo, hi, buckets, underflow, overflow);
-        let deliveries = r.seq(|r| {
-            Ok(DeliveryRecord {
-                msg: MessageId(r.u64()?),
-                origin: NodeId(r.usize()?),
-                created_secs: r.f64()?,
-                delay_secs: r.f64()?,
-                sink: NodeId(r.usize()?),
-                hops: r.u32()?,
-            })
-        })?;
+        let delay_stats = r_stats(&mut r)?;
+        let delay_hist = r_hist(&mut r, "delay")?;
+        let nodes = sensors.saturating_add(sinks);
+        let deliveries = r.seq(|r| DeliveryRecord::decode(r, nodes))?;
         let node_summaries = r.seq(|r| {
             let id = NodeId(r.usize()?);
             let final_metric = r.f64()?;
@@ -596,20 +627,12 @@ impl SimReport {
         let half_death_secs = r.option(SnapReader::f64)?;
         let last_death_secs = r.option(SnapReader::f64)?;
         let alive_at_end = r.u64()?;
-        let elo = r.f64()?;
-        let ehi = r.f64()?;
-        let ebuckets = r.seq(SnapReader::u64)?;
-        let eunder = r.u64()?;
-        let eover = r.u64()?;
-        if !(elo.is_finite() && ehi.is_finite() && elo < ehi) || ebuckets.is_empty() {
-            return Err(SnapError::new("invalid energy histogram geometry"));
-        }
         let lifetime = Lifetime {
             first_death_secs,
             half_death_secs,
             last_death_secs,
             alive_at_end,
-            energy_hist: Histogram::from_raw_parts(elo, ehi, ebuckets, eunder, eover),
+            energy_hist: r_hist(&mut r, "energy")?,
         };
         if !r.is_exhausted() {
             return Err(SnapError::new("trailing bytes after SimReport payload"));
@@ -769,7 +792,7 @@ mod tests {
             origin: NodeId(3),
             created_secs: 5.5,
             delay_secs: 12.5,
-            sink: NodeId(11),
+            sink: NodeId(10),
             hops: 2,
         });
         r.node_summaries.push(NodeSummary {
@@ -813,6 +836,22 @@ mod tests {
             vers[0] = version;
             assert!(SimReport::from_snap_bytes(&vers).is_err(), "v{version}");
         }
+        // A delivery naming a node past the sensors and sinks is rejected.
+        let mut stray = r.clone();
+        stray.deliveries.push(DeliveryRecord {
+            msg: MessageId(1),
+            origin: NodeId(3),
+            created_secs: 1.0,
+            delay_secs: 2.0,
+            sink: NodeId(11),
+            hops: 1,
+        });
+        let err = SimReport::from_snap_bytes(&stray.snap_bytes()).unwrap_err();
+        assert!(
+            err.message()
+                .contains("node id 11 out of range for 11 nodes"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! | [`Zbr`](ProtocolKind::Zbr) | OPT's MAC with ZebraNet's history-based single-copy forwarding |
 //! | [`Direct`](ProtocolKind::Direct) | direct transmission: sensors hand data to sinks only |
 //! | [`Epidemic`](ProtocolKind::Epidemic) | flooding: copy to every encountered node with buffer space |
+//!
+//! A [`VariantConfig`] is a variant plus its three Sec. 4 switches (Eq. 6
+//! sleeping, Eq. 13 τ_max, Eq. 14 W), the only values a caller sets; the
+//! ablations turn them off one at a time. Sleeping and the metric and
+//! selection rules follow from the variant alone.
 
 use serde::{Deserialize, Serialize};
 
 /// How a node updates its routing metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MetricKind {
     /// Eq. 1 delivery probability: every transmission pulls ξ toward the
     /// receiver's ξ.
     DeliveryProb,
@@ -24,8 +29,8 @@ pub enum MetricKind {
 }
 
 /// How a sender picks receivers from the CTS repliers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SelectionKind {
     /// Sec. 3.2.2: greedy multicast subset until combined delivery
     /// probability exceeds R; copy FTDs per Eq. 2.
     FtdThreshold,
@@ -36,15 +41,6 @@ pub enum SelectionKind {
     AllResponders,
     /// Only sinks may reply/qualify (direct transmission).
     SinkOnly,
-}
-
-/// How the data queue is managed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueueDiscipline {
-    /// FTD-sorted with threshold purge (Sec. 3.1.2).
-    Ftd,
-    /// Plain FIFO drop-tail (baselines without FTD).
-    Fifo,
 }
 
 /// The four implementations compared in Fig. 2 plus two extra baselines.
@@ -96,70 +92,45 @@ impl ProtocolKind {
         }
     }
 
-    /// The variant's behavioural configuration.
+    /// The variant's configuration: every Sec. 4 optimization on, except
+    /// that NOOPT fixes all three and NOSLEEP, which never sleeps, has no
+    /// Eq. 6 sleep period to adapt.
     #[must_use]
     pub fn config(self) -> VariantConfig {
+        let adaptive = self != ProtocolKind::NoOpt;
+        VariantConfig {
+            kind: self,
+            adaptive_sleep: adaptive && self.sleeps(),
+            adaptive_tau: adaptive,
+            adaptive_window: adaptive,
+        }
+    }
+
+    /// Whether the node ever turns its radio off (all but NOSLEEP).
+    #[inline]
+    pub(crate) fn sleeps(self) -> bool {
+        self != ProtocolKind::NoSleep
+    }
+
+    /// The routing-metric update rule: ZBR's sink history, else Eq. 1.
+    #[inline]
+    pub(crate) fn metric(self) -> MetricKind {
         match self {
-            ProtocolKind::Opt => VariantConfig {
-                kind: self,
-                sleeps: true,
-                adaptive_sleep: true,
-                adaptive_tau: true,
-                adaptive_window: true,
-                metric: MetricKind::DeliveryProb,
-                selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
-            },
-            ProtocolKind::NoOpt => VariantConfig {
-                kind: self,
-                sleeps: true,
-                adaptive_sleep: false,
-                adaptive_tau: false,
-                adaptive_window: false,
-                metric: MetricKind::DeliveryProb,
-                selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
-            },
-            ProtocolKind::NoSleep => VariantConfig {
-                kind: self,
-                sleeps: false,
-                adaptive_sleep: false,
-                adaptive_tau: true,
-                adaptive_window: true,
-                metric: MetricKind::DeliveryProb,
-                selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
-            },
-            ProtocolKind::Zbr => VariantConfig {
-                kind: self,
-                sleeps: true,
-                adaptive_sleep: true,
-                adaptive_tau: true,
-                adaptive_window: true,
-                metric: MetricKind::SinkHistory,
-                selection: SelectionKind::SingleBest,
-                queue: QueueDiscipline::Fifo,
-            },
-            ProtocolKind::Direct => VariantConfig {
-                kind: self,
-                sleeps: true,
-                adaptive_sleep: true,
-                adaptive_tau: true,
-                adaptive_window: true,
-                metric: MetricKind::DeliveryProb,
-                selection: SelectionKind::SinkOnly,
-                queue: QueueDiscipline::Fifo,
-            },
-            ProtocolKind::Epidemic => VariantConfig {
-                kind: self,
-                sleeps: true,
-                adaptive_sleep: true,
-                adaptive_tau: true,
-                adaptive_window: true,
-                metric: MetricKind::DeliveryProb,
-                selection: SelectionKind::AllResponders,
-                queue: QueueDiscipline::Fifo,
-            },
+            ProtocolKind::Zbr => MetricKind::SinkHistory,
+            _ => MetricKind::DeliveryProb,
+        }
+    }
+
+    /// The receiver-selection rule.
+    #[inline]
+    pub(crate) fn selection(self) -> SelectionKind {
+        match self {
+            ProtocolKind::Zbr => SelectionKind::SingleBest,
+            ProtocolKind::Direct => SelectionKind::SinkOnly,
+            ProtocolKind::Epidemic => SelectionKind::AllResponders,
+            ProtocolKind::Opt | ProtocolKind::NoOpt | ProtocolKind::NoSleep => {
+                SelectionKind::FtdThreshold
+            }
         }
     }
 }
@@ -176,10 +147,11 @@ impl From<ProtocolKind> for VariantConfig {
     }
 }
 
-/// The knobs distinguishing the variants; produced by
-/// [`ProtocolKind::config`] and consumed by the simulation engine. Custom
-/// combinations (for ablations) can be built by mutating a base config or
-/// chaining the `with_*` builders.
+/// A variant and its three Sec. 4 switches; produced by
+/// [`ProtocolKind::config`] and consumed by the simulation engine.
+/// Sleeping and the metric and selection rules follow from `kind`; the
+/// switches can be turned off one by one for ablations with the `with_*`
+/// builders.
 ///
 /// Marked `#[non_exhaustive]`: always start from [`ProtocolKind::config`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,20 +159,12 @@ impl From<ProtocolKind> for VariantConfig {
 pub struct VariantConfig {
     /// Which named variant this derives from.
     pub kind: ProtocolKind,
-    /// Whether the node ever turns its radio off.
-    pub sleeps: bool,
     /// Eq. 6 adaptive sleeping vs. a fixed period.
     pub adaptive_sleep: bool,
     /// Eq. 13 adaptive τ_max vs. a fixed value.
     pub adaptive_tau: bool,
     /// Eq. 14 adaptive contention window vs. a fixed value.
     pub adaptive_window: bool,
-    /// Routing-metric update rule.
-    pub metric: MetricKind,
-    /// Receiver-selection rule.
-    pub selection: SelectionKind,
-    /// Queue discipline.
-    pub queue: QueueDiscipline,
 }
 
 impl VariantConfig {
@@ -248,15 +212,14 @@ mod tests {
     #[test]
     fn opt_enables_everything() {
         let c = ProtocolKind::Opt.config();
-        assert!(c.sleeps && c.adaptive_sleep && c.adaptive_tau && c.adaptive_window);
-        assert_eq!(c.selection, SelectionKind::FtdThreshold);
-        assert_eq!(c.queue, QueueDiscipline::Ftd);
+        assert!(c.kind.sleeps() && c.adaptive_sleep && c.adaptive_tau && c.adaptive_window);
+        assert_eq!(c.kind.selection(), SelectionKind::FtdThreshold);
     }
 
     #[test]
     fn noopt_fixes_all_parameters_but_still_sleeps() {
         let c = ProtocolKind::NoOpt.config();
-        assert!(c.sleeps);
+        assert!(c.kind.sleeps());
         assert!(!c.adaptive_sleep && !c.adaptive_tau && !c.adaptive_window);
     }
 
@@ -264,18 +227,17 @@ mod tests {
     fn nosleep_only_differs_from_opt_in_sleeping() {
         let opt = ProtocolKind::Opt.config();
         let ns = ProtocolKind::NoSleep.config();
-        assert!(!ns.sleeps);
-        assert_eq!(ns.metric, opt.metric);
-        assert_eq!(ns.selection, opt.selection);
+        assert!(!ns.kind.sleeps());
+        assert_eq!(ns.kind.metric(), opt.kind.metric());
+        assert_eq!(ns.kind.selection(), opt.kind.selection());
         assert_eq!(ns.adaptive_tau, opt.adaptive_tau);
     }
 
     #[test]
     fn zbr_uses_history_metric_and_single_copy() {
-        let c = ProtocolKind::Zbr.config();
-        assert_eq!(c.metric, MetricKind::SinkHistory);
-        assert_eq!(c.selection, SelectionKind::SingleBest);
-        assert_eq!(c.queue, QueueDiscipline::Fifo);
+        let kind = ProtocolKind::Zbr;
+        assert_eq!(kind.metric(), MetricKind::SinkHistory);
+        assert_eq!(kind.selection(), SelectionKind::SingleBest);
     }
 
     #[test]

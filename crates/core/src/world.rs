@@ -38,16 +38,13 @@ use crate::neighbor::{Candidate, Selection, SelectionScratch};
 use crate::node::{MacState, Node, NodeRole, ReceiverCtx, SenderCtx, TxPlan};
 use crate::observe::{MetricsRecorder, RunMeta, WorldSnapshot};
 use crate::params::{ProtocolParams, ScenarioParams};
-use crate::policy::{
-    Confirmed, CopyFate, ForwardingPolicy, MacControls, Policy, PolicySpec, RtsInfo, RxView,
-    SelectCtx,
-};
+use crate::policy::{Confirmed, CopyFate, Policy, PolicySpec, RtsInfo, RxView, SelectCtx};
 use crate::prefetch::prefetch;
 use crate::profile::EventProfile;
 use crate::queue::InsertOutcome;
 use crate::report::{DeliveryRecord, NodeSummary, RunMetrics, SimReport};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
-use crate::variants::{ProtocolKind, VariantConfig};
+use crate::variants::VariantConfig;
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_radio::energy::RadioState;
 use dftmsn_radio::ids::NodeId;
@@ -58,6 +55,7 @@ use dftmsn_sim::time::{SimDuration, SimTime};
 
 #[path = "world_ckpt.rs"]
 mod ckpt;
+pub(crate) use ckpt::{r_node_id, r_past, w_node_id, w_time};
 pub use ckpt::{CkptError, Resumed, CKPT_MAGIC};
 
 #[path = "world_mobility.rs"]
@@ -333,13 +331,12 @@ pub enum MobilityMode {
 pub struct Simulation {
     scenario: ScenarioParams,
     protocol: ProtocolParams,
-    config: VariantConfig,
-    /// The forwarding policy: every protocol decision point dispatches
-    /// through this sealed enum (DESIGN.md § 8).
+    /// The forwarding policy: every protocol decision point is one of its
+    /// methods (DESIGN.md § 8). A builtin run's variant lives only here.
     policy: Policy,
-    /// The policy's MAC-adaptation knobs, cached so the per-event hot
-    /// paths read plain bools instead of dispatching.
-    mac: MacControls,
+    /// The variant whose MAC rules apply ([`Policy::mac`]), cached so the
+    /// per-event hot paths read plain values instead of dispatching.
+    mac: VariantConfig,
     seed: u64,
     timing: Timing,
     end: SimTime,
@@ -486,14 +483,22 @@ impl SimulationBuilder {
     /// validation.
     #[must_use]
     pub fn build(self) -> Simulation {
+        self.scenario
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+        self.protocol
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid protocol params: {e}"));
+        let policy = self
+            .policy
+            .into_policy(self.config, self.scenario.node_count());
         let mut sim = Simulation::construct(
             self.scenario,
             self.protocol,
-            self.config,
+            policy,
             self.seed,
             self.mobility_mode,
         );
-        sim.install_policy(self.policy);
         if let Some(plan) = self.faults {
             plan.validate(&sim.scenario)
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
@@ -523,7 +528,8 @@ impl SimulationBuilder {
 
 impl Simulation {
     /// Starts configuring a simulation of the given scenario and variant.
-    /// Accepts either a [`ProtocolKind`] or a custom [`VariantConfig`]
+    /// Accepts either a [`ProtocolKind`](crate::variants::ProtocolKind)
+    /// or a custom [`VariantConfig`]
     /// (for ablations).
     pub fn builder(
         scenario: ScenarioParams,
@@ -543,15 +549,16 @@ impl Simulation {
         }
     }
 
-    /// Builds and validates the simulation world (no optional attachments).
+    /// Builds the simulation world (no optional attachments) from
+    /// validated parameters.
     fn construct(
         scenario: ScenarioParams,
         protocol: ProtocolParams,
-        config: VariantConfig,
+        policy: Policy,
         seed: u64,
         mode: MobilityMode,
     ) -> Self {
-        let mut sim = Self::construct_static(scenario, protocol, config, seed, mode);
+        let mut sim = Self::construct_static(scenario, protocol, policy, seed, mode);
         sim.mobility.sync_positions();
         sim.schedule_initial_events();
         sim
@@ -561,20 +568,14 @@ impl Simulation {
     /// medium and tables, with positions and the spatial grid still empty
     /// and no event scheduled. Checkpoint restore starts here, since it
     /// replaces the event set and syncs positions from restored models.
+    /// Both callers validate the parameters first.
     fn construct_static(
         scenario: ScenarioParams,
         protocol: ProtocolParams,
-        config: VariantConfig,
+        policy: Policy,
         seed: u64,
         mode: MobilityMode,
     ) -> Self {
-        scenario
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-        protocol
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid protocol params: {e}"));
-
         let root = SimRng::seed_from(seed);
         let n = scenario.node_count();
         let faults = FaultInjector::new(n, scenario.sensors, root.fork(0x4641_554C)); // "FAUL"
@@ -613,13 +614,11 @@ impl Simulation {
         let occupancy = (n as f64 * disc / area.max(1.0)).ceil();
         let k = (occupancy as usize).clamp(8, 256);
 
-        let policy = Policy::builtin(config);
         let mac = policy.mac();
         let cts_windows = vec![0; protocol.cts_window_cap as usize + 2];
         Simulation {
             scenario,
             protocol,
-            config,
             policy,
             mac,
             seed,
@@ -638,16 +637,6 @@ impl Simulation {
             faults,
             observers: Observers::default(),
         }
-    }
-
-    /// Instantiates and attaches the forwarding policy named by `spec`.
-    /// Also called by checkpoint restore, which then overwrites the
-    /// policy's runtime state from the snapshot's policy frame.
-    fn install_policy(&mut self, spec: PolicySpec) {
-        let mut policy = spec.into_policy(self.config);
-        policy.init(self.nodes.len());
-        self.mac = policy.mac();
-        self.policy = policy;
     }
 
     /// The attached policy's serializable descriptor.
@@ -675,12 +664,6 @@ impl Simulation {
             let delta = SimDuration::from_secs_f64(self.protocol.xi_timeout_secs);
             self.events.schedule_after(delta, Event::MetricTimeout(id));
         }
-    }
-
-    /// The configured variant.
-    #[must_use]
-    pub fn variant(&self) -> VariantConfig {
-        self.config
     }
 
     /// Runs the simulation to its configured end and produces the report.
@@ -1379,7 +1362,7 @@ impl Simulation {
             node.receiver_ctx = None;
             node.listen_retries = 0;
             let go_sleep =
-                self.mac.sleeps && node.cycles_inactive >= self.protocol.inactivity_cycles_l;
+                self.mac.kind.sleeps() && node.cycles_inactive >= self.protocol.inactivity_cycles_l;
             // A node in work mode "repeats the two-phase process" (Sec. 3.2):
             // after a successful cycle the next one starts immediately; only
             // failed attempts back off before retrying.
@@ -1700,14 +1683,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Does node `r` qualify as a receiver for the advertised RTS?
-    fn qualified(
-        &self,
-        r: NodeId,
-        sender: NodeId,
-        sender_xi: f64,
-        ftd: f64,
-        msg: MessageId,
-    ) -> bool {
+    fn qualified(&self, r: NodeId, sender_xi: f64, ftd: f64, msg: MessageId) -> bool {
         let node = &self.nodes[r.index()];
         if node.is_sink() {
             // Sinks always qualify: ξ = 1 and effectively infinite buffer.
@@ -1719,7 +1695,6 @@ impl Simulation {
                 queue: &node.queue,
             },
             &RtsInfo {
-                sender,
                 xi: sender_xi,
                 ftd,
                 msg,
@@ -1730,11 +1705,11 @@ impl Simulation {
     fn handle_rx(&mut self, now: SimTime, r: NodeId, frame: &Frame<MacPayload>) {
         let src = frame.src;
         // Policy estimator hook: any heard frame is a contact observation.
-        // Builtin returns `None` unconditionally (the compiler folds the
-        // branch away), so the pre-seam runs stay bit-identical.
+        // Only the meeting-rate policy returns a metric; the others fall
+        // into the `None` arm and draw nothing.
         if !self.nodes[r.index()].is_sink() {
             let src_is_sink = self.nodes[src.index()].is_sink();
-            if let Some(m) = self.policy.on_frame_from(r, src, src_is_sink, now) {
+            if let Some(m) = self.policy.on_frame_from(r, src_is_sink, now) {
                 self.nodes[r.index()].metric = DeliveryProb::new(m);
             }
         }
@@ -1769,7 +1744,7 @@ impl Simulation {
                     self.faults.behavior(r.index())
                 };
                 let qualifies = match behavior {
-                    NodeBehavior::Honest => self.qualified(r, src, *xi, *ftd, *msg),
+                    NodeBehavior::Honest => self.qualified(r, *xi, *ftd, *msg),
                     NodeBehavior::Selfish => false,
                     NodeBehavior::Blackhole => true,
                     NodeBehavior::Liar | NodeBehavior::Forger => {
@@ -2135,6 +2110,7 @@ fn world_snapshot(nodes: &[Node], scenario: &ScenarioParams, now: SimTime) -> Wo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variants::ProtocolKind;
     use dftmsn_mobility::geom::Vec2;
 
     fn tiny() -> ScenarioParams {
@@ -2265,36 +2241,32 @@ mod tests {
         let mut sim = mk(ProtocolKind::Opt);
         let r = NodeId(0);
         sim.nodes[r.index()].metric = DeliveryProb::new(0.5);
-        let s = NodeId(5);
-        assert!(sim.qualified(r, s, 0.4, 0.0, MessageId(9)));
+        assert!(sim.qualified(r, 0.4, 0.0, MessageId(9)));
         assert!(
-            !sim.qualified(r, s, 0.5, 0.0, MessageId(9)),
+            !sim.qualified(r, 0.5, 0.0, MessageId(9)),
             "ties do not qualify"
         );
-        assert!(!sim.qualified(r, s, 0.6, 0.0, MessageId(9)));
+        assert!(!sim.qualified(r, 0.6, 0.0, MessageId(9)));
 
         // Holding a copy disqualifies.
         let msg = Message::sensed(MessageId(9), NodeId(3), SimTime::ZERO);
         sim.nodes[r.index()].queue.insert(msg);
-        assert!(!sim.qualified(r, s, 0.1, 0.0, MessageId(9)));
-        assert!(
-            sim.qualified(r, s, 0.1, 0.0, MessageId(10)),
-            "other ids fine"
-        );
+        assert!(!sim.qualified(r, 0.1, 0.0, MessageId(9)));
+        assert!(sim.qualified(r, 0.1, 0.0, MessageId(10)), "other ids fine");
 
         // Sinks always qualify.
         let sink = NodeId(scenario.sensors);
         assert!(sim.nodes[sink.index()].is_sink());
-        assert!(sim.qualified(sink, s, 0.99, 0.99, MessageId(9)));
+        assert!(sim.qualified(sink, 0.99, 0.99, MessageId(9)));
 
         // SinkOnly: sensors never qualify.
         let sim = mk(ProtocolKind::Direct);
-        assert!(!sim.qualified(r, s, 0.0, 0.0, MessageId(9)));
-        assert!(sim.qualified(sink, s, 0.9, 0.0, MessageId(9)));
+        assert!(!sim.qualified(r, 0.0, 0.0, MessageId(9)));
+        assert!(sim.qualified(sink, 0.9, 0.0, MessageId(9)));
 
         // AllResponders: metric ignored, only space matters.
         let sim = mk(ProtocolKind::Epidemic);
-        assert!(sim.qualified(r, s, 0.99, 0.0, MessageId(9)));
+        assert!(sim.qualified(r, 0.99, 0.0, MessageId(9)));
     }
 
     #[test]

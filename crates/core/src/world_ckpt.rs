@@ -1,4 +1,4 @@
-//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/5`
+//! Versioned snapshot/resume for [`Simulation`] — the `dftmsn-ckpt/6`
 //! format.
 //!
 //! A checkpoint captures the *complete* live state of a run: every node's
@@ -14,7 +14,7 @@
 //! # File format
 //!
 //! ```text
-//! magic   13 bytes   b"dftmsn-ckpt/5"
+//! magic   13 bytes   b"dftmsn-ckpt/6"
 //! len      8 bytes   payload length, u64 LE
 //! payload  n bytes   SnapWriter-encoded state
 //! checksum 8 bytes   checksum64 of the payload, u64 LE
@@ -26,13 +26,15 @@
 //! plan, the fault stream, the global and per-pair link drops, the regime
 //! flag, the behavior assignments and the lifetime anchors), then the
 //! clock, the count of events processed and the count of message ids
-//! issued, which later sections are checked against. Then come the policy
-//! frame, the mobility driver's block (the shared mobility stream, Lazy
-//! mode's per-sensor streams and sync instants, then each sensor's seven
-//! trajectory values; sinks never move and write nothing), the nodes, the
-//! medium, the run counters and the pending events, and last the
-//! observers' block (the observe-tick count and the recorder). Each owner
-//! writes and reads its block itself. Only `/5` decodes: a file of another
+//! issued, which later sections are checked against. Then come the
+//! policy's block (a tag, then for a builtin run the variant and its three
+//! Sec. 4 switches, or a competitor's parameters and state; decode builds
+//! the policy before the static world), the mobility driver's block (the
+//! shared mobility stream, Lazy mode's per-sensor streams and sync
+//! instants, then each sensor's seven trajectory values; sinks never move
+//! and write nothing), the nodes, the medium, the run counters and the
+//! pending events, and last the observers' block (the observe-tick count
+//! and the recorder). Each owner writes and reads its block itself. Only `/6` decodes: a file of another
 //! `dftmsn-ckpt/` version is rejected as [`CkptError::Corrupt`] naming
 //! that version.
 //!
@@ -63,11 +65,7 @@
 use super::*;
 use crate::neighbor::{NeighborEntry, NeighborTable};
 use crate::queue::FtdQueue;
-use crate::report::FaultCounters;
-use crate::variants::QueueDiscipline;
-use crate::variants::{MetricKind, SelectionKind};
-use dftmsn_metrics::histogram::Histogram;
-use dftmsn_metrics::stats::RunningStats;
+use crate::report::{r_hist, r_stats, w_hist, w_stats, FaultCounters};
 use dftmsn_radio::energy::EnergyMeter;
 use dftmsn_radio::medium::{ActiveTxState, MediumState};
 use dftmsn_sim::snap::{checksum64, SnapError, SnapReader, SnapWriter};
@@ -75,9 +73,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file; the trailing `/5` is the
+/// Magic bytes opening every checkpoint file; the trailing `/6` is the
 /// format version.
-pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/5";
+pub const CKPT_MAGIC: &[u8; 13] = b"dftmsn-ckpt/6";
 
 /// The magic's version-independent prefix, so a file of another version is
 /// named as such rather than as "not a checkpoint".
@@ -98,7 +96,7 @@ pub enum CkptError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The bytes are not a valid `dftmsn-ckpt/5` snapshot: bad magic, an
+    /// The bytes are not a valid `dftmsn-ckpt/6` snapshot: bad magic, an
     /// unsupported version, truncation, checksum mismatch, or a malformed
     /// payload.
     Corrupt {
@@ -216,7 +214,7 @@ struct Limits {
     issued: u64,
 }
 
-pub(super) fn w_time(w: &mut SnapWriter, t: SimTime) {
+pub(crate) fn w_time(w: &mut SnapWriter, t: SimTime) {
     w.u64(t.ticks());
 }
 
@@ -226,7 +224,7 @@ fn r_time(r: &mut SnapReader) -> Result<SimTime, SnapError> {
 
 /// Reads an instant the run has already passed (a creation, last-seen or
 /// state-entry time), which cannot lie after the clock.
-pub(super) fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapError> {
+pub(crate) fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapError> {
     let t = r_time(r)?;
     if t > now {
         return Err(SnapError::new(format!(
@@ -236,11 +234,11 @@ pub(super) fn r_past(r: &mut SnapReader, now: SimTime) -> Result<SimTime, SnapEr
     Ok(t)
 }
 
-pub(super) fn w_node_id(w: &mut SnapWriter, id: NodeId) {
+pub(crate) fn w_node_id(w: &mut SnapWriter, id: NodeId) {
     w.usize(id.index());
 }
 
-pub(super) fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
+pub(crate) fn r_node_id(r: &mut SnapReader, n: usize) -> Result<NodeId, SnapError> {
     let i = r.usize()?;
     if i >= n {
         return Err(SnapError::new(format!(
@@ -647,78 +645,6 @@ fn r_protocol(r: &mut SnapReader) -> Result<ProtocolParams, SnapError> {
     })
 }
 
-fn w_config(w: &mut SnapWriter, c: &VariantConfig) {
-    w.u8(match c.kind {
-        ProtocolKind::Opt => 0,
-        ProtocolKind::NoOpt => 1,
-        ProtocolKind::NoSleep => 2,
-        ProtocolKind::Zbr => 3,
-        ProtocolKind::Direct => 4,
-        ProtocolKind::Epidemic => 5,
-    });
-    w.bool(c.sleeps);
-    w.bool(c.adaptive_sleep);
-    w.bool(c.adaptive_tau);
-    w.bool(c.adaptive_window);
-    w.u8(match c.metric {
-        MetricKind::DeliveryProb => 0,
-        MetricKind::SinkHistory => 1,
-    });
-    w.u8(match c.selection {
-        SelectionKind::FtdThreshold => 0,
-        SelectionKind::SingleBest => 1,
-        SelectionKind::AllResponders => 2,
-        SelectionKind::SinkOnly => 3,
-    });
-    w.u8(match c.queue {
-        QueueDiscipline::Ftd => 0,
-        QueueDiscipline::Fifo => 1,
-    });
-}
-
-fn r_config(r: &mut SnapReader) -> Result<VariantConfig, SnapError> {
-    let kind = match r.u8()? {
-        0 => ProtocolKind::Opt,
-        1 => ProtocolKind::NoOpt,
-        2 => ProtocolKind::NoSleep,
-        3 => ProtocolKind::Zbr,
-        4 => ProtocolKind::Direct,
-        5 => ProtocolKind::Epidemic,
-        t => return Err(SnapError::new(format!("bad ProtocolKind tag {t}"))),
-    };
-    let sleeps = r.bool()?;
-    let adaptive_sleep = r.bool()?;
-    let adaptive_tau = r.bool()?;
-    let adaptive_window = r.bool()?;
-    let metric = match r.u8()? {
-        0 => MetricKind::DeliveryProb,
-        1 => MetricKind::SinkHistory,
-        t => return Err(SnapError::new(format!("bad MetricKind tag {t}"))),
-    };
-    let selection = match r.u8()? {
-        0 => SelectionKind::FtdThreshold,
-        1 => SelectionKind::SingleBest,
-        2 => SelectionKind::AllResponders,
-        3 => SelectionKind::SinkOnly,
-        t => return Err(SnapError::new(format!("bad SelectionKind tag {t}"))),
-    };
-    let queue = match r.u8()? {
-        0 => QueueDiscipline::Ftd,
-        1 => QueueDiscipline::Fifo,
-        t => return Err(SnapError::new(format!("bad QueueDiscipline tag {t}"))),
-    };
-    Ok(VariantConfig {
-        kind,
-        sleeps,
-        adaptive_sleep,
-        adaptive_tau,
-        adaptive_window,
-        metric,
-        selection,
-        queue,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Node state
 // ---------------------------------------------------------------------
@@ -974,18 +900,8 @@ fn w_run_metrics(w: &mut SnapWriter, m: &RunMetrics) {
     w.u64(m.generated);
     w.u64(m.delivered);
     w.u64(m.sink_receptions);
-    let (count, mean, m2, min, max) = m.delay.raw_parts();
-    w.u64(count);
-    w.f64(mean);
-    w.f64(m2);
-    w.f64(min);
-    w.f64(max);
-    let (lo, hi, buckets, underflow, overflow) = m.delay_hist.raw_parts();
-    w.f64(lo);
-    w.f64(hi);
-    w.seq(buckets, |w, &b| w.u64(b));
-    w.u64(underflow);
-    w.u64(overflow);
+    w_stats(w, &m.delay);
+    w_hist(w, &m.delay_hist);
     w.u64(m.drops_overflow);
     w.u64(m.drops_rejected);
     w.u64(m.drops_ftd);
@@ -1002,18 +918,8 @@ fn r_run_metrics(r: &mut SnapReader) -> Result<RunMetrics, SnapError> {
     let generated = r.u64()?;
     let delivered = r.u64()?;
     let sink_receptions = r.u64()?;
-    let (count, mean, m2, min, max) = (r.u64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-    if mean.is_nan() || m2.is_nan() {
-        return Err(SnapError::new("NaN in delay statistics"));
-    }
-    let delay = RunningStats::from_raw_parts(count, mean, m2, min, max);
-    let (lo, hi) = (r.f64()?, r.f64()?);
-    let buckets = r.seq(|r| r.u64())?;
-    let (underflow, overflow) = (r.u64()?, r.u64()?);
-    if !(lo.is_finite() && hi.is_finite() && lo < hi) || buckets.is_empty() {
-        return Err(SnapError::new("bad delay histogram geometry"));
-    }
-    let delay_hist = Histogram::from_raw_parts(lo, hi, buckets, underflow, overflow);
+    let delay = r_stats(r)?;
+    let delay_hist = r_hist(r, "delay")?;
     let mut m = RunMetrics::new(1.0);
     m.generated = generated;
     m.delivered = delivered;
@@ -1070,92 +976,12 @@ fn r_fault_counters(r: &mut SnapReader) -> Result<FaultCounters, SnapError> {
 }
 
 // ---------------------------------------------------------------------
-// Policy frame: id tag, parameters, then runtime state
-// ---------------------------------------------------------------------
-
-fn w_policy(w: &mut SnapWriter, policy: &Policy) {
-    match policy {
-        Policy::Builtin(_) => w.u8(0),
-        Policy::TwoHop(p) => {
-            w.u8(1);
-            w.u32(p.budget());
-            let copies = p.copies();
-            w.usize(copies.len());
-            for (m, c) in copies {
-                w.u64(m.0);
-                w.u32(c);
-            }
-        }
-        Policy::MeetingRate(p) => {
-            w.u8(2);
-            w.f64(p.horizon_secs());
-            w.f64(p.debounce_secs());
-            w.f64(p.beta());
-            w.seq(p.states(), |w, s| {
-                w.option(s.last_heard.as_ref(), |w, &t| w_time(w, t));
-                w_time(w, s.contact_at);
-                w.f64(s.ewma_gap_secs);
-                w.u64(s.contacts);
-            });
-        }
-    }
-}
-
-/// Decodes the policy frame and installs the policy on `sim`.
-fn r_policy(r: &mut SnapReader, sim: &mut Simulation, now: SimTime) -> Result<(), CkptError> {
-    match r.u8()? {
-        0 => sim.install_policy(PolicySpec::Builtin),
-        1 => {
-            let budget = r.u32()?;
-            let entries = r.seq(|r| Ok((MessageId(r.u64()?), r.u32()?)))?;
-            sim.install_policy(PolicySpec::TwoHop { budget });
-            if let Policy::TwoHop(p) = &mut sim.policy {
-                p.restore_copies(entries);
-            }
-        }
-        2 => {
-            let horizon_secs = r.f64()?;
-            let debounce_secs = r.f64()?;
-            let beta = r.f64()?;
-            let states = r.seq(|r| {
-                let state = crate::policy::MeetState {
-                    last_heard: r.option(|r| r_past(r, now))?,
-                    contact_at: r_past(r, now)?,
-                    ewma_gap_secs: r.f64()?,
-                    contacts: r.u64()?,
-                };
-                if !(state.ewma_gap_secs.is_finite() && state.ewma_gap_secs >= 0.0) {
-                    return Err(SnapError::new(format!(
-                        "contact-gap estimate {} is not a duration",
-                        state.ewma_gap_secs
-                    )));
-                }
-                Ok(state)
-            })?;
-            if states.len() != sim.nodes.len() {
-                return Err(CkptError::corrupt("meetrate state table length mismatch"));
-            }
-            sim.install_policy(PolicySpec::MeetingRate {
-                horizon_secs,
-                debounce_secs,
-                beta,
-            });
-            if let Policy::MeetingRate(p) = &mut sim.policy {
-                p.restore_states(states);
-            }
-        }
-        t => return Err(CkptError::corrupt(format!("bad policy tag {t}"))),
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Whole-simulation encode/decode
 // ---------------------------------------------------------------------
 
 impl Simulation {
     /// Serializes the complete live state into a framed, checksummed
-    /// `dftmsn-ckpt/5` byte buffer. Call between events — e.g. after
+    /// `dftmsn-ckpt/6` byte buffer. Call between events — e.g. after
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///
@@ -1222,15 +1048,10 @@ impl Simulation {
                     + sender
             })
             .sum();
-        let policy = match &self.policy {
-            Policy::Builtin(_) => 0,
-            Policy::TwoHop(p) => 12 * p.copies().len(),
-            Policy::MeetingRate(_) => 40 * n,
-        };
         let (_, _, buckets, _, _) = self.metrics.delay_hist.raw_parts();
         FIXED
             + self.faults.ckpt_len_bound()
-            + policy
+            + self.policy.ckpt_len_bound()
             + self.mobility.ckpt_len_bound()
             + MEDIUM_NODE * n
             + nodes
@@ -1246,7 +1067,6 @@ impl Simulation {
         // static world (zones, timings, grid geometry, model parameters).
         w_scenario(w, &self.scenario);
         w_protocol(w, &self.protocol);
-        w_config(w, &self.config);
         w.u64(self.seed);
         w.bool(self.mobility.mode() == MobilityMode::Lazy);
 
@@ -1258,7 +1078,7 @@ impl Simulation {
         w.u64(self.events.popped());
         w.u64(self.ids.issued());
 
-        w_policy(w, &self.policy);
+        self.policy.encode(w);
 
         // Node motion: streams and model states (positions are derived
         // from these on restore).
@@ -1295,14 +1115,7 @@ impl Simulation {
         // Bookkeeping and counters.
         w.seq(self.delivered_ids.raw_words(), |w, &word| w.u64(word));
         w_run_metrics(w, &self.metrics);
-        w.seq(&self.deliveries, |w, d| {
-            w.u64(d.msg.0);
-            w_node_id(w, d.origin);
-            w.f64(d.created_secs);
-            w.f64(d.delay_secs);
-            w_node_id(w, d.sink);
-            w.u32(d.hops);
-        });
+        w.seq(&self.deliveries, |w, d| d.encode(w));
 
         // The pending event set in firing order; restore re-issues
         // sequence numbers in this order, preserving same-instant
@@ -1389,7 +1202,6 @@ impl Simulation {
     ) -> Result<(Simulation, Option<MetricsRecorder>), CkptError> {
         let scenario = r_scenario(r)?;
         let protocol = r_protocol(r)?;
-        let config = r_config(r)?;
         let seed = r.u64()?;
         let mode = if r.bool()? {
             MobilityMode::Lazy
@@ -1415,18 +1227,18 @@ impl Simulation {
         }
         let faults = FaultInjector::decode(r, &scenario)?;
 
-        // Rebuild the static world; every random draw construction makes
-        // is immaterial because each stream is overwritten below.
-        let mut sim = Simulation::construct_static(scenario, protocol, config, seed, mode);
-        sim.faults = faults;
-
         let now = r_time(r)?;
         let popped = r.u64()?;
         let issued = r.u64()?;
         let lim = Limits { n, now, issued };
 
-        r_policy(r, &mut sim, now)?;
-        let budget = matches!(sim.policy, Policy::TwoHop(_));
+        let policy = Policy::decode(r, n, now)?;
+        let budget = matches!(policy, Policy::TwoHop(_));
+
+        // Rebuild the static world; every random draw construction makes
+        // is immaterial because each stream is overwritten below.
+        let mut sim = Simulation::construct_static(scenario, protocol, policy, seed, mode);
+        sim.faults = faults;
 
         sim.mobility.decode(r, now)?;
 
@@ -1507,16 +1319,7 @@ impl Simulation {
                 sim.metrics.generated
             )));
         }
-        sim.deliveries = r.seq(|r| {
-            Ok(DeliveryRecord {
-                msg: MessageId(r.u64()?),
-                origin: r_node_id(r, n)?,
-                created_secs: r.f64()?,
-                delay_secs: r.f64()?,
-                sink: r_node_id(r, n)?,
-                hops: r.u32()?,
-            })
-        })?;
+        sim.deliveries = r.seq(|r| DeliveryRecord::decode(r, n))?;
 
         sim.events = EventQueue::restore(now, popped);
         let pending_count = r.seq_len()?;
@@ -1643,6 +1446,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
+    use crate::variants::ProtocolKind;
     use std::io::Write;
     use std::sync::{Arc, Mutex};
 

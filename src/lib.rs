@@ -29,7 +29,7 @@ pub mod prelude {
     pub use dftmsn_core::faults::{FaultKind, FaultPlan};
     pub use dftmsn_core::observe::{MetricsRecorder, ObserveRow, ObserveSeries, WorldSnapshot};
     pub use dftmsn_core::params::{ProtocolParams, ScenarioParams};
-    pub use dftmsn_core::policy::{ForwardingPolicy, MeetingRate, Policy, PolicySpec, TwoHopRelay};
+    pub use dftmsn_core::policy::PolicySpec;
     pub use dftmsn_core::report::SimReport;
     pub use dftmsn_core::trace::{DropReason, SharedTrace, TraceEvent, TraceSink};
     pub use dftmsn_core::variants::{ProtocolKind, VariantConfig};

@@ -15,7 +15,7 @@
 
 mod golden;
 
-use dftmsn::core::variants::ProtocolKind;
+use dftmsn::core::variants::{ProtocolKind, VariantConfig};
 use dftmsn::prelude::*;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -65,7 +65,7 @@ fn assert_same_report(resumed: &SimReport, full: &SimReport, label: &str) {
 }
 
 fn build(
-    kind: ProtocolKind,
+    config: impl Into<VariantConfig>,
     seed: u64,
     mode: MobilityMode,
     out: SharedBuf,
@@ -73,7 +73,7 @@ fn build(
     let recorder = MetricsRecorder::new(OBSERVE_WINDOW_SECS)
         .streaming_only()
         .with_output(Box::new(out));
-    let sim = Simulation::builder(scenario(), kind)
+    let sim = Simulation::builder(scenario(), config)
         .seed(seed)
         .mobility_mode(mode)
         .observe(recorder.clone())
@@ -84,18 +84,19 @@ fn build(
 /// Runs one (variant, seed, mode) combination: uninterrupted twin vs.
 /// checkpoint-at-`fraction`-of-the-run + resume, comparing reports and
 /// observe streams bit-for-bit.
-fn check_combo(kind: ProtocolKind, seed: u64, mode: MobilityMode, fraction: f64) {
-    let label = format!("{kind:?} seed {seed} {mode:?} ckpt@{fraction:.3}");
+fn check_combo(config: impl Into<VariantConfig>, seed: u64, mode: MobilityMode, fraction: f64) {
+    let config = config.into();
+    let label = format!("{config:?} seed {seed} {mode:?} ckpt@{fraction:.3}");
 
     // The uninterrupted twin.
     let full_buf = SharedBuf::default();
-    let (full_sim, _) = build(kind, seed, mode, full_buf.clone());
+    let (full_sim, _) = build(config, seed, mode, full_buf.clone());
     let full = full_sim.run();
 
     // The interrupted run: step to the first event boundary at or past
     // the checkpoint instant, snapshot, and drop it.
     let part_buf = SharedBuf::default();
-    let (mut part_sim, part_rec) = build(kind, seed, mode, part_buf.clone());
+    let (mut part_sim, part_rec) = build(config, seed, mode, part_buf.clone());
     let t_ckpt = fraction * scenario().duration_secs as f64;
     while part_sim.now().as_secs_f64() < t_ckpt {
         if !part_sim.step() {
@@ -137,12 +138,24 @@ fn fraction_for(rng: &mut SimRng) -> f64 {
     rng.gen_range_f64(0.15, 0.85)
 }
 
+/// Also resumes the `ablation` bin's three rows, OPT with one Sec. 4
+/// switch off: the switches travel in the checkpoint's policy block, apart
+/// from the variant they modify.
 #[test]
 fn every_variant_resumes_bit_identically_under_ticked_mobility() {
     let mut rng = SimRng::seed_from(0xC4EC_0001);
     for kind in ProtocolKind::ALL {
         let fraction = fraction_for(&mut rng);
         check_combo(kind, 1, MobilityMode::Ticked, fraction);
+    }
+    let opt = ProtocolKind::Opt.config();
+    for config in [
+        opt.with_adaptive_tau(false),
+        opt.with_adaptive_window(false),
+        opt.with_adaptive_sleep(false),
+    ] {
+        let fraction = fraction_for(&mut rng);
+        check_combo(config, 1, MobilityMode::Ticked, fraction);
     }
 }
 
@@ -166,7 +179,7 @@ fn second_seed_resumes_bit_identically_in_both_modes() {
     }
 }
 
-/// Golden `dftmsn-ckpt/5` fixture: a mid-run snapshot (OPT, 16 sensors,
+/// Golden `dftmsn-ckpt/6` fixture: a mid-run snapshot (OPT, 16 sensors,
 /// 2 sinks, 800 s, seed 7, checkpointed at the first event boundary past
 /// 450 s) committed under `tests/fixtures/`. Resuming it must still work
 /// on every future build of this workspace — this is the format-stability
@@ -508,6 +521,7 @@ fn other_format_versions_are_rejected_by_name() {
         "dftmsn-ckpt/2",
         "dftmsn-ckpt/3",
         "dftmsn-ckpt/4",
+        "dftmsn-ckpt/5",
     ] {
         let old = frame(version.as_bytes(), payload(&bytes));
         let err = Simulation::resume_from_bytes(&old).unwrap_err();

@@ -1,19 +1,19 @@
-//! Policy-seam parity and competitor-policy golden baselines.
+//! Policy parity and competitor-policy golden baselines.
 //!
-//! Three guarantees for the `ForwardingPolicy` trait introduced by the
-//! policy lab:
+//! Three guarantees for the forwarding policies a run names through
+//! `PolicySpec`:
 //!
-//! 1. **Builtin parity** — the six builtin variants run through the trait
-//!    (every builder's default policy is `PolicySpec::Builtin`) and
-//!    reproduce the runs recorded before the trait existed: the 24 engine
-//!    goldens of `determinism_baseline` and `lazy_mobility_baseline` pin
-//!    that. Here each builtin variant is checked to be seed-deterministic,
-//!    in both mobility modes and under fault injection. The trait is a
-//!    seam, not a behaviour change.
-//! 2. **Competitor goldens** — `TwoHopRelay` and `MeetingRate` reproduce
-//!    pinned whole-report digests on the same 20-sensor/2-sink/2 000 s
-//!    workload as `determinism_baseline`, so policy regressions surface
-//!    exactly like engine regressions.
+//! 1. **Builtin parity** — the six builtin variants run under every
+//!    builder's default policy, `PolicySpec::Builtin`, and reproduce the
+//!    runs recorded before policies were separated from the engine: the 24
+//!    engine goldens of `determinism_baseline` and `lazy_mobility_baseline`
+//!    pin that. Here each builtin variant is checked to be
+//!    seed-deterministic, in both mobility modes and under fault
+//!    injection.
+//! 2. **Competitor goldens** — the two-hop relay and the meeting-rate
+//!    policy reproduce pinned whole-report digests on the same
+//!    20-sensor/2-sink/2 000 s workload as `determinism_baseline`, so
+//!    policy regressions surface exactly like engine regressions.
 //! 3. **Checkpoint round-trip** — a parameterized (non-default) policy
 //!    survives `checkpoint_bytes` → `resume_from_bytes` bit-identically,
 //!    parameters and estimator state included.
@@ -40,7 +40,7 @@ fn parity_scenario() -> ScenarioParams {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Builtin variants through the trait.
+// 1. Builtin variants under the default policy spec.
 // ---------------------------------------------------------------------------
 
 #[test]
